@@ -258,4 +258,12 @@ BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo run --release -q -p bp-bench --bin bp-perf -- \
     --check-baseline --threshold 0.5 --samples 3
 
+echo "== benchmark self-test =="
+# perfbench (BENCHMARK.json's command) is a package of its own, so the
+# workspace legs above never build it. Its self-test runs every workload
+# traced and untraced at 20K records and checks the pinned replay,
+# sampled and serve-mix outputs, the printed metric names and units, and
+# that a doubled golden is reported as failed ops.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "ci: all checks passed"

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+mod ahead;
 mod codec_v3;
 mod interval;
 mod isa;

@@ -16,7 +16,8 @@
 use std::io::{self, Read};
 use std::sync::Arc;
 
-use crate::codec_v3::{decode_block, BLOCK_RECORDS, COUNT_UNKNOWN, MAX_BLOCK_PAYLOAD};
+use crate::ahead::{check_digest, Ahead, Block};
+use crate::codec_v3::{BLOCK_RECORDS, COUNT_UNKNOWN, MAX_BLOCK_PAYLOAD};
 use crate::record::RetiredInst;
 use crate::serialize::{
     decode_record_v12, fnv1a, ReadTraceError, FNV_OFFSET, MAGIC, MIN_VERSION, V12_RECORD_BYTES,
@@ -36,6 +37,11 @@ const V12_CHUNK: usize = 16 * 1024;
 /// (checksums, framing, trailing bytes) surface as errors no later than
 /// the final `next_chunk` call, so a consumer that drains the reader has
 /// validated the whole stream.
+///
+/// A reader is fused on error: once `next_chunk` has returned an error,
+/// every later call returns an error too — never a later chunk, and
+/// never `Ok(None)`, so a stream that failed can never pass for one that
+/// ended.
 pub trait TraceReader {
     /// Workload metadata for the trace being read.
     fn meta(&self) -> &TraceMeta;
@@ -146,10 +152,19 @@ impl Trace {
 /// end exactly where the format says it does: leftover bytes are
 /// `Corrupt("trailing bytes")`, a missing end is an I/O error.
 ///
+/// v3 decodes ahead: while the consumer works on one block, up to two
+/// more are verified and decoded on a helper thread the reader owns (one
+/// per reader, only when more than one CPU is available), and when the
+/// next block is not ready the calling thread decodes instead of
+/// waiting. Records, their order and the errors are exactly those of
+/// decoding one block at a time; see the `ahead` module for the
+/// threading contract. v1/v2 decode inline.
+///
 /// Decode is hostile-input hardened: no header or frame field can cause
 /// an allocation beyond one block's caps ([`BLOCK_RECORDS`],
 /// [`MAX_BLOCK_PAYLOAD`]), and every malformed byte is a structured
-/// [`ReadTraceError`], never a panic.
+/// [`ReadTraceError`], never a panic. After the verified end or the
+/// first error the reader holds no buffers and no thread.
 pub struct BptrReader<R> {
     inner: R,
     version: u16,
@@ -157,11 +172,24 @@ pub struct BptrReader<R> {
     /// Header-declared record total (`None`: v3 "count unknown").
     declared: Option<u64>,
     produced: u64,
+    /// v1/v2: the chunk handed out last.
     chunk: Vec<RetiredInst>,
-    payload: Vec<u8>,
-    /// Running FNV-1a over every byte read, for the v2 file trailer.
+    /// v1/v2: running FNV-1a over every byte read, for the v2 trailer.
     hash: u64,
-    done: bool,
+    /// v3: records in the blocks framed so far.
+    framed: u64,
+    /// v3: the decode pipeline, until the stream ends or fails.
+    ahead: Option<Ahead>,
+    state: State,
+}
+
+/// Where a [`BptrReader`] stands.
+enum State {
+    Reading,
+    /// `Ok(None)` has been returned: the end was verified.
+    Ended,
+    /// An error has been returned; every later call repeats it.
+    Failed(ReadTraceError),
 }
 
 impl<R: Read> BptrReader<R> {
@@ -204,9 +232,10 @@ impl<R: Read> BptrReader<R> {
             declared,
             produced: 0,
             chunk: Vec::new(),
-            payload: Vec::new(),
             hash,
-            done: false,
+            framed: 0,
+            ahead: (version == VERSION_V3).then(Ahead::new),
+            state: State::Reading,
         })
     }
 
@@ -222,7 +251,16 @@ impl<R: Read> BptrReader<R> {
         self.version
     }
 
-    fn next_chunk_v12(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
+    /// Ends or fails the stream: frees every buffer and joins the helper.
+    fn stop(&mut self, state: State) {
+        self.state = state;
+        self.chunk = Vec::new();
+        self.ahead = None;
+    }
+
+    /// Decodes the next v1/v2 chunk into `chunk`; `Ok(false)` at the
+    /// verified end.
+    fn next_chunk_v12(&mut self) -> Result<bool, ReadTraceError> {
         let declared = self.declared.expect("v1/v2 headers always declare a count");
         let remaining = declared - self.produced;
         if remaining == 0 {
@@ -230,16 +268,13 @@ impl<R: Read> BptrReader<R> {
                 // The trailer digests everything before itself, so
                 // snapshot the running hash before consuming it.
                 let computed = self.hash;
-                let mut t = [0u8; 8];
-                self.inner.read_exact(&mut t)?;
-                let stored = u64::from_le_bytes(t);
+                let stored = read_u64(&mut self.inner)?;
                 if stored != computed {
                     return Err(ReadTraceError::ChecksumMismatch { stored, computed });
                 }
             }
             expect_eof(&mut self.inner)?;
-            self.done = true;
-            return Ok(None);
+            return Ok(false);
         }
         let take = usize::try_from(remaining).unwrap_or(usize::MAX).min(V12_CHUNK);
         self.chunk.clear();
@@ -249,46 +284,69 @@ impl<R: Read> BptrReader<R> {
             self.chunk.push(decode_record_v12(&buf)?);
         }
         self.produced += take as u64;
-        Ok(Some(&self.chunk))
+        Ok(true)
     }
 
-    fn next_chunk_v3(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
-        let mut frame = [0u8; 8];
-        self.inner.read_exact(&mut frame)?;
-        let n_records = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
-        let payload_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes")) as usize;
+    /// Delivers the next v3 block through the decode pipeline;
+    /// `Ok(false)` at the verified end.
+    fn next_chunk_v3(&mut self) -> Result<bool, ReadTraceError> {
+        let BptrReader { inner, declared, framed, ahead, .. } = self;
+        let ahead = ahead.as_mut().expect("a reading v3 reader owns its pipeline");
+        let more = ahead.next_block(|block| frame_block(inner, *declared, framed, block))?;
+        if more {
+            self.produced += ahead.held().len() as u64;
+        }
+        Ok(more)
+    }
+}
 
-        if n_records == 0 {
-            // End marker: zero frame, still checksummed.
-            if payload_len != 0 {
-                return Err(ReadTraceError::Corrupt("block header"));
-            }
-            verify_block_trailer(&mut self.inner, &frame, &[])?;
-            if self.declared.is_some_and(|d| d != self.produced) {
-                return Err(ReadTraceError::Corrupt("record count mismatch"));
-            }
-            expect_eof(&mut self.inner)?;
-            self.done = true;
-            return Ok(None);
+/// Reads the next v3 frame into `block`: the frame, its payload and its
+/// trailer, with buffers sized here, on the reading thread, and only
+/// after the caps and the count reconciliation passed. Returns
+/// `Ok(false)` at a verified end marker (trailer, record total and end of
+/// input all checked). `framed` counts the records framed so far.
+fn frame_block<R: Read>(
+    r: &mut R,
+    declared: Option<u64>,
+    framed: &mut u64,
+    block: &mut Block,
+) -> Result<bool, ReadTraceError> {
+    let mut frame = [0u8; 8];
+    r.read_exact(&mut frame)?;
+    let n_records = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
+    let payload_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes")) as usize;
+
+    if n_records == 0 {
+        // End marker: zero frame, still checksummed.
+        if payload_len != 0 {
+            return Err(ReadTraceError::Corrupt("block header"));
         }
-        if n_records > BLOCK_RECORDS {
-            return Err(ReadTraceError::Corrupt("block record count"));
-        }
-        if payload_len == 0 || payload_len > MAX_BLOCK_PAYLOAD {
-            return Err(ReadTraceError::Corrupt("block payload length"));
-        }
-        if self.declared.is_some_and(|d| d.wrapping_sub(self.produced) < n_records as u64) {
+        check_digest(read_u64(r)?, &frame, &[])?;
+        if declared.is_some_and(|d| d != *framed) {
             return Err(ReadTraceError::Corrupt("record count mismatch"));
         }
-        self.payload.clear();
-        self.payload.resize(payload_len, 0);
-        self.inner.read_exact(&mut self.payload)?;
-        verify_block_trailer(&mut self.inner, &frame, &self.payload)?;
-        self.chunk.clear();
-        decode_block(&self.payload, n_records, &mut self.chunk)?;
-        self.produced += n_records as u64;
-        Ok(Some(&self.chunk))
+        expect_eof(r)?;
+        return Ok(false);
     }
+    if n_records > BLOCK_RECORDS {
+        return Err(ReadTraceError::Corrupt("block record count"));
+    }
+    if payload_len == 0 || payload_len > MAX_BLOCK_PAYLOAD {
+        return Err(ReadTraceError::Corrupt("block payload length"));
+    }
+    if declared.is_some_and(|d| d.wrapping_sub(*framed) < n_records as u64) {
+        return Err(ReadTraceError::Corrupt("record count mismatch"));
+    }
+    block.payload.clear();
+    block.payload.resize(payload_len, 0);
+    r.read_exact(&mut block.payload)?;
+    block.trailer = read_u64(r)?;
+    block.frame = frame;
+    block.n_records = n_records;
+    block.records.clear();
+    block.records.reserve(n_records);
+    *framed += n_records as u64;
+    Ok(true)
 }
 
 impl<R: Read> TraceReader for BptrReader<R> {
@@ -301,13 +359,26 @@ impl<R: Read> TraceReader for BptrReader<R> {
     }
 
     fn next_chunk(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
-        if self.done {
-            return Ok(None);
+        match &self.state {
+            State::Reading => {}
+            State::Ended => return Ok(None),
+            State::Failed(e) => return Err(e.duplicate()),
         }
-        if self.version == VERSION_V3 {
-            self.next_chunk_v3()
-        } else {
-            self.next_chunk_v12()
+        let step =
+            if self.version == VERSION_V3 { self.next_chunk_v3() } else { self.next_chunk_v12() };
+        match step {
+            Ok(true) => Ok(Some(match &self.ahead {
+                Some(ahead) => ahead.held(),
+                None => &self.chunk,
+            })),
+            Ok(false) => {
+                self.stop(State::Ended);
+                Ok(None)
+            }
+            Err(e) => {
+                self.stop(State::Failed(e.duplicate()));
+                Err(e)
+            }
         }
     }
 }
@@ -318,23 +389,10 @@ fn read_hashed<R: Read>(r: &mut R, hash: &mut u64, buf: &mut [u8]) -> Result<(),
     Ok(())
 }
 
-/// Reads a block's 8-byte FNV-1a trailer and checks it against the
-/// digest of `frame ++ payload`.
-fn verify_block_trailer<R: Read>(
-    r: &mut R,
-    frame: &[u8; 8],
-    payload: &[u8],
-) -> Result<(), ReadTraceError> {
-    let mut t = [0u8; 8];
-    r.read_exact(&mut t)?;
-    let stored = u64::from_le_bytes(t);
-    let mut computed = FNV_OFFSET;
-    fnv1a(&mut computed, frame);
-    fnv1a(&mut computed, payload);
-    if stored != computed {
-        return Err(ReadTraceError::ChecksumMismatch { stored, computed });
-    }
-    Ok(())
+fn read_u64<R: Read>(r: &mut R) -> Result<u64, ReadTraceError> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b)?;
+    Ok(u64::from_le_bytes(b))
 }
 
 /// Requires the stream to be exhausted: any further byte is corruption.
@@ -468,6 +526,156 @@ mod tests {
         b[frame_off + 4..frame_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Trace::read_from(b.as_slice()).unwrap_err();
         assert!(matches!(err, ReadTraceError::Corrupt("block payload length")), "{err:?}");
+    }
+
+    /// v3 bytes of `t`, and the offset of each block's payload.
+    fn v3_blocks(t: &Trace) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = Vec::new();
+        t.write_to(&mut bytes).unwrap();
+        let mut payloads = Vec::new();
+        let mut off = 4 + 2 + 2 + t.meta().name.len() + 4 + 8;
+        loop {
+            let len = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap()) as usize;
+            if len == 0 {
+                return (bytes, payloads);
+            }
+            payloads.push(off + 8);
+            off += 8 + len + 8;
+        }
+    }
+
+    /// A reader over `bytes` that decodes ahead on a helper thread even
+    /// on a single-CPU host.
+    fn with_helper(bytes: &[u8]) -> BptrReader<&[u8]> {
+        let mut r = BptrReader::new(bytes).unwrap();
+        r.ahead = Some(Ahead::with_helper(true));
+        r
+    }
+
+    #[test]
+    fn both_decode_paths_yield_the_same_chunks() {
+        let t = branchy(3 * BLOCK_RECORDS as u64 + 1234);
+        let (bytes, _) = v3_blocks(&t);
+        for helper in [false, true] {
+            let mut r = BptrReader::new(bytes.as_slice()).unwrap();
+            r.ahead = Some(Ahead::with_helper(helper));
+            let mut seen = 0;
+            while let Some(chunk) = r.next_chunk().unwrap() {
+                assert_eq!(chunk, &t.insts()[seen..seen + chunk.len()], "helper={helper}");
+                assert!(chunk.len() == BLOCK_RECORDS || seen + chunk.len() == t.len());
+                seen += chunk.len();
+                let ahead = r.ahead.as_ref().unwrap();
+                assert_eq!(ahead.has_helper(), helper);
+                // The held block, plus at most the window in flight.
+                assert!(ahead.blocks() <= if helper { 3 } else { 1 }, "{}", ahead.blocks());
+            }
+            assert_eq!(seen, t.len());
+        }
+    }
+
+    #[test]
+    fn verified_end_frees_every_buffer_and_joins_the_helper() {
+        let t = branchy(4 * BLOCK_RECORDS as u64 + 17);
+        let (bytes, _) = v3_blocks(&t);
+        let mut r = with_helper(&bytes);
+        r.next_chunk().unwrap().unwrap();
+        let ahead = r.ahead.as_ref().unwrap();
+        assert!(ahead.has_helper());
+        let shared = ahead.shared_state();
+        while r.next_chunk().unwrap().is_some() {}
+        assert!(r.ahead.is_none());
+        assert_eq!(r.chunk.capacity(), 0);
+        assert!(shared.upgrade().is_none(), "the helper still holds the queue");
+        assert!(r.next_chunk().unwrap().is_none());
+    }
+
+    #[test]
+    fn first_error_frees_every_buffer_and_joins_the_helper() {
+        let t = branchy(4 * BLOCK_RECORDS as u64);
+        let (mut bytes, payloads) = v3_blocks(&t);
+        bytes[payloads[2] + 9] ^= 0x10;
+        let mut r = with_helper(&bytes);
+        r.next_chunk().unwrap().unwrap();
+        let shared = r.ahead.as_ref().unwrap().shared_state();
+        r.next_chunk().unwrap().unwrap();
+        let err = r.next_chunk().unwrap_err();
+        assert!(matches!(err, ReadTraceError::ChecksumMismatch { .. }), "{err:?}");
+        assert!(r.ahead.is_none());
+        assert!(shared.upgrade().is_none(), "the helper still holds the queue");
+    }
+
+    #[test]
+    fn errors_fuse_the_reader() {
+        // Count unknown, so no header total could stop a reader that
+        // skipped the bad block from reaching a clean-looking end.
+        use crate::codec_v3::TraceWriter;
+        let t = branchy(3 * BLOCK_RECORDS as u64);
+        let mut w = TraceWriter::new(Vec::new(), t.meta(), None).unwrap();
+        for i in t.iter() {
+            w.push(*i).unwrap();
+        }
+        let mut bytes = w.finish().unwrap();
+        let first = 4 + 2 + 2 + t.meta().name.len() + 4 + 8;
+        let len0 = u32::from_le_bytes(bytes[first + 4..first + 8].try_into().unwrap()) as usize;
+        // A byte inside block 1's payload.
+        bytes[first + 8 + len0 + 8 + 8 + 3] ^= 0x01;
+        for helper in [false, true] {
+            let mut r = BptrReader::new(bytes.as_slice()).unwrap();
+            r.ahead = Some(Ahead::with_helper(helper));
+            assert_eq!(r.next_chunk().unwrap().unwrap().len(), BLOCK_RECORDS);
+            for call in 2..=4 {
+                let err = r
+                    .next_chunk()
+                    .map(|c| c.map(<[RetiredInst]>::len))
+                    .expect_err("a failed reader stays failed");
+                assert!(
+                    matches!(err, ReadTraceError::ChecksumMismatch { .. }),
+                    "call {call}: {err:?}"
+                );
+            }
+            assert_eq!(r.records_read(), BLOCK_RECORDS as u64);
+        }
+        // v1/v2 fuse too: a truncated v2 stream keeps failing.
+        let mut v2 = Vec::new();
+        branchy(100).write_to_v2(&mut v2).unwrap();
+        v2.truncate(v2.len() - 3);
+        let mut r = BptrReader::new(v2.as_slice()).unwrap();
+        let first = r.next_chunk().map(|c| c.map(<[RetiredInst]>::len));
+        assert!(matches!(first, Ok(Some(100)) | Err(ReadTraceError::Io(_))), "{first:?}");
+        for _ in 0..2 {
+            assert!(matches!(r.next_chunk(), Err(ReadTraceError::Io(_))));
+        }
+    }
+
+    #[test]
+    fn helper_panic_is_reraised_on_the_consumer() {
+        let t = branchy(6 * BLOCK_RECORDS as u64);
+        let (bytes, _) = v3_blocks(&t);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut r = with_helper(&bytes);
+            r.ahead.as_ref().unwrap().inject_helper_panic();
+            let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                r.next_chunk().unwrap();
+                // The helper claims a block while the consumer is idle;
+                // draining must reach that block and re-raise.
+                r.ahead.as_ref().unwrap().wait_for_helper_panic();
+                while r.next_chunk().unwrap().is_some() {}
+            }));
+            let payload = drained.expect_err("the helper's panic must reach the consumer");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(ToString::to_string)
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            // Calling again after the panic fails instead of waiting.
+            let again = r.next_chunk().map(|c| c.is_some());
+            tx.send((msg, again.is_err())).unwrap();
+        });
+        let (msg, failed_after) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the consumer hung after the helper panicked");
+        assert_eq!(msg.as_deref(), Some("injected decode-helper panic"));
+        assert!(failed_after);
     }
 
     #[test]

@@ -140,6 +140,22 @@ impl fmt::Display for ReadTraceError {
     }
 }
 
+impl ReadTraceError {
+    /// The same error again, for a fused reader to repeat (an I/O error
+    /// keeps its kind and message).
+    pub(crate) fn duplicate(&self) -> ReadTraceError {
+        match self {
+            ReadTraceError::Io(e) => ReadTraceError::Io(io::Error::new(e.kind(), e.to_string())),
+            ReadTraceError::BadMagic => ReadTraceError::BadMagic,
+            ReadTraceError::UnsupportedVersion(v) => ReadTraceError::UnsupportedVersion(*v),
+            ReadTraceError::Corrupt(what) => ReadTraceError::Corrupt(what),
+            ReadTraceError::ChecksumMismatch { stored, computed } => {
+                ReadTraceError::ChecksumMismatch { stored: *stored, computed: *computed }
+            }
+        }
+    }
+}
+
 impl Error for ReadTraceError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
