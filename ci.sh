@@ -247,6 +247,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+echo "== benchmark self-test =="
+# perfbench (BENCHMARK.json's command) is a package of its own, so the
+# workspace legs above never build it. Its self-test runs every workload
+# traced and untraced at 20K records and checks the pinned replay,
+# sampled and serve-mix outputs, the printed metric names and units, and
+# that a doubled golden is reported as failed ops.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== perf baseline =="
 # Gate replay throughput against the checked-in BENCH_*.json (newest by
 # filename, at the repo root); since 2026-08-08 the baseline also pins
@@ -257,13 +265,5 @@ echo "== perf baseline =="
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo run --release -q -p bp-bench --bin bp-perf -- \
     --check-baseline --threshold 0.5 --samples 3
-
-echo "== benchmark self-test =="
-# perfbench (BENCHMARK.json's command) is a package of its own, so the
-# workspace legs above never build it. Its self-test runs every workload
-# traced and untraced at 20K records and checks the pinned replay,
-# sampled and serve-mix outputs, the printed metric names and units, and
-# that a doubled golden is reported as failed ops.
-cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "ci: all checks passed"
