@@ -39,8 +39,10 @@ echo "== differential (release) =="
 # to a solo run, every replay lane matches the scalar path bit-for-bit
 # (including ragged lane groups and the u64 cycle fallback), and the
 # single-pass grid equals per-config invocations at any thread count.
+# The lane-structured TAGE-SC-L kernel is checked against the naive
+# reference here too, in the auto-vectorized release build.
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
-    cargo test --release -q --test differential --test grid_parity
+    cargo test --release -q --test differential --test grid_parity --test bit_identity
 cargo test --release -q -p bp-pipeline --test lane_properties
 
 echo "== sampled replay =="

@@ -50,7 +50,7 @@ use bp_predictors::DirectionPredictor;
 use bp_trace::{ReadTraceError, RetiredInst, Trace, TraceReader};
 
 use crate::config::PipelineConfig;
-use crate::sweep::{RangePreparer, SweepReplay};
+use crate::sweep::{ranges_at, run_end, RangePreparer, SweepReplay};
 
 /// Relative half-width floor on the MPKI estimate: covers predictor
 /// cold-start inside the warm-up prefix and interval-boundary effects.
@@ -284,25 +284,32 @@ impl SampledReplay {
             .collect();
         let ranges: Vec<(u64, u64)> =
             (0..self.segments.len()).map(|i| self.segment_record_range(i)).collect();
+        // Each chunk is walked in runs between segment boundaries, so the
+        // ranges are tested once per run, not once per branch.
+        let mut active = Vec::with_capacity(ranges.len());
         let mut offset = 0u64;
         while let Some(chunk) = reader.next_chunk()? {
             bp_metrics::cancel::checkpoint("sampled.warm");
-            for (j, inst) in chunk.iter().enumerate() {
-                if !inst.is_conditional_branch() {
-                    continue;
-                }
-                let taken = inst.branch.expect("conditional branch carries info").taken;
-                let flag = predictor.predict_and_train(inst.ip, taken) != taken;
-                let idx = offset + j as u64;
+            let end = offset + chunk.len() as u64;
+            let mut start = offset;
+            while start < end {
+                let stop = run_end(&ranges, start, end);
                 // Warm-up prefixes may overlap a neighbouring interval,
                 // so a branch can land in more than one lane.
-                for (lane, &(lo, hi)) in lanes.iter_mut().zip(&ranges) {
-                    if idx >= lo && idx < hi {
-                        lane.push(flag);
+                ranges_at(&ranges, start, &mut active);
+                for inst in &chunk[(start - offset) as usize..(stop - offset) as usize] {
+                    if !inst.is_conditional_branch() {
+                        continue;
+                    }
+                    let taken = inst.branch.expect("conditional branch carries info").taken;
+                    let flag = predictor.predict_and_train(inst.ip, taken) != taken;
+                    for &lane in &active {
+                        lanes[lane].push(flag);
                     }
                 }
+                start = stop;
             }
-            offset += chunk.len() as u64;
+            offset = end;
         }
         Ok(lanes)
     }

@@ -265,10 +265,6 @@ fn simulate_impl<const METRICS: bool>(
     mispredicted: &[bool],
     config: &PipelineConfig,
 ) -> SimStats {
-    assert!(
-        mispredicted.len() >= trace.conditional_branch_count(),
-        "need one misprediction flag per conditional branch"
-    );
     let n = trace.len() as u64;
     let mut stats = SimStats {
         instructions: n,
@@ -355,7 +351,11 @@ fn simulate_impl<const METRICS: bool>(
         // front end until it resolves plus the refill penalty.
         if inst.is_conditional_branch() {
             stats.cond_branches += 1;
-            let wrong = mispredicted[flag_idx];
+            // Checked where consumed: a length check up front would cost
+            // a counting walk over every record of the trace.
+            let wrong = *mispredicted
+                .get(flag_idx)
+                .expect("need one misprediction flag per conditional branch");
             flag_idx += 1;
             if wrong {
                 stats.mispredictions += 1;

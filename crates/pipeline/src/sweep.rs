@@ -168,8 +168,6 @@ fn compact_store_links(insts: &mut [PreparedInst], stores: u32) -> u32 {
 
 /// One record range being collected by a [`RangePreparer`].
 struct RangeAcc {
-    lo: u64,
-    hi: u64,
     insts: Vec<PreparedInst>,
     /// Global store ordinal when the range began (links below it point
     /// at stores outside the range and are dropped).
@@ -181,6 +179,31 @@ struct RangeAcc {
     cache_after: (u64, u64),
     latency_sum: u64,
     cond_branches: usize,
+}
+
+/// The end of the run of records starting at `start`: the first range
+/// boundary after it, capped at `end`. The same `ranges` (each
+/// `[lo, hi)`) contain every record of the run, so a stream walked run
+/// by run tests the ranges once per run instead of once per record.
+pub(crate) fn run_end(ranges: &[(u64, u64)], start: u64, end: u64) -> u64 {
+    ranges
+        .iter()
+        .flat_map(|&(lo, hi)| [lo, hi])
+        .filter(|&b| b > start)
+        .fold(end, u64::min)
+}
+
+/// Fills `active` with the indices of the `ranges` containing record
+/// `idx`.
+pub(crate) fn ranges_at(ranges: &[(u64, u64)], idx: u64, active: &mut Vec<usize>) {
+    active.clear();
+    active.extend(
+        ranges
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(lo, hi))| lo <= idx && idx < hi)
+            .map(|(i, _)| i),
+    );
 }
 
 /// Incremental multi-range preparation with *functionally warmed*
@@ -206,7 +229,10 @@ pub struct RangePreparer {
     last_store: AddrMap,
     stores: u64,
     offset: u64,
+    ranges: Vec<(u64, u64)>,
     accs: Vec<RangeAcc>,
+    /// Indices of the ranges containing the current run of records.
+    active: Vec<usize>,
     cache_config: CacheConfig,
     mul_latency: u32,
 }
@@ -222,11 +248,10 @@ impl RangePreparer {
             last_store: AddrMap::with_capacity(1024),
             stores: 0,
             offset: 0,
+            ranges: ranges.to_vec(),
             accs: ranges
                 .iter()
-                .map(|&(lo, hi)| RangeAcc {
-                    lo,
-                    hi,
+                .map(|_| RangeAcc {
                     insts: Vec::new(),
                     stores_before: 0,
                     started: false,
@@ -236,6 +261,7 @@ impl RangePreparer {
                     cond_branches: 0,
                 })
                 .collect(),
+            active: Vec::with_capacity(ranges.len()),
             cache_config: config.cache.clone(),
             mul_latency: config.mul_latency,
         }
@@ -243,43 +269,73 @@ impl RangePreparer {
 
     /// Feeds the next records of the stream, in order. Every record
     /// advances the warmed cache/forwarding state; records inside a
-    /// range are additionally prepared into it.
+    /// range are additionally prepared into it. The chunk is walked in
+    /// runs between range boundaries, so records outside every range pay
+    /// only the warming.
     pub fn feed(&mut self, chunk: &[bp_trace::RetiredInst]) {
-        for inst in chunk {
-            let idx = self.offset;
-            for acc in &mut self.accs {
-                if !acc.started && idx >= acc.lo && idx < acc.hi {
-                    acc.started = true;
-                    acc.stores_before = self.stores;
-                    let (_, l2, mem) = self.cache.stats();
-                    acc.cache_before = (l2, mem);
+        let first = self.offset;
+        let end = first + chunk.len() as u64;
+        while self.offset < end {
+            let start = self.offset;
+            let stop = run_end(&self.ranges, start, end);
+            ranges_at(&self.ranges, start, &mut self.active);
+            let run = &chunk[(start - first) as usize..(stop - first) as usize];
+            if self.active.is_empty() {
+                for inst in run {
+                    self.warm(inst);
                 }
+            } else {
+                self.prepare_run(run);
             }
-            let latency = match inst.class {
-                InstClass::Load => self.cache.access(inst.mem_addr),
-                InstClass::Mul => self.mul_latency,
-                InstClass::Store => {
-                    let _ = self.cache.access(inst.mem_addr);
-                    1
-                }
-                _ => 1,
-            };
-            let mut fwd_store: Option<u64> = None;
-            let mut store_ord: Option<u64> = None;
-            match inst.class {
-                InstClass::Load => fwd_store = self.last_store.get(inst.mem_addr),
-                InstClass::Store => {
-                    store_ord = Some(self.stores);
-                    self.last_store.insert(inst.mem_addr, self.stores);
-                    self.stores += 1;
-                }
-                _ => {}
+            self.offset = stop;
+        }
+    }
+
+    /// Advances the cache model and forwarding map over one record.
+    /// Returns its latency, the ordinal of the store a load forwards
+    /// from, and a store's own ordinal.
+    #[inline]
+    fn warm(&mut self, inst: &bp_trace::RetiredInst) -> (u32, Option<u64>, Option<u64>) {
+        match inst.class {
+            InstClass::Load => {
+                let latency = self.cache.access(inst.mem_addr);
+                (latency, self.last_store.get(inst.mem_addr), None)
             }
+            InstClass::Store => {
+                let _ = self.cache.access(inst.mem_addr);
+                let ord = self.stores;
+                self.last_store.insert(inst.mem_addr, ord);
+                self.stores += 1;
+                (1, None, Some(ord))
+            }
+            InstClass::Mul => (self.mul_latency, None, None),
+            _ => (1, None, None),
+        }
+    }
+
+    /// `(l2 hits, memory accesses)` of the warmed cache model so far.
+    fn cache_counts(&self) -> (u64, u64) {
+        let (_, l2, mem) = self.cache.stats();
+        (l2, mem)
+    }
+
+    /// Warms over `run`, a run of records inside every `active` range,
+    /// and prepares each record into each of those ranges.
+    fn prepare_run(&mut self, run: &[bp_trace::RetiredInst]) {
+        let counts = self.cache_counts();
+        for &a in &self.active {
+            let acc = &mut self.accs[a];
+            if !acc.started {
+                acc.started = true;
+                acc.stores_before = self.stores;
+                acc.cache_before = counts;
+            }
+        }
+        for inst in run {
+            let (latency, fwd_store, store_ord) = self.warm(inst);
             let cond = inst.is_conditional_branch();
-            for acc in &mut self.accs {
-                if idx < acc.lo || idx >= acc.hi {
-                    continue;
-                }
+            for &a in &self.active {
+                let acc = &mut self.accs[a];
                 let mut kind = 0u8;
                 let mut link = u32::MAX;
                 if let Some(g) = fwd_store {
@@ -297,8 +353,6 @@ impl RangePreparer {
                     acc.cond_branches += 1;
                 }
                 acc.latency_sum += u64::from(latency);
-                let (_, l2, mem) = self.cache.stats();
-                acc.cache_after = (l2, mem);
                 acc.insts.push(PreparedInst {
                     src1: inst.src1.map_or(ZERO_SLOT, |r| r.index() as u8),
                     src2: inst.src2.map_or(ZERO_SLOT, |r| r.index() as u8),
@@ -308,7 +362,10 @@ impl RangePreparer {
                     link,
                 });
             }
-            self.offset += 1;
+        }
+        let counts = self.cache_counts();
+        for &a in &self.active {
+            self.accs[a].cache_after = counts;
         }
     }
 

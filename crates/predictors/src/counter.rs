@@ -194,15 +194,15 @@ impl SignedCounter {
         self.value
     }
 
-    /// Moves the counter toward positive for `taken`, negative otherwise.
+    /// Moves the counter toward positive for `taken`, negative otherwise,
+    /// saturating at either end. Branchless, like [`sat_update`]: the
+    /// statistical corrector steps several of these per branch in
+    /// directions the host cannot predict.
+    #[inline]
     pub fn update(&mut self, taken: bool) {
-        if taken {
-            if self.value < self.limit - 1 {
-                self.value += 1;
-            }
-        } else if self.value > -self.limit {
-            self.value -= 1;
-        }
+        let up = i16::from(taken) & i16::from(self.value < self.limit - 1);
+        let down = i16::from(!taken) & i16::from(self.value > -self.limit);
+        self.value += up - down;
     }
 
     /// Centered magnitude `2*v + 1`, the GEHL summation term: never zero,
@@ -264,6 +264,29 @@ mod tests {
             s.update(false);
         }
         assert_eq!(s.value(), -8);
+    }
+
+    /// `update` against an explicit saturating reference at every width,
+    /// value and direction. The naive reference predictors share this
+    /// type, so the bit-identity suite cannot catch a change to it.
+    #[test]
+    fn signed_update_matches_reference_exhaustively() {
+        for bits in 1..=15u32 {
+            let limit = SignedCounter::new(bits).limit;
+            assert_eq!(i32::from(limit), 1 << (bits - 1), "limit {bits}");
+            for value in -limit..limit {
+                for taken in [false, true] {
+                    let mut c = SignedCounter { value, limit };
+                    c.update(taken);
+                    let want = if taken {
+                        (value + 1).min(limit - 1)
+                    } else {
+                        (value - 1).max(-limit)
+                    };
+                    assert_eq!(c.value(), want, "update {bits}/{value}/{taken}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub fn measure(predictor: &mut dyn DirectionPredictor, trace: &Trace) -> Accurac
 /// The pipeline timing model consumes this to charge misprediction
 /// penalties at the right dynamic instructions.
 pub fn misprediction_flags(predictor: &mut dyn DirectionPredictor, trace: &Trace) -> Vec<bool> {
-    let mut flags = Vec::with_capacity(trace.conditional_branch_count());
+    // Grown as it fills: sizing it up front would cost a counting walk
+    // over every record of the trace.
+    let mut flags = Vec::new();
     for br in trace.conditional_branches() {
         let pred = predictor.predict_and_train(br.ip, br.taken);
         flags.push(pred != br.taken);

@@ -33,6 +33,10 @@ impl Default for ScConfig {
     }
 }
 
+/// Most GEHL components a corrector may have; sizes the per-branch
+/// index cache.
+const MAX_COMPONENTS: usize = 15;
+
 /// The statistical corrector.
 ///
 /// Not a standalone [`Predictor`]: it refines an input prediction. See
@@ -40,17 +44,19 @@ impl Default for ScConfig {
 #[derive(Clone, Debug)]
 pub struct StatisticalCorrector {
     config: ScConfig,
-    /// Bias tables indexed by (ip, input prediction).
-    bias: Vec<SignedCounter>,
-    /// One GEHL table per history length.
-    gehl: Vec<Vec<SignedCounter>>,
+    /// Every counter in one flat table, laid out component by component:
+    /// the bias table (2 × entries, indexed by ip and input prediction),
+    /// then one GEHL table of `entries` per history length.
+    ctrs: Vec<SignedCounter>,
+    /// Per-component history mask: `history_lengths[c]` bits, capped at 63.
+    hist_mask: [u64; MAX_COMPONENTS],
     history: u64,
     /// Dynamic override threshold (trained).
     threshold: i32,
     /// Threshold training counter.
     tc: i32,
     last_sum: i32,
-    /// Table indices computed by the last `refine`, reused by `train` for
+    /// Table offsets computed by the last `refine`, reused by `train` for
     /// the same branch. The global history only advances at the end of
     /// `train`, so between the two calls every index is unchanged —
     /// recomputing them (one multiplicative mix per GEHL component) was
@@ -65,15 +71,14 @@ pub struct StatisticalCorrector {
     overrides: Counter,
 }
 
-/// See `StatisticalCorrector::cached`. `gehl_idxs` is allocated once at
-/// construction and refilled in place.
+/// See `StatisticalCorrector::cached`: the offsets into the flat counter
+/// table of the bias entry and each component's entry, in that order.
 #[derive(Clone, Debug)]
 struct ScIndexCache {
     valid: bool,
     ip: u64,
     input_pred: bool,
-    bias_idx: usize,
-    gehl_idxs: Vec<usize>,
+    offs: [u32; MAX_COMPONENTS + 1],
 }
 
 /// Decision returned by [`StatisticalCorrector::refine`].
@@ -90,21 +95,28 @@ impl StatisticalCorrector {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no history lengths or out-of-range
-    /// widths.
+    /// Panics if the configuration has no history lengths, more than 15,
+    /// or out-of-range widths.
     #[must_use]
     pub fn new(config: ScConfig) -> Self {
         assert!(!config.history_lengths.is_empty(), "need at least one GEHL table");
+        assert!(
+            config.history_lengths.len() <= MAX_COMPONENTS,
+            "at most {MAX_COMPONENTS} GEHL tables"
+        );
         assert!((1..=16).contains(&config.table_log2));
         assert!((2..=8).contains(&config.counter_bits));
         let entries = 1usize << config.table_log2;
+        let mut hist_mask = [0; MAX_COMPONENTS];
+        for (mask, &bits) in hist_mask.iter_mut().zip(&config.history_lengths) {
+            *mask = (1u64 << bits.min(63)) - 1;
+        }
         StatisticalCorrector {
-            bias: vec![SignedCounter::new(config.counter_bits); entries * 2],
-            gehl: config
-                .history_lengths
-                .iter()
-                .map(|_| vec![SignedCounter::new(config.counter_bits); entries])
-                .collect(),
+            ctrs: vec![
+                SignedCounter::new(config.counter_bits);
+                entries * (2 + config.history_lengths.len())
+            ],
+            hist_mask,
             history: 0,
             threshold: 6,
             tc: 0,
@@ -113,8 +125,7 @@ impl StatisticalCorrector {
                 valid: false,
                 ip: 0,
                 input_pred: false,
-                bias_idx: 0,
-                gehl_idxs: vec![0; config.history_lengths.len()],
+                offs: [0; MAX_COMPONENTS + 1],
             },
             metrics_on: bp_metrics::enabled(),
             refines: Counter::get("sc.refine"),
@@ -123,39 +134,38 @@ impl StatisticalCorrector {
         }
     }
 
-    fn bias_index(&self, ip: u64, input_pred: bool) -> usize {
-        let mask = (1u64 << self.config.table_log2) - 1;
-        ((((ip >> 2) & mask) << 1) | u64::from(input_pred)) as usize
+    /// Counter tables: the bias table plus one per component.
+    fn tables(&self) -> usize {
+        1 + self.config.history_lengths.len()
     }
 
-    fn gehl_index(&self, ip: u64, component: usize) -> usize {
-        let mask = (1u64 << self.config.table_log2) - 1;
-        let bits = self.config.history_lengths[component];
-        let h = self.history & ((1u64 << bits.min(63)) - 1);
-        // Spread the history across the index with a multiplicative mix.
-        let mixed = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - u64::from(self.config.table_log2));
-        (((ip >> 2) ^ mixed ^ (h << 1)) & mask) as usize
-    }
-
-    /// Recomputes and caches every table index for (`ip`, `input_pred`).
+    /// Recomputes and caches every table offset for (`ip`, `input_pred`).
     fn fill_cache(&mut self, ip: u64, input_pred: bool) {
-        let bias_idx = self.bias_index(ip, input_pred);
+        let log2 = self.config.table_log2;
+        let mask = (1u64 << log2) - 1;
+        let ip2 = ip >> 2;
         self.cached.valid = true;
         self.cached.ip = ip;
         self.cached.input_pred = input_pred;
-        self.cached.bias_idx = bias_idx;
-        for c in 0..self.gehl.len() {
-            let idx = self.gehl_index(ip, c);
-            self.cached.gehl_idxs[c] = idx;
+        self.cached.offs[0] = (((ip2 & mask) << 1) | u64::from(input_pred)) as u32;
+        let components = self.config.history_lengths.len();
+        let offs = &mut self.cached.offs[1..=components];
+        let mut base = 2u64 << log2;
+        for (off, &hmask) in offs.iter_mut().zip(&self.hist_mask) {
+            let h = self.history & hmask;
+            // Spread the history across the index with a multiplicative mix.
+            let mixed = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - u64::from(log2));
+            *off = (base + ((ip2 ^ mixed ^ (h << 1)) & mask)) as u32;
+            base += 1 << log2;
         }
     }
 
-    /// Summed conviction over the cached indices.
+    /// Summed conviction over the cached offsets.
     fn cached_sum(&self, input_pred: bool) -> i32 {
-        let mut s = self.bias[self.cached.bias_idx].centered();
-        for (table, &idx) in self.gehl.iter().zip(&self.cached.gehl_idxs) {
-            s += table[idx].centered();
-        }
+        let s: i32 = self.cached.offs[..self.tables()]
+            .iter()
+            .map(|&off| self.ctrs[off as usize].centered())
+            .sum();
         // The input prediction itself gets a strong fixed vote, so the
         // corrector only flips when statistics are decisive.
         s + if input_pred { 8 } else { -8 }
@@ -207,10 +217,9 @@ impl StatisticalCorrector {
             {
                 self.fill_cache(ip, input_pred);
             }
-            self.bias[self.cached.bias_idx].update(taken);
-            for c in 0..self.gehl.len() {
-                let idx = self.cached.gehl_idxs[c];
-                self.gehl[c][idx].update(taken);
+            let tables = self.tables();
+            for &off in &self.cached.offs[..tables] {
+                self.ctrs[off as usize].update(taken);
             }
         }
         // Dynamic threshold training (Seznec): widen when overrides
@@ -239,8 +248,7 @@ impl StatisticalCorrector {
     /// Approximate storage in bits.
     #[must_use]
     pub fn storage_bits(&self) -> usize {
-        let cb = self.config.counter_bits as usize;
-        self.bias.len() * cb + self.gehl.iter().map(|t| t.len() * cb).sum::<usize>() + 64
+        self.ctrs.len() * self.config.counter_bits as usize + 64
     }
 
     /// FNV-1a digest of the complete trained state (bias and GEHL
@@ -249,13 +257,8 @@ impl StatisticalCorrector {
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();
-        for b in &self.bias {
-            h.push(b.value() as u64);
-        }
-        for table in &self.gehl {
-            for c in table {
-                h.push(c.value() as u64);
-            }
+        for c in &self.ctrs {
+            h.push(c.value() as u64);
         }
         h.push(self.threshold as u64);
         h.push(self.tc as u64);

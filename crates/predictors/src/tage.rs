@@ -10,15 +10,30 @@
 //! # Replay hot path
 //!
 //! This implementation is the throughput-critical inner loop of every
-//! study (see `PERFORMANCE.md`): tagged entries live in flat
-//! structure-of-arrays tables (`ctrs`/`tags`/`useful` lanes addressed by
-//! `bank << table_log2 | index`), per-prediction state is a fixed-size
-//! [`Copy`] struct so `predict` never allocates, per-bank index/tag
-//! hash parameters are precomputed at construction, and saturating
-//! counters step through the branchless [`crate::sat_update`] kernel.
-//! The naive per-entry formulation is retained as
-//! [`crate::naive::NaiveTage`] and `tests/bit_identity.rs` proves both
-//! produce identical prediction streams and final state.
+//! study (see `PERFORMANCE.md` §1). At the 8KB budget every table fits in
+//! L1, so the cost is instructions per branch, and the layout is chosen
+//! to keep that count low:
+//!
+//! * Tagged entries live in flat structure-of-arrays tables
+//!   (`ctrs`/`tags`/`useful`, entry `(t, i)` at `t << table_log2 | i`).
+//! * Banks are processed in groups of four `u32` lanes: the index, tag0
+//!   and tag1 folded-history registers, and the per-branch index and tag
+//!   hashes, are `[u32; 4]` arrays with per-lane constants fixed at
+//!   construction (path mask, fold point, bank base). Each bank's
+//!   outgoing history bit is read once per branch. Plain array loops of
+//!   this shape compile to SIMD on the baseline target, with no
+//!   `unsafe` and no target features.
+//! * The provider and the alternate are the two highest set bits of a
+//!   tag-hit bitmask, instead of an early-exit scan over the banks.
+//! * The offsets and tags computed by `predict` stay in predictor-owned
+//!   arrays for `update` and allocation; usefulness aging is a
+//!   countdown instead of a 64-bit remainder per branch.
+//! * Saturating counters step through the branchless
+//!   [`crate::sat_update`] kernel.
+//!
+//! The per-entry formulation is retained as [`crate::naive::NaiveTage`]
+//! and `tests/bit_identity.rs` proves both produce identical prediction
+//! streams and final state.
 
 use std::collections::{HashMap, HashSet};
 
@@ -26,12 +41,26 @@ use bp_metrics::Counter;
 
 use crate::counter::{sat_is_strong, sat_is_weak, sat_taken, sat_update, SignedCounter};
 use crate::digest::Fnv;
-use crate::history::{BitHistory, FoldedHistory, PathHistory};
+use crate::history::{BitHistory, PathHistory};
 use crate::Predictor;
 
-/// Upper bound on `TageConfig::num_tables`, sized so per-prediction
-/// index/tag arrays can live on the stack.
+/// Upper bound on `TageConfig::num_tables`, sized so the per-bank lane
+/// arrays are fixed-size fields.
 const MAX_BANKS: usize = 24;
+
+/// Banks per lane group.
+const LANES: usize = 4;
+
+/// Lane groups covering `MAX_BANKS` banks.
+const MAX_GROUPS: usize = MAX_BANKS / LANES;
+
+// The index hash shifts bank `t`'s second IP term by `table_log2 - t % 4`;
+// with four lanes per group, lane `k` of every group is a bank with
+// `t % 4 == k`, so one lane of shifts serves every group.
+const _: () = assert!(LANES == 4 && MAX_BANKS.is_multiple_of(LANES));
+
+/// One `u32` per bank of a lane group.
+type Lane = [u32; LANES];
 
 /// Saturation points of the table counters: 3-bit tagged direction
 /// counters, 2-bit usefulness counters, 2-bit bimodal counters.
@@ -192,14 +221,14 @@ impl TageCounters {
     }
 }
 
-/// Per-prediction state carried from `predict` to `update` so the bank
-/// indices and tags — the expensive folded-history hashes — are computed
-/// once per branch. Fixed-size arrays keep this `Copy` and off the heap.
-#[derive(Clone, Copy, Debug)]
-struct PredictionCtx {
-    ip: u64,
-    indices: [u32; MAX_BANKS],
-    tags: [u16; MAX_BANKS],
+/// The scalar results of the last lookup, consumed by `update`. The
+/// per-bank offsets and tags it was computed from stay in
+/// [`Tage::offs`] and [`Tage::cur_tags`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Lookup {
+    /// Branch looked up; `None` once `update` has consumed the lookup.
+    ip: Option<u64>,
+    bimodal: usize,
     provider: Option<usize>,
     alt_pred: bool,
     provider_pred: bool,
@@ -210,21 +239,70 @@ struct PredictionCtx {
     pred: bool,
 }
 
-/// Per-bank index-hash parameters, fixed at construction: the path-history
-/// mask (`lengths[t]` capped at 16 bits) and the second IP shift amount.
-#[derive(Clone, Copy, Debug)]
-struct BankGeom {
-    path_mask: u64,
-    ip_shift: u32,
+/// Per-lane hash and folding constants, fixed at construction. Lane `k`
+/// of group `g` is bank `g * LANES + k`; lanes past `num_tables` pad the
+/// last group with zero constants, and nothing reads their results.
+#[derive(Clone, Debug)]
+struct LaneGeom {
+    /// Lane groups in use: `num_tables` rounded up to whole groups.
+    groups: usize,
+    /// Bank `t`'s first entry in the flat tables: `t << table_log2`.
+    base: [Lane; MAX_GROUPS],
+    /// Path-history bits hashed into bank `t`'s index (`lengths[t]`,
+    /// capped at 16).
+    path_mask: [Lane; MAX_GROUPS],
+    /// `1 << (lengths[t] % width)` for the index, tag0 and tag1
+    /// registers: where each folds in the bit leaving bank `t`'s history.
+    out_idx: [Lane; MAX_GROUPS],
+    out_tag0: [Lane; MAX_GROUPS],
+    out_tag1: [Lane; MAX_GROUPS],
+    /// Second IP term shift by lane: `table_log2 - k`, saturating.
+    ip_shift: Lane,
+    /// `lengths[t] - 1`: the age of the history bit leaving bank `t`.
+    out_age: [usize; MAX_BANKS],
 }
 
-/// The three folded-history registers of one bank, stored interleaved so
-/// `push_history` walks one contiguous array per branch.
-#[derive(Clone, Copy, Debug)]
-struct BankFolded {
-    idx: FoldedHistory,
-    tag0: FoldedHistory,
-    tag1: FoldedHistory,
+impl LaneGeom {
+    fn new(config: &TageConfig, lengths: &[usize]) -> Self {
+        let mut g = LaneGeom {
+            groups: lengths.len().div_ceil(LANES),
+            base: [[0; LANES]; MAX_GROUPS],
+            path_mask: [[0; LANES]; MAX_GROUPS],
+            out_idx: [[0; LANES]; MAX_GROUPS],
+            out_tag0: [[0; LANES]; MAX_GROUPS],
+            out_tag1: [[0; LANES]; MAX_GROUPS],
+            ip_shift: [0; LANES],
+            out_age: [0; MAX_BANKS],
+        };
+        for (k, shift) in g.ip_shift.iter_mut().enumerate() {
+            *shift = config.table_log2.saturating_sub(k as u32);
+        }
+        let fold_point = |l: usize, width: u32| 1u32 << (l % width as usize);
+        for (t, &l) in lengths.iter().enumerate() {
+            let (grp, k) = (t / LANES, t % LANES);
+            g.base[grp][k] = (t as u32) << config.table_log2;
+            g.path_mask[grp][k] = (1u32 << l.min(16)) - 1;
+            g.out_idx[grp][k] = fold_point(l, config.table_log2);
+            g.out_tag0[grp][k] = fold_point(l, config.tag_bits);
+            g.out_tag1[grp][k] = fold_point(l, config.tag_bits - 1);
+            g.out_age[t] = l - 1;
+        }
+        g
+    }
+}
+
+/// One branch of folded-history update over a lane group: shift in
+/// `incoming`, fold in each lane's outgoing bit (`outgoing` lanes are all
+/// ones or zero) at its fold point, and wrap bit `width` back to bit 0 —
+/// the cyclic-shift-register step of [`crate::FoldedHistory::update`],
+/// in `u32` lanes (every width here is at most 24 bits).
+#[inline]
+fn fold_lanes(reg: &mut Lane, incoming: u32, outgoing: &Lane, fold_point: &Lane, width: u32) {
+    let mask = (1u32 << width) - 1;
+    for k in 0..LANES {
+        let c = ((reg[k] << 1) | incoming) ^ (outgoing[k] & fold_point[k]);
+        reg[k] = (c ^ (c >> width)) & mask;
+    }
 }
 
 /// The TAGE predictor.
@@ -261,14 +339,24 @@ pub struct Tage {
     ctrs: Vec<u8>,
     tags: Vec<u16>,
     useful: Vec<u8>,
-    folded: Vec<BankFolded>,
-    geom: Vec<BankGeom>,
+    /// Folded-history registers, `[group][lane]` by bank.
+    fold_idx: [Lane; MAX_GROUPS],
+    fold_tag0: [Lane; MAX_GROUPS],
+    fold_tag1: [Lane; MAX_GROUPS],
+    geom: LaneGeom,
     ghist: BitHistory,
     path: PathHistory,
     use_alt_on_na: SignedCounter,
     lfsr: u64,
     updates: u64,
-    ctx: Option<PredictionCtx>,
+    /// Updates left until the next usefulness aging; stays 0 (never ages)
+    /// when `u_reset_period` is 0.
+    u_countdown: u64,
+    /// Flat table offset of each bank's entry for the last lookup.
+    offs: [Lane; MAX_GROUPS],
+    /// Each bank's tag for the last lookup.
+    cur_tags: [Lane; MAX_GROUPS],
+    look: Lookup,
     tracker: Option<Box<AllocationTracker>>,
     counters: TageCounters,
 }
@@ -284,35 +372,24 @@ impl Tage {
     pub fn new(config: TageConfig) -> Self {
         let lengths = config.history_lengths();
         let tagged_entries = config.num_tables << config.table_log2;
-        let folded = lengths
-            .iter()
-            .map(|&l| BankFolded {
-                idx: FoldedHistory::new(l, config.table_log2),
-                tag0: FoldedHistory::new(l, config.tag_bits),
-                tag1: FoldedHistory::new(l, config.tag_bits - 1),
-            })
-            .collect();
-        let geom = lengths
-            .iter()
-            .enumerate()
-            .map(|(t, &l)| BankGeom {
-                path_mask: (1u64 << l.min(16)) - 1,
-                ip_shift: config.table_log2.saturating_sub((t % 4) as u32),
-            })
-            .collect();
         Tage {
             ghist: BitHistory::new(config.max_hist + 8),
             bimodal: vec![BIMODAL_MAX / 2; 1 << config.bimodal_log2],
             ctrs: vec![CTR_MAX / 2; tagged_entries],
             tags: vec![0; tagged_entries],
             useful: vec![0; tagged_entries],
-            folded,
-            geom,
+            fold_idx: [[0; LANES]; MAX_GROUPS],
+            fold_tag0: [[0; LANES]; MAX_GROUPS],
+            fold_tag1: [[0; LANES]; MAX_GROUPS],
+            geom: LaneGeom::new(&config, &lengths),
             path: PathHistory::new(),
             use_alt_on_na: SignedCounter::new(4),
             lfsr: 0xACE1_u64,
             updates: 0,
-            ctx: None,
+            u_countdown: config.u_reset_period,
+            offs: [[0; LANES]; MAX_GROUPS],
+            cur_tags: [[0; LANES]; MAX_GROUPS],
+            look: Lookup::default(),
             counters: TageCounters::new(config.num_tables),
             lengths,
             config,
@@ -346,10 +423,10 @@ impl Tage {
         &self.lengths
     }
 
-    /// Lane offset of entry `idx` in tagged bank `t`.
+    /// Flat table offset of bank `t`'s entry for the last lookup.
     #[inline]
-    fn off(&self, t: usize, idx: usize) -> usize {
-        (t << self.config.table_log2) + idx
+    fn off(&self, t: usize) -> usize {
+        self.offs[t / LANES][t % LANES] as usize
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -367,55 +444,52 @@ impl Tage {
         ((ip >> 2) & ((1u64 << self.config.bimodal_log2) - 1)) as usize
     }
 
-    #[inline]
-    fn table_index(&self, ip: u64, t: usize) -> usize {
-        let mask = (1u64 << self.config.table_log2) - 1;
-        let g = self.geom[t];
-        let h = self.folded[t].idx.value()
-            ^ (ip >> 2)
-            ^ ((ip >> 2) >> g.ip_shift)
-            ^ (self.path.value() & g.path_mask);
-        (h & mask) as usize
-    }
-
-    #[inline]
-    fn tag(&self, ip: u64, t: usize) -> u16 {
-        let mask = (1u64 << self.config.tag_bits) - 1;
-        let f = &self.folded[t];
-        (((ip >> 2) ^ f.tag0.value() ^ (f.tag1.value() << 1)) & mask) as u16
-    }
-
-    /// Computes the full prediction context (used by both `predict` and
-    /// the statistical corrector, which needs provider confidence).
-    fn compute(&mut self, ip: u64) -> PredictionCtx {
-        let n = self.config.num_tables;
-        let mut indices = [0u32; MAX_BANKS];
-        let mut tags = [0u16; MAX_BANKS];
-        for t in 0..n {
-            indices[t] = self.table_index(ip, t) as u32;
-            tags[t] = self.tag(ip, t);
+    /// Looks `ip` up in every bank and records the result in `offs`,
+    /// `cur_tags` and `look` (used by both `predict` and the statistical
+    /// corrector, which needs provider confidence).
+    fn lookup(&mut self, ip: u64) {
+        let g = &self.geom;
+        let ip2 = ip >> 2;
+        // Bank index: folded history ^ ip ^ (ip >> shift) ^ masked path;
+        // only the low `table_log2` bits survive, so `u32` lanes suffice.
+        let mut ip_term = [0u32; LANES];
+        for (term, &shift) in ip_term.iter_mut().zip(&g.ip_shift) {
+            *term = (ip2 ^ (ip2 >> shift)) as u32;
         }
-        let bimodal_ctr = self.bimodal[self.bimodal_index(ip)];
-        let bimodal_pred = sat_taken(bimodal_ctr, BIMODAL_MAX);
-        let mut provider = None;
-        let mut alt = None;
-        for t in (0..n).rev() {
-            if self.tags[self.off(t, indices[t] as usize)] == tags[t] {
-                if provider.is_none() {
-                    provider = Some(t);
-                } else {
-                    alt = Some(t);
-                    break;
-                }
+        let path = self.path.value() as u32;
+        let idx_mask = (1u32 << self.config.table_log2) - 1;
+        let tag_mask = (1u32 << self.config.tag_bits) - 1;
+        for grp in 0..g.groups {
+            let (fi, base, pmask) = (&self.fold_idx[grp], &g.base[grp], &g.path_mask[grp]);
+            let (f0, f1) = (&self.fold_tag0[grp], &self.fold_tag1[grp]);
+            let (offs, tags) = (&mut self.offs[grp], &mut self.cur_tags[grp]);
+            for k in 0..LANES {
+                offs[k] = base[k] | ((fi[k] ^ ip_term[k] ^ (path & pmask[k])) & idx_mask);
+                tags[k] = ((ip2 as u32) ^ f0[k] ^ (f1[k] << 1)) & tag_mask;
             }
         }
+        let n = self.config.num_tables;
+        let mut hits = 0u32;
+        let offs = &self.offs.as_flattened()[..n];
+        for (t, (&off, &tag)) in offs.iter().zip(self.cur_tags.as_flattened()).enumerate() {
+            hits |= u32::from(u32::from(self.tags[off as usize]) == tag) << t;
+        }
+        // The longest-history hit provides; the next longest is the
+        // alternate.
+        let provider = (hits != 0).then(|| hits.ilog2() as usize);
+        let rest = provider.map_or(0, |p| hits ^ (1 << p));
+        let alt = (rest != 0).then(|| rest.ilog2() as usize);
+
+        let bimodal = self.bimodal_index(ip);
+        let bimodal_ctr = self.bimodal[bimodal];
+        let bimodal_pred = sat_taken(bimodal_ctr, BIMODAL_MAX);
         let alt_pred = match alt {
-            Some(t) => sat_taken(self.ctrs[self.off(t, indices[t] as usize)], CTR_MAX),
+            Some(t) => sat_taken(self.ctrs[self.off(t)], CTR_MAX),
             None => bimodal_pred,
         };
         let (provider_pred, provider_new, confident) = match provider {
             Some(t) => {
-                let off = self.off(t, indices[t] as usize);
+                let off = self.off(t);
                 let ctr = self.ctrs[off];
                 // An entry is "not yet trustworthy" until it has either
                 // left the weak counter states or proven useful (predicted
@@ -443,17 +517,16 @@ impl Tage {
                 self.counters.alt_overrides.incr();
             }
         }
-        PredictionCtx {
-            ip,
-            indices,
-            tags,
+        self.look = Lookup {
+            ip: Some(ip),
+            bimodal,
             provider,
             alt_pred,
             provider_pred,
             provider_new,
             confident,
             pred,
-        }
+        };
     }
 
     /// Whether the last prediction came from a high-confidence provider
@@ -464,29 +537,25 @@ impl Tage {
     /// `predict` and this call under the [`Predictor`] contract.
     #[must_use]
     pub fn last_confidence_high(&self) -> bool {
-        self.ctx.as_ref().is_some_and(|c| c.confident)
+        self.look.ip.is_some() && self.look.confident
     }
 
-    fn allocate(&mut self, ctx: &PredictionCtx, taken: bool) {
+    fn allocate(&mut self, ip: u64, provider: Option<usize>, taken: bool) {
         let n = self.config.num_tables;
-        let start = ctx.provider.map_or(0, |p| p + 1);
+        let start = provider.map_or(0, |p| p + 1);
         if start >= n {
             return;
         }
-        // Collect candidate tables with a free (u == 0) entry.
-        let mut free = [0usize; MAX_BANKS];
-        let mut free_len = 0usize;
+        // Candidate banks with a free (u == 0) entry, as a bitmask.
+        let mut free = 0u32;
         for t in start..n {
-            if self.useful[self.off(t, ctx.indices[t] as usize)] == 0 {
-                free[free_len] = t;
-                free_len += 1;
-            }
+            free |= u32::from(self.useful[self.off(t)] == 0) << t;
         }
-        if free_len == 0 {
+        if free == 0 {
             // No room: age the would-be victims so future allocations can
             // succeed (TAGE's anti-ping-pong mechanism).
             for t in start..n {
-                let off = self.off(t, ctx.indices[t] as usize);
+                let off = self.off(t);
                 self.useful[off] = sat_update(self.useful[off], USEFUL_MAX, false);
             }
             if self.counters.on {
@@ -496,23 +565,25 @@ impl Tage {
         }
         // Prefer shorter histories with geometric probability, as in the
         // reference implementation.
-        let mut chosen = free[0];
-        for &t in &free[1..free_len] {
+        let mut chosen = free.trailing_zeros() as usize;
+        let mut rest = free & (free - 1);
+        while rest != 0 {
             if self.next_rand().is_multiple_of(2) {
                 break;
             }
-            chosen = t;
+            chosen = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
         }
-        let idx = ctx.indices[chosen] as usize;
-        let off = self.off(chosen, idx);
-        self.tags[off] = ctx.tags[chosen];
+        let off = self.off(chosen);
+        self.tags[off] = self.cur_tags[chosen / LANES][chosen % LANES] as u16;
         self.ctrs[off] = CTR_MAX / 2 + u8::from(taken);
         self.useful[off] = 0;
         if self.counters.on {
             self.counters.bank_allocs[chosen].incr();
         }
         if let Some(tracker) = self.tracker.as_deref_mut() {
-            tracker.record(ctx.ip, chosen, idx);
+            let idx = off & ((1 << self.config.table_log2) - 1);
+            tracker.record(ip, chosen, idx);
         }
     }
 
@@ -524,12 +595,20 @@ impl Tage {
     }
 
     fn push_history(&mut self, ip: u64, taken: bool) {
-        let ghist = &self.ghist;
-        for (f, &olen) in self.folded.iter_mut().zip(&self.lengths) {
-            let outgoing = ghist.bit(olen - 1);
-            f.idx.update(taken, outgoing);
-            f.tag0.update(taken, outgoing);
-            f.tag1.update(taken, outgoing);
+        let g = &self.geom;
+        // Each bank's outgoing bit, as an all-ones or all-zeros lane.
+        let mut outgoing = [[0u32; LANES]; MAX_GROUPS];
+        let ages = &g.out_age[..self.config.num_tables];
+        for (out, &age) in outgoing.as_flattened_mut().iter_mut().zip(ages) {
+            *out = 0u32.wrapping_sub(u32::from(self.ghist.bit(age)));
+        }
+        let incoming = u32::from(taken);
+        let (iw, tw) = (self.config.table_log2, self.config.tag_bits);
+        for (grp, out) in outgoing.iter().enumerate().take(g.groups) {
+            let fold = |reg: &mut Lane, points: &Lane, w| fold_lanes(reg, incoming, out, points, w);
+            fold(&mut self.fold_idx[grp], &g.out_idx[grp], iw);
+            fold(&mut self.fold_tag0[grp], &g.out_tag0[grp], tw);
+            fold(&mut self.fold_tag1[grp], &g.out_tag1[grp], tw - 1);
         }
         self.ghist.push(taken);
         self.path.push(ip);
@@ -550,10 +629,11 @@ impl Tage {
             h.push(u64::from(self.tags[off]));
             h.push(u64::from(self.useful[off]));
         }
-        for f in &self.folded {
-            h.push(f.idx.value());
-            h.push(f.tag0.value());
-            h.push(f.tag1.value());
+        for t in 0..self.config.num_tables {
+            let (grp, k) = (t / LANES, t % LANES);
+            h.push(u64::from(self.fold_idx[grp][k]));
+            h.push(u64::from(self.fold_tag0[grp][k]));
+            h.push(u64::from(self.fold_tag1[grp][k]));
         }
         h.push(self.path.value());
         h.push(self.use_alt_on_na.value() as u64);
@@ -569,54 +649,57 @@ impl Predictor for Tage {
     }
 
     fn predict(&mut self, ip: u64) -> bool {
-        let ctx = self.compute(ip);
-        let pred = ctx.pred;
-        self.ctx = Some(ctx);
-        pred
+        self.lookup(ip);
+        self.look.pred
     }
 
     fn update(&mut self, ip: u64, taken: bool, _pred: bool) {
-        let ctx = match self.ctx.take() {
-            Some(c) if c.ip == ip => c,
-            // Tolerate a missed predict (e.g. after clone) by recomputing.
-            _ => self.compute(ip),
-        };
+        // Tolerate a missed predict (e.g. after clone) by looking up again.
+        if self.look.ip != Some(ip) {
+            self.lookup(ip);
+        }
+        self.look.ip = None;
+        let look = self.look;
         self.updates += 1;
 
         // Train the provider (or the bimodal base).
-        match ctx.provider {
+        match look.provider {
             Some(t) => {
-                let off = self.off(t, ctx.indices[t] as usize);
+                let off = self.off(t);
                 // Usefulness: provider proved better/worse than alt.
-                if ctx.provider_pred != ctx.alt_pred {
-                    let correct = ctx.provider_pred == taken;
+                if look.provider_pred != look.alt_pred {
+                    let correct = look.provider_pred == taken;
                     self.useful[off] = sat_update(self.useful[off], USEFUL_MAX, correct);
                 }
                 self.ctrs[off] = sat_update(self.ctrs[off], CTR_MAX, taken);
                 // When the provider entry is fresh, also train the alt
                 // chooser.
-                if ctx.provider_new && ctx.provider_pred != ctx.alt_pred {
-                    self.use_alt_on_na.update(ctx.alt_pred == taken);
+                if look.provider_new && look.provider_pred != look.alt_pred {
+                    self.use_alt_on_na.update(look.alt_pred == taken);
                 }
                 // Keep the bimodal warm when it served as the alternate.
-                if ctx.provider_new {
-                    let bidx = self.bimodal_index(ip);
-                    self.bimodal[bidx] = sat_update(self.bimodal[bidx], BIMODAL_MAX, taken);
+                if look.provider_new {
+                    let b = look.bimodal;
+                    self.bimodal[b] = sat_update(self.bimodal[b], BIMODAL_MAX, taken);
                 }
             }
             None => {
-                let bidx = self.bimodal_index(ip);
-                self.bimodal[bidx] = sat_update(self.bimodal[bidx], BIMODAL_MAX, taken);
+                let b = look.bimodal;
+                self.bimodal[b] = sat_update(self.bimodal[b], BIMODAL_MAX, taken);
             }
         }
 
         // Allocate a longer-history entry on a TAGE misprediction.
-        if ctx.pred != taken {
-            self.allocate(&ctx, taken);
+        if look.pred != taken {
+            self.allocate(ip, look.provider, taken);
         }
 
-        if self.updates.is_multiple_of(self.config.u_reset_period) {
+        // Age usefulness every `u_reset_period` updates.
+        if self.u_countdown == 1 {
             self.age_useful();
+            self.u_countdown = self.config.u_reset_period;
+        } else {
+            self.u_countdown = self.u_countdown.saturating_sub(1);
         }
 
         self.push_history(ip, taken);

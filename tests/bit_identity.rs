@@ -1,64 +1,44 @@
 //! Bit-identity proof for the optimized replay hot path.
 //!
 //! `crates/predictors` keeps two TAGE-SC-L implementations: the optimized
-//! structure-of-arrays hot path (`TageScL`) and the naive
-//! array-of-structs reference it was derived from
-//! (`bp_predictors::naive::NaiveTageScL`). Every optimization must be
-//! behavior-preserving — the studies' golden fixtures depend on
-//! byte-identical prediction streams (see `PERFORMANCE.md`). This suite
-//! replays all nine SPECint-like workloads through both implementations
-//! at multiple storage points and asserts:
+//! lane-structured hot path (`TageScL`) and the naive array-of-structs
+//! reference it was derived from (`bp_predictors::naive::NaiveTageScL`).
+//! Every optimization must be behavior-preserving — the studies' golden
+//! fixtures depend on byte-identical prediction streams (see
+//! `PERFORMANCE.md`). This suite replays all nine SPECint-like workloads
+//! through both implementations and asserts:
 //!
 //! * the prediction stream matches branch-for-branch;
 //! * periodic and final `state_digest` values match, i.e. every table
 //!   counter, folded history, and policy counter ends identical.
+//!
+//! The configurations cover what the kernel's lane layout depends on:
+//! every storage point (1 to 3 lane groups, 8- to 15-bit table indices,
+//! 9- to 12-bit tags), both max-history ablations, a usefulness-aging
+//! period short enough to fire many times per trace, and the two periods
+//! that never fire (0 and `u64::MAX`).
 
 use bp_predictors::naive::NaiveTageScL;
-use bp_predictors::{Predictor, TageScL, TageSclConfig};
-use bp_workloads::specint_suite;
+use bp_predictors::{Predictor, TageConfig, TageScL, TageSclConfig};
+use bp_workloads::{specint_suite, WorkloadSpec};
 
-/// Long enough to exercise allocation, u-reset aging (period 2^18 is not
-/// reached — covered by the synthetic in-crate tests), loop confidence,
-/// and SC threshold training on every workload, short enough to keep the
-/// suite in seconds.
+/// Long enough to exercise allocation, loop confidence, and SC threshold
+/// training on every workload, short enough to keep the suite in seconds.
+/// The default aging period (2^18 updates) is not reached at this length;
+/// `optimized_matches_naive_with_short_aging_period` covers aging.
 const TRACE_LEN: usize = 150_000;
 
 /// Compare digests at this many dynamic-branch intervals, so a divergence
 /// is localized to a window rather than reported only at the end.
 const DIGEST_STRIDE: u64 = 10_000;
 
+/// One fresh predictor pair per workload, digests compared every
+/// `DIGEST_STRIDE` branches and at the end of each workload.
 fn assert_bit_identical(config: &TageSclConfig, label: &str) {
     for spec in specint_suite() {
-        let trace = spec.cached_trace(0, TRACE_LEN);
         let mut fast = TageScL::new(config.clone());
         let mut slow = NaiveTageScL::new(config.clone());
-        let mut branches = 0u64;
-        for br in trace.conditional_branches() {
-            let pf = fast.predict(br.ip);
-            let ps = slow.predict(br.ip);
-            assert_eq!(
-                pf, ps,
-                "{label}/{}: prediction diverged at dynamic branch {branches} (ip {:#x})",
-                spec.name, br.ip
-            );
-            fast.update(br.ip, br.taken, pf);
-            slow.update(br.ip, br.taken, ps);
-            branches += 1;
-            if branches.is_multiple_of(DIGEST_STRIDE) {
-                assert_eq!(
-                    fast.state_digest(),
-                    slow.state_digest(),
-                    "{label}/{}: state diverged within branches {}..{branches}",
-                    spec.name,
-                    branches - DIGEST_STRIDE
-                );
-            }
-        }
-        assert!(
-            branches > 5_000,
-            "{label}/{}: trace too branch-light ({branches}) to prove anything",
-            spec.name
-        );
+        let branches = replay_both(&mut fast, &mut slow, &spec, label, DIGEST_STRIDE);
         assert_eq!(
             fast.state_digest(),
             slow.state_digest(),
@@ -66,6 +46,65 @@ fn assert_bit_identical(config: &TageSclConfig, label: &str) {
             spec.name
         );
     }
+}
+
+/// One predictor pair replays the nine workloads back to back, with
+/// predictions compared at every branch and state once, at the end. For
+/// the 128KB–1024KB points, whose digests hash up to 2M state words: a
+/// digest per workload would double the suite's time in a debug build.
+fn assert_bit_identical_chained(config: &TageSclConfig, label: &str) {
+    let mut fast = TageScL::new(config.clone());
+    let mut slow = NaiveTageScL::new(config.clone());
+    let mut branches = 0;
+    for spec in specint_suite() {
+        branches += replay_both(&mut fast, &mut slow, &spec, label, u64::MAX);
+    }
+    assert_eq!(
+        fast.state_digest(),
+        slow.state_digest(),
+        "{label}: final state diverged after {branches} branches"
+    );
+}
+
+/// Replays `spec`'s trace through both predictors, asserting equal
+/// predictions at every branch and equal state every `digest_stride`
+/// branches. Returns the number of branches replayed.
+fn replay_both(
+    fast: &mut TageScL,
+    slow: &mut NaiveTageScL,
+    spec: &WorkloadSpec,
+    label: &str,
+    digest_stride: u64,
+) -> u64 {
+    let trace = spec.cached_trace(0, TRACE_LEN);
+    let mut branches = 0u64;
+    for br in trace.conditional_branches() {
+        let pf = fast.predict(br.ip);
+        let ps = slow.predict(br.ip);
+        assert_eq!(
+            pf, ps,
+            "{label}/{}: prediction diverged at dynamic branch {branches} (ip {:#x})",
+            spec.name, br.ip
+        );
+        fast.update(br.ip, br.taken, pf);
+        slow.update(br.ip, br.taken, ps);
+        branches += 1;
+        if branches.is_multiple_of(digest_stride) {
+            assert_eq!(
+                fast.state_digest(),
+                slow.state_digest(),
+                "{label}/{}: state diverged within branches {}..{branches}",
+                spec.name,
+                branches - digest_stride
+            );
+        }
+    }
+    assert!(
+        branches > 5_000,
+        "{label}/{}: trace too branch-light ({branches}) to prove anything",
+        spec.name
+    );
+    branches
 }
 
 #[test]
@@ -83,4 +122,52 @@ fn optimized_matches_naive_at_64kb() {
 #[test]
 fn optimized_matches_naive_tage_only() {
     assert_bit_identical(&TageSclConfig::tage_only(8), "tage-8kb");
+}
+
+/// The large storage points: 12 banks of 2^12 to 2^15 entries with 10- to
+/// 12-bit tags, and SC tables of 2^12 to 2^15 entries.
+#[test]
+fn optimized_matches_naive_at_128kb_to_1024kb() {
+    for kb in [128, 256, 512, 1024] {
+        assert_bit_identical_chained(&TageSclConfig::storage_kb(kb), &format!("tage-sc-l-{kb}kb"));
+    }
+}
+
+/// The max-history ablations at 8KB: the history lengths, and with them
+/// every bank's fold points and outgoing-bit ages, change.
+#[test]
+fn optimized_matches_naive_at_max_history_ablations() {
+    for max_hist in [250, 3000] {
+        let mut config = TageSclConfig::storage_kb(8);
+        config.tage = TageConfig {
+            max_hist,
+            ..config.tage
+        };
+        assert_bit_identical(&config, &format!("tage-sc-l-8kb-hist{max_hist}"));
+    }
+}
+
+/// Usefulness aging every 2^10 updates fires dozens of times per trace.
+#[test]
+fn optimized_matches_naive_with_short_aging_period() {
+    assert_bit_identical(&with_aging_period(1 << 10), "tage-sc-l-8kb-age2^10");
+}
+
+/// Periods 0 and `u64::MAX` never age within any trace; the optimized
+/// countdown must neither underflow on 0 nor fire early.
+#[test]
+fn optimized_matches_naive_when_aging_never_fires() {
+    for period in [0, u64::MAX] {
+        let label = format!("tage-sc-l-8kb-age{period}");
+        assert_bit_identical(&with_aging_period(period), &label);
+    }
+}
+
+fn with_aging_period(u_reset_period: u64) -> TageSclConfig {
+    let mut config = TageSclConfig::storage_kb(8);
+    config.tage = TageConfig {
+        u_reset_period,
+        ..config.tage
+    };
+    config
 }

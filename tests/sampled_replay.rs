@@ -22,7 +22,7 @@
 use branch_lab::analysis::bbv;
 use branch_lab::core::{DatasetConfig, Engine, SamplingConfig};
 use branch_lab::pipeline::{PipelineConfig, SampledReplay, SamplePlan, SampleSegment, SweepReplay};
-use branch_lab::predictors::{DirectionPredictor, TageScL};
+use branch_lab::predictors::{misprediction_flags, DirectionPredictor, TageScL};
 use branch_lab::trace::{
     profile_intervals, BptrReader, InstClass, IntervalProfile, ReadTraceError, Reg, RetiredInst,
     SliceConfig, Trace, TraceMeta, TraceReader, TraceWriter,
@@ -173,6 +173,81 @@ fn profiles_identical_across_thread_counts() {
         let got = Engine::with_threads(threads)
             .map(&traces, |_, t| profile_intervals(t.reader(), cfg.slice.len(), 64).unwrap());
         assert_eq!(got, reference, "threads {threads}");
+    }
+}
+
+/// A random sampling plan over a `len`-record trace: interval 0, two
+/// adjacent intervals, the EOF-truncated last interval, and one interval
+/// wholly past the end, warm-up included (dropped).
+fn random_plan(g: &mut Gen, len: usize, interval_len: usize, warmup: usize) -> SamplePlan {
+    let last = len / interval_len;
+    let mid = g.range(1, last - 1);
+    let segments = [0, mid, mid + 1, last, last + 4]
+        .into_iter()
+        .map(|interval| SampleSegment {
+            interval,
+            weight: 0.2,
+            spread: 0.0,
+        })
+        .collect();
+    SamplePlan {
+        interval_len,
+        warmup,
+        segments,
+    }
+}
+
+/// The contract of the two sampled walks, over chunked readers: each
+/// warmed lane is exactly its segment's slice of one full
+/// `misprediction_flags` pass (a continuously trained predictor), and
+/// the weighted estimate does not depend on how the stream is chunked.
+#[test]
+fn sampled_walks_match_full_flags_at_any_chunking() {
+    let cfg = PipelineConfig::skylake();
+    for seed in 0..6u64 {
+        let mut g = Gen::new(seed.wrapping_mul(0x2545_F491) + 7);
+        let interval_len = g.range(200, 700);
+        let len = g.range(4, 9) * interval_len + g.range(1, interval_len);
+        let t = random_trace(&mut g, len);
+        // No warm-up, or one long enough that each adjacent segment's
+        // warm-up covers its neighbour's whole interval.
+        let warmup = match seed % 3 {
+            0 => 0,
+            _ => g.range(interval_len, 2 * interval_len),
+        };
+        let plan = random_plan(&mut g, len, interval_len, warmup);
+
+        let full = misprediction_flags(&mut TageScL::kb8(), &t);
+        // Conditional branches before each record index.
+        let mut before = vec![0usize; len + 1];
+        for (i, r) in t.insts().iter().enumerate() {
+            before[i + 1] = before[i] + usize::from(r.is_conditional_branch());
+        }
+
+        let mut reference = None;
+        for step in [1, 7, 64, len] {
+            let chunked = || Chunked { t: &t, at: 0, step };
+            let sampled = SampledReplay::prepare(chunked(), &cfg, &plan).unwrap();
+            let ctx = format!("seed {seed} step {step} warmup {warmup}");
+            // The segment past EOF is dropped.
+            assert_eq!(sampled.num_segments(), 4, "{ctx}: segments");
+            let (_, cut_end) = sampled.segment_record_range(3);
+            assert_eq!(cut_end, len as u64, "{ctx}: the last segment ends at EOF");
+            let mut tage = TageScL::kb8();
+            let lanes = sampled.warmed_lanes(chunked(), &mut tage).unwrap();
+            for (i, lane) in lanes.iter().enumerate() {
+                let (lo, hi) = sampled.segment_record_range(i);
+                let want = &full[before[lo as usize]..before[hi as usize]];
+                assert_eq!(lane.as_slice(), want, "{ctx}: segment {i} flags");
+                assert_eq!(lane.len(), sampled.segment_branches(i), "{ctx}: lane {i}");
+            }
+            let refs: Vec<&[bool]> = lanes.iter().map(Vec::as_slice).collect();
+            let est = sampled.simulate_weighted(&refs, &cfg);
+            match &reference {
+                None => reference = Some(est),
+                Some(r) => assert_eq!(&est, r, "{ctx}: estimate depends on chunking"),
+            }
+        }
     }
 }
 
