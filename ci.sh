@@ -7,8 +7,8 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== branch-lab CLI =="
-# The registry-backed CLI is the single entry point every study bin shims
-# into: `list` exercises registry wiring, and the smoke sweep drives the
+# The registry-backed CLI is the single entry point for every study:
+# `list` exercises registry wiring, and the smoke sweep drives the
 # single-pass engine end-to-end (lockstep predictors + lane replay) on a
 # trace small enough to finish in well under a second.
 target/release/branch-lab list > /dev/null
@@ -81,7 +81,7 @@ BRANCH_LAB_FAULTS=all.child.fig3:fail \
 BRANCH_LAB_METRICS="$FAULT_SINK" \
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
 BRANCH_LAB_RETRY_DELAY_MS=10 \
-    target/release/all --keep-going --quick \
+    target/release/branch-lab all --keep-going --quick \
     > "$FAULT_SINK/all.log" 2> "$FAULT_SINK/all.err"
 rc=$?
 set -e
@@ -94,7 +94,7 @@ grep -q '"fig4": "ok"' "$FAULT_SINK/all.json"
 
 BRANCH_LAB_METRICS="$FAULT_SINK" \
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
-    target/release/all --keep-going --resume --quick \
+    target/release/branch-lab all --keep-going --resume --quick \
     > "$FAULT_SINK/resume.log" 2> "$FAULT_SINK/resume.err"
 [ "$(grep -c 'skipped: already succeeded' "$FAULT_SINK/resume.log")" -eq 15 ] \
     || { echo "fault leg: resume should skip the 15 checkpointed children"; exit 1; }

@@ -23,10 +23,6 @@
 //!   lockstep walk, then replayed at every pipeline scale (96 sims) from
 //!   one prepared trace, with `sweep/hetero-grid-per-config` keeping the
 //!   solo-predictor/scalar-replay shape for the speedup ratio;
-//! * `sweep/interleave-2trace` — pure replay throughput: two prepared
-//!   traces' 16-lane chunk cursors round-robined through
-//!   `simulate_interleaved` (flags and preparation outside the timed
-//!   region);
 //! * `sample/cluster` — the sampled-replay planning pass: streamed
 //!   per-interval BBV profiling plus SimPoint medoid selection;
 //! * `sample/replay-weighted` — the sampled-replay execution pass:
@@ -50,7 +46,7 @@
 use std::process::ExitCode;
 
 use bp_bench::perf::{self, PerfReport};
-use bp_pipeline::{simulate, simulate_interleaved, InterleaveGroup, PipelineConfig, SweepReplay};
+use bp_pipeline::{simulate, PipelineConfig, SweepReplay};
 use bp_predictors::{
     misprediction_flags, sweep_flags, DirectionPredictor, PredictorSpec, TageScL, TageSclConfig,
 };
@@ -338,42 +334,6 @@ fn run_suite(opts: &Options) -> PerfReport {
                 }
             }
             cycles
-        },
-    ));
-
-    // Pure replay: both pinned traces' 16-lane chunk cursors interleaved
-    // in 8K-instruction slices. Training and preparation stay outside
-    // the timed region, so this isolates the lane-vector replay loop —
-    // the aggregate lane-records/s ceiling every sweep study shares.
-    let spec_grid_flags: Vec<Vec<bool>> = {
-        let mut predictors = PredictorSpec::build_all(&grid_specs);
-        sweep_flags(&mut predictors, &spec_trace)
-    };
-    let lcf_grid_flags: Vec<Vec<bool>> = {
-        let mut predictors = PredictorSpec::build_all(&grid_specs);
-        sweep_flags(&mut predictors, &lcf_trace)
-    };
-    let spec_lanes: Vec<&[bool]> = spec_grid_flags.iter().map(Vec::as_slice).collect();
-    let lcf_lanes: Vec<&[bool]> = lcf_grid_flags.iter().map(Vec::as_slice).collect();
-    let spec_sweep = SweepReplay::new(&spec_trace, &cfg);
-    let lcf_sweep = SweepReplay::new(&lcf_trace, &cfg);
-    let lanes_per_group = grid_specs.len() as u64;
-    measurements.push(perf::measure(
-        "sweep/interleave-2trace",
-        (spec_trace.len() as u64 + lcf_trace.len() as u64) * lanes_per_group,
-        (spec_branches + lcf_branches) * lanes_per_group,
-        warmup,
-        samples,
-        || {
-            let groups = [
-                InterleaveGroup::new(&spec_sweep, &spec_lanes, &cfg),
-                InterleaveGroup::new(&lcf_sweep, &lcf_lanes, &cfg),
-            ];
-            simulate_interleaved(&groups, 8192)
-                .iter()
-                .flatten()
-                .map(|s| s.cycles)
-                .sum::<u64>()
         },
     ));
 

@@ -44,7 +44,8 @@ pub use experiment::{
     HeteroGridRow, HeteroGridStudy, RareOracleRow, ScalingSeries, ScalingStudy, StorageScalingRow,
     StorageScalingStudy,
 };
-pub use parallel::{thread_count, Engine, TaskError};
+pub use bp_metrics::thread_count;
+pub use parallel::{Engine, TaskError};
 pub use report::{f3, pct, Report, ReportItem, Table};
 pub use study::{FnStudy, Study, StudyCtx, StudyInfo, StudyKind, StudyRegistry};
 

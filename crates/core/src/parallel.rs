@@ -16,43 +16,16 @@
 //! that re-raises the first failure.
 //!
 //! The engine uses only `std::thread::scope` — no dependencies — and honors
-//! a `BRANCH_LAB_THREADS` override (set it to `1` to force the serial
-//! path). Tasks pass the `engine.task` fault site (see
-//! [`bp_metrics::faultpoint`]), which the fault-injection tests use to
-//! panic an arbitrary task on demand.
+//! a `BRANCH_LAB_THREADS` override ([`bp_metrics::thread_count`]; set it
+//! to `1` to force the serial path). Tasks pass the `engine.task` fault
+//! site (see [`bp_metrics::faultpoint`]), which the fault-injection tests
+//! use to panic an arbitrary task on demand.
 
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-/// Number of worker threads the process should use: the
-/// `BRANCH_LAB_THREADS` env var when set to a positive integer, otherwise
-/// the machine's available parallelism. An unparsable override is a
-/// misconfiguration, not a request for a serial run: it logs one warning
-/// to stderr and falls back to the machine width.
-#[must_use]
-pub fn thread_count() -> usize {
-    let available =
-        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    match std::env::var("BRANCH_LAB_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "branch-lab: BRANCH_LAB_THREADS={v:?} is not a positive integer; \
-                         using available parallelism"
-                    );
-                });
-                available()
-            }
-        },
-        Err(_) => available(),
-    }
-}
 
 /// One task's failure inside [`Engine::try_map`]: which task, what it was
 /// working on, and what the panic said.
@@ -109,10 +82,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine sized by [`thread_count`] (env override or machine width).
+    /// An engine sized by [`bp_metrics::thread_count`] (env override or
+    /// machine width).
     #[must_use]
     pub fn from_env() -> Self {
-        Engine { threads: thread_count() }
+        Engine { threads: bp_metrics::thread_count() }
     }
 
     /// An engine with an explicit thread count (clamped to at least 1).

@@ -1,5 +1,5 @@
 //! Runs every report study in sequence, fault-tolerantly (`branch-lab
-//! all` and the `all` shim binary).
+//! all`).
 //!
 //! The child list is derived from the study registry
 //! ([`crate::registry::registry`], [`bp_core::StudyRegistry::report_names`])

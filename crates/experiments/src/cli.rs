@@ -9,9 +9,8 @@
 //! * `branch-lab sweep --workload W --predictors a,b,c` — ad-hoc
 //!   single-pass predictor sweep on one workload.
 //!
-//! The per-study binaries (`fig1`, `table2`, …) are one-line shims over
-//! [`study_shim`], so both spellings share argument parsing
-//! ([`crate::Cli`]), metrics plumbing, and output formatting.
+//! Every subcommand shares one argument parser ([`crate::Cli`]), metrics
+//! plumbing, and output formatting.
 
 use bp_core::{StudyCtx, StudyKind, Table};
 use bp_pipeline::{PipelineConfig, SweepReplay};
@@ -20,7 +19,7 @@ use bp_workloads::{find_workload, workload_names};
 
 use crate::{all_runner, registry, Cli};
 
-/// The single help surface for the unified CLI and all study shims.
+/// The single help surface of the `branch-lab` CLI.
 #[must_use]
 pub fn help_text() -> String {
     let mut s = String::from(
@@ -36,9 +35,6 @@ pub fn help_text() -> String {
          \x20   branch-lab serve [SERVE FLAGS]      HTTP study server with a content-addressed\n\
          \x20                                       result cache (see DESIGN.md \"Serving\")\n\
          \x20   branch-lab help                     this text\n\
-         \n\
-         Every per-study binary (fig1, table2, ...) accepts the same FLAGS and is\n\
-         equivalent to `branch-lab run <study>`.\n\
          \n\
          FLAGS (report studies):\n\
          \x20   --len N               instructions per workload trace (default 1,000,000)\n\
@@ -103,12 +99,6 @@ pub fn help_text() -> String {
         s.push('\n');
     }
     s
-}
-
-/// Entry point shared by every per-study shim binary: parse the standard
-/// flags and run `name` exactly as `branch-lab run <name>` would.
-pub fn study_shim(name: &str) {
-    run_study(name, std::env::args().skip(1).collect());
 }
 
 /// Looks `name` up in the registry and runs it with `args`.

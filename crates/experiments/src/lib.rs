@@ -2,11 +2,9 @@
 //!
 //! Every table and figure of the paper is a [`bp_core::Study`] registered
 //! in [`registry::registry`]; the `branch-lab` binary dispatches to them
-//! (`branch-lab list` / `run <study>` / `all` / `sweep`), and the
-//! per-study binaries (`fig1`, `table2`, …) are one-line shims over the
-//! same dispatcher ([`cli::study_shim`]). All argument parsing lives in
-//! [`Cli`]; run `branch-lab --help` for the single help surface that
-//! documents the flags and environment variables once.
+//! (`branch-lab list` / `run <study>` / `all` / `sweep`). All argument
+//! parsing lives in [`Cli`]; run `branch-lab --help` for the single help
+//! surface that documents the flags and environment variables once.
 
 #![warn(missing_docs)]
 

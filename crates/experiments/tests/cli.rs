@@ -5,16 +5,17 @@
 //! summary-table expectations all depend on `report_names()` matching
 //! the legacy hand-maintained BINS array exactly.
 //!
-//! The parity tests run the unified `branch-lab` CLI as a subprocess and
-//! require its stdout to be byte-identical to the legacy golden fixtures
-//! under `tests/golden/` (recorded from the standalone binaries), and to
-//! the per-study shim binaries themselves.
+//! The parity tests run the `branch-lab` CLI as a subprocess and require
+//! its stdout to be byte-identical to the legacy golden fixtures under
+//! `tests/golden/` (recorded from the standalone binaries).
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::Command;
 
 use bp_core::StudyKind;
 use bp_experiments::registry::registry;
+use bp_metrics::json::Value;
 
 /// The legacy `all.rs` BINS array, verbatim. `report_names()` must keep
 /// producing exactly this list: it is the `all` child sequence, the
@@ -105,15 +106,31 @@ fn cli_output_matches_the_legacy_golden_fixtures() {
 }
 
 #[test]
-fn shim_binary_and_unified_cli_agree() {
-    let shim = Command::new(env!("CARGO_BIN_EXE_fig1"))
-        .arg("--quick")
+fn manifest_records_the_engine_thread_count_under_a_bad_override() {
+    // An unparsable override warns and falls back to the machine width;
+    // the run manifest must record the width the engine actually used.
+    let sink = std::env::temp_dir()
+        .join(format!("branch-lab-cli-threads-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
+        .args(["run", "table1", "--quick"])
         .env("BRANCH_LAB_TRACE_DIR", trace_dir())
+        .env("BRANCH_LAB_THREADS", "banana")
+        .env("BRANCH_LAB_METRICS", &sink)
         .output()
-        .expect("spawn fig1 shim");
-    let unified = run_cli(&["run", "fig1", "--quick"]);
-    assert!(shim.status.success() && unified.status.success());
-    assert_eq!(shim.stdout, unified.stdout);
+        .expect("spawn branch-lab");
+    let manifest = std::fs::read_to_string(sink.join("table1.json"));
+    std::fs::remove_dir_all(&sink).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("BRANCH_LAB_THREADS=\"banana\""));
+    let manifest = bp_metrics::json::parse(&manifest.expect("manifest written to the sink"))
+        .expect("manifest is JSON");
+    let threads = manifest.as_obj().and_then(|m| m.get("threads")).and_then(Value::as_u64);
+    let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    assert_eq!(threads, Some(available as u64));
 }
 
 #[test]

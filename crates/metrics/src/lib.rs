@@ -250,17 +250,34 @@ pub fn reset() {
     }
 }
 
-/// The worker-thread count the experiment engine will use, mirroring
-/// `bp_core::parallel::thread_count` (re-implemented here so the
-/// manifest layer stays dependency-free within the workspace).
+/// Number of worker threads the process should use: the
+/// `BRANCH_LAB_THREADS` env var when set to a positive integer, otherwise
+/// the machine's available parallelism. An unparsable override is a
+/// misconfiguration, not a request for a serial run: it logs one warning
+/// to stderr and falls back to the machine width.
+///
+/// The experiment engine sizes itself by this count (re-exported as
+/// `bp_core::thread_count`) and run manifests record it, so the two can
+/// never disagree.
 #[must_use]
 pub fn thread_count() -> usize {
+    let available =
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     match std::env::var("BRANCH_LAB_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
+        Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
-            _ => 1,
+            _ => {
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "branch-lab: BRANCH_LAB_THREADS={v:?} is not a positive integer; \
+                         using available parallelism"
+                    );
+                });
+                available()
+            }
         },
-        Err(_) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        Err(_) => available(),
     }
 }
 

@@ -44,6 +44,12 @@ impl CacheConfig {
             mem_service: 8,
         }
     }
+
+    /// The bandwidth floor of an access stream with `l2_accesses` L2
+    /// accesses (L2 hits plus misses), `misses` of which went to memory.
+    pub(crate) fn bandwidth_floor(&self, l2_accesses: u64, misses: u64) -> u64 {
+        (l2_accesses * u64::from(self.l2_service)).max(misses * u64::from(self.mem_service))
+    }
 }
 
 impl Default for CacheConfig {
@@ -113,9 +119,8 @@ impl CacheModel {
     /// the configured L2/DRAM bandwidth — a floor on total execution time.
     #[must_use]
     pub fn bandwidth_floor_cycles(&self) -> u64 {
-        let l2_accesses = self.hits_l2 + self.misses;
-        (l2_accesses * u64::from(self.config.l2_service))
-            .max(self.misses * u64::from(self.config.mem_service))
+        self.config
+            .bandwidth_floor(self.hits_l2 + self.misses, self.misses)
     }
 
     /// `(l1 hits, l2 hits, memory accesses)` counters.

@@ -34,7 +34,7 @@ pub use cache::{CacheConfig, CacheModel};
 pub use config::PipelineConfig;
 pub use sampled::{SampledReplay, SampledStats, SamplePlan, SampleSegment};
 pub use scoreboard::{simulate, SimStats};
-pub use sweep::{simulate_interleaved, InterleaveGroup, RangePreparer, SweepReplay};
+pub use sweep::SweepReplay;
 
 use bp_predictors::{misprediction_flags, DirectionPredictor};
 use bp_trace::Trace;

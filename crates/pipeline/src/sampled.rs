@@ -12,18 +12,19 @@
 //! The planner is deliberately decoupled: this module consumes a
 //! [`SamplePlan`] (interval geometry plus `(interval, weight, spread)`
 //! tuples) so the pipeline crate stays free of clustering and predictor
-//! dependencies. The experiments layer trains predictors over each
-//! segment's records ([`SampledReplay::segment_trace`]) exactly as it
-//! would over a full trace.
+//! dependencies. The experiments layer collects each segment's
+//! misprediction flags from one continuously trained predictor
+//! ([`SampledReplay::warmed_lanes`]).
 //!
 //! # Cost and memory model
 //!
-//! One streaming pass over the [`TraceReader`] extracts every segment's
-//! records; peak memory and all replay work scale with the *sampled*
-//! records (`segments × (warmup + interval)`), never the trace length.
-//! The pass itself is O(trace) *time* but O(1) extra memory: it runs
-//! the cache model and store-forwarding map over every record
-//! ([`RangePreparer`] — *functional warming*), because a mid-trace
+//! One streaming pass over the [`TraceReader`] prepares every segment;
+//! peak memory and all replay work scale with the *sampled* records
+//! (`segments × (warmup + interval)`, 12 bytes each in prepared form),
+//! never the trace length. The pass itself is O(trace) *time* but O(1)
+//! extra memory: it runs the cache model and store-forwarding map over
+//! every record (the warmed range preparer behind
+//! [`SweepReplay::prepare`] — *functional warming*), because a mid-trace
 //! excerpt prepared cold would see systematically slower loads than the
 //! full replay does. The same applies to predictor state:
 //! [`SampledReplay::warmed_lanes`] trains the direction predictor over
@@ -47,7 +48,7 @@
 //! carry a wider floor and are not gated).
 
 use bp_predictors::DirectionPredictor;
-use bp_trace::{ReadTraceError, RetiredInst, Trace, TraceReader};
+use bp_trace::{ReadTraceError, TraceReader};
 
 use crate::config::PipelineConfig;
 use crate::sweep::{ranges_at, run_end, RangePreparer, SweepReplay};
@@ -99,12 +100,11 @@ pub struct SamplePlan {
     pub segments: Vec<SampleSegment>,
 }
 
-/// A prepared representative segment: its records (for predictor
-/// training), the whole-segment replay, and the warm-up-only replay
-/// whose counters are subtracted back out.
+/// A prepared representative segment: where its records start, the
+/// whole-segment replay, and the warm-up-only replay whose counters are
+/// subtracted back out.
 struct PreparedSegment {
     seg: SampleSegment,
-    trace: Trace,
     first_record: u64,
     warmup_records: usize,
     full: SweepReplay,
@@ -116,17 +116,17 @@ struct PreparedSegment {
 pub struct SampledReplay {
     segments: Vec<PreparedSegment>,
     total_records: u64,
-    sampled_records: u64,
 }
 
 impl SampledReplay {
     /// Extracts and prepares every planned segment in one streaming pass
     /// over `reader`.
     ///
-    /// Segments beyond the end of the stream are dropped; a final
-    /// segment the stream truncates is kept at its actual length (the
-    /// planner derived the plan from the same stream, so its ragged-tail
-    /// rule already matches).
+    /// Segments whose interval starts at or beyond the end of the stream
+    /// are dropped, even when their warm-up prefix starts before it; a
+    /// final segment the stream truncates is kept at its actual length
+    /// (the planner derived the plan from the same stream, so its
+    /// ragged-tail rule already matches).
     ///
     /// # Errors
     ///
@@ -136,104 +136,57 @@ impl SampledReplay {
     ///
     /// Panics if the plan's `interval_len` is zero.
     pub fn prepare<R: TraceReader>(
-        mut reader: R,
+        reader: R,
         config: &PipelineConfig,
         plan: &SamplePlan,
     ) -> Result<Self, ReadTraceError> {
         assert!(plan.interval_len > 0, "interval length must be positive");
-        let meta = reader.meta().clone();
-        // Per-segment record ranges [lo, hi) and collection buffers.
-        struct Pending {
-            seg: SampleSegment,
-            lo: u64,
-            hi: u64,
-            records: Vec<RetiredInst>,
-        }
-        let mut pending: Vec<Pending> = plan
-            .segments
-            .iter()
-            .map(|&seg| {
-                let start = (seg.interval * plan.interval_len) as u64;
-                Pending {
-                    seg,
-                    lo: start.saturating_sub(plan.warmup as u64),
-                    hi: start + plan.interval_len as u64,
-                    records: Vec::new(),
-                }
-            })
-            .collect();
         // Two prepared ranges per segment — the whole segment and its
         // warm-up prefix — share one functionally warmed pass: the cache
         // model and forwarding map train over *every* record, so a
         // mid-trace excerpt sees the load latencies the full replay
         // would, and the prefix replay stays a strict prefix of the full
         // one (identical latencies, so the warm-up subtraction is exact).
-        let ranges: Vec<(u64, u64)> = pending
+        // Warm-up prefixes may overlap a neighbouring segment's interval;
+        // the preparer accounts every range independently.
+        // `(first record, interval start)` per segment.
+        let bounds: Vec<(u64, u64)> = plan
+            .segments
             .iter()
-            .flat_map(|p| {
-                let interval_start = (p.seg.interval * plan.interval_len) as u64;
-                [(p.lo, p.hi), (p.lo, interval_start)]
+            .map(|seg| {
+                let start = (seg.interval * plan.interval_len) as u64;
+                (start.saturating_sub(plan.warmup as u64), start)
             })
             .collect();
-        let mut preparer = RangePreparer::new(config, &ranges);
-        let mut offset = 0u64;
-        while let Some(chunk) = reader.next_chunk()? {
-            bp_metrics::cancel::checkpoint("sampled.prepare");
-            preparer.feed(chunk);
-            let end = offset + chunk.len() as u64;
-            for p in &mut pending {
-                // Warm-up prefixes may overlap a neighbouring segment's
-                // interval, so every segment slices the chunk
-                // independently.
-                let lo = p.lo.max(offset);
-                let hi = p.hi.min(end);
-                if lo < hi {
-                    let a = (lo - offset) as usize;
-                    let b = (hi - offset) as usize;
-                    p.records.extend_from_slice(&chunk[a..b]);
-                }
-            }
-            offset = end;
-        }
-        let mut replays = preparer.finish().into_iter();
-        let mut segments = Vec::with_capacity(pending.len());
-        let mut sampled_records = 0u64;
-        for p in pending {
+        let ranges: Vec<(u64, u64)> = bounds
+            .iter()
+            .flat_map(|&(lo, start)| [(lo, start + plan.interval_len as u64), (lo, start)])
+            .collect();
+        let (replays, total_records) =
+            RangePreparer::run(reader, config, &ranges, "sampled.prepare")?;
+        let mut replays = replays.into_iter();
+        let mut segments = Vec::with_capacity(plan.segments.len());
+        for (&seg, &(first_record, start)) in plan.segments.iter().zip(&bounds) {
             let full = replays.next().expect("one replay per planned range");
             let warm = replays.next().expect("one replay per planned range");
-            if p.records.is_empty() {
+            if start >= total_records {
                 continue;
             }
-            let interval_start = (p.seg.interval * plan.interval_len) as u64;
-            let warmup_records = (interval_start - p.lo) as usize;
-            let mut trace = Trace::new(meta.clone());
-            for inst in &p.records {
-                trace.push(*inst);
-            }
-            sampled_records += p.records.len() as u64;
             segments.push(PreparedSegment {
-                seg: p.seg,
-                trace,
-                first_record: p.lo,
-                warmup_records,
+                seg,
+                first_record,
+                warmup_records: (start - first_record) as usize,
                 full,
                 warm: (!warm.is_empty()).then_some(warm),
             });
         }
-        Ok(SampledReplay { segments, total_records: offset, sampled_records })
+        Ok(SampledReplay { segments, total_records })
     }
 
     /// Number of prepared segments (dropped-at-EOF segments excluded).
     #[must_use]
     pub fn num_segments(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Records of segment `i` — warm-up prefix plus interval — for
-    /// training predictors exactly as a full replay would.
-    #[must_use]
-    pub fn segment_trace(&self, i: usize) -> &Trace {
-        &self.segments[i].trace
     }
 
     /// Conditional branches in segment `i` (warm-up plus interval); a
@@ -249,7 +202,7 @@ impl SampledReplay {
     #[must_use]
     pub fn segment_record_range(&self, i: usize) -> (u64, u64) {
         let p = &self.segments[i];
-        (p.first_record, p.first_record + p.trace.len() as u64)
+        (p.first_record, p.first_record + p.full.len() as u64)
     }
 
     /// One functionally-warmed predictor pass: streams the *whole* trace
@@ -320,10 +273,10 @@ impl SampledReplay {
         self.total_records
     }
 
-    /// Records extracted into segments — the work actually simulated.
+    /// Records prepared into segments — the work actually simulated.
     #[must_use]
     pub fn sampled_records(&self) -> u64 {
-        self.sampled_records
+        self.segments.iter().map(|p| p.full.len() as u64).sum()
     }
 
     /// Fraction of the trace actually simulated (warm-ups included).
@@ -332,7 +285,7 @@ impl SampledReplay {
         if self.total_records == 0 {
             0.0
         } else {
-            self.sampled_records as f64 / self.total_records as f64
+            self.sampled_records() as f64 / self.total_records as f64
         }
     }
 
@@ -389,7 +342,7 @@ impl SampledReplay {
             ipc_half: (IPC_REL_FLOOR + dispersion) * ipc,
             est_branches,
             segments: self.segments.len(),
-            sampled_records: self.sampled_records,
+            sampled_records: self.sampled_records(),
             total_records: self.total_records,
         }
     }
@@ -443,7 +396,7 @@ impl SampledStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_trace::{InstClass, TraceMeta};
+    use bp_trace::{InstClass, RetiredInst, Trace, TraceMeta};
 
     fn synthetic(len: usize) -> Trace {
         let mut t = Trace::new(TraceMeta::new("sampled", 0));
@@ -493,16 +446,17 @@ mod tests {
         let sr = SampledReplay::prepare(t.reader(), &cfg, &plan).unwrap();
         assert_eq!(sr.num_segments(), 2);
         // Interval 0 has no room for warm-up; interval 4 gets 30 records.
-        assert_eq!(sr.segment_trace(0).len(), 100);
-        assert_eq!(sr.segment_trace(1).len(), 130);
+        assert_eq!(sr.segment_record_range(0), (0, 100));
+        assert_eq!(sr.segment_record_range(1), (370, 500));
+        let branches = t.insts()[370..500].iter().filter(|r| r.is_conditional_branch()).count();
+        assert_eq!(sr.segment_branches(1), branches);
         assert_eq!(sr.total_records(), 1000);
         assert_eq!(sr.sampled_records(), 230);
-        assert_eq!(sr.segment_trace(1).insts(), &t.insts()[370..500]);
     }
 
     #[test]
     fn chunking_is_immaterial() {
-        // The same plan over a re-chunked stream must extract identical
+        // The same plan over a re-chunked stream must prepare identical
         // segments — chunk boundaries carry no meaning.
         struct Chunked<'a> {
             t: &'a Trace,
@@ -537,16 +491,22 @@ mod tests {
         };
         let cfg = PipelineConfig::skylake();
         let whole = SampledReplay::prepare(t.reader(), &cfg, &plan).unwrap();
+        let lanes: Vec<Vec<bool>> = (0..whole.num_segments())
+            .map(|i| (0..whole.segment_branches(i)).map(|b| b % 3 == 0).collect())
+            .collect();
+        let refs: Vec<&[bool]> = lanes.iter().map(Vec::as_slice).collect();
+        let want = whole.simulate_weighted(&refs, &cfg);
         for step in [1, 7, 64, 997] {
             let chunked = SampledReplay::prepare(Chunked { t: &t, at: 0, step }, &cfg, &plan).unwrap();
             assert_eq!(chunked.num_segments(), whole.num_segments());
             for i in 0..whole.num_segments() {
                 assert_eq!(
-                    chunked.segment_trace(i).insts(),
-                    whole.segment_trace(i).insts(),
+                    chunked.segment_record_range(i),
+                    whole.segment_record_range(i),
                     "step {step}, segment {i}"
                 );
             }
+            assert_eq!(chunked.simulate_weighted(&refs, &cfg), want, "step {step}");
         }
     }
 
@@ -591,18 +551,27 @@ mod tests {
 
     #[test]
     fn segments_past_eof_are_dropped() {
-        let t = synthetic(300);
+        // Interval 3 starts at record 300, past the 280-record stream,
+        // although its warm-up prefix [250, 300) does not; interval 9
+        // lies wholly past the end. Both are dropped.
+        let t = synthetic(280);
         let cfg = PipelineConfig::skylake();
         let plan = SamplePlan {
             interval_len: 100,
-            warmup: 0,
+            warmup: 50,
             segments: vec![
-                SampleSegment { interval: 1, weight: 0.5, spread: 0.0 },
-                SampleSegment { interval: 9, weight: 0.5, spread: 0.0 },
+                SampleSegment { interval: 1, weight: 0.4, spread: 0.0 },
+                SampleSegment { interval: 3, weight: 0.3, spread: 0.0 },
+                SampleSegment { interval: 9, weight: 0.3, spread: 0.0 },
             ],
         };
         let sr = SampledReplay::prepare(t.reader(), &cfg, &plan).unwrap();
         assert_eq!(sr.num_segments(), 1);
+        assert_eq!(sr.segment_record_range(0), (50, 200));
+        let lane = vec![true; sr.segment_branches(0)];
+        let stats = sr.simulate_weighted(&[&lane], &cfg);
+        assert_eq!(stats.segments, 1);
+        assert!((stats.mpki - 250.0).abs() < 1e-9);
     }
 
     #[test]

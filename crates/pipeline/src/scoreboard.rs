@@ -17,7 +17,7 @@
 //! keeps waiting on branch resolution, while perfect prediction scales.
 
 use bp_metrics::Counter;
-use bp_trace::{InstClass, Trace, NUM_REGS};
+use bp_trace::{InstClass, RetiredInst, Trace, NUM_REGS};
 
 use crate::cache::CacheModel;
 use crate::config::PipelineConfig;
@@ -81,6 +81,25 @@ impl PipeCounters {
             refetch_bubbles: Counter::get("pipeline.refetch_bubble_cycles"),
             rob_stalls: Counter::get("pipeline.rob_stall_events"),
         }
+    }
+}
+
+/// Execution latency of `inst` in cycles, advancing the cache model for
+/// memory accesses — the one latency rule shared by the scalar loop and
+/// the replay preparer. Loads take the cache latency; stores retire from
+/// the store buffer in one cycle but still allocate the line so later
+/// loads hit. The cache model is accessed in program order, so latencies
+/// never depend on timing.
+#[inline]
+pub(crate) fn exec_latency(inst: &RetiredInst, cache: &mut CacheModel, mul_latency: u32) -> u32 {
+    match inst.class {
+        InstClass::Load => cache.access(inst.mem_addr),
+        InstClass::Mul => mul_latency,
+        InstClass::Store => {
+            let _ = cache.access(inst.mem_addr);
+            1
+        }
+        _ => 1,
     }
 }
 
@@ -320,17 +339,7 @@ fn simulate_impl<const METRICS: bool>(
         if let Some(r) = inst.src2 {
             ready = ready.max(reg_ready[r.index()]);
         }
-        let latency = match inst.class {
-            InstClass::Load => cache.access(inst.mem_addr),
-            InstClass::Mul => config.mul_latency,
-            InstClass::Store => {
-                // Stores retire from the store buffer; they still allocate
-                // the line so later loads hit.
-                let _ = cache.access(inst.mem_addr);
-                1
-            }
-            _ => 1,
-        };
+        let latency = exec_latency(inst, &mut cache, config.mul_latency);
         let mut done = ready + u64::from(latency);
         match inst.class {
             InstClass::Load => {

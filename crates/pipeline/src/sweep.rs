@@ -19,6 +19,9 @@
 //!   the model is accessed in program order), and the store→load
 //!   forwarding *link* (the ordinal of the latest earlier store to the
 //!   same address — the one `AddrMap` lookup the scalar loop performs).
+//!   One walk does this for every caller: [`SweepReplay::prepare`] is the
+//!   whole-stream range `(0, u64::MAX)` of the warmed range preparer that
+//!   sampled replay uses for its segments.
 //! * **Replay** ([`SweepReplay::simulate_many`]): iterate the prepared
 //!   records once while stepping up to 16 misprediction-flag lanes in
 //!   lockstep. All per-lane state (register scoreboard, rings, store
@@ -34,14 +37,6 @@
 //! its own freshly transposed mask stream, so a ragged tail never runs
 //! against a stale mask (`lane_chunks` is unit-tested for every count).
 //!
-//! Independent prepared traces can additionally be *interleaved* through
-//! [`simulate_interleaved`]: each trace's lane chunks become resumable
-//! cursors that round-robin in bounded instruction slices, so two
-//! workloads' table-miss stalls overlap instead of serializing. Cursors
-//! share no state, so the result is exactly the per-group
-//! [`SweepReplay::simulate_many`] output regardless of interleave
-//! granularity.
-//!
 //! Replay is **bit-identical** to the scalar loop: every lane performs the
 //! same integer arithmetic in the same order as one
 //! [`simulate`](crate::simulate) call, and the `bp-metrics` pipeline
@@ -51,12 +46,12 @@
 //! `tests/differential.rs` at the workspace root, and the unchanged
 //! golden fixtures lock this in.
 
-use bp_trace::{InstClass, ReadTraceError, Trace, TraceReader, NUM_REGS};
+use bp_trace::{InstClass, ReadTraceError, RetiredInst, Trace, TraceReader, NUM_REGS};
 
 use crate::cache::{CacheConfig, CacheModel};
 use crate::config::PipelineConfig;
 use crate::lanes::{CycleWord, LaneVec};
-use crate::scoreboard::{AddrMap, PipeCounters, SimStats};
+use crate::scoreboard::{exec_latency, AddrMap, PipeCounters, SimStats};
 
 /// Source-register slot that always reads 0 (encodes `src: None`).
 const ZERO_SLOT: u8 = NUM_REGS as u8;
@@ -170,8 +165,10 @@ fn compact_store_links(insts: &mut [PreparedInst], stores: u32) -> u32 {
 struct RangeAcc {
     insts: Vec<PreparedInst>,
     /// Global store ordinal when the range began (links below it point
-    /// at stores outside the range and are dropped).
+    /// at stores outside the range and are dropped) and after its last
+    /// record.
     stores_before: u64,
+    stores_after: u64,
     started: bool,
     /// `(l2 hits, memory accesses)` cache counters at range entry/exit,
     /// for the per-range bandwidth floor.
@@ -206,25 +203,26 @@ pub(crate) fn ranges_at(ranges: &[(u64, u64)], idx: u64, active: &mut Vec<usize>
     );
 }
 
-/// Incremental multi-range preparation with *functionally warmed*
-/// microarchitectural state.
+/// Multi-range preparation with *functionally warmed*
+/// microarchitectural state — the one walk that encodes records into
+/// [`PreparedInst`]s.
 ///
-/// [`SweepReplay::prepare`] starts its cache model and store-forwarding
-/// map cold, which is exact for whole traces but systematically biases a
-/// mid-trace excerpt: its first thousands of loads would miss a cache
-/// the full replay has long since warmed. `RangePreparer` instead runs
-/// one cache model and one forwarding map continuously over the *entire*
-/// stream — feeding every record — while emitting prepared instructions
-/// only for the requested record ranges. Sampled replay
-/// ([`crate::SampledReplay`]) uses this so a representative interval's
-/// load latencies are the ones the full replay would have seen.
+/// The preparer runs one cache model and one forwarding map continuously
+/// over the *entire* stream — feeding every record — while emitting
+/// prepared instructions only for the requested record ranges.
+/// [`SweepReplay::prepare`] asks for the single whole-stream range
+/// `(0, u64::MAX)`. Sampled replay ([`crate::SampledReplay`]) asks for
+/// each segment and its warm-up prefix: a mid-trace excerpt prepared
+/// cold would see its first thousands of loads miss a cache the full
+/// replay has long since warmed, so warming keeps a representative
+/// interval's load latencies the ones the full replay would have seen.
 ///
 /// Ranges may overlap (a warm-up prefix sharing records with a
 /// neighbouring interval); each range accounts independently. A load
 /// whose forwarding store precedes the range keeps its cache latency but
 /// drops the forwarding link — the store's ready cycle does not exist
 /// inside the excerpt.
-pub struct RangePreparer {
+pub(crate) struct RangePreparer {
     cache: CacheModel,
     last_store: AddrMap,
     stores: u64,
@@ -238,22 +236,37 @@ pub struct RangePreparer {
 }
 
 impl RangePreparer {
-    /// A preparer collecting `ranges` (each `[lo, hi)` in record
-    /// coordinates) under `config`'s cache hierarchy and multiply
-    /// latency.
-    #[must_use]
-    pub fn new(config: &PipelineConfig, ranges: &[(u64, u64)]) -> Self {
-        RangePreparer {
+    /// Streams all of `reader` through a preparer collecting `ranges`
+    /// (each `[lo, hi)` in record coordinates) under `config`'s cache
+    /// hierarchy and multiply latency, polling cancellation at `site`
+    /// once per chunk, so a cancelled prepare stops within one streamed
+    /// block. Returns one [`SweepReplay`] per range, in order — a range
+    /// the stream never reached yields an empty replay — and the number
+    /// of records read.
+    pub(crate) fn run<R: TraceReader>(
+        mut reader: R,
+        config: &PipelineConfig,
+        ranges: &[(u64, u64)],
+        site: &str,
+    ) -> Result<(Vec<SweepReplay>, u64), ReadTraceError> {
+        // The hint may come from an untrusted file header: it seeds each
+        // range's capacity (so a whole trace prepares without growing its
+        // buffer) but is never trusted with a huge allocation.
+        let hint = reader.len_hint().map_or(0, |n| n.min(1 << 20));
+        let mut preparer = RangePreparer {
             cache: CacheModel::new(config.cache.clone()),
+            // Starts small: store-free traces then cost one 16KB table,
+            // and pre-sizing from the length hint measured slower.
             last_store: AddrMap::with_capacity(1024),
             stores: 0,
             offset: 0,
             ranges: ranges.to_vec(),
             accs: ranges
                 .iter()
-                .map(|_| RangeAcc {
-                    insts: Vec::new(),
+                .map(|&(lo, hi)| RangeAcc {
+                    insts: Vec::with_capacity(hi.min(hint).saturating_sub(lo) as usize),
                     stores_before: 0,
+                    stores_after: 0,
                     started: false,
                     cache_before: (0, 0),
                     cache_after: (0, 0),
@@ -264,7 +277,13 @@ impl RangePreparer {
             active: Vec::with_capacity(ranges.len()),
             cache_config: config.cache.clone(),
             mul_latency: config.mul_latency,
+        };
+        while let Some(chunk) = reader.next_chunk()? {
+            bp_metrics::cancel::checkpoint(site);
+            preparer.feed(chunk);
         }
+        let records = preparer.offset;
+        Ok((preparer.finish(), records))
     }
 
     /// Feeds the next records of the stream, in order. Every record
@@ -272,7 +291,7 @@ impl RangePreparer {
     /// range are additionally prepared into it. The chunk is walked in
     /// runs between range boundaries, so records outside every range pay
     /// only the warming.
-    pub fn feed(&mut self, chunk: &[bp_trace::RetiredInst]) {
+    fn feed(&mut self, chunk: &[RetiredInst]) {
         let first = self.offset;
         let end = first + chunk.len() as u64;
         while self.offset < end {
@@ -295,21 +314,17 @@ impl RangePreparer {
     /// Returns its latency, the ordinal of the store a load forwards
     /// from, and a store's own ordinal.
     #[inline]
-    fn warm(&mut self, inst: &bp_trace::RetiredInst) -> (u32, Option<u64>, Option<u64>) {
+    fn warm(&mut self, inst: &RetiredInst) -> (u32, Option<u64>, Option<u64>) {
+        let latency = exec_latency(inst, &mut self.cache, self.mul_latency);
         match inst.class {
-            InstClass::Load => {
-                let latency = self.cache.access(inst.mem_addr);
-                (latency, self.last_store.get(inst.mem_addr), None)
-            }
+            InstClass::Load => (latency, self.last_store.get(inst.mem_addr), None),
             InstClass::Store => {
-                let _ = self.cache.access(inst.mem_addr);
                 let ord = self.stores;
                 self.last_store.insert(inst.mem_addr, ord);
                 self.stores += 1;
-                (1, None, Some(ord))
+                (latency, None, Some(ord))
             }
-            InstClass::Mul => (self.mul_latency, None, None),
-            _ => (1, None, None),
+            _ => (latency, None, None),
         }
     }
 
@@ -321,7 +336,7 @@ impl RangePreparer {
 
     /// Warms over `run`, a run of records inside every `active` range,
     /// and prepares each record into each of those ranges.
-    fn prepare_run(&mut self, run: &[bp_trace::RetiredInst]) {
+    fn prepare_run(&mut self, run: &[RetiredInst]) {
         let counts = self.cache_counts();
         for &a in &self.active {
             let acc = &mut self.accs[a];
@@ -366,38 +381,26 @@ impl RangePreparer {
         let counts = self.cache_counts();
         for &a in &self.active {
             self.accs[a].cache_after = counts;
+            self.accs[a].stores_after = self.stores;
         }
     }
 
-    /// Records fed so far.
-    #[must_use]
-    pub fn records_fed(&self) -> u64 {
-        self.offset
-    }
-
     /// Finishes the pass: one [`SweepReplay`] per requested range, in
-    /// order. A range the stream never reached yields an empty replay
-    /// ([`SweepReplay::is_empty`]).
-    #[must_use]
-    pub fn finish(self) -> Vec<SweepReplay> {
+    /// order.
+    fn finish(self) -> Vec<SweepReplay> {
         let cache_config = self.cache_config;
         let mul_latency = self.mul_latency;
         self.accs
             .into_iter()
             .map(|mut acc| {
-                let stores = acc
-                    .insts
-                    .iter()
-                    .filter(|i| i.kind & KIND_STORE != 0)
-                    .count() as u32;
+                let stores = (acc.stores_after - acc.stores_before) as u32;
                 let forwarded = compact_store_links(&mut acc.insts, stores);
                 // Per-range bandwidth floor from the cache-counter deltas
                 // this range's accesses produced.
                 let l2_accesses =
                     (acc.cache_after.0 + acc.cache_after.1) - (acc.cache_before.0 + acc.cache_before.1);
                 let misses = acc.cache_after.1 - acc.cache_before.1;
-                let floor_cycles = (l2_accesses * u64::from(cache_config.l2_service))
-                    .max(misses * u64::from(cache_config.mem_service));
+                let floor_cycles = cache_config.bandwidth_floor(l2_accesses, misses);
                 SweepReplay {
                     insts: acc.insts,
                     cond_branches: acc.cond_branches,
@@ -425,88 +428,19 @@ impl SweepReplay {
     /// stream chunk-by-chunk, so preparing from a block-wise file decoder
     /// never materializes the trace — only the 12-byte prepared form is
     /// kept. The prepared replay is bit-identical to one built from the
-    /// same records in memory.
+    /// same records in memory, at any chunking: it is the whole-stream
+    /// range of the same warmed preparer sampled replay uses.
     ///
     /// # Errors
     ///
     /// Propagates any [`ReadTraceError`] from the underlying stream.
     pub fn prepare<R: TraceReader>(
-        mut reader: R,
+        reader: R,
         config: &PipelineConfig,
     ) -> Result<Self, ReadTraceError> {
-        let len_hint = reader
-            .len_hint()
-            .map_or(0, |n| usize::try_from(n).unwrap_or(usize::MAX))
-            // The hint may come from an untrusted file header: seed
-            // capacities, don't trust it with a huge allocation.
-            .min(1 << 20);
-        let mut cache = CacheModel::new(config.cache.clone());
-        // Latest store ordinal per address — the prepare-time equivalent
-        // of the scalar loop's forwarding map, on the same SipHash-free
-        // open-addressed map the scalar loop uses.
-        let mut last_store = AddrMap::with_capacity(len_hint / 4);
-        let mut insts = Vec::with_capacity(len_hint);
-        let mut stores = 0u32;
-        let mut cond_branches = 0usize;
-        let mut latency_sum = 0u64;
-        while let Some(chunk) = reader.next_chunk()? {
-            // Cooperative cancellation at chunk granularity: a cancelled
-            // prepare stops within one streamed block.
-            bp_metrics::cancel::checkpoint("sweep.prepare");
-            for inst in chunk {
-                let latency = match inst.class {
-                    InstClass::Load => cache.access(inst.mem_addr),
-                    InstClass::Mul => config.mul_latency,
-                    InstClass::Store => {
-                        // Stores retire from the store buffer; they still
-                        // allocate the line so later loads hit.
-                        let _ = cache.access(inst.mem_addr);
-                        1
-                    }
-                    _ => 1,
-                };
-                latency_sum += u64::from(latency);
-                let mut kind = 0u8;
-                let mut link = u32::MAX;
-                match inst.class {
-                    InstClass::Load => {
-                        if let Some(ord) = last_store.get(inst.mem_addr) {
-                            kind |= KIND_LOAD_FWD;
-                            link = ord as u32;
-                        }
-                    }
-                    InstClass::Store => {
-                        kind |= KIND_STORE;
-                        link = stores;
-                        last_store.insert(inst.mem_addr, u64::from(stores));
-                        stores += 1;
-                    }
-                    _ => {}
-                }
-                if inst.is_conditional_branch() {
-                    kind |= KIND_BRANCH;
-                    cond_branches += 1;
-                }
-                insts.push(PreparedInst {
-                    src1: inst.src1.map_or(ZERO_SLOT, |r| r.index() as u8),
-                    src2: inst.src2.map_or(ZERO_SLOT, |r| r.index() as u8),
-                    dst: inst.dst.map_or(DUMP_SLOT, |r| r.index() as u8),
-                    kind,
-                    latency,
-                    link,
-                });
-            }
-        }
-        let forwarded = compact_store_links(&mut insts, stores);
-        Ok(SweepReplay {
-            insts,
-            cond_branches,
-            store_slots: forwarded as usize,
-            floor_cycles: cache.bandwidth_floor_cycles(),
-            latency_sum,
-            cache: config.cache.clone(),
-            mul_latency: config.mul_latency,
-        })
+        let (mut replays, _) =
+            RangePreparer::run(reader, config, &[(0, u64::MAX)], "sweep.prepare")?;
+        Ok(replays.pop().expect("one replay per range"))
     }
 
     /// Instructions in the prepared trace.
@@ -532,9 +466,7 @@ impl SweepReplay {
     #[must_use]
     pub fn simulate(&self, mispredicted: &[bool], config: &PipelineConfig) -> SimStats {
         let mut out = [SimStats::default()];
-        let mut cursor = self.chunk_cursor(&[mispredicted], config);
-        drive_to_end(cursor.as_mut());
-        cursor.finish(&mut out);
+        self.replay_chunk(&[mispredicted], config, &mut out);
         out[0]
     }
 
@@ -559,9 +491,11 @@ impl SweepReplay {
         let mut done = 0;
         while done < flag_streams.len() {
             let take = lane_chunk(flag_streams.len() - done);
-            let mut cursor = self.chunk_cursor(&flag_streams[done..done + take], config);
-            drive_to_end(cursor.as_mut());
-            cursor.finish(&mut out[done..done + take]);
+            self.replay_chunk(
+                &flag_streams[done..done + take],
+                config,
+                &mut out[done..done + take],
+            );
             done += take;
         }
         out
@@ -583,17 +517,14 @@ impl SweepReplay {
             + self.cond_branches as u64 * u64::from(config.mispredict_penalty)
     }
 
-    /// Builds the monomorphized resumable cursor for one lane chunk.
+    /// Replays one lane chunk through its monomorphized loop and writes
+    /// one [`SimStats`] per stream of `flags` into `out`.
     ///
     /// Lane word width is chosen per call: when [`Self::cycle_bound`]
     /// fits in 32 bits — every realistically-sized trace — lanes run on
     /// `u32` timestamps, halving lane-state memory traffic and doubling
     /// SIMD density; otherwise the `u64` path keeps the result exact.
-    fn chunk_cursor<'a>(
-        &'a self,
-        flags: &[&'a [bool]],
-        config: &PipelineConfig,
-    ) -> Box<dyn LaneCursor + 'a> {
+    fn replay_chunk(&self, flags: &[&[bool]], config: &PipelineConfig, out: &mut [SimStats]) {
         assert!(
             config.cache == self.cache && config.mul_latency == self.mul_latency,
             "SweepReplay prepared under a different cache/mul-latency configuration"
@@ -605,33 +536,32 @@ impl SweepReplay {
                 match (flags.len(), metrics, narrow) {
                     $(
                         ($k, false, true) => {
-                            Box::new(ChunkCursor::<$k, false, u32>::new(self, flags, config)) as _
+                            ChunkCursor::<$k, false, u32>::new(self, flags, config).run(out)
                         }
                         ($k, true, true) => {
-                            Box::new(ChunkCursor::<$k, true, u32>::new(self, flags, config)) as _
+                            ChunkCursor::<$k, true, u32>::new(self, flags, config).run(out)
                         }
                         ($k, false, false) => {
-                            Box::new(ChunkCursor::<$k, false, u64>::new(self, flags, config)) as _
+                            ChunkCursor::<$k, false, u64>::new(self, flags, config).run(out)
                         }
                         ($k, true, false) => {
-                            Box::new(ChunkCursor::<$k, true, u64>::new(self, flags, config)) as _
+                            ChunkCursor::<$k, true, u64>::new(self, flags, config).run(out)
                         }
                     )*
                     (k, ..) => unreachable!("unsupported lane count {k}"),
                 }
             };
         }
-        dispatch!(1, 2, 4, 8, 16)
+        dispatch!(1, 2, 4, 8, 16);
     }
 }
 
 /// The largest supported lane-chunk size ≤ `left`.
 ///
-/// `simulate_many` and the interleave cursors decompose any stream count
-/// into chunks of these sizes; because every chunk transposes its own
-/// flag streams into a fresh mask vector, a ragged tail (say 3 streams
-/// after a 16-lane chunk) can never replay against a previous chunk's
-/// mask.
+/// `simulate_many` decomposes any stream count into chunks of these
+/// sizes; because every chunk transposes its own flag streams into a
+/// fresh mask vector, a ragged tail (say 3 streams after a 16-lane
+/// chunk) can never replay against a previous chunk's mask.
 fn lane_chunk(left: usize) -> usize {
     debug_assert!(left > 0);
     match left {
@@ -641,19 +571,6 @@ fn lane_chunk(left: usize) -> usize {
         2.. => 2,
         _ => 1,
     }
-}
-
-/// A resumable lane-chunk replay: the monomorphized hot loop behind both
-/// [`SweepReplay::simulate_many`] (one `advance(usize::MAX)`) and
-/// [`simulate_interleaved`] (bounded `advance` slices, round-robin).
-trait LaneCursor {
-    /// Replays up to `n` further prepared instructions; returns `true`
-    /// while instructions remain.
-    fn advance(&mut self, n: usize) -> bool;
-    /// Writes the final per-lane [`SimStats`] (and `bp-metrics` pipeline
-    /// counters) once the cursor has been advanced to the end of the
-    /// trace. `out` must hold exactly this chunk's lane count.
-    fn finish(self: Box<Self>, out: &mut [SimStats]);
 }
 
 /// The per-chunk lockstep replay state: the scalar `simulate_impl`
@@ -727,11 +644,28 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
             cond_branches: 0,
         }
     }
-}
 
-impl<const K: usize, const METRICS: bool, C: CycleWord> LaneCursor
-    for ChunkCursor<'_, K, METRICS, C>
-{
+    /// Replays the whole prepared trace and writes the per-lane results
+    /// into `out`. Without a cancellation scope (every production run)
+    /// this is one `advance(usize::MAX)`; under a scope the chunk
+    /// advances in [`CANCEL_SLICE`] steps with a cancellation checkpoint
+    /// before each slice.
+    fn run(mut self, out: &mut [SimStats]) {
+        if bp_metrics::cancel::active() {
+            loop {
+                bp_metrics::cancel::checkpoint("sweep.replay");
+                if !self.advance(CANCEL_SLICE) {
+                    break;
+                }
+            }
+        } else {
+            self.advance(usize::MAX);
+        }
+        self.finish(out);
+    }
+
+    /// Replays up to `n` further prepared instructions; returns `true`
+    /// while instructions remain.
     fn advance(&mut self, n: usize) -> bool {
         let end = self.pos.saturating_add(n).min(self.replay.insts.len());
         // Hot lane vectors live in locals across the slice so the
@@ -801,9 +735,12 @@ impl<const K: usize, const METRICS: bool, C: CycleWord> LaneCursor
         self.pos < self.replay.insts.len()
     }
 
-    fn finish(self: Box<Self>, out: &mut [SimStats]) {
+    /// Writes the final per-lane [`SimStats`] (and `bp-metrics` pipeline
+    /// counters) once the chunk has been advanced to the end of the
+    /// trace. `out` must hold exactly this chunk's lane count.
+    fn finish(self, out: &mut [SimStats]) {
         assert_eq!(out.len(), K, "output slice matches lane count");
-        assert_eq!(self.pos, self.replay.insts.len(), "cursor fully advanced");
+        assert_eq!(self.pos, self.replay.insts.len(), "chunk fully advanced");
         let n = self.replay.insts.len() as u64;
         for s in out.iter_mut() {
             *s = SimStats {
@@ -839,124 +776,9 @@ impl<const K: usize, const METRICS: bool, C: CycleWord> LaneCursor
     }
 }
 
-/// One prepared trace plus its flag streams and pipeline configuration,
-/// for [`simulate_interleaved`].
-pub struct InterleaveGroup<'a> {
-    replay: &'a SweepReplay,
-    flags: &'a [&'a [bool]],
-    config: &'a PipelineConfig,
-}
-
-impl<'a> InterleaveGroup<'a> {
-    /// Bundles a prepared trace with the flag streams to replay against
-    /// it and the pipeline configuration to replay under. The usual
-    /// [`SweepReplay::simulate_many`] rules apply per group: every stream
-    /// needs one flag per conditional branch, and `config` must share the
-    /// preparation's cache hierarchy and multiply latency.
-    #[must_use]
-    pub fn new(
-        replay: &'a SweepReplay,
-        flags: &'a [&'a [bool]],
-        config: &'a PipelineConfig,
-    ) -> Self {
-        InterleaveGroup {
-            replay,
-            flags,
-            config,
-        }
-    }
-}
-
 /// Slice size for cancellable replay: matches the 16K-record streaming
 /// block, so a cancelled study stops within one block of work.
 const CANCEL_SLICE: usize = 16 * 1024;
-
-/// Runs a cursor to exhaustion. Without a cancellation scope (every
-/// production run) this is the single `advance(usize::MAX)` fast path;
-/// under a scope the cursor advances in [`CANCEL_SLICE`] steps with a
-/// cancellation checkpoint between slices.
-fn drive_to_end(cursor: &mut (dyn LaneCursor + '_)) {
-    if !bp_metrics::cancel::active() {
-        cursor.advance(usize::MAX);
-        return;
-    }
-    loop {
-        bp_metrics::cancel::checkpoint("sweep.replay");
-        if !cursor.advance(CANCEL_SLICE) {
-            return;
-        }
-    }
-}
-
-/// Replays several independent prepared traces in interleaved lockstep.
-///
-/// Each group's lane chunks become resumable cursors; the cursors
-/// round-robin in `granularity`-instruction slices until every trace is
-/// exhausted. Interleaving lets one workload's compute-bound stretches
-/// overlap another's prepared-record and mask cache misses — the two
-/// streams prefetch independently — without threads.
-///
-/// Cursors share no state, so the output is **exactly** what each group's
-/// [`SweepReplay::simulate_many`] call would return, for every
-/// granularity (including `usize::MAX`, which degenerates to sequential
-/// replay); `crates/pipeline/tests/lane_properties.rs` locks this in.
-/// Returns one `Vec<SimStats>` per group, in group order.
-///
-/// # Panics
-///
-/// Panics if `granularity` is 0, or on any per-group violation of the
-/// [`SweepReplay::simulate_many`] contract (short flag streams, cache or
-/// multiply-latency mismatch).
-#[must_use]
-pub fn simulate_interleaved(
-    groups: &[InterleaveGroup<'_>],
-    granularity: usize,
-) -> Vec<Vec<SimStats>> {
-    assert!(granularity > 0, "interleave granularity must be positive");
-    struct Slot<'a> {
-        cursor: Box<dyn LaneCursor + 'a>,
-        group: usize,
-        lanes: std::ops::Range<usize>,
-        live: bool,
-    }
-    let mut slots: Vec<Slot<'_>> = Vec::new();
-    for (g, group) in groups.iter().enumerate() {
-        let mut done = 0;
-        while done < group.flags.len() {
-            let take = lane_chunk(group.flags.len() - done);
-            slots.push(Slot {
-                cursor: group
-                    .replay
-                    .chunk_cursor(&group.flags[done..done + take], group.config),
-                group: g,
-                lanes: done..done + take,
-                live: !group.replay.is_empty(),
-            });
-            done += take;
-        }
-    }
-    let mut any_live = slots.iter().any(|s| s.live);
-    while any_live {
-        // One cancellation poll per round-robin round: each round is at
-        // most `granularity` instructions per cursor.
-        bp_metrics::cancel::checkpoint("sweep.replay");
-        any_live = false;
-        for slot in &mut slots {
-            if slot.live {
-                slot.live = slot.cursor.advance(granularity);
-                any_live |= slot.live;
-            }
-        }
-    }
-    let mut out: Vec<Vec<SimStats>> = groups
-        .iter()
-        .map(|g| vec![SimStats::default(); g.flags.len()])
-        .collect();
-    for slot in slots {
-        slot.cursor.finish(&mut out[slot.group][slot.lanes]);
-    }
-    out
-}
 
 /// A per-lane timestamp ring read at two different lags.
 ///
@@ -1216,27 +1038,6 @@ mod tests {
         let stats = sweep.simulate_many(&[&[], &[]], &cfg());
         assert_eq!(stats[0], simulate(&t, &[], &cfg()));
         assert_eq!(stats[1], simulate(&t, &[], &cfg()));
-    }
-
-    #[test]
-    fn empty_trace_interleaves_fine() {
-        let t = Trace::new(TraceMeta::new("empty", 0));
-        let (t2, branches) = mixed_trace(2_000);
-        let c = cfg();
-        let empty = SweepReplay::new(&t, &c);
-        let full = SweepReplay::new(&t2, &c);
-        let flags = flag_stream(branches, 9, 15);
-        let empty_flags: [&[bool]; 1] = [&[]];
-        let full_flags: [&[bool]; 1] = [&flags];
-        let out = simulate_interleaved(
-            &[
-                InterleaveGroup::new(&empty, &empty_flags, &c),
-                InterleaveGroup::new(&full, &full_flags, &c),
-            ],
-            64,
-        );
-        assert_eq!(out[0][0], simulate(&t, &[], &c));
-        assert_eq!(out[1][0], simulate(&t2, &flags, &c));
     }
 
     #[test]

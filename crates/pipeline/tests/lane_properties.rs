@@ -1,5 +1,5 @@
-//! Property tests for the lane-vector primitives and the interleaved
-//! replay scheduler.
+//! Property tests for the lane-vector primitives and the chunked lane
+//! decomposition.
 //!
 //! Every [`LaneVec`] operation is required to be the exact lane-wise lift
 //! of its scalar counterpart — lane `k` of the output depends only on
@@ -9,13 +9,12 @@
 //! for both cycle-word widths, comparing against a direct per-lane
 //! scalar loop.
 //!
-//! The interleave tests prove the scheduler property the grid study
-//! depends on: [`simulate_interleaved`] returns exactly each group's
-//! [`SweepReplay::simulate_many`] result for *any* interleave
-//! granularity, because cursors share no state.
+//! The ragged-count test proves what the grid study depends on:
+//! [`SweepReplay::simulate_many`] returns exactly one result per stream
+//! for any stream count, each equal to that stream's solo replay.
 
 use bp_pipeline::lanes::{CycleWord, LaneVec};
-use bp_pipeline::{simulate_interleaved, InterleaveGroup, PipelineConfig, SweepReplay};
+use bp_pipeline::{PipelineConfig, SweepReplay};
 use bp_trace::{InstClass, Reg, RetiredInst, Trace, TraceMeta};
 
 /// Deterministic 64-bit LCG (same multiplier the in-crate tests use).
@@ -184,60 +183,6 @@ fn flag_streams(branches: usize, count: u64, seed: u64) -> Vec<Vec<bool>> {
                 .collect()
         })
         .collect()
-}
-
-#[test]
-fn interleave_output_is_independent_of_granularity() {
-    let cfg = PipelineConfig::skylake();
-    // Deliberately unequal lengths and ragged lane counts: 11 lanes
-    // (8 + 2 + 1 chunks) and 5 lanes (4 + 1), so chunks finish at
-    // different times within and across groups.
-    let (ta, ba) = mixed_trace("ia", 7, 12_000);
-    let (tb, bb) = mixed_trace("ib", 1009, 4_500);
-    let fa = flag_streams(ba, 11, 21);
-    let fb = flag_streams(bb, 5, 77);
-    let ra: Vec<&[bool]> = fa.iter().map(Vec::as_slice).collect();
-    let rb: Vec<&[bool]> = fb.iter().map(Vec::as_slice).collect();
-    let sa = SweepReplay::new(&ta, &cfg);
-    let sb = SweepReplay::new(&tb, &cfg);
-    let scaled = cfg.scaled(8);
-
-    let expect = vec![sa.simulate_many(&ra, &scaled), sb.simulate_many(&rb, &scaled)];
-    for granularity in [1, 7, 1000, 16_384, usize::MAX] {
-        let groups = [
-            InterleaveGroup::new(&sa, &ra, &scaled),
-            InterleaveGroup::new(&sb, &rb, &scaled),
-        ];
-        assert_eq!(
-            simulate_interleaved(&groups, granularity),
-            expect,
-            "granularity {granularity}"
-        );
-    }
-}
-
-#[test]
-fn interleave_handles_mixed_configs_and_single_group() {
-    let base = PipelineConfig::skylake();
-    let (t, b) = mixed_trace("solo", 41, 6_000);
-    let flags = flag_streams(b, 3, 5);
-    let refs: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
-    let sweep = SweepReplay::new(&t, &base);
-    // Two groups may replay the same prepared trace at different scales.
-    let c1 = base.scaled(1);
-    let c2 = base.scaled(32);
-    let expect = vec![
-        sweep.simulate_many(&refs, &c1),
-        sweep.simulate_many(&refs, &c2),
-    ];
-    let groups = [
-        InterleaveGroup::new(&sweep, &refs, &c1),
-        InterleaveGroup::new(&sweep, &refs, &c2),
-    ];
-    assert_eq!(simulate_interleaved(&groups, 13), expect);
-    // A single group degenerates to plain simulate_many.
-    let solo = [InterleaveGroup::new(&sweep, &refs, &c1)];
-    assert_eq!(simulate_interleaved(&solo, 3)[0], expect[0]);
 }
 
 #[test]

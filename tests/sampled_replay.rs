@@ -21,7 +21,9 @@
 
 use branch_lab::analysis::bbv;
 use branch_lab::core::{DatasetConfig, Engine, SamplingConfig};
-use branch_lab::pipeline::{PipelineConfig, SampledReplay, SamplePlan, SampleSegment, SweepReplay};
+use branch_lab::pipeline::{
+    simulate, PipelineConfig, SampledReplay, SamplePlan, SampleSegment, SweepReplay,
+};
 use branch_lab::predictors::{misprediction_flags, DirectionPredictor, TageScL};
 use branch_lab::trace::{
     profile_intervals, BptrReader, InstClass, IntervalProfile, ReadTraceError, Reg, RetiredInst,
@@ -177,12 +179,14 @@ fn profiles_identical_across_thread_counts() {
 }
 
 /// A random sampling plan over a `len`-record trace: interval 0, two
-/// adjacent intervals, the EOF-truncated last interval, and one interval
+/// adjacent intervals, the EOF-truncated last interval, the interval
+/// just past the end, whose warm-up prefix starts before EOF whenever
+/// the warm-up is at least one interval (dropped), and one interval
 /// wholly past the end, warm-up included (dropped).
 fn random_plan(g: &mut Gen, len: usize, interval_len: usize, warmup: usize) -> SamplePlan {
     let last = len / interval_len;
     let mid = g.range(1, last - 1);
-    let segments = [0, mid, mid + 1, last, last + 4]
+    let segments = [0, mid, mid + 1, last, last + 1, last + 4]
         .into_iter()
         .map(|interval| SampleSegment {
             interval,
@@ -201,6 +205,10 @@ fn random_plan(g: &mut Gen, len: usize, interval_len: usize, warmup: usize) -> S
 /// warmed lane is exactly its segment's slice of one full
 /// `misprediction_flags` pass (a continuously trained predictor), and
 /// the weighted estimate does not depend on how the stream is chunked.
+/// The same chunked readers feed the whole-trace prepare, which must
+/// replay the full flags exactly as the scalar model does; every load
+/// and store of `random_trace` uses address 0, so loads forward across
+/// every chunk edge.
 #[test]
 fn sampled_walks_match_full_flags_at_any_chunking() {
     let cfg = PipelineConfig::skylake();
@@ -227,8 +235,11 @@ fn sampled_walks_match_full_flags_at_any_chunking() {
         let mut reference = None;
         for step in [1, 7, 64, len] {
             let chunked = || Chunked { t: &t, at: 0, step };
-            let sampled = SampledReplay::prepare(chunked(), &cfg, &plan).unwrap();
             let ctx = format!("seed {seed} step {step} warmup {warmup}");
+            let whole = SweepReplay::prepare(chunked(), &cfg).unwrap();
+            let scalar = simulate(&t, &full, &cfg);
+            assert_eq!(whole.simulate(&full, &cfg), scalar, "{ctx}: whole trace");
+            let sampled = SampledReplay::prepare(chunked(), &cfg, &plan).unwrap();
             // The segment past EOF is dropped.
             assert_eq!(sampled.num_segments(), 4, "{ctx}: segments");
             let (_, cut_end) = sampled.segment_record_range(3);
