@@ -7,7 +7,8 @@
 
 use std::collections::HashSet;
 
-use bp_trace::SliceConfig;
+use bp_predictors::DirectionPredictor;
+use bp_trace::{SliceConfig, Trace};
 
 use crate::profile::BranchProfile;
 
@@ -69,6 +70,26 @@ impl H2pCriteria {
     #[must_use]
     pub fn screen_set(&self, profile: &BranchProfile, slice: SliceConfig) -> HashSet<u64> {
         self.screen(profile, slice).into_iter().collect()
+    }
+
+    /// Screens every slice of `trace` with one continuously trained
+    /// `predictor`, as the paper's methodology does, returning the
+    /// whole-trace profile (the per-slice profiles merged) and the union
+    /// of the per-slice H2P sets.
+    pub fn screen_slices(
+        &self,
+        predictor: &mut dyn DirectionPredictor,
+        trace: &Trace,
+        slice: SliceConfig,
+    ) -> (BranchProfile, HashSet<u64>) {
+        let mut merged = BranchProfile::new();
+        let mut h2ps = HashSet::new();
+        for insts in trace.slices(slice) {
+            let profile = BranchProfile::collect(predictor, insts);
+            h2ps.extend(self.screen(&profile, slice));
+            merged.merge(&profile);
+        }
+        (merged, h2ps)
     }
 }
 
@@ -161,6 +182,26 @@ mod tests {
         assert!((paper_equivalent(10, 2_000_000) - 150.0).abs() < 1e-9);
         assert!((paper_equivalent(0, 100) - 0.0).abs() < 1e-12);
         assert_eq!(paper_equivalent(5, 0), 0.0);
+    }
+
+    #[test]
+    fn screen_slices_unions_per_slice_screens_and_merges_profiles() {
+        // First half: 0xA at 75% accuracy plus five taken 0xB; second
+        // half: 0xB alone at 71%. Each half screens one IP, the union
+        // holds both, and the merged profile sums the halves.
+        let mut t = Trace::new(bp_trace::TraceMeta::new("screen", 0));
+        for (ip, taken, not_taken) in [(0xA, 150, 50), (0xB, 150, 60)] {
+            for i in 0..taken + not_taken {
+                t.push(RetiredInst::cond_branch(ip, i < taken, 0, None, None));
+            }
+        }
+        let half = SliceConfig::new(t.len() / 2);
+        let (merged, h2ps) = H2pCriteria::paper().screen_slices(&mut AlwaysTaken, &t, half);
+        assert_eq!(h2ps, HashSet::from([0xA, 0xB]));
+        assert_eq!(merged.instructions, t.len() as u64);
+        let counts = |ip| merged.get(ip).map(|s| (s.execs, s.mispredicts));
+        assert_eq!(counts(0xA), Some((200, 50)));
+        assert_eq!(counts(0xB), Some((210, 60)));
     }
 
     #[test]

@@ -47,9 +47,7 @@ use std::process::ExitCode;
 
 use bp_bench::perf::{self, PerfReport};
 use bp_pipeline::{simulate, PipelineConfig, SweepReplay};
-use bp_predictors::{
-    misprediction_flags, sweep_flags, DirectionPredictor, PredictorSpec, TageScL, TageSclConfig,
-};
+use bp_predictors::{misprediction_flags, sweep_flags, PredictorSpec, TageScL, TageSclConfig};
 use bp_trace::{BptrReader, TraceReader};
 use bp_workloads::{lcf_suite, specint_suite};
 
@@ -234,14 +232,9 @@ fn run_suite(opts: &Options) -> PerfReport {
         warmup,
         samples,
         || {
-            let mut predictors: Vec<Box<dyn DirectionPredictor>> = TageSclConfig::STORAGE_POINTS_KB
-                .iter()
-                .map(|&kb| {
-                    Box::new(TageScL::new(TageSclConfig::storage_kb(kb)))
-                        as Box<dyn DirectionPredictor>
-                })
-                .collect();
-            let per_storage = sweep_flags(&mut predictors, &lcf_trace);
+            let mut predictors = PredictorSpec::build_all(&PredictorSpec::storage_points());
+            let per_storage = sweep_flags(&mut predictors, lcf_trace.reader(), None)
+                .expect("in-memory reader cannot fail");
             let perfect = vec![false; lcf_trace.conditional_branch_count()];
             let mut lanes: Vec<&[bool]> = Vec::with_capacity(per_storage.len() + 2);
             lanes.push(&per_storage[0]);
@@ -303,7 +296,8 @@ fn run_suite(opts: &Options) -> PerfReport {
         samples,
         || {
             let mut predictors = PredictorSpec::build_all(&grid_specs);
-            let per_spec = sweep_flags(&mut predictors, &lcf_trace);
+            let per_spec = sweep_flags(&mut predictors, lcf_trace.reader(), None)
+                .expect("in-memory reader cannot fail");
             let lanes: Vec<&[bool]> = per_spec.iter().map(Vec::as_slice).collect();
             let sweep = SweepReplay::new(&lcf_trace, &cfg);
             let mut cycles = 0u64;

@@ -1,7 +1,9 @@
 //! A minimal, dependency-free benchmark harness for branch-lab.
 //!
 //! The build environment is fully offline, so instead of criterion the
-//! bench targets use this small fixed-format harness: one warm-up call,
+//! `metrics_overhead` bench uses this small fixed-format harness (the
+//! gated throughput benchmarks live in [`perf`], driven by the `bp-perf`
+//! binary): one warm-up call,
 //! a configured number of timed samples, and a one-line report with the
 //! median/min wall time plus element throughput when available. Output
 //! lines are stable (`group/name: ...`) so before/after numbers can be
@@ -10,8 +12,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// A named group of related benchmarks, mirroring the criterion API shape
-/// the benches were originally written against.
+/// A named group of related benchmarks, mirroring the criterion API
+/// shape.
 pub struct BenchGroup {
     name: String,
     elements: Option<u64>,

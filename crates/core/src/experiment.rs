@@ -2,8 +2,9 @@
 //!
 //! All studies share one structure: step every predictor configuration
 //! through **one** pass over the trace
-//! ([`sweep_flags`](bp_predictors::sweep_flags)) to get misprediction
-//! streams, then replay those streams in lockstep through the pipeline
+//! ([`sweep_flags`](bp_predictors::sweep_flags), fed by the in-memory
+//! trace or by [`TraceStore::stream`]) to get misprediction streams, then
+//! replay those streams in lockstep through the pipeline
 //! timing model ([`SweepReplay`]) at several capacity scalings.
 //! Misprediction streams are scale-independent, so each predictor pass is
 //! reused across all pipeline configurations; the prepared trace is
@@ -12,11 +13,11 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use bp_analysis::{BranchProfile, H2pCriteria};
+use bp_analysis::H2pCriteria;
 use bp_pipeline::{simulate, PipelineConfig, SweepReplay};
 use bp_predictors::{
-    misprediction_flags, sweep_flags, sweep_flags_stream, DirectionPredictor, PerfectSetOracle,
-    PredictorSpec, TageScL, TageSclConfig,
+    misprediction_flags, sweep_flags, DirectionPredictor, PerfectSetOracle, PredictorSpec, TageScL,
+    TageSclConfig,
 };
 use bp_trace::Trace;
 use bp_workloads::{TraceStore, WorkloadSpec};
@@ -79,15 +80,7 @@ fn streams_for(spec: &WorkloadSpec, config: &DatasetConfig) -> WorkloadStreams {
     let trace = spec.cached_trace(0, config.trace_len);
 
     // Per-slice H2P screen (fresh 8KB predictor) for the oracle set.
-    let criteria = H2pCriteria::paper();
-    let mut h2ps: HashSet<u64> = HashSet::new();
-    {
-        let mut screen_pred = TageScL::kb8();
-        for slice in trace.slices(config.slice) {
-            let profile = BranchProfile::collect(&mut screen_pred, slice);
-            h2ps.extend(criteria.screen(&profile, config.slice));
-        }
-    }
+    let (_, h2ps) = H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, config.slice);
     // All three honest configurations share one pass over the branch
     // stream; each still sees exactly its solo training sequence.
     let mut predictors: Vec<Box<dyn DirectionPredictor>> = vec![
@@ -95,7 +88,8 @@ fn streams_for(spec: &WorkloadSpec, config: &DatasetConfig) -> WorkloadStreams {
         Box::new(TageScL::kb64()),
         Box::new(PerfectSetOracle::new(TageScL::kb8(), h2ps)),
     ];
-    let mut flags = sweep_flags(&mut predictors, &trace);
+    let mut flags =
+        sweep_flags(&mut predictors, trace.reader(), None).expect("in-memory reader cannot fail");
     let perfect_h2p_flags = flags.pop().expect("three streams");
     let tage64_flags = flags.pop().expect("two streams");
     let tage8_flags = flags.pop().expect("one stream");
@@ -231,16 +225,11 @@ pub fn storage_scaling_study_with(
     let rows: Vec<StorageScalingRow> = engine.map(specs, |_, spec| {
         // All storage points train through one pass over the branch
         // stream — this is the sweep the single-pass engine exists for.
-        let mut predictors: Vec<Box<dyn DirectionPredictor>> = storages
-            .iter()
-            .map(|&kb| {
-                Box::new(TageScL::new(TageSclConfig::storage_kb(kb))) as Box<dyn DirectionPredictor>
-            })
-            .collect();
+        let mut predictors = PredictorSpec::build_all(&PredictorSpec::storage_points());
         let store = TraceStore::global();
+        let stream = store.stream(spec, 0, config.trace_len);
         let flags_per_storage =
-            sweep_flags_stream(&mut predictors, store.stream(spec, 0, config.trace_len))
-                .expect("stream trace for storage sweep");
+            sweep_flags(&mut predictors, stream, None).expect("stream trace for storage sweep");
         let perfect = vec![false; flags_per_storage[0].len()];
         // Lane order: the 8KB baseline, the perfect bound, then every
         // storage point (8KB replays twice so each lane maps 1:1 onto
@@ -336,8 +325,9 @@ pub fn hetero_grid_study_with(
     let rows: Vec<HeteroGridRow> = engine.map(workloads, |_, spec| {
         let store = TraceStore::global();
         let mut predictors = PredictorSpec::build_all(&grid_specs);
-        let flags = sweep_flags_stream(&mut predictors, store.stream(spec, 0, config.trace_len))
-            .expect("stream trace for grid sweep");
+        let stream = store.stream(spec, 0, config.trace_len);
+        let flags =
+            sweep_flags(&mut predictors, stream, None).expect("stream trace for grid sweep");
         let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
         let sweep = SweepReplay::prepare(store.stream(spec, 0, config.trace_len), &base_cfg)
             .expect("stream trace for replay prepare");
@@ -432,7 +422,8 @@ pub fn rare_oracle_study_with(
             Box::new(TageScL::kb8()),
             Box::new(TageScL::new(TageSclConfig::storage_kb(1024))),
         ];
-        let mut streams = sweep_flags(&mut predictors, &trace);
+        let mut streams = sweep_flags(&mut predictors, trace.reader(), None)
+            .expect("in-memory reader cannot fail");
         let big_flags = streams.pop().expect("two streams");
         let flags8 = streams.pop().expect("one stream");
         let perfect = vec![false; trace.conditional_branch_count()];

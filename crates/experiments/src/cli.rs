@@ -14,7 +14,7 @@
 
 use bp_core::{StudyCtx, StudyKind, Table};
 use bp_pipeline::{PipelineConfig, SweepReplay};
-use bp_predictors::{sweep_flags, DirectionPredictor, PredictorSpec};
+use bp_predictors::{sweep_flags, PredictorSpec};
 use bp_workloads::{find_workload, workload_names};
 
 use crate::{all_runner, registry, Cli};
@@ -207,16 +207,10 @@ fn cmd_sweep(args: Vec<String>) {
         );
         std::process::exit(2);
     };
-    let specs: Vec<PredictorSpec> = predictors
-        .split(',')
-        .map(|s| match PredictorSpec::parse(s.trim()) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        })
-        .collect();
+    let specs = PredictorSpec::parse_list(&predictors).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     let _run = bp_metrics::RunGuard::begin("sweep");
     print!("{}", sweep_report(&spec, &specs, &scales, len).render());
@@ -237,9 +231,9 @@ pub fn sweep_report(
     len: usize,
 ) -> bp_core::Report {
     let trace = spec.cached_trace(0, len);
-    let mut built: Vec<Box<dyn DirectionPredictor>> =
-        specs.iter().map(PredictorSpec::build).collect();
-    let flags = sweep_flags(&mut built, &trace);
+    let mut built = PredictorSpec::build_all(specs);
+    let flags =
+        sweep_flags(&mut built, trace.reader(), None).expect("in-memory reader cannot fail");
     let base = PipelineConfig::skylake();
     let sweep = SweepReplay::new(&trace, &base);
     let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();

@@ -7,8 +7,9 @@
 //! the stdout of the legacy standalone binary. Sweep-shaped studies
 //! (`baselines`, the `ablation` accuracy tables, `debug_ipc`) step all
 //! their configurations through a single trace pass via
-//! [`bp_predictors::sweep_measure`] / [`bp_pipeline::SweepReplay`]
-//! instead of re-replaying per configuration.
+//! [`bp_predictors::sweep_flags`] / [`bp_pipeline::SweepReplay`]
+//! instead of re-replaying per configuration; the H2P studies screen
+//! slices with [`H2pCriteria::screen_slices`].
 
 use bp_analysis::{
     accuracy_spread_from_points, compute_alloc_stats, rank_heavy_hitters, spread_points,
@@ -25,7 +26,7 @@ use bp_pipeline::{
     run, PipelineConfig, SampledReplay, SampledStats, SamplePlan, SampleSegment, SweepReplay,
 };
 use bp_predictors::{
-    measure, misprediction_flags, sweep_flags, sweep_measure, DirectionPredictor,
+    measure, misprediction_flags, sweep_flags, AccuracyStats, DirectionPredictor,
     PerfectPredictor, Predictor, PredictorSpec, TageConfig, TageScL, TageSclConfig,
 };
 use bp_trace::profile_intervals;
@@ -73,25 +74,6 @@ pub fn fig4_report(cfg: &DatasetConfig) -> Report {
     report
 }
 
-/// Per-slice H2P screen with a shared predictor, returning the merged
-/// profile and the screened H2P set — the pattern Figs. 6/10 and
-/// Table III share.
-fn screen_h2ps(
-    bpu: &mut TageScL,
-    trace: &Trace,
-    cfg: &DatasetConfig,
-) -> (BranchProfile, std::collections::HashSet<u64>) {
-    let criteria = H2pCriteria::paper();
-    let mut merged = BranchProfile::new();
-    let mut h2ps = std::collections::HashSet::new();
-    for slice in trace.slices(cfg.slice) {
-        let p = BranchProfile::collect(bpu, slice);
-        h2ps.extend(criteria.screen(&p, cfg.slice));
-        merged.merge(&p);
-    }
-    (merged, h2ps)
-}
-
 /// Fig. 6: history-position distributions of dependency branches for the
 /// top H2P heavy hitter of each SPECint benchmark.
 #[must_use]
@@ -99,8 +81,8 @@ pub fn fig6_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
     for spec in &specint_suite() {
         let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut bpu = TageScL::kb8();
-        let (merged, h2ps) = screen_h2ps(&mut bpu, &trace, cfg);
+        let (merged, h2ps) =
+            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
         let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
         let Some(top) = hitters.first() else {
             report.note(format!("\n== Fig. 6 {}: no H2P found ==", spec.name));
@@ -168,8 +150,8 @@ pub fn fig10_report(cfg: &DatasetConfig) -> Report {
     ];
     for spec in specint_suite().iter().filter(|s| shown.contains(&s.name.as_str())) {
         let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut bpu = TageScL::kb8();
-        let (merged, h2ps) = screen_h2ps(&mut bpu, &trace, cfg);
+        let (merged, h2ps) =
+            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
         let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
         let Some(top) = hitters.first() else {
             report.note(format!("\n== Fig. 10 {}: no H2P found ==", spec.name));
@@ -226,8 +208,8 @@ pub fn table3_report(cfg: &DatasetConfig) -> Report {
     ]);
     for spec in &specint_suite() {
         let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut bpu = TageScL::kb8();
-        let (merged, h2ps) = screen_h2ps(&mut bpu, &trace, cfg);
+        let (merged, h2ps) =
+            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
         let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
         let Some(top) = hitters.first() else {
             table.row(vec![
@@ -275,12 +257,7 @@ pub fn alloc_stats_report(cfg: &DatasetConfig) -> Report {
         let trace = spec.cached_trace(0, cfg.trace_len);
         let mut bpu = TageScL::new(TageSclConfig::storage_kb(64));
         bpu.enable_instrumentation();
-        let criteria = H2pCriteria::paper();
-        let mut h2ps = std::collections::HashSet::new();
-        for slice in trace.slices(cfg.slice) {
-            let p = BranchProfile::collect(&mut bpu, slice);
-            h2ps.extend(criteria.screen(&p, cfg.slice));
-        }
+        let (_, h2ps) = H2pCriteria::paper().screen_slices(&mut bpu, &trace, cfg.slice);
         let stats = compute_alloc_stats(bpu.tracker().expect("instrumented"), &h2ps);
         table.row(vec![
             spec.name.clone(),
@@ -303,7 +280,7 @@ pub fn alloc_stats_report(cfg: &DatasetConfig) -> Report {
 
 /// §II context: the predictor-generation survey on both suites. All
 /// seven generations score in one pass per workload
-/// ([`sweep_measure`]).
+/// ([`sweep_flags`]).
 #[must_use]
 pub fn baselines_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
@@ -322,11 +299,11 @@ pub fn baselines_report(cfg: &DatasetConfig) -> Report {
     let mut n = 0.0f64;
     for spec in specint_suite().iter().chain(lcf_suite().iter()) {
         let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut predictors: Vec<Box<dyn DirectionPredictor>> =
-            specs.iter().map(PredictorSpec::build).collect();
-        let accs: Vec<f64> = sweep_measure(&mut predictors, &trace)
+        let mut predictors = PredictorSpec::build_all(&specs);
+        let accs: Vec<f64> = sweep_flags(&mut predictors, trace.reader(), None)
+            .expect("in-memory reader cannot fail")
             .iter()
-            .map(bp_predictors::AccuracyStats::accuracy)
+            .map(|flags| AccuracyStats::from_flags(flags).accuracy())
             .collect();
         n += 1.0;
         for (m, a) in means.iter_mut().zip(&accs) {
@@ -368,9 +345,10 @@ pub fn ablation_report(cfg: &DatasetConfig) -> Report {
             .into_iter()
             .map(|c| Box::new(TageScL::new(c)) as Box<dyn DirectionPredictor>)
             .collect();
-        sweep_measure(&mut predictors, &trace)
+        sweep_flags(&mut predictors, trace.reader(), None)
+            .expect("in-memory reader cannot fail")
             .iter()
-            .map(|s| f3(s.accuracy()))
+            .map(|flags| f3(AccuracyStats::from_flags(flags).accuracy()))
             .collect()
     };
 
@@ -521,17 +499,14 @@ fn cnn_study(report: &mut Report, spec: &WorkloadSpec, cfg: &DatasetConfig) {
         .collect();
     let held_out = spec.cached_trace(spec.inputs - 1, cfg.trace_len);
 
-    // Screen H2Ps on the training traces.
-    let criteria = H2pCriteria::paper();
+    // Screen H2Ps on the training traces, a fresh predictor per trace.
     let mut h2ps = std::collections::HashSet::new();
     let mut merged = BranchProfile::new();
     for t in &train_traces {
-        let mut bpu = TageScL::kb8();
-        for slice in t.slices(cfg.slice) {
-            let p = BranchProfile::collect(&mut bpu, slice);
-            h2ps.extend(criteria.screen(&p, cfg.slice));
-            merged.merge(&p);
-        }
+        let (profile, screened) =
+            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), t, cfg.slice);
+        h2ps.extend(screened);
+        merged.merge(&profile);
     }
     let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
     let targets: Vec<u64> = hitters.iter().take(8).map(|h| h.ip).collect();
@@ -674,7 +649,8 @@ pub fn debug_ipc_report(which: &str, len: usize) -> Report {
     let trace = spec.cached_trace(0, len);
     let mut predictors: Vec<Box<dyn DirectionPredictor>> =
         vec![Box::new(TageScL::kb8()), Box::new(PerfectPredictor)];
-    let mut streams = sweep_flags(&mut predictors, &trace);
+    let mut streams =
+        sweep_flags(&mut predictors, trace.reader(), None).expect("in-memory reader cannot fail");
     let perfect_flags = streams.pop().expect("two streams");
     let tage_flags = streams.pop().expect("one stream");
     let mpki = tage_flags.iter().filter(|&&f| f).count() as f64 * 1000.0 / len as f64;

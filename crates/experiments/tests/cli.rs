@@ -187,6 +187,25 @@ fn sweep_runs_a_single_pass_over_one_workload() {
 }
 
 #[test]
+fn sweep_rejects_a_tage_size_off_the_storage_points() {
+    // A size `PredictorSpec::build` cannot configure is a usage error,
+    // like an unknown name — never a panic.
+    let out = run_cli(&[
+        "sweep",
+        "--workload",
+        "streaming",
+        "--predictors",
+        "gshare,tage-sc-l-3kb",
+        "--len",
+        "30000",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let refused = stderr.contains("unknown predictor 'tage-sc-l-3kb'");
+    assert!(refused && !stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn help_is_the_single_flag_surface() {
     let out = run_cli(&["help"]);
     assert!(out.status.success());

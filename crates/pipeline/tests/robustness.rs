@@ -1,13 +1,13 @@
 //! Robustness of the streaming replay path: a BPTR v3 stream truncated
 //! *mid-block* — after earlier blocks already decoded and fed the
 //! consumer — must surface a structured [`ReadTraceError`] from
-//! [`SweepReplay::prepare`] and [`sweep_flags_stream`], never a panic
+//! [`SweepReplay::prepare`] and [`sweep_flags`], never a panic
 //! and never a silently short result.
 
 use std::io::Cursor;
 
 use bp_pipeline::{PipelineConfig, SweepReplay};
-use bp_predictors::{sweep_flags_stream, DirectionPredictor, PredictorSpec};
+use bp_predictors::{sweep_flags, DirectionPredictor, PredictorSpec};
 use bp_trace::{BptrReader, ReadTraceError, RetiredInst, Trace, TraceMeta, TraceReader, BLOCK_RECORDS};
 
 /// A trace spanning more than one v3 block, so a tail truncation still
@@ -74,14 +74,14 @@ fn sweep_replay_prepare_surfaces_mid_stream_truncation() {
 }
 
 #[test]
-fn sweep_flags_stream_surfaces_mid_stream_truncation() {
+fn sweep_flags_surfaces_mid_stream_truncation() {
     let bytes = torn_bytes();
     let mut predictors: Vec<Box<dyn DirectionPredictor>> = ["gshare", "bimodal"]
         .iter()
         .map(|label| PredictorSpec::parse(label).expect("known predictor").build())
         .collect();
     let reader = BptrReader::new(Cursor::new(bytes.as_slice())).expect("header survives");
-    let err = sweep_flags_stream(&mut predictors, reader).expect_err("torn stream must not sweep");
+    let err = sweep_flags(&mut predictors, reader, None).expect_err("torn stream must not sweep");
     assert!(
         matches!(err, ReadTraceError::Io(_) | ReadTraceError::ChecksumMismatch { .. }),
         "unexpected {err:?}"

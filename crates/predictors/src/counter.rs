@@ -267,8 +267,9 @@ mod tests {
     }
 
     /// `update` against an explicit saturating reference at every width,
-    /// value and direction. The naive reference predictors share this
-    /// type, so the bit-identity suite cannot catch a change to it.
+    /// value and direction. The naive reference predictors in
+    /// `tests/naive/` share this type, so the bit-identity suite cannot
+    /// catch a change to it.
     #[test]
     fn signed_update_matches_reference_exhaustively() {
         for bits in 1..=15u32 {

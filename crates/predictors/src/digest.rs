@@ -1,11 +1,12 @@
 //! FNV-1a hashing of predictor state, shared by the `state_digest`
-//! methods on the optimized and naive-reference implementations.
+//! methods.
 //!
 //! The bit-identity suite (`tests/bit_identity.rs`) compares digests of
 //! full internal state — every table counter, folded-history register and
 //! policy counter — after replaying identical branch streams through the
-//! optimized and naive predictors. Both sides must therefore feed fields
-//! in the same canonical order: bank-major table entries as
+//! optimized predictors and the naive references in `tests/naive/`, which
+//! carry a copy of this hash. Both sides must therefore feed fields in
+//! the same canonical order: bank-major table entries as
 //! (ctr, tag, useful) triples, then folded histories, then scalars.
 
 /// Incremental 64-bit FNV-1a over little-endian `u64` words.

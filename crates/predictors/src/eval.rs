@@ -40,6 +40,19 @@ impl AccuracyStats {
         self.total += 1;
         self.correct += u64::from(correct);
     }
+
+    /// Accuracy of a misprediction-flag stream (`true` = mispredicted),
+    /// as produced by [`misprediction_flags`] and
+    /// [`sweep_flags`](crate::sweep_flags).
+    #[must_use]
+    pub fn from_flags(flags: &[bool]) -> Self {
+        let total = flags.len() as u64;
+        let mispredicted = flags.iter().filter(|&&f| f).count() as u64;
+        AccuracyStats {
+            total,
+            correct: total - mispredicted,
+        }
+    }
 }
 
 /// Runs `predictor` over every conditional branch of `trace` and returns

@@ -36,7 +36,6 @@ mod digest;
 mod eval;
 mod history;
 mod loop_pred;
-pub mod naive;
 mod oracle;
 mod perceptron;
 mod ppm;
@@ -56,10 +55,7 @@ pub use perceptron::Perceptron;
 pub use ppm::{Ppm, PpmConfig};
 pub use sc::{ScConfig, ScDecision, ScOnly, StatisticalCorrector};
 pub use simple::{AlwaysTaken, Bimodal, GShare, TwoLevelLocal};
-pub use spec::{
-    sweep_flags, sweep_flags_stream, sweep_flags_stream_observed, sweep_measure,
-    sweep_measure_stream, PredictorSpec,
-};
+pub use spec::{sweep_flags, PredictorSpec};
 pub use tage::{AllocationTracker, Tage, TageConfig};
 pub use tagescl::{TageScL, TageSclConfig};
 pub use tournament::Tournament;

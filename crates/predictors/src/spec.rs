@@ -4,19 +4,20 @@
 //! many predictor configurations (six TAGE-SC-L storage points in Fig. 7,
 //! seven predictor generations in the §II survey, three aging policies in
 //! the ablation). [`PredictorSpec`] names each configuration as data, and
-//! [`sweep_flags`] / [`sweep_measure`] step any set of predictors through
-//! **one** pass over the trace's conditional branches instead of
-//! re-iterating (and re-decoding) the trace once per configuration.
+//! [`sweep_flags`] steps any set of predictors through **one** pass over
+//! the trace's conditional branches instead of re-iterating (and
+//! re-decoding) the trace once per configuration.
 //!
 //! Each predictor still observes exactly the per-branch sequence it would
 //! see in a solo [`measure`](crate::measure) /
 //! [`misprediction_flags`](crate::misprediction_flags) run — predictors
-//! never interact — so flags, accuracies, and instrumentation counters
-//! are bit-identical to the per-config passes they replace.
+//! never interact — so flags, accuracies
+//! ([`AccuracyStats::from_flags`](crate::AccuracyStats::from_flags)) and
+//! instrumentation counters are bit-identical to the per-config passes
+//! they replace.
 
-use bp_trace::{ReadTraceError, Trace, TraceReader};
+use bp_trace::{ReadTraceError, TraceReader};
 
-use crate::eval::AccuracyStats;
 use crate::oracle::{DirectionPredictor, PerfectPredictor};
 use crate::ppm::{Ppm, PpmConfig};
 use crate::simple::{AlwaysTaken, Bimodal, GShare, TwoLevelLocal};
@@ -173,7 +174,7 @@ impl PredictorSpec {
     }
 
     /// Builds every spec in `specs`, in order — the lane lineup fed to
-    /// [`sweep_flags`] and friends.
+    /// [`sweep_flags`].
     #[must_use]
     pub fn build_all(specs: &[PredictorSpec]) -> Vec<Box<dyn DirectionPredictor>> {
         specs.iter().map(PredictorSpec::build).collect()
@@ -235,22 +236,23 @@ impl PredictorSpec {
     /// Parses a canonical label (as printed by `branch-lab list` and
     /// accepted by the CLI's sweep options) back into a spec.
     ///
-    /// Sized families accept a `-<N>kb` suffix: `tage-sc-l-64kb`,
-    /// `tage-8kb` (TAGE only), `tage-l-8kb`. Fixed-configuration
-    /// baselines are bare names: `bimodal`, `two-level-local`, `gshare`,
-    /// `tournament`, `perceptron`, `ppm`, `always-taken`, `perfect`.
+    /// Sized families accept a `-<N>kb` suffix with `N` one of
+    /// [`TageSclConfig::STORAGE_POINTS_KB`]: `tage-sc-l-64kb`, `tage-8kb`
+    /// (TAGE only), `tage-l-8kb`. Fixed-configuration baselines are bare
+    /// names: `bimodal`, `two-level-local`, `gshare`, `tournament`,
+    /// `perceptron`, `ppm`, `always-taken`, `perfect`.
     ///
     /// # Errors
     ///
     /// Returns a message naming the unknown label and listing the
-    /// accepted forms.
+    /// accepted forms and storage points.
     pub fn parse(s: &str) -> Result<PredictorSpec, String> {
         fn kb_suffix(s: &str, prefix: &str) -> Option<usize> {
             s.strip_prefix(prefix)?
                 .strip_suffix("kb")?
                 .parse::<usize>()
                 .ok()
-                .filter(|&kb| kb > 0)
+                .filter(|kb| TageSclConfig::STORAGE_POINTS_KB.contains(kb))
         }
         if let Some(kb) = kb_suffix(s, "tage-sc-l-") {
             return Ok(PredictorSpec::TageScl { storage_kb: kb });
@@ -283,13 +285,14 @@ impl PredictorSpec {
                 "unknown predictor '{other}'; expected one of bimodal, \
                  two-level-local, gshare, tournament, perceptron, ppm, \
                  always-taken, perfect, tage-sc-l-<N>kb, tage-<N>kb, \
-                 tage-l-<N>kb"
+                 tage-l-<N>kb with N one of {:?}",
+                TageSclConfig::STORAGE_POINTS_KB
             )),
         }
     }
 }
 
-/// Branches buffered per block in the lockstep sweeps.
+/// Branches buffered per block in the lockstep sweep.
 ///
 /// Predictors process the stream block-by-block rather than interleaving
 /// per branch: within a block each predictor's tables stay cache-resident
@@ -299,136 +302,75 @@ impl PredictorSpec {
 /// identical branch sequence in order.
 const SWEEP_BLOCK: usize = 16384;
 
-/// Re-blocks a record stream's conditional branches into
-/// [`SWEEP_BLOCK`]-sized `(ip, taken)` batches, independent of how the
-/// reader chunks the stream — so every sweep sees the identical blocking
-/// (and produces bit-identical results) whether the trace comes from
-/// memory or block-wise file decode.
-fn stream_branch_blocks<R: TraceReader>(
-    mut reader: R,
-    mut run: impl FnMut(&[(u64, bool)]),
-) -> Result<(), ReadTraceError> {
-    let mut block: Vec<(u64, bool)> = Vec::with_capacity(SWEEP_BLOCK);
-    while let Some(chunk) = reader.next_chunk()? {
-        // Cooperative cancellation once per streamed chunk (a no-op
-        // without an installed scope): a cancelled sweep stops training
-        // within one block instead of finishing the trace.
-        bp_metrics::cancel::checkpoint("sweep.train");
-        for inst in chunk {
-            if let Some(b) = inst.branch {
-                if b.kind == bp_trace::BranchKind::Conditional {
-                    block.push((inst.ip, b.taken));
-                    if block.len() == SWEEP_BLOCK {
-                        run(&block);
-                        block.clear();
-                    }
-                }
-            }
-        }
-    }
-    if !block.is_empty() {
-        run(&block);
-    }
-    Ok(())
-}
+/// The observer [`sweep_flags`] calls after each block: the cumulative
+/// branch count, then the predictors.
+type Observer<'a> = dyn FnMut(usize, &[Box<dyn DirectionPredictor>]) + 'a;
 
-/// Steps every predictor through one pass over `trace`'s conditional
-/// branches, returning one misprediction-flag stream per predictor (same
-/// order).
+/// Steps every predictor through one pass over the conditional branches
+/// `reader` streams, returning one misprediction-flag stream per
+/// predictor (same order).
 ///
-/// Equivalent to calling
-/// [`misprediction_flags`](crate::misprediction_flags) once per predictor
-/// — each predictor sees the identical (ip, taken) sequence and produces
-/// the identical flags — but the trace is decoded and iterated once
-/// instead of `predictors.len()` times.
-#[must_use]
-pub fn sweep_flags(predictors: &mut [Box<dyn DirectionPredictor>], trace: &Trace) -> Vec<Vec<bool>> {
-    sweep_flags_stream(predictors, trace.reader()).expect("in-memory reader cannot fail")
-}
-
-/// [`sweep_flags`] over any [`TraceReader`]: the flag streams are
-/// bit-identical to the in-memory sweep, but a block-wise file reader
+/// Equivalent to one [`misprediction_flags`](crate::misprediction_flags)
+/// call per predictor — each sees the identical (ip, taken) sequence —
+/// but the trace is decoded and iterated once. In-memory traces pass
+/// [`Trace::reader`](bp_trace::Trace::reader); a block-wise file reader
 /// never materializes the trace.
 ///
-/// # Errors
-///
-/// Propagates any [`ReadTraceError`] from the underlying stream.
-pub fn sweep_flags_stream<R: TraceReader>(
-    predictors: &mut [Box<dyn DirectionPredictor>],
-    reader: R,
-) -> Result<Vec<Vec<bool>>, ReadTraceError> {
-    sweep_flags_stream_observed(predictors, reader, |_, _| {})
-}
-
-/// [`sweep_flags_stream`], invoking `observe` after every processed
-/// block with the cumulative branch count and the predictors (for
-/// example to record [`DirectionPredictor::state_digest`] checkpoints).
-///
-/// Blocking is an implementation detail of cache residency, not of
-/// predictor behaviour: after `observe(n, ..)`, every predictor has
-/// consumed exactly the first `n` branches of the stream — the same
-/// state a solo run reaches after `n` branches — which is what lets the
-/// differential suite compare digests mid-stream.
+/// Training runs in 16,384-branch blocks re-cut from the stream, so
+/// results, cancellation and observation do not depend on how the reader
+/// chunks it. Before each block the sweep polls the cancellation
+/// scope (`sweep.train`). After each block `observe`, when given,
+/// receives the cumulative branch count `n` and the predictors, each of
+/// which has then consumed exactly the first `n` branches: the state a
+/// solo run reaches, so [`DirectionPredictor::state_digest`] checkpoints
+/// compare.
 ///
 /// # Errors
 ///
 /// Propagates any [`ReadTraceError`] from the underlying stream.
-pub fn sweep_flags_stream_observed<R: TraceReader>(
+pub fn sweep_flags<R: TraceReader>(
     predictors: &mut [Box<dyn DirectionPredictor>],
-    reader: R,
-    mut observe: impl FnMut(usize, &[Box<dyn DirectionPredictor>]),
+    mut reader: R,
+    mut observe: Option<&mut Observer<'_>>,
 ) -> Result<Vec<Vec<bool>>, ReadTraceError> {
     let mut flags: Vec<Vec<bool>> = predictors.iter().map(|_| Vec::new()).collect();
     let mut seen = 0usize;
-    stream_branch_blocks(reader, |block| {
+    let mut train = |block: &[(u64, bool)]| {
+        // Cooperative cancellation (a no-op without an installed scope).
+        bp_metrics::cancel::checkpoint("sweep.train");
         for (p, f) in predictors.iter_mut().zip(flags.iter_mut()) {
             for &(ip, taken) in block {
                 f.push(p.predict_and_train(ip, taken) != taken);
             }
         }
         seen += block.len();
-        observe(seen, predictors);
-    })?;
-    Ok(flags)
-}
-
-/// Single-pass counterpart of [`measure`](crate::measure): aggregate
-/// accuracy for every predictor from one iteration of the branch stream.
-#[must_use]
-pub fn sweep_measure(
-    predictors: &mut [Box<dyn DirectionPredictor>],
-    trace: &Trace,
-) -> Vec<AccuracyStats> {
-    sweep_measure_stream(predictors, trace.reader()).expect("in-memory reader cannot fail")
-}
-
-/// [`sweep_measure`] over any [`TraceReader`]. With a block-wise file
-/// reader, peak memory is bounded by one decode block regardless of
-/// trace length — the path long-horizon accuracy studies use.
-///
-/// # Errors
-///
-/// Propagates any [`ReadTraceError`] from the underlying stream.
-pub fn sweep_measure_stream<R: TraceReader>(
-    predictors: &mut [Box<dyn DirectionPredictor>],
-    reader: R,
-) -> Result<Vec<AccuracyStats>, ReadTraceError> {
-    let mut stats = vec![AccuracyStats::default(); predictors.len()];
-    stream_branch_blocks(reader, |block| {
-        for (p, s) in predictors.iter_mut().zip(stats.iter_mut()) {
-            for &(ip, taken) in block {
-                s.record(p.predict_and_train(ip, taken) == taken);
+        if let Some(observe) = observe.as_mut() {
+            observe(seen, predictors);
+        }
+    };
+    let mut block: Vec<(u64, bool)> = Vec::with_capacity(SWEEP_BLOCK);
+    while let Some(chunk) = reader.next_chunk()? {
+        for inst in chunk {
+            if let Some(taken) = inst.taken() {
+                block.push((inst.ip, taken));
+                if block.len() == SWEEP_BLOCK {
+                    train(&block);
+                    block.clear();
+                }
             }
         }
-    })?;
-    Ok(stats)
+    }
+    if !block.is_empty() {
+        train(&block);
+    }
+    Ok(flags)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{measure, misprediction_flags};
-    use bp_trace::{RetiredInst, TraceMeta};
+    use crate::eval::{measure, misprediction_flags, AccuracyStats};
+    use bp_trace::{RetiredInst, Trace, TraceMeta};
 
     fn noisy_trace(n: usize) -> Trace {
         let mut t = Trace::new(TraceMeta::new("spec-test", 0));
@@ -440,6 +382,35 @@ mod tests {
             t.push(RetiredInst::cond_branch(ip, taken, ip + 64, None, None));
         }
         t
+    }
+
+    /// Yields a trace's records `n` at a time, so sweep blocks straddle
+    /// chunk boundaries at odd offsets.
+    struct ChunkedReader<'a> {
+        trace: &'a Trace,
+        at: usize,
+        n: usize,
+    }
+
+    impl TraceReader for ChunkedReader<'_> {
+        fn meta(&self) -> &TraceMeta {
+            self.trace.meta()
+        }
+
+        fn len_hint(&self) -> Option<u64> {
+            Some(self.trace.len() as u64)
+        }
+
+        fn next_chunk(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
+            let insts = self.trace.insts();
+            if self.at == insts.len() {
+                return Ok(None);
+            }
+            let end = (self.at + self.n).min(insts.len());
+            let chunk = &insts[self.at..end];
+            self.at = end;
+            Ok(Some(chunk))
+        }
     }
 
     #[test]
@@ -455,14 +426,19 @@ mod tests {
         }
         assert!(PredictorSpec::parse("tage-sc-l-0kb").is_err());
         assert!(PredictorSpec::parse("neural-net").is_err());
+        // Sizes off the storage points would panic in `build`.
+        for label in ["tage-sc-l-3kb", "tage-96kb", "tage-l-2048kb"] {
+            let err = PredictorSpec::parse(label).expect_err(label);
+            assert!(err.contains("[8, 64, 128, 256, 512, 1024]"), "{err}");
+        }
     }
 
     #[test]
     fn sweep_flags_matches_per_predictor_passes() {
         let t = noisy_trace(4_000);
         let specs = PredictorSpec::survey();
-        let mut lockstep: Vec<_> = specs.iter().map(PredictorSpec::build).collect();
-        let swept = sweep_flags(&mut lockstep, &t);
+        let mut lockstep = PredictorSpec::build_all(&specs);
+        let swept = sweep_flags(&mut lockstep, t.reader(), None).unwrap();
         for (spec, flags) in specs.iter().zip(&swept) {
             let solo = misprediction_flags(spec.build().as_mut(), &t);
             assert_eq!(*flags, solo, "{}", spec.label());
@@ -470,39 +446,15 @@ mod tests {
     }
 
     #[test]
-    fn sweep_measure_matches_measure() {
+    fn swept_flag_accuracy_matches_measure() {
         let t = noisy_trace(4_000);
         let specs = PredictorSpec::survey();
-        let mut lockstep: Vec<_> = specs.iter().map(PredictorSpec::build).collect();
-        let swept = sweep_measure(&mut lockstep, &t);
-        for (spec, stats) in specs.iter().zip(&swept) {
-            assert_eq!(*stats, measure(spec.build().as_mut(), &t), "{}", spec.label());
+        let mut lockstep = PredictorSpec::build_all(&specs);
+        let swept = sweep_flags(&mut lockstep, t.reader(), None).unwrap();
+        for (spec, flags) in specs.iter().zip(&swept) {
+            let solo = measure(spec.build().as_mut(), &t);
+            assert_eq!(AccuracyStats::from_flags(flags), solo, "{}", spec.label());
         }
-    }
-
-    #[test]
-    fn streamed_sweeps_match_in_memory_sweeps() {
-        // The same trace through the block-wise file decoder must yield
-        // bit-identical flags and stats: chunk boundaries carry no
-        // meaning once re-blocked to SWEEP_BLOCK.
-        let t = noisy_trace(50_000);
-        let mut bytes = Vec::new();
-        t.write_to(&mut bytes).unwrap();
-        let specs = PredictorSpec::survey();
-
-        let mut mem = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
-        let mem_flags = sweep_flags(&mut mem, &t);
-        let mut streamed = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
-        let reader = bp_trace::BptrReader::new(bytes.as_slice()).unwrap();
-        let stream_flags = sweep_flags_stream(&mut streamed, reader).unwrap();
-        assert_eq!(mem_flags, stream_flags);
-
-        let mut mem = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
-        let mem_stats = sweep_measure(&mut mem, &t);
-        let mut streamed = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
-        let reader = bp_trace::BptrReader::new(bytes.as_slice()).unwrap();
-        let stream_stats = sweep_measure_stream(&mut streamed, reader).unwrap();
-        assert_eq!(mem_stats, stream_stats);
     }
 
     #[test]
@@ -537,14 +489,17 @@ mod tests {
 
     #[test]
     fn observed_sweep_checkpoints_match_solo_replay() {
-        // After the observer reports n branches consumed, each lockstep
+        // Whatever the reader's chunking — one in-memory chunk, v3 codec
+        // blocks, or 7 records at a time — the sweep must produce the
+        // same flags and checkpoint at the same branch counts, and after
+        // the observer reports n branches consumed each lockstep
         // predictor's digest must equal a solo predictor fed exactly the
-        // first n branches — blocking must not be observable.
-        let t = noisy_trace(40_000);
-        let branches: Vec<(u64, bool)> = t
-            .iter()
-            .filter_map(|i| i.branch.map(|b| (i.ip, b.taken)))
-            .collect();
+        // first n branches: blocking must not be observable.
+        let t = noisy_trace(70_000);
+        let branches: Vec<(u64, bool)> =
+            t.conditional_branches().map(|b| (b.ip, b.taken)).collect();
+        let mut bytes = Vec::new();
+        t.write_to(&mut bytes).unwrap();
         let specs = [
             PredictorSpec::GShare {
                 log2_entries: 10,
@@ -552,17 +507,34 @@ mod tests {
             },
             PredictorSpec::TageScl { storage_kb: 8 },
         ];
-        let mut lockstep = PredictorSpec::build_all(&specs);
-        let mut checkpoints: Vec<(usize, Vec<u64>)> = Vec::new();
-        let _ = sweep_flags_stream_observed(&mut lockstep, t.reader(), |n, ps| {
-            checkpoints.push((n, ps.iter().map(|p| p.state_digest()).collect()));
-        })
-        .unwrap();
-        assert!(checkpoints.len() >= 2, "expected multiple blocks");
+        let sweep = |reader: &mut dyn TraceReader| {
+            let mut lockstep = PredictorSpec::build_all(&specs);
+            let mut checkpoints: Vec<(usize, Vec<u64>)> = Vec::new();
+            let flags = sweep_flags(
+                &mut lockstep,
+                reader,
+                Some(&mut |n, ps| {
+                    checkpoints.push((n, ps.iter().map(|p| p.state_digest()).collect()));
+                }),
+            )
+            .unwrap();
+            (flags, checkpoints)
+        };
+        let expected = sweep(&mut t.reader());
+        let at: Vec<usize> = expected.1.iter().map(|(n, _)| *n).collect();
+        assert_eq!(at, [16_384, 32_768, 49_152, 65_536, 70_000]);
+        let v3 = sweep(&mut bp_trace::BptrReader::new(bytes.as_slice()).unwrap());
+        assert!(v3 == expected, "v3 reader diverged");
+        let mut seven = ChunkedReader {
+            trace: &t,
+            at: 0,
+            n: 7,
+        };
+        assert!(sweep(&mut seven) == expected, "7-record reader diverged");
 
         let mut solo = PredictorSpec::build_all(&specs);
         let mut fed = 0usize;
-        for (n, digests) in &checkpoints {
+        for (n, digests) in &expected.1 {
             for &(ip, taken) in &branches[fed..*n] {
                 for p in &mut solo {
                     let _ = p.predict_and_train(ip, taken);
@@ -578,7 +550,7 @@ mod tests {
     fn perfect_spec_never_mispredicts() {
         let t = noisy_trace(500);
         let mut ps = vec![PredictorSpec::Perfect.build()];
-        let flags = sweep_flags(&mut ps, &t);
+        let flags = sweep_flags(&mut ps, t.reader(), None).unwrap();
         assert!(flags[0].iter().all(|&f| !f));
     }
 }

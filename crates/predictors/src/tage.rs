@@ -31,9 +31,9 @@
 //! * Saturating counters step through the branchless
 //!   [`crate::sat_update`] kernel.
 //!
-//! The per-entry formulation is retained as [`crate::naive::NaiveTage`]
-//! and `tests/bit_identity.rs` proves both produce identical prediction
-//! streams and final state.
+//! The per-entry formulation is retained as test support
+//! (`tests/naive/`), and `tests/bit_identity.rs` proves both produce
+//! identical prediction streams and final state.
 
 use std::collections::{HashMap, HashSet};
 
@@ -616,8 +616,8 @@ impl Tage {
 
     /// FNV-1a digest of the complete architectural state: every table
     /// counter and tag, folded-history register, and policy counter.
-    /// Used by the bit-identity suite to compare against
-    /// [`crate::naive::NaiveTage`] — see `tests/bit_identity.rs`.
+    /// Used by the bit-identity suite to compare against the naive
+    /// reference TAGE in `tests/naive/` — see `tests/bit_identity.rs`.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();

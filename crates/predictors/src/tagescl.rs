@@ -193,8 +193,8 @@ impl TageScL {
 
     /// FNV-1a digest of the complete ensemble state: TAGE tables and
     /// histories, SC counters, loop table, and the loop chooser. Used by
-    /// the bit-identity suite to compare against
-    /// [`crate::naive::NaiveTageScL`] — see `tests/bit_identity.rs`.
+    /// the bit-identity suite to compare against the naive reference
+    /// TAGE-SC-L in `tests/naive/` — see `tests/bit_identity.rs`.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();

@@ -3,7 +3,7 @@
 //!
 //! Replaying a paper-scale trace (§V-B works with multi-billion
 //! instruction streams) must not require materializing it: everything
-//! downstream — `SweepReplay::prepare`, `sweep_measure`, profile
+//! downstream — `SweepReplay::prepare`, `sweep_flags`, profile
 //! collection — consumes traces chunk-by-chunk through [`TraceReader`].
 //! The in-memory [`Trace`] is just one implementation (a single-chunk
 //! reader over its slice); [`BptrReader`] decodes v1/v2/v3 files with

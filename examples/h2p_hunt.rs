@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example h2p_hunt [workload-index]`
 
-use branch_lab::analysis::{
-    rank_heavy_hitters, BranchProfile, DependencyAnalysis, H2pCriteria, DEFAULT_WINDOW,
-};
+use branch_lab::analysis::{rank_heavy_hitters, DependencyAnalysis, H2pCriteria, DEFAULT_WINDOW};
 use branch_lab::core::Table;
 use branch_lab::predictors::TageScL;
 use branch_lab::trace::SliceConfig;
@@ -23,18 +21,10 @@ fn main() {
 
     let trace = spec.trace(0, 500_000);
     let slice = SliceConfig::new(50_000);
-    let criteria = H2pCriteria::paper();
 
     // Screen per slice with a continuously-trained predictor, as in the
     // paper's methodology.
-    let mut bpu = TageScL::kb8();
-    let mut merged = BranchProfile::new();
-    let mut h2ps = std::collections::HashSet::new();
-    for s in trace.slices(slice) {
-        let profile = BranchProfile::collect(&mut bpu, s);
-        h2ps.extend(criteria.screen(&profile, slice));
-        merged.merge(&profile);
-    }
+    let (merged, h2ps) = H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, slice);
     println!(
         "aggregate accuracy {:.4}; {} static branches; {} H2Ps",
         merged.accuracy(),

@@ -19,16 +19,12 @@ fn main() {
     // Offline phase: trace multiple inputs and screen H2Ps.
     let train_traces: Vec<_> = (0..3).map(|i| spec.trace_with(&program, i, len)).collect();
     let slice = SliceConfig::new(50_000);
-    let criteria = H2pCriteria::paper();
     let mut merged = BranchProfile::new();
     let mut h2ps = std::collections::HashSet::new();
     for t in &train_traces {
-        let mut bpu = TageScL::kb8();
-        for s in t.slices(slice) {
-            let p = BranchProfile::collect(&mut bpu, s);
-            h2ps.extend(criteria.screen(&p, slice));
-            merged.merge(&p);
-        }
+        let (profile, screened) = H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), t, slice);
+        h2ps.extend(screened);
+        merged.merge(&profile);
     }
     let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
     let target = hitters.first().expect("mcf-like has H2Ps").ip;

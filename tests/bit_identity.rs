@@ -1,9 +1,9 @@
 //! Bit-identity proof for the optimized replay hot path.
 //!
-//! `crates/predictors` keeps two TAGE-SC-L implementations: the optimized
-//! lane-structured hot path (`TageScL`) and the naive array-of-structs
-//! reference it was derived from (`bp_predictors::naive::NaiveTageScL`).
-//! Every optimization must be behavior-preserving — the studies' golden
+//! The optimized lane-structured TAGE-SC-L (`TageScL`) is checked against
+//! the naive array-of-structs reference it was derived from
+//! (`naive::NaiveTageScL`, test support in `tests/naive/`). Every
+//! optimization must be behavior-preserving — the studies' golden
 //! fixtures depend on byte-identical prediction streams (see
 //! `PERFORMANCE.md`). This suite replays all nine SPECint-like workloads
 //! through both implementations and asserts:
@@ -18,9 +18,11 @@
 //! period short enough to fire many times per trace, and the two periods
 //! that never fire (0 and `u64::MAX`).
 
-use bp_predictors::naive::NaiveTageScL;
-use bp_predictors::{Predictor, TageConfig, TageScL, TageSclConfig};
+mod naive;
+
+use bp_predictors::{Predictor, Tage, TageConfig, TageScL, TageSclConfig};
 use bp_workloads::{specint_suite, WorkloadSpec};
+use naive::{NaiveTage, NaiveTageScL};
 
 /// Long enough to exercise allocation, loop confidence, and SC threshold
 /// training on every workload, short enough to keep the suite in seconds.
@@ -105,6 +107,54 @@ fn replay_both(
         spec.name
     );
     branches
+}
+
+/// Steps `fast` and `slow` through `n` synthetic branches drawn by
+/// `branch(i, lcg_state)`, asserting equal predictions at every branch
+/// and equal state at the end. Independent of the workload generators.
+fn assert_agree_on_synthetic_stream(
+    fast: &mut dyn Predictor,
+    slow: &mut dyn Predictor,
+    n: u64,
+    mut state: u64,
+    branch: impl Fn(u64, u64) -> (u64, bool),
+) {
+    for i in 0..n {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let (ip, taken) = branch(i, state);
+        let pf = fast.predict(ip);
+        let ps = slow.predict(ip);
+        assert_eq!(pf, ps, "prediction diverged at branch {i}");
+        fast.update(ip, taken, pf);
+        slow.update(ip, taken, ps);
+    }
+    assert_eq!(fast.state_digest(), slow.state_digest());
+}
+
+/// Biased, periodic and noisy branches through the 8KB ensemble.
+#[test]
+fn naive_and_optimized_agree_on_synthetic_stream() {
+    let mut slow = NaiveTageScL::new(TageSclConfig::storage_kb(8));
+    assert_agree_on_synthetic_stream(&mut TageScL::kb8(), &mut slow, 30_000, 41, |i, state| {
+        let ip = 0x1000 + (state >> 20) % 97 * 4;
+        let taken = match ip % 3 {
+            0 => (state >> 33) % 100 < 85,
+            1 => i % 5 != 0,
+            _ => (state >> 45) & 1 == 1,
+        };
+        (ip, taken)
+    });
+}
+
+/// The bare TAGE core (`Tage`, outside the ensemble) against its naive
+/// counterpart.
+#[test]
+fn naive_tage_agrees_with_optimized_tage() {
+    let mut fast = Tage::new(TageConfig::default());
+    let mut slow = NaiveTage::new(TageConfig::default());
+    assert_agree_on_synthetic_stream(&mut fast, &mut slow, 20_000, 7, |_, state| {
+        (0x400 + (state >> 24) % 61 * 4, (state >> 38) % 100 < 70)
+    });
 }
 
 #[test]

@@ -21,9 +21,7 @@
 //!   to one prepared from the in-memory trace.
 
 use branch_lab::pipeline::{simulate, PipelineConfig, SweepReplay};
-use branch_lab::predictors::{
-    sweep_flags, sweep_flags_stream, sweep_flags_stream_observed, PredictorSpec,
-};
+use branch_lab::predictors::{sweep_flags, PredictorSpec};
 use branch_lab::workloads::{lcf_suite, specint_suite, TraceStore, WorkloadSpec};
 
 /// Replay-differential trace length: enough dynamic branches to exercise
@@ -59,14 +57,14 @@ fn lockstep_sweep_matches_solo_replay_for_every_spec() {
         // Lockstep: all specs in one walk, digests at every checkpoint.
         let mut lockstep = PredictorSpec::build_all(&specs);
         let mut checkpoints: Vec<(usize, Vec<u64>)> = Vec::new();
-        let flags =
-            sweep_flags_stream_observed(&mut lockstep, trace.reader(), |seen, predictors| {
-                checkpoints.push((
-                    seen,
-                    predictors.iter().map(|p| p.state_digest()).collect(),
-                ));
-            })
-            .expect("in-memory reader cannot fail");
+        let flags = sweep_flags(
+            &mut lockstep,
+            trace.reader(),
+            Some(&mut |seen, predictors| {
+                checkpoints.push((seen, predictors.iter().map(|p| p.state_digest()).collect()));
+            }),
+        )
+        .expect("in-memory reader cannot fail");
         assert!(
             checkpoints.len() >= 3,
             "{}/{input}: need several checkpoints, got {}",
@@ -171,7 +169,8 @@ fn hetero_lane_replay_matches_scalar_simulate() {
     for (wl, input) in matrix() {
         let trace = wl.trace(input, TRACE_LEN);
         let mut predictors = PredictorSpec::build_all(&specs);
-        let flags = sweep_flags(&mut predictors, &trace);
+        let flags = sweep_flags(&mut predictors, trace.reader(), None)
+            .expect("in-memory reader cannot fail");
 
         // The full 16-spec group (one 16-wide chunk), then a ragged 19
         // (16 + 2 + 1 chunks) built by repeating three streams.
@@ -194,7 +193,8 @@ fn u64_cycle_fallback_matches_scalar_simulate() {
         PredictorSpec::AlwaysTaken,
     ];
     let mut predictors = PredictorSpec::build_all(&specs);
-    let flags = sweep_flags(&mut predictors, &trace);
+    let flags =
+        sweep_flags(&mut predictors, trace.reader(), None).expect("in-memory reader cannot fail");
     let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
 
     // A penalty this large overflows u32 cycle words within a few
@@ -215,11 +215,11 @@ fn streamed_prepare_and_sweep_match_in_memory() {
 
     let specs = PredictorSpec::hetero_grid();
     let mut mem_preds = PredictorSpec::build_all(&specs);
-    let mem_flags = sweep_flags(&mut mem_preds, &trace);
+    let mem_flags =
+        sweep_flags(&mut mem_preds, trace.reader(), None).expect("in-memory reader cannot fail");
     let mut stream_preds = PredictorSpec::build_all(&specs);
-    let stream_flags =
-        sweep_flags_stream(&mut stream_preds, store.stream(wl, 0, TRACE_LEN))
-            .expect("stream trace for sweep");
+    let stream_flags = sweep_flags(&mut stream_preds, store.stream(wl, 0, TRACE_LEN), None)
+        .expect("stream trace for sweep");
     assert_eq!(mem_flags, stream_flags, "flag streams diverged");
     for (i, (m, s)) in mem_preds.iter().zip(&stream_preds).enumerate() {
         assert_eq!(

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -20,8 +20,8 @@ use branch_lab::core::exec::{self, Backoff, ExecOptions, Outcome, Task};
 use branch_lab::core::{cancel, faultpoint, Engine};
 use branch_lab::metrics::{merge_manifests_with_children, normalize, Counter, CounterBaseline};
 use branch_lab::pipeline::{PipelineConfig, SweepReplay};
-use branch_lab::predictors::{sweep_flags_stream_observed, DirectionPredictor, PredictorSpec};
-use branch_lab::trace::{BptrReader, RetiredInst, Trace, TraceMeta, BLOCK_RECORDS};
+use branch_lab::predictors::{sweep_flags, DirectionPredictor, PredictorSpec};
+use branch_lab::trace::{BptrReader, RetiredInst, Trace, TraceMeta, TraceReader, BLOCK_RECORDS};
 
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -57,32 +57,44 @@ fn cancelled_sweep_stops_at_the_next_block_checkpoint() {
     // 2.5 codec blocks; an uncancelled sweep would observe every block
     // up to 163840 branches.
     let total = BLOCK_RECORDS as u64 * 5 / 2;
+    let trace = branchy_trace(total);
     let mut bytes = Vec::new();
-    branchy_trace(total).write_to(&mut bytes).expect("serialize");
+    trace.write_to(&mut bytes).expect("serialize");
 
-    let token = cancel::CancelToken::new();
-    let _scope = cancel::set_scope(token.clone());
-    let observed_max = AtomicUsize::new(0);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut predictors: Vec<Box<dyn DirectionPredictor>> =
-            vec![PredictorSpec::parse("gshare").expect("known predictor").build()];
-        let reader = BptrReader::new(bytes.as_slice()).expect("header");
-        sweep_flags_stream_observed(&mut predictors, reader, |n, _| {
-            observed_max.store(n, Ordering::Relaxed);
-            if n >= 16_384 {
-                token.cancel("test stop");
-            }
-        })
-    }));
-    let payload = result.expect_err("cancelled sweep must unwind");
-    let cancelled = payload.downcast_ref::<cancel::Cancelled>().expect("Cancelled payload");
-    assert!(cancelled.reason.contains("test stop"), "{}", cancelled.reason);
-    assert!(cancelled.reason.contains("sweep.train"), "{}", cancelled.reason);
-    let seen = observed_max.load(Ordering::Relaxed);
-    assert!(
-        (16_384..=BLOCK_RECORDS).contains(&seen),
-        "training must stop within the chunk that observed the cancel, got {seen} of {total}"
-    );
+    // The in-memory reader delivers the whole trace as one chunk and the
+    // v3 reader one 64K-record block per chunk: both must stop before
+    // training the block after the one whose observer cancelled.
+    let readers: [(&str, Box<dyn TraceReader + '_>); 2] = [
+        ("in-memory", Box::new(trace.reader())),
+        ("v3", Box::new(BptrReader::new(bytes.as_slice()).expect("header"))),
+    ];
+    for (label, mut reader) in readers {
+        let token = cancel::CancelToken::new();
+        let _scope = cancel::set_scope(token.clone());
+        let mut observed_max = 0;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut predictors: Vec<Box<dyn DirectionPredictor>> =
+                vec![PredictorSpec::parse("gshare").expect("known predictor").build()];
+            sweep_flags(
+                &mut predictors,
+                reader.as_mut(),
+                Some(&mut |n, _| {
+                    observed_max = n;
+                    if n >= 16_384 {
+                        token.cancel("test stop");
+                    }
+                }),
+            )
+        }));
+        let payload = result.expect_err(&format!("{label}: cancelled sweep must unwind"));
+        let cancelled = payload.downcast_ref::<cancel::Cancelled>().expect("Cancelled payload");
+        assert!(cancelled.reason.contains("test stop"), "{label}: {}", cancelled.reason);
+        assert!(cancelled.reason.contains("sweep.train"), "{label}: {}", cancelled.reason);
+        assert_eq!(
+            observed_max, 16_384,
+            "{label}: training must stop at the block after the cancel, of {total} branches"
+        );
+    }
 }
 
 #[test]

@@ -1,29 +1,49 @@
-//! Naive reference implementations of TAGE and TAGE-SC-L.
+//! Naive reference implementations of TAGE and TAGE-SC-L: test support
+//! for the bit-identity suite (`tests/bit_identity.rs`).
 //!
 //! These are the straightforward array-of-structs formulations the
-//! optimized hot-path implementations ([`crate::Tage`],
-//! [`crate::TageScL`]) were derived from: one `Vec<Vec<Entry>>` per
-//! tagged bank, [`SatCounter`] state machines instead of branchless
+//! optimized hot-path implementations ([`bp_predictors::Tage`],
+//! [`bp_predictors::TageScL`]) were derived from: one `Vec<Vec<Entry>>`
+//! per tagged bank, [`SatCounter`] state machines instead of branchless
 //! lanes, and indices recomputed wherever they are needed. They exist so
-//! the optimizations stay *provably* behavior-preserving: the
-//! bit-identity suite (`tests/bit_identity.rs`) replays full workload
-//! traces through both implementations and asserts identical prediction
-//! streams and identical [`state_digest`](NaiveTage::state_digest)
-//! values at the end.
+//! the optimizations stay *provably* behavior-preserving: the bit-identity
+//! suite replays full workload traces through both implementations and
+//! asserts identical prediction streams and identical
+//! [`state_digest`](Predictor::state_digest) values at the end.
 //!
 //! Nothing here is performance-sensitive; clarity wins every trade. The
-//! structures intentionally mirror `tage.rs`/`sc.rs`/`tagescl.rs`
-//! line-for-line where behavior is concerned — when changing predictor
-//! behavior, change both sides and let the tests prove agreement.
+//! structures intentionally mirror `tage.rs`/`sc.rs`/`tagescl.rs` in
+//! `crates/predictors` line-for-line where behavior is concerned — when
+//! changing predictor behavior, change both sides and let the tests prove
+//! agreement.
 
-use crate::counter::{SatCounter, SignedCounter};
-use crate::digest::Fnv;
-use crate::history::{BitHistory, FoldedHistory, PathHistory};
-use crate::loop_pred::LoopPredictor;
-use crate::sc::{ScConfig, ScDecision};
-use crate::tage::TageConfig;
-use crate::tagescl::TageSclConfig;
-use crate::Predictor;
+use bp_predictors::{
+    BitHistory, FoldedHistory, LoopPredictor, PathHistory, Predictor, SatCounter, ScConfig,
+    ScDecision, SignedCounter, TageConfig, TageSclConfig,
+};
+
+/// Incremental 64-bit FNV-1a over little-endian `u64` words: a copy of
+/// the predictors crate's private state hash, so digests compare
+/// field-for-field with the optimized implementations'.
+#[derive(Clone, Copy, Debug)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn push(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
 
 #[derive(Clone, Copy, Debug)]
 struct NaiveEntry {
@@ -56,7 +76,7 @@ struct NaiveCtx {
 
 /// Reference TAGE: per-bank `Vec<NaiveEntry>` tables, per-prediction
 /// heap-allocated context, [`SatCounter`] updates. Behaviorally identical
-/// to [`crate::Tage`] by construction and by test.
+/// to [`bp_predictors::Tage`] by construction and by test.
 #[derive(Clone, Debug)]
 pub struct NaiveTage {
     config: TageConfig,
@@ -253,33 +273,6 @@ impl NaiveTage {
         self.ghist.push(taken);
         self.path.push(ip);
     }
-
-    /// FNV-1a digest of the complete architectural state, field-for-field
-    /// comparable with [`crate::Tage::state_digest`].
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        for b in &self.bimodal {
-            h.push(u64::from(b.value()));
-        }
-        for table in &self.tables {
-            for e in table {
-                h.push(u64::from(e.ctr.value()));
-                h.push(u64::from(e.tag));
-                h.push(u64::from(e.useful.value()));
-            }
-        }
-        for t in 0..self.config.num_tables {
-            h.push(self.folded_idx[t].value());
-            h.push(self.folded_tag0[t].value());
-            h.push(self.folded_tag1[t].value());
-        }
-        h.push(self.path.value());
-        h.push(self.use_alt_on_na.value() as u64);
-        h.push(self.lfsr);
-        h.push(self.updates);
-        h.finish()
-    }
 }
 
 impl Predictor for NaiveTage {
@@ -340,14 +333,36 @@ impl Predictor for NaiveTage {
         self.bimodal.len() * 2 + tagged + self.config.max_hist + 64
     }
 
+    /// FNV-1a digest of the complete architectural state, field-for-field
+    /// comparable with [`bp_predictors::Tage::state_digest`].
     fn state_digest(&self) -> u64 {
-        NaiveTage::state_digest(self)
+        let mut h = Fnv::new();
+        for b in &self.bimodal {
+            h.push(u64::from(b.value()));
+        }
+        for table in &self.tables {
+            for e in table {
+                h.push(u64::from(e.ctr.value()));
+                h.push(u64::from(e.tag));
+                h.push(u64::from(e.useful.value()));
+            }
+        }
+        for t in 0..self.config.num_tables {
+            h.push(self.folded_idx[t].value());
+            h.push(self.folded_tag0[t].value());
+            h.push(self.folded_tag1[t].value());
+        }
+        h.push(self.path.value());
+        h.push(self.use_alt_on_na.value() as u64);
+        h.push(self.lfsr);
+        h.push(self.updates);
+        h.finish()
     }
 }
 
 /// Reference statistical corrector: every table index recomputed at each
 /// use, as in the original formulation. Behaviorally identical to
-/// [`crate::StatisticalCorrector`].
+/// [`bp_predictors::StatisticalCorrector`].
 #[derive(Clone, Debug)]
 pub struct NaiveStatisticalCorrector {
     config: ScConfig,
@@ -410,7 +425,7 @@ impl NaiveStatisticalCorrector {
     }
 
     /// Arbitrates `input_pred` for branch `ip`; see
-    /// [`crate::StatisticalCorrector::refine`].
+    /// [`bp_predictors::StatisticalCorrector::refine`].
     pub fn refine(&mut self, ip: u64, input_pred: bool, input_confident: bool) -> ScDecision {
         let sum = self.sum(ip, input_pred);
         self.last_sum = sum;
@@ -434,7 +449,7 @@ impl NaiveStatisticalCorrector {
     }
 
     /// Trains with the resolved outcome; see
-    /// [`crate::StatisticalCorrector::train`].
+    /// [`bp_predictors::StatisticalCorrector::train`].
     pub fn train(&mut self, ip: u64, input_pred: bool, final_pred: bool, taken: bool) {
         let sum = self.last_sum;
         if final_pred != taken || sum.abs() < self.threshold * 4 {
@@ -465,7 +480,7 @@ impl NaiveStatisticalCorrector {
     }
 
     /// FNV-1a digest of the trained state, field-for-field comparable
-    /// with [`crate::StatisticalCorrector::state_digest`].
+    /// with [`bp_predictors::StatisticalCorrector::state_digest`].
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();
@@ -496,7 +511,7 @@ struct NaiveEnsembleCtx {
 
 /// Reference TAGE-SC-L: [`NaiveTage`] + [`NaiveStatisticalCorrector`] +
 /// the (shared) [`LoopPredictor`], arbitrated exactly as
-/// [`crate::TageScL`] does.
+/// [`bp_predictors::TageScL`] does.
 #[derive(Clone, Debug)]
 pub struct NaiveTageScL {
     tage: NaiveTage,
@@ -523,22 +538,6 @@ impl NaiveTageScL {
             with_loop: SignedCounter::new(7),
             ctx: None,
         }
-    }
-
-    /// FNV-1a digest of the complete ensemble state, field-for-field
-    /// comparable with [`crate::TageScL::state_digest`].
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.push(self.tage.state_digest());
-        h.push(
-            self.sc
-                .as_ref()
-                .map_or(0, NaiveStatisticalCorrector::state_digest),
-        );
-        h.push(self.loop_pred.as_ref().map_or(0, LoopPredictor::state_digest));
-        h.push(self.with_loop.value() as u64);
-        h.finish()
     }
 
     fn compute(&mut self, ip: u64) -> NaiveEnsembleCtx {
@@ -621,54 +620,18 @@ impl Predictor for NaiveTageScL {
             + 7
     }
 
+    /// FNV-1a digest of the complete ensemble state, field-for-field
+    /// comparable with [`bp_predictors::TageScL::state_digest`].
     fn state_digest(&self) -> u64 {
-        NaiveTageScL::state_digest(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A quick in-crate agreement check on synthetic streams; the full
-    /// cross-workload proof lives in `tests/bit_identity.rs`.
-    #[test]
-    fn naive_and_optimized_agree_on_synthetic_stream() {
-        let mut fast = crate::TageScL::kb8();
-        let mut slow = NaiveTageScL::new(TageSclConfig::storage_kb(8));
-        let mut state = 41u64;
-        for i in 0..30_000u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let ip = 0x1000 + (state >> 20) % 97 * 4;
-            let taken = match ip % 3 {
-                0 => (state >> 33) % 100 < 85,
-                1 => i % 5 != 0,
-                _ => (state >> 45) & 1 == 1,
-            };
-            let pf = fast.predict(ip);
-            let ps = slow.predict(ip);
-            assert_eq!(pf, ps, "prediction diverged at branch {i}");
-            fast.update(ip, taken, pf);
-            slow.update(ip, taken, ps);
-        }
-        assert_eq!(fast.state_digest(), slow.state_digest());
-    }
-
-    #[test]
-    fn naive_tage_agrees_with_optimized_tage() {
-        let mut fast = crate::Tage::new(TageConfig::default());
-        let mut slow = NaiveTage::new(TageConfig::default());
-        let mut state = 7u64;
-        for i in 0..20_000u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let ip = 0x400 + (state >> 24) % 61 * 4;
-            let taken = (state >> 38) % 100 < 70;
-            let pf = fast.predict(ip);
-            let ps = slow.predict(ip);
-            assert_eq!(pf, ps, "prediction diverged at branch {i}");
-            fast.update(ip, taken, pf);
-            slow.update(ip, taken, ps);
-        }
-        assert_eq!(fast.state_digest(), slow.state_digest());
+        let mut h = Fnv::new();
+        h.push(self.tage.state_digest());
+        h.push(
+            self.sc
+                .as_ref()
+                .map_or(0, NaiveStatisticalCorrector::state_digest),
+        );
+        h.push(self.loop_pred.as_ref().map_or(0, LoopPredictor::state_digest));
+        h.push(self.with_loop.value() as u64);
+        h.finish()
     }
 }

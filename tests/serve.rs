@@ -244,6 +244,12 @@ fn malformed_requests_fail_closed() {
         400,
         "sweep without predictors"
     );
+    let off_point = r#"{"workload": "streaming", "predictors": ["tage-sc-l-3kb"]}"#;
+    assert_eq!(
+        request(addr, "POST", "/sweep", off_point).status,
+        400,
+        "a TAGE size off the storage points must be refused, not run into a panic"
+    );
     assert_eq!(request(addr, "GET", "/result/zzzz", "").status, 400);
     assert_eq!(
         request(addr, "GET", "/result/0123456789abcdef", "").status,

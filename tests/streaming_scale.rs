@@ -8,8 +8,8 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use branch_lab::predictors::{sweep_measure_stream, PredictorSpec};
-use branch_lab::trace::{RetiredInst, Trace, TraceMeta, TraceWriter};
+use branch_lab::predictors::{AccuracyStats, PredictorSpec};
+use branch_lab::trace::{RetiredInst, Trace, TraceMeta, TraceReader, TraceWriter};
 
 /// A fresh private directory under the system temp dir.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -76,13 +76,23 @@ fn stream_round_trip(n: u64, rss_budget_kb: u64) {
         "v3 encoding too fat: {encoded} bytes for {n} records = {bytes_per_inst:.3} B/inst"
     );
 
-    // Decode block-by-block straight into a predictor sweep.
+    // Decode block-by-block straight into two predictors, keeping only
+    // their running accuracy: nothing here grows with the trace.
     let mut reader = Trace::open(&path).expect("open trace");
-    let mut predictors = vec![
+    let mut predictors = [
         PredictorSpec::Bimodal { log2_entries: 12 }.build(),
         PredictorSpec::GShare { log2_entries: 12, history_bits: 12 }.build(),
     ];
-    let stats = sweep_measure_stream(&mut predictors, &mut reader).expect("streamed sweep");
+    let mut stats = [AccuracyStats::default(); 2];
+    while let Some(chunk) = reader.next_chunk().expect("streamed decode") {
+        for inst in chunk {
+            if let Some(taken) = inst.taken() {
+                for (p, s) in predictors.iter_mut().zip(&mut stats) {
+                    s.record(p.predict_and_train(inst.ip, taken) == taken);
+                }
+            }
+        }
+    }
     assert_eq!(reader.records_read(), n, "stream must yield every record");
     for s in &stats {
         assert_eq!(s.total, n, "every record is a conditional branch");
