@@ -22,13 +22,16 @@ cargo test -q --workspace
 echo "== golden (release) =="
 # Share one trace cache across the golden runs so the leg stays fast; the
 # fixtures themselves are independent of where traces are cached.
+# `--include-ignored` adds the table3 and fig6 fixtures, which are too
+# slow for the debug `cargo test` above but take seconds in release.
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
-    cargo test --release -q --test golden --test metrics_manifest
+    cargo test --release -q --test golden --test metrics_manifest -- --include-ignored
 
 echo "== decode robustness =="
-# Every file in the checked-in corpus of damaged BPTR traces (all three
-# format versions) must decode to a structured error — never a panic or
-# a hostile-length-sized allocation — and the 100M-branch scale run must
+# Every file in the checked-in corpus of damaged BPTR traces (v3 files,
+# hostile headers, and frozen files of the retired v1/v2 formats) must
+# decode to a structured error — never a panic or a hostile-length-sized
+# allocation — and the 100M-branch scale run must
 # round-trip at ≤ 1 byte/inst with peak RSS independent of trace length.
 cargo test --release -q -p bp-trace --test decode_robustness
 cargo test --release -q --test streaming_scale -- --include-ignored

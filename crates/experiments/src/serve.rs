@@ -53,7 +53,7 @@ use bp_core::{DatasetConfig, SamplingConfig, StudyCtx, StudyKind, StudyRegistry}
 use bp_metrics::json::{self, Value};
 use bp_metrics::{Counter, CounterBaseline};
 use bp_predictors::PredictorSpec;
-use bp_workloads::{find_workload, suite_digest, workload_names};
+use bp_workloads::{find_workload, parse_budget, suite_digest, workload_names};
 
 use crate::{cli, registry, Cli};
 
@@ -145,20 +145,6 @@ fn default_workers() -> usize {
     // serialize on the accept loop and the singleflight path (and its
     // dedup guarantee) could never engage.
     std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8))
-}
-
-/// `512`, `64K`, `8M`, `1G` → bytes (same grammar as
-/// `BRANCH_LAB_MEM_BUDGET`).
-fn parse_budget(raw: &str) -> Option<u64> {
-    let raw = raw.trim();
-    let (digits, shift) = match raw.chars().last()? {
-        'k' | 'K' => (&raw[..raw.len() - 1], 10u32),
-        'm' | 'M' => (&raw[..raw.len() - 1], 20),
-        'g' | 'G' => (&raw[..raw.len() - 1], 30),
-        _ => (raw, 0),
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    n.checked_shl(shift).filter(|&b| b > 0)
 }
 
 /// Version of the cache-key component schema. Bump whenever the set or
@@ -717,16 +703,6 @@ pub fn run_from(args: Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_grammar_matches_mem_budget() {
-        assert_eq!(parse_budget("512"), Some(512));
-        assert_eq!(parse_budget("4K"), Some(4096));
-        assert_eq!(parse_budget(" 2m "), Some(2 << 20));
-        assert_eq!(parse_budget("1G"), Some(1 << 30));
-        assert_eq!(parse_budget("0"), None);
-        assert_eq!(parse_budget("lots"), None);
-    }
 
     #[test]
     fn run_request_rejects_unknown_fields_and_bad_values() {

@@ -2,9 +2,10 @@
 //!
 //! The paper's methodology replays multi-billion-instruction traces per
 //! workload (§V-B); real Pin-based trace libraries spend 0.1–1.2 *bits*
-//! per branch. The fat v1/v2 encoding (37 bytes per record, fully
-//! materialized) cannot reach that scale, so v3 re-encodes the stream
-//! around the two redundancies every retired-instruction trace has:
+//! per branch. A fixed 37-byte record per instruction, fully
+//! materialized (the layout of the retired v1/v2 formats), cannot reach
+//! that scale, so v3 encodes the stream around the two redundancies
+//! every retired-instruction trace has:
 //!
 //! * **Static locality** — the dynamic stream revisits a small set of
 //!   static instructions. Each block builds a *dictionary* of unique
@@ -21,7 +22,7 @@
 //!
 //! A loop-dominated branch trace costs ~2–4 *bits* per instruction; the
 //! worst case (random 64-bit `dst_value` every record) degrades to
-//! roughly the v2 cost, never beyond `MAX_BLOCK_PAYLOAD`.
+//! roughly that fixed-layout cost, never beyond `MAX_BLOCK_PAYLOAD`.
 //!
 //! Records are grouped into blocks of [`BLOCK_RECORDS`]; every block is
 //! independently decodable and carries its own FNV-1a trailer, so a torn
@@ -61,8 +62,8 @@ use std::io::Write;
 use crate::isa::BranchKind;
 use crate::record::{BranchInfo, RetiredInst};
 use crate::serialize::{
-    class_code, decode_class, decode_kind, decode_reg, encode_reg, fnv1a, kind_code,
-    write_header, FNV_OFFSET, ReadTraceError, WriteTraceError, VERSION_V3,
+    class_code, decode_class, decode_kind, decode_reg, encode_reg, fnv1a, kind_code, write_header,
+    ReadTraceError, WriteTraceError, FNV_OFFSET,
 };
 use crate::trace::TraceMeta;
 
@@ -529,7 +530,7 @@ impl<W: Write> TraceWriter<W> {
     /// Propagates I/O errors and rejects over-long workload names
     /// exactly like [`Trace::write_to`](crate::Trace::write_to).
     pub fn new(mut writer: W, meta: &TraceMeta, count: Option<u64>) -> Result<Self, WriteTraceError> {
-        write_header(&mut writer, VERSION_V3, meta, count.unwrap_or(COUNT_UNKNOWN))?;
+        write_header(&mut writer, meta, count.unwrap_or(COUNT_UNKNOWN))?;
         Ok(TraceWriter {
             inner: writer,
             block: Vec::with_capacity(BLOCK_RECORDS.min(4096)),

@@ -1,13 +1,13 @@
 //! Streaming trace consumption: the [`TraceReader`] trait and the
-//! version-dispatching `BPTR` block decoder.
+//! `BPTR` v3 block decoder.
 //!
 //! Replaying a paper-scale trace (§V-B works with multi-billion
 //! instruction streams) must not require materializing it: everything
 //! downstream — `SweepReplay::prepare`, `sweep_flags`, profile
 //! collection — consumes traces chunk-by-chunk through [`TraceReader`].
 //! The in-memory [`Trace`] is just one implementation (a single-chunk
-//! reader over its slice); [`BptrReader`] decodes v1/v2/v3 files with
-//! peak memory bounded by one block, independent of trace length.
+//! reader over its slice); [`BptrReader`] decodes v3 files with peak
+//! memory bounded by a few blocks, independent of trace length.
 //!
 //! Chunk boundaries carry no meaning: a reader may split the stream
 //! anywhere, and consumers must produce identical results for any
@@ -19,14 +19,8 @@ use std::sync::Arc;
 use crate::ahead::{check_digest, Ahead, Block};
 use crate::codec_v3::{BLOCK_RECORDS, COUNT_UNKNOWN, MAX_BLOCK_PAYLOAD};
 use crate::record::RetiredInst;
-use crate::serialize::{
-    decode_record_v12, fnv1a, ReadTraceError, FNV_OFFSET, MAGIC, MIN_VERSION, V12_RECORD_BYTES,
-    VERSION_V2, VERSION_V3,
-};
+use crate::serialize::{ReadTraceError, MAGIC, VERSION_V3};
 use crate::trace::{Trace, TraceMeta};
-
-/// Records per chunk when streaming the fat v1/v2 record format.
-const V12_CHUNK: usize = 16 * 1024;
 
 /// A source of retired-instruction records, delivered in arbitrary-size
 /// chunks until exhausted.
@@ -142,23 +136,22 @@ impl Trace {
     }
 }
 
-/// Streaming decoder for every supported `BPTR` version.
+/// Streaming decoder for `BPTR` v3, the only supported version.
 ///
 /// The header is parsed in [`BptrReader::new`]; records then stream out
-/// in bounded chunks — one codec block for v3, `V12_CHUNK` fat records
-/// for v1/v2 — so peak memory is independent of trace length. Integrity
-/// is verified incrementally (v3: per-block FNV-1a trailers; v2: a
-/// running digest checked against the file trailer) and the stream must
-/// end exactly where the format says it does: leftover bytes are
-/// `Corrupt("trailing bytes")`, a missing end is an I/O error.
+/// one codec block per chunk, so peak memory is independent of trace
+/// length. Integrity is verified incrementally (per-block FNV-1a
+/// trailers) and the stream must end exactly where the format says it
+/// does: leftover bytes are `Corrupt("trailing bytes")`, a missing end
+/// is an I/O error.
 ///
-/// v3 decodes ahead: while the consumer works on one block, up to two
+/// Blocks decode ahead: while the consumer works on one block, up to two
 /// more are verified and decoded on a helper thread the reader owns (one
 /// per reader, only when more than one CPU is available), and when the
 /// next block is not ready the calling thread decodes instead of
 /// waiting. Records, their order and the errors are exactly those of
 /// decoding one block at a time; see the `ahead` module for the
-/// threading contract. v1/v2 decode inline.
+/// threading contract.
 ///
 /// Decode is hostile-input hardened: no header or frame field can cause
 /// an allocation beyond one block's caps ([`BLOCK_RECORDS`],
@@ -167,18 +160,13 @@ impl Trace {
 /// first error the reader holds no buffers and no thread.
 pub struct BptrReader<R> {
     inner: R,
-    version: u16,
     meta: TraceMeta,
-    /// Header-declared record total (`None`: v3 "count unknown").
+    /// Header-declared record total (`None`: "count unknown").
     declared: Option<u64>,
     produced: u64,
-    /// v1/v2: the chunk handed out last.
-    chunk: Vec<RetiredInst>,
-    /// v1/v2: running FNV-1a over every byte read, for the v2 trailer.
-    hash: u64,
-    /// v3: records in the blocks framed so far.
+    /// Records in the blocks framed so far.
     framed: u64,
-    /// v3: the decode pipeline, until the stream ends or fails.
+    /// The decode pipeline, until the stream ends or fails.
     ahead: Option<Ahead>,
     state: State,
 }
@@ -197,44 +185,36 @@ impl<R: Read> BptrReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`ReadTraceError`] on I/O failure, bad magic, an
-    /// unsupported version, or malformed metadata.
+    /// Returns [`ReadTraceError`] on I/O failure, bad magic, any version
+    /// other than 3 (`UnsupportedVersion`), or malformed metadata.
     pub fn new(mut inner: R) -> Result<Self, ReadTraceError> {
-        let mut hash = FNV_OFFSET;
         let mut magic = [0u8; 4];
-        read_hashed(&mut inner, &mut hash, &mut magic)?;
+        inner.read_exact(&mut magic)?;
         if &magic != MAGIC {
             return Err(ReadTraceError::BadMagic);
         }
         let mut b2 = [0u8; 2];
-        read_hashed(&mut inner, &mut hash, &mut b2)?;
+        inner.read_exact(&mut b2)?;
         let version = u16::from_le_bytes(b2);
-        if !(MIN_VERSION..=VERSION_V3).contains(&version) {
+        if version != VERSION_V3 {
             return Err(ReadTraceError::UnsupportedVersion(version));
         }
-        read_hashed(&mut inner, &mut hash, &mut b2)?;
+        inner.read_exact(&mut b2)?;
         let name_len = usize::from(u16::from_le_bytes(b2));
         let mut name = vec![0u8; name_len];
-        read_hashed(&mut inner, &mut hash, &mut name)?;
+        inner.read_exact(&mut name)?;
         let name = String::from_utf8(name).map_err(|_| ReadTraceError::Corrupt("name"))?;
         let mut b4 = [0u8; 4];
-        read_hashed(&mut inner, &mut hash, &mut b4)?;
+        inner.read_exact(&mut b4)?;
         let input = u32::from_le_bytes(b4);
-        let mut b8 = [0u8; 8];
-        read_hashed(&mut inner, &mut hash, &mut b8)?;
-        let count = u64::from_le_bytes(b8);
-        let declared =
-            if version == VERSION_V3 && count == COUNT_UNKNOWN { None } else { Some(count) };
+        let count = read_u64(&mut inner)?;
         Ok(BptrReader {
             inner,
-            version,
             meta: TraceMeta { name, input },
-            declared,
+            declared: (count != COUNT_UNKNOWN).then_some(count),
             produced: 0,
-            chunk: Vec::new(),
-            hash,
             framed: 0,
-            ahead: (version == VERSION_V3).then(Ahead::new),
+            ahead: Some(Ahead::new()),
             state: State::Reading,
         })
     }
@@ -245,53 +225,17 @@ impl<R: Read> BptrReader<R> {
         self.produced
     }
 
-    /// The `BPTR` format version of the underlying stream (1–3).
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
     /// Ends or fails the stream: frees every buffer and joins the helper.
     fn stop(&mut self, state: State) {
         self.state = state;
-        self.chunk = Vec::new();
         self.ahead = None;
     }
 
-    /// Decodes the next v1/v2 chunk into `chunk`; `Ok(false)` at the
-    /// verified end.
-    fn next_chunk_v12(&mut self) -> Result<bool, ReadTraceError> {
-        let declared = self.declared.expect("v1/v2 headers always declare a count");
-        let remaining = declared - self.produced;
-        if remaining == 0 {
-            if self.version == VERSION_V2 {
-                // The trailer digests everything before itself, so
-                // snapshot the running hash before consuming it.
-                let computed = self.hash;
-                let stored = read_u64(&mut self.inner)?;
-                if stored != computed {
-                    return Err(ReadTraceError::ChecksumMismatch { stored, computed });
-                }
-            }
-            expect_eof(&mut self.inner)?;
-            return Ok(false);
-        }
-        let take = usize::try_from(remaining).unwrap_or(usize::MAX).min(V12_CHUNK);
-        self.chunk.clear();
-        let mut buf = [0u8; V12_RECORD_BYTES];
-        for _ in 0..take {
-            read_hashed(&mut self.inner, &mut self.hash, &mut buf)?;
-            self.chunk.push(decode_record_v12(&buf)?);
-        }
-        self.produced += take as u64;
-        Ok(true)
-    }
-
-    /// Delivers the next v3 block through the decode pipeline;
-    /// `Ok(false)` at the verified end.
-    fn next_chunk_v3(&mut self) -> Result<bool, ReadTraceError> {
+    /// Delivers the next block through the decode pipeline; `Ok(false)`
+    /// at the verified end.
+    fn next_block(&mut self) -> Result<bool, ReadTraceError> {
         let BptrReader { inner, declared, framed, ahead, .. } = self;
-        let ahead = ahead.as_mut().expect("a reading v3 reader owns its pipeline");
+        let ahead = ahead.as_mut().expect("a reading reader owns its pipeline");
         let more = ahead.next_block(|block| frame_block(inner, *declared, framed, block))?;
         if more {
             self.produced += ahead.held().len() as u64;
@@ -300,7 +244,7 @@ impl<R: Read> BptrReader<R> {
     }
 }
 
-/// Reads the next v3 frame into `block`: the frame, its payload and its
+/// Reads the next frame into `block`: the frame, its payload and its
 /// trailer, with buffers sized here, on the reading thread, and only
 /// after the caps and the count reconciliation passed. Returns
 /// `Ok(false)` at a verified end marker (trailer, record total and end of
@@ -364,13 +308,14 @@ impl<R: Read> TraceReader for BptrReader<R> {
             State::Ended => return Ok(None),
             State::Failed(e) => return Err(e.duplicate()),
         }
-        let step =
-            if self.version == VERSION_V3 { self.next_chunk_v3() } else { self.next_chunk_v12() };
-        match step {
-            Ok(true) => Ok(Some(match &self.ahead {
-                Some(ahead) => ahead.held(),
-                None => &self.chunk,
-            })),
+        match self.next_block() {
+            Ok(true) => {
+                let ahead = self
+                    .ahead
+                    .as_ref()
+                    .expect("a reading reader owns its pipeline");
+                Ok(Some(ahead.held()))
+            }
             Ok(false) => {
                 self.stop(State::Ended);
                 Ok(None)
@@ -381,12 +326,6 @@ impl<R: Read> TraceReader for BptrReader<R> {
             }
         }
     }
-}
-
-fn read_hashed<R: Read>(r: &mut R, hash: &mut u64, buf: &mut [u8]) -> Result<(), ReadTraceError> {
-    r.read_exact(buf)?;
-    fnv1a(hash, buf);
-    Ok(())
 }
 
 fn read_u64<R: Read>(r: &mut R) -> Result<u64, ReadTraceError> {
@@ -454,23 +393,6 @@ mod tests {
             all.extend_from_slice(chunk);
         }
         assert_eq!(r.records_read(), 150_000);
-        assert_eq!(all, t.insts());
-    }
-
-    #[test]
-    fn bptr_reader_streams_v2_in_bounded_chunks() {
-        let t = branchy(40_000);
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        let mut r = BptrReader::new(bytes.as_slice()).unwrap();
-        let mut all = Vec::new();
-        let mut chunks = 0;
-        while let Some(chunk) = r.next_chunk().unwrap() {
-            assert!(chunk.len() <= V12_CHUNK);
-            all.extend_from_slice(chunk);
-            chunks += 1;
-        }
-        assert!(chunks >= 3, "{chunks}");
         assert_eq!(all, t.insts());
     }
 
@@ -584,7 +506,6 @@ mod tests {
         let shared = ahead.shared_state();
         while r.next_chunk().unwrap().is_some() {}
         assert!(r.ahead.is_none());
-        assert_eq!(r.chunk.capacity(), 0);
         assert!(shared.upgrade().is_none(), "the helper still holds the queue");
         assert!(r.next_chunk().unwrap().is_none());
     }
@@ -634,16 +555,6 @@ mod tests {
                 );
             }
             assert_eq!(r.records_read(), BLOCK_RECORDS as u64);
-        }
-        // v1/v2 fuse too: a truncated v2 stream keeps failing.
-        let mut v2 = Vec::new();
-        branchy(100).write_to_v2(&mut v2).unwrap();
-        v2.truncate(v2.len() - 3);
-        let mut r = BptrReader::new(v2.as_slice()).unwrap();
-        let first = r.next_chunk().map(|c| c.map(<[RetiredInst]>::len));
-        assert!(matches!(first, Ok(Some(100)) | Err(ReadTraceError::Io(_))), "{first:?}");
-        for _ in 0..2 {
-            assert!(matches!(r.next_chunk(), Err(ReadTraceError::Io(_))));
         }
     }
 

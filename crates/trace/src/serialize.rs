@@ -1,30 +1,27 @@
-//! Binary trace serialization: the `BPTR` container, v1/v2 legacy codec,
-//! and the shared error types.
+//! Binary trace serialization: the `BPTR` container header, the codes
+//! shared by its record encoding, and the error types.
 //!
 //! The paper's offline-training methodology (§V-B) rests on "collecting
 //! multiple long-duration traces of an application" into a trace library.
 //! This module gives [`Trace`] a compact, versioned binary format so trace
 //! collections can be written once and re-analyzed many times.
 //!
-//! Every version shares the header (little-endian): magic `BPTR`,
-//! version u16, metadata (name length u16 + UTF-8 bytes, input u32), and
-//! a record count u64. What follows depends on the version:
+//! The header (little-endian) is magic `BPTR`, version u16, metadata
+//! (name length u16 + UTF-8 bytes, input u32), and a record count u64.
+//! Version 3 is the only one read or written: bit-packed,
+//! delta-compressed blocks, each carrying its own FNV-1a trailer so
+//! corruption is detected at (and localized to) the block holding it;
+//! see [`crate::codec_v3`] for the layout. Any other version, including
+//! the retired fixed-layout v1/v2, is
+//! [`ReadTraceError::UnsupportedVersion`].
 //!
-//! * **v1** — one fixed 37-byte record per instruction, nothing else.
-//! * **v2** — v1 plus a trailing FNV-1a 64-bit checksum over every
-//!   preceding byte (magic and version included).
-//! * **v3** — bit-packed, delta-compressed blocks, each carrying its own
-//!   FNV-1a trailer so corruption is detected at (and localized to) the
-//!   block holding it; see [`crate::codec_v3`] for the layout. This is
-//!   the only version writers emit.
-//!
-//! All three versions decode through the same streaming block reader
+//! Files decode through the streaming block reader
 //! ([`crate::reader::BptrReader`]); [`Trace::read_from`] simply drains it
 //! into memory. Decode is hardened against hostile input: a corrupt
 //! header cannot demand a large allocation (capacity is clamped and
 //! grown as records actually arrive), every invalid field is a
-//! structured [`ReadTraceError`], and trailing bytes after the final
-//! record/trailer are rejected instead of silently ignored.
+//! structured [`ReadTraceError`], and trailing bytes after the end
+//! marker are rejected instead of silently ignored.
 //!
 //! [`Trace::save`] is crash-safe: it writes to a unique temporary file in
 //! the destination directory and atomically renames it into place, so a
@@ -39,16 +36,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::codec_v3::TraceWriter;
 use crate::isa::{BranchKind, InstClass, Reg, NUM_REGS};
 use crate::reader::{BptrReader, TraceReader};
-use crate::record::{BranchInfo, RetiredInst};
 use crate::trace::{Trace, TraceMeta};
 
 pub(crate) const MAGIC: &[u8; 4] = b"BPTR";
-/// Current write version: v3 block codec.
+/// The one format version read and written: the v3 block codec.
 pub(crate) const VERSION_V3: u16 = 3;
-/// The checksummed fat-record format (still readable, no longer written).
-pub(crate) const VERSION_V2: u16 = 2;
-/// Oldest version still accepted by [`Trace::read_from`].
-pub(crate) const MIN_VERSION: u16 = 1;
 pub(crate) const NO_REG: u8 = 0xFF;
 
 /// Initial record-capacity clamp for decoding: headers are untrusted, so
@@ -56,9 +48,6 @@ pub(crate) const NO_REG: u8 = 0xFF;
 /// hostile 16-byte header can no longer demand a multi-GB allocation
 /// before a single record has been read.
 pub(crate) const DECODE_CAP_CLAMP: usize = 1 << 16;
-
-/// Bytes of one fixed-layout v1/v2 record.
-pub(crate) const V12_RECORD_BYTES: usize = 37;
 
 // The register encoding reserves 0xFF for "no register"; a future ISA
 // widening past that would silently alias real registers onto the
@@ -76,30 +65,6 @@ pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// A writer adapter that hashes everything written through it.
-struct HashingWriter<W> {
-    inner: W,
-    hash: u64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
-        HashingWriter { inner, hash: FNV_OFFSET }
-    }
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        fnv1a(&mut self.hash, &buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Errors produced when decoding a serialized trace.
 #[derive(Debug)]
 pub enum ReadTraceError {
@@ -112,9 +77,9 @@ pub enum ReadTraceError {
     /// A field held an invalid value, the framing was malformed, or the
     /// stream carried bytes past its declared end.
     Corrupt(&'static str),
-    /// A checksum did not match its payload (the v2 whole-file trailer
-    /// or a v3 per-block trailer): the file was torn mid-write or
-    /// corrupted at rest.
+    /// A block's checksum did not match its frame and payload (or the
+    /// end marker's did not match its zero frame): the file was torn
+    /// mid-write or corrupted at rest.
     ChecksumMismatch {
         /// Checksum recorded in the file.
         stored: u64,
@@ -265,15 +230,14 @@ pub(crate) fn decode_kind(b: u8) -> Result<BranchKind, ReadTraceError> {
     })
 }
 
-/// Writes the version-independent `BPTR` header.
+/// Writes the `BPTR` header.
 pub(crate) fn write_header<W: Write>(
     writer: &mut W,
-    version: u16,
     meta: &TraceMeta,
     count: u64,
 ) -> Result<(), WriteTraceError> {
     writer.write_all(MAGIC)?;
-    writer.write_all(&version.to_le_bytes())?;
+    writer.write_all(&VERSION_V3.to_le_bytes())?;
     let name = meta.name.as_bytes();
     let name_len =
         u16::try_from(name.len()).map_err(|_| WriteTraceError::NameTooLong(name.len()))?;
@@ -282,56 +246,6 @@ pub(crate) fn write_header<W: Write>(
     writer.write_all(&meta.input.to_le_bytes())?;
     writer.write_all(&count.to_le_bytes())?;
     Ok(())
-}
-
-/// Encodes one record in the fixed v1/v2 layout.
-pub(crate) fn encode_record_v12(inst: &RetiredInst, buf: &mut [u8; V12_RECORD_BYTES]) {
-    buf[0..8].copy_from_slice(&inst.ip.to_le_bytes());
-    buf[8..16].copy_from_slice(&inst.dst_value.to_le_bytes());
-    buf[16..24].copy_from_slice(&inst.mem_addr.to_le_bytes());
-    buf[24] = class_code(inst.class);
-    buf[25] = encode_reg(inst.src1);
-    buf[26] = encode_reg(inst.src2);
-    buf[27] = encode_reg(inst.dst);
-    match inst.branch {
-        Some(b) => {
-            buf[28] = kind_code(b.kind) | (u8::from(b.taken) << 3);
-            buf[29..37].copy_from_slice(&b.target.to_le_bytes());
-        }
-        None => {
-            buf[28] = 0;
-            buf[29..37].fill(0);
-        }
-    }
-}
-
-/// Decodes one record from the fixed v1/v2 layout.
-pub(crate) fn decode_record_v12(buf: &[u8; V12_RECORD_BYTES]) -> Result<RetiredInst, ReadTraceError> {
-    let branch = match buf[28] {
-        0 => None,
-        code => {
-            let kind = decode_kind(code & 0x7)?;
-            let taken = code & 0x8 != 0;
-            if !taken && kind != BranchKind::Conditional {
-                return Err(ReadTraceError::Corrupt("unconditional not-taken"));
-            }
-            Some(BranchInfo {
-                kind,
-                taken,
-                target: u64::from_le_bytes(buf[29..37].try_into().expect("8 bytes")),
-            })
-        }
-    };
-    Ok(RetiredInst {
-        ip: u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes")),
-        dst_value: u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
-        mem_addr: u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")),
-        class: decode_class(buf[24])?,
-        src1: decode_reg(buf[25])?,
-        src2: decode_reg(buf[26])?,
-        dst: decode_reg(buf[27])?,
-        branch,
-    })
 }
 
 impl Trace {
@@ -358,35 +272,8 @@ impl Trace {
         Ok(())
     }
 
-    /// Serializes the trace in the legacy `BPTR` v2 format (fat 37-byte
-    /// records, whole-file checksum trailer).
-    ///
-    /// Kept for compatibility testing and for tooling that needs the
-    /// fixed-layout records; new code should use [`Trace::write_to`]
-    /// (v3), which is both smaller and streamable.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Trace::write_to`].
-    pub fn write_to_v2<W: Write>(&self, writer: W) -> Result<(), WriteTraceError> {
-        let mut writer = HashingWriter::new(writer);
-        write_header(&mut writer, VERSION_V2, self.meta(), self.len() as u64)?;
-        let mut buf = [0u8; V12_RECORD_BYTES];
-        for inst in self.iter() {
-            encode_record_v12(inst, &mut buf);
-            writer.write_all(&buf)?;
-        }
-        // The trailer is the digest of everything before it, so it is
-        // written through the inner writer (hashing it would be circular).
-        let digest = writer.hash;
-        writer.inner.write_all(&digest.to_le_bytes())?;
-        writer.inner.flush()?;
-        Ok(())
-    }
-
-    /// Deserializes a trace previously written with [`Trace::write_to`]
-    /// (any supported version: v1, v2, or v3), materializing it fully in
-    /// memory. For block-wise streaming decode, use
+    /// Deserializes a trace previously written with [`Trace::write_to`],
+    /// materializing it fully in memory. For block-wise streaming decode, use
     /// [`Trace::open`] or [`BptrReader`] directly.
     ///
     /// A `&mut` reference can be passed for `reader`.
@@ -503,6 +390,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RetiredInst;
     use std::sync::atomic::AtomicU32;
 
     /// A fresh per-process scratch directory: concurrent test runs (or a
@@ -539,35 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_preserves_everything() {
-        let t = sample();
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        let back = Trace::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(back.meta(), t.meta());
-        assert_eq!(back.insts(), t.insts());
-    }
-
-    #[test]
     fn empty_trace_roundtrips() {
         let t = Trace::new(TraceMeta::new("empty", 1));
-        let encodings = [
-            {
-                let mut b = Vec::new();
-                t.write_to(&mut b).unwrap();
-                b
-            },
-            {
-                let mut b = Vec::new();
-                t.write_to_v2(&mut b).unwrap();
-                b
-            },
-        ];
-        for bytes in encodings {
-            let back = Trace::read_from(bytes.as_slice()).unwrap();
-            assert_eq!(back.meta(), t.meta());
-            assert!(back.is_empty());
-        }
+        let mut bytes = Vec::new();
+        t.write_to(&mut bytes).unwrap();
+        let back = Trace::read_from(bytes.as_slice()).unwrap();
+        assert_eq!(back.meta(), t.meta());
+        assert!(back.is_empty());
     }
 
     #[test]
@@ -579,11 +445,19 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = Vec::new();
-        sample().write_to(&mut bytes).unwrap();
-        bytes[4] = 99; // version low byte
-        let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::UnsupportedVersion(99)));
+        let mut clean = Vec::new();
+        sample().write_to(&mut clean).unwrap();
+        // v1 and v2 are retired like any unknown version: the header is
+        // rejected before a single record is read.
+        for version in [0u16, 1, 2, 4, 99] {
+            let mut bytes = clean.clone();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = Trace::read_from(bytes.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, ReadTraceError::UnsupportedVersion(v) if v == version),
+                "v{version}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -593,17 +467,6 @@ mod tests {
         bytes.truncate(bytes.len() - 5);
         let err = Trace::read_from(bytes.as_slice()).unwrap_err();
         assert!(matches!(err, ReadTraceError::Io(_)));
-    }
-
-    #[test]
-    fn corrupt_register_is_rejected_in_v2() {
-        let mut bytes = Vec::new();
-        sample().write_to_v2(&mut bytes).unwrap();
-        // First record's src1 byte: header is 4+2+2+9+4+8 = 29 bytes
-        // ("roundtrip" = 9 chars), record starts at 29, src1 at +25.
-        bytes[29 + 25] = 200;
-        let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::Corrupt("register")));
     }
 
     /// Every register value and the none-sentinel round-trip through the
@@ -668,53 +531,11 @@ mod tests {
         }
         let mut bytes = Vec::new();
         t.write_to(&mut bytes).unwrap();
-        // The loopy branch stream must cost under a byte per record —
-        // v2 spent 37.
+        // The loopy branch stream must cost under a byte per record.
         assert!(bytes.len() < 10_000, "{} bytes for 10k records", bytes.len());
         let back = Trace::read_from(bytes.as_slice()).unwrap();
         assert_eq!(back.len(), 10_000);
         assert_eq!(back.insts(), t.insts());
-    }
-
-    /// Rewrites v2 `bytes` as the v1 format: drop the trailer, patch the
-    /// version field. This is exactly what pre-checksum branch-lab wrote.
-    fn downgrade_to_v1(mut bytes: Vec<u8>) -> Vec<u8> {
-        bytes.truncate(bytes.len() - 8);
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        bytes
-    }
-
-    #[test]
-    fn v1_files_without_checksum_still_load() {
-        let t = sample();
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        let back = Trace::read_from(downgrade_to_v1(bytes).as_slice()).unwrap();
-        assert_eq!(back.meta(), t.meta());
-        assert_eq!(back.insts(), t.insts());
-    }
-
-    #[test]
-    fn v1_trailing_garbage_is_rejected() {
-        let t = sample();
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        let mut v1 = downgrade_to_v1(bytes);
-        // A concatenated second trace (or any stray bytes) after the last
-        // declared record must not be silently accepted.
-        v1.push(0xAB);
-        let err = Trace::read_from(v1.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::Corrupt("trailing bytes")), "{err:?}");
-    }
-
-    #[test]
-    fn v2_trailing_garbage_is_rejected() {
-        let t = sample();
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        bytes.extend_from_slice(b"junk");
-        let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::Corrupt("trailing bytes")), "{err:?}");
     }
 
     #[test]
@@ -740,47 +561,19 @@ mod tests {
 
     #[test]
     fn hostile_record_count_does_not_preallocate() {
-        // A 29-byte header claiming u64::MAX records: decode must fail
+        // A 22-byte header claiming u64::MAX records: decode must fail
         // with a structured error after bounded allocation, not attempt
         // a multi-GB Vec::with_capacity.
-        for version in [1u16, 2, 3] {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(MAGIC);
-            bytes.extend_from_slice(&version.to_le_bytes());
-            bytes.extend_from_slice(&2u16.to_le_bytes());
-            bytes.extend_from_slice(b"hi");
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-            let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-            // v3 treats u64::MAX as "count unknown" and then finds no
-            // end marker; v1/v2 hit EOF reading the first record.
-            assert!(matches!(err, ReadTraceError::Io(_)), "v{version}: {err:?}");
-        }
-    }
-
-    #[test]
-    fn bit_flip_in_v2_payload_fails_the_checksum() {
-        let t = sample();
         let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        // Flip one bit in the first record's dst_value — a field whose
-        // every value decodes fine, so only the checksum can catch it.
-        let dst_value_off = 4 + 2 + 2 + t.meta().name.len() + 4 + 8 + 8;
-        bytes[dst_value_off] ^= 0x40;
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION_V3.to_le_bytes());
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(b"hi");
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::ChecksumMismatch { .. }), "{err}");
-        assert!(err.to_string().contains("checksum mismatch"));
-    }
-
-    #[test]
-    fn corrupt_v2_trailer_fails_the_checksum() {
-        let t = sample();
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, ReadTraceError::ChecksumMismatch { .. }), "{err}");
+        // u64::MAX means "count unknown", and then no end marker follows.
+        assert!(matches!(err, ReadTraceError::Io(_)), "{err:?}");
     }
 
     #[test]

@@ -1,24 +1,29 @@
 //! Decode robustness against a checked-in corpus of damaged `BPTR` files.
 //!
 //! Every file under `tests/corpus/` is a deliberately broken trace —
-//! truncated, bit-flipped, or carrying hostile header/frame values — in
-//! each of the three format versions. Decoding any of them must yield a
-//! structured [`ReadTraceError`]: never a panic, never a success, and
-//! never an allocation anywhere near what a hostile length field claims.
+//! truncated, bit-flipped, or carrying hostile header/frame values.
+//! Decoding any of them must yield a structured [`ReadTraceError`]: never
+//! a panic, never a success, and never an allocation anywhere near what a
+//! hostile length field claims.
 //!
-//! The corpus is generated deterministically by this file. To regenerate
-//! after a deliberate format change:
+//! The v3 and header-level files are generated deterministically by this
+//! file. To regenerate them after a deliberate format change:
 //!
 //! ```text
 //! BRANCH_LAB_UPDATE_GOLDEN=1 cargo test -p bp-trace --test decode_robustness
 //! ```
+//!
+//! The nine `v1-*`/`v2-*` files are frozen bytes from the retired
+//! fixed-layout formats, which nothing writes any more: they stay in the
+//! corpus as unsupported-version cases and are never regenerated.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use bp_trace::{BranchKind, InstClass, ReadTraceError, Reg, RetiredInst, Trace, TraceMeta};
 
-/// Records in the corpus base trace; small enough that the fat v1/v2
-/// mutants stay a few tens of KB in the repository.
+/// Records in the corpus base trace; small enough that the mutants stay
+/// a few KB each in the repository.
 const BASE_RECORDS: u64 = 600;
 
 /// Workload name baked into every corpus file; offsets below depend on
@@ -77,19 +82,6 @@ fn v3_bytes() -> Vec<u8> {
     b
 }
 
-fn v2_bytes() -> Vec<u8> {
-    let mut b = Vec::new();
-    base_trace().write_to_v2(&mut b).expect("v2 encode");
-    b
-}
-
-fn v1_bytes() -> Vec<u8> {
-    let mut b = v2_bytes();
-    b.truncate(b.len() - 8); // drop the checksum trailer
-    b[4..6].copy_from_slice(&1u16.to_le_bytes());
-    b
-}
-
 /// Patches the header record count to `lie`.
 fn with_count(mut b: Vec<u8>, lie: u64) -> Vec<u8> {
     b[COUNT_OFF..COUNT_OFF + 8].copy_from_slice(&lie.to_le_bytes());
@@ -111,10 +103,22 @@ fn v3_patch_first_payload(mut b: Vec<u8>, off: usize, val: u8) -> Vec<u8> {
     b
 }
 
-/// The full corpus: file name → deliberately damaged bytes.
+/// The frozen files of the retired formats, with the version each
+/// header declares: decode must stop at that version.
+const FROZEN: [(&str, u16); 9] = [
+    ("v1-bad-register.bptr", 1),
+    ("v1-hostile-count.bptr", 1),
+    ("v1-trailing-garbage.bptr", 1),
+    ("v1-truncated-mid-record.bptr", 1),
+    ("v2-bitflip-payload.bptr", 2),
+    ("v2-bitflip-trailer.bptr", 2),
+    ("v2-hostile-count.bptr", 2),
+    ("v2-trailing-garbage.bptr", 2),
+    ("v2-truncated-at-trailer.bptr", 2),
+];
+
+/// The generated corpus: file name → deliberately damaged bytes.
 fn corpus() -> Vec<(&'static str, Vec<u8>)> {
-    let v1 = v1_bytes();
-    let v2 = v2_bytes();
     let v3 = v3_bytes();
     let v3_first_payload_len = {
         let off = HEADER_LEN + 4;
@@ -122,41 +126,6 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     };
 
     let mut files: Vec<(&'static str, Vec<u8>)> = Vec::new();
-
-    // --- v1: fat records, no checksum ---
-    files.push(("v1-truncated-mid-record.bptr", v1[..HEADER_LEN + 37 * 100 + 11].to_vec()));
-    files.push(("v1-hostile-count.bptr", with_count(v1.clone(), u64::MAX)));
-    files.push(("v1-trailing-garbage.bptr", {
-        let mut b = v1.clone();
-        b.extend_from_slice(b"stowaway");
-        b
-    }));
-    files.push(("v1-bad-register.bptr", {
-        let mut b = v1.clone();
-        b[HEADER_LEN + 25] = 200; // first record's src1
-        b
-    }));
-
-    // --- v2: fat records + whole-file checksum trailer ---
-    files.push(("v2-truncated-at-trailer.bptr", v2[..v2.len() - 8].to_vec()));
-    files.push(("v2-bitflip-payload.bptr", {
-        let mut b = v2.clone();
-        let mid = b.len() / 2;
-        b[mid] ^= 0x20;
-        b
-    }));
-    files.push(("v2-bitflip-trailer.bptr", {
-        let mut b = v2.clone();
-        let last = b.len() - 1;
-        b[last] ^= 0xFF;
-        b
-    }));
-    files.push(("v2-hostile-count.bptr", with_count(v2.clone(), u64::MAX / 37)));
-    files.push(("v2-trailing-garbage.bptr", {
-        let mut b = v2.clone();
-        b.push(0);
-        b
-    }));
 
     // --- v3: blocked codec, per-block trailers ---
     files.push(("v3-truncated-mid-block.bptr", v3[..HEADER_LEN + 8 + 40].to_vec()));
@@ -236,9 +205,9 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// The corpus on disk must match what this file generates — or be
-/// rewritten when `BRANCH_LAB_UPDATE_GOLDEN=1`, mirroring the golden
-/// fixture workflow.
+/// The generated files on disk must match what this file generates — or
+/// be rewritten when `BRANCH_LAB_UPDATE_GOLDEN=1`, mirroring the golden
+/// fixture workflow. The frozen files are left alone.
 #[test]
 fn corpus_files_are_in_sync() {
     let dir = corpus_dir();
@@ -265,20 +234,21 @@ fn corpus_files_are_in_sync() {
     }
 }
 
-/// Every corpus file decodes to a structured error — no panic, no
-/// success, and no allocation remotely sized by its hostile length
-/// fields (guarded via the process's peak-RSS high-water mark).
+/// Every corpus file, generated or frozen, decodes to a structured
+/// error — no panic, no success, and no allocation remotely sized by its
+/// hostile length fields (guarded via the process's peak-RSS high-water
+/// mark). A frozen v1/v2 file fails on its version field and nothing
+/// else.
 #[test]
 fn every_corpus_file_fails_structurally() {
     let dir = corpus_dir();
     let before_kb = peak_rss_kb();
-    let mut seen = 0;
+    let mut seen = BTreeSet::new();
     for entry in std::fs::read_dir(&dir).expect("corpus dir (regenerate if missing)") {
         let path = entry.expect("dir entry").path();
         if path.extension().is_none_or(|e| e != "bptr") {
             continue;
         }
-        seen += 1;
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let err = match Trace::load(&path) {
             Err(e) => e,
@@ -287,6 +257,12 @@ fn every_corpus_file_fails_structurally() {
         // Structured, displayable, classified.
         let msg = err.to_string();
         assert!(!msg.is_empty(), "{name}: empty error message");
+        if let Some(&(_, version)) = FROZEN.iter().find(|(n, _)| *n == name) {
+            assert!(
+                matches!(err, ReadTraceError::UnsupportedVersion(v) if v == version),
+                "{name}: expected UnsupportedVersion({version}), got {err:?}"
+            );
+        }
         match err {
             ReadTraceError::Io(_)
             | ReadTraceError::BadMagic
@@ -294,8 +270,16 @@ fn every_corpus_file_fails_structurally() {
             | ReadTraceError::Corrupt(_)
             | ReadTraceError::ChecksumMismatch { .. } => {}
         }
+        seen.insert(name);
     }
-    assert_eq!(seen, corpus().len(), "unexpected corpus population in {}", dir.display());
+    let expected: BTreeSet<String> = corpus()
+        .into_iter()
+        .map(|(name, _)| name)
+        .chain(FROZEN.iter().map(|&(name, _)| name))
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(expected.len(), 24);
+    assert_eq!(seen, expected, "corpus files in {}", dir.display());
     // Hostile counts in the corpus claim up to u64::MAX records (would be
     // hundreds of GB materialized). Decode must stay within a paranoid
     // constant of the trace-free baseline.
@@ -308,12 +292,9 @@ fn every_corpus_file_fails_structurally() {
 }
 
 /// The mutants must be damaged versions of a loadable base: the clean
-/// encodings themselves round-trip.
+/// encoding itself round-trips.
 #[test]
 fn base_encodings_are_loadable() {
-    let t = base_trace();
-    for bytes in [v1_bytes(), v2_bytes(), v3_bytes()] {
-        let back = Trace::read_from(bytes.as_slice()).expect("clean base must load");
-        assert_eq!(back.insts(), t.insts());
-    }
+    let back = Trace::read_from(v3_bytes().as_slice()).expect("clean base must load");
+    assert_eq!(back.insts(), base_trace().insts());
 }

@@ -78,12 +78,9 @@ pub struct StoreStats {
     pub disk_loads: u64,
     /// Requests satisfied from memory (neither generated nor loaded).
     pub hits: u64,
-    /// Cache files found torn/corrupt, quarantined as `.corrupt`, and
-    /// regenerated.
+    /// Cache files found torn, corrupt or in a retired format version,
+    /// quarantined as `.corrupt`, and regenerated.
     pub corrupt: u64,
-    /// Valid cache files in an old `BPTR` format version, rewritten in
-    /// the current (v3) format on load.
-    pub upgraded: u64,
     /// In-memory entries dropped by the `BRANCH_LAB_MEM_BUDGET` governor.
     pub evicted: u64,
     /// [`TraceStore::stream`] requests served block-wise from disk while
@@ -115,7 +112,6 @@ pub struct TraceStore {
     disk_loads: AtomicU64,
     hits: AtomicU64,
     corrupt: AtomicU64,
-    upgraded: AtomicU64,
     evicted: AtomicU64,
     degraded_streams: AtomicU64,
     /// `bp-metrics` mirrors of the stats above (no-ops unless
@@ -143,7 +139,6 @@ impl TraceStore {
             disk_loads: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-            upgraded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             degraded_streams: AtomicU64::new(0),
             m_generated: Counter::get("trace_store.generate"),
@@ -266,21 +261,9 @@ impl TraceStore {
         if let Some(dir) = &self.cache_dir {
             let path = dir.join(key.file_name());
             match bp_metrics::time("trace_store.disk_load", || load_valid(&path, key)) {
-                DiskRead::Valid(t, version) => {
+                DiskRead::Valid(t) => {
                     self.disk_loads.fetch_add(1, Ordering::Relaxed);
                     self.m_disk_loads.incr();
-                    if version < CURRENT_FORMAT_VERSION {
-                        // Format-version cache invalidation: rewrite
-                        // old-format entries in the current codec so the
-                        // disk library converges on v3 (smaller files,
-                        // block-wise streaming). Best-effort, like every
-                        // other persistence write.
-                        if !bp_metrics::faultpoint::should_fail("trace_store.save")
-                            && t.save(&path).is_ok()
-                        {
-                            self.upgraded.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
                     return t;
                 }
                 DiskRead::Corrupt(reason) => {
@@ -380,16 +363,11 @@ impl TraceStore {
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
-            upgraded: self.upgraded.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             degraded_streams: self.degraded_streams.load(Ordering::Relaxed),
         }
     }
 }
-
-/// The `BPTR` format version [`TraceStore`] persists; older valid cache
-/// files are upgraded to it on load.
-const CURRENT_FORMAT_VERSION: u16 = 3;
 
 /// A [`TraceReader`] handed out by [`TraceStore::stream`]: block-wise
 /// disk decode when the cache holds the trace, shared memory otherwise.
@@ -431,13 +409,13 @@ impl Default for TraceStore {
 
 /// Outcome of probing the on-disk cache for one key.
 enum DiskRead {
-    /// A complete, checksum-verified trace matching the key, and the
-    /// `BPTR` format version it was stored in.
-    Valid(Trace, u16),
+    /// A complete, checksum-verified trace matching the key.
+    Valid(Trace),
     /// No cache file (the ordinary cold-cache case).
     Missing,
-    /// A file exists but is torn, corrupt, or carries the wrong identity;
-    /// it must be quarantined and the trace regenerated.
+    /// A file exists but is torn, corrupt, in a version other than v3, or
+    /// carries the wrong identity; it must be quarantined and the trace
+    /// regenerated.
     Corrupt(String),
 }
 
@@ -455,8 +433,9 @@ fn load_valid(path: &Path, key: &TraceKey) -> DiskRead {
         Err(ReadTraceError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
             return DiskRead::Missing;
         }
-        // Anything else — truncation (unexpected EOF), bad magic, bad
-        // field encodings, checksum mismatch — is a damaged cache entry.
+        // Anything else — truncation (unexpected EOF), bad magic, a
+        // retired or unknown format version, bad field encodings,
+        // checksum mismatch — is a cache entry to quarantine.
         Err(e) => return DiskRead::Corrupt(e.to_string()),
     };
     // Reject a wrong-identity header before decoding a single record.
@@ -469,7 +448,6 @@ fn load_valid(path: &Path, key: &TraceKey) -> DiskRead {
             key.input
         ));
     }
-    let version = reader.version();
     let mut t = Trace::with_capacity(reader.meta().clone(), key.len.min(1 << 20));
     loop {
         match reader.next_chunk() {
@@ -482,7 +460,7 @@ fn load_valid(path: &Path, key: &TraceKey) -> DiskRead {
         }
     }
     if t.len() == key.len {
-        DiskRead::Valid(t, version)
+        DiskRead::Valid(t)
     } else {
         DiskRead::Corrupt(format!(
             "cache length mismatch: file holds {} records, key wants {}",
@@ -492,19 +470,22 @@ fn load_valid(path: &Path, key: &TraceKey) -> DiskRead {
     }
 }
 
-/// Parses a `BRANCH_LAB_MEM_BUDGET` value: a byte count with an optional
-/// `K`/`M`/`G` (case-insensitive, 1024-based) suffix. Returns `None` for
-/// anything unparsable or zero.
-fn parse_budget(raw: &str) -> Option<u64> {
+/// Parses a byte budget: a byte count with an optional `K`/`M`/`G`
+/// (case-insensitive, 1024-based) suffix, e.g. `512`, `64K`, `8M`, `1G`.
+/// This is the grammar of `BRANCH_LAB_MEM_BUDGET` and of serve's
+/// `--cache-budget`. Returns `None` for anything unparsable, zero, or
+/// past `u64::MAX` bytes.
+#[must_use]
+pub fn parse_budget(raw: &str) -> Option<u64> {
     let raw = raw.trim();
-    let (digits, shift) = match raw.chars().last()? {
-        'k' | 'K' => (&raw[..raw.len() - 1], 10u32),
-        'm' | 'M' => (&raw[..raw.len() - 1], 20),
-        'g' | 'G' => (&raw[..raw.len() - 1], 30),
-        _ => (raw, 0),
+    let (digits, unit) = match raw.chars().last()? {
+        'k' | 'K' => (&raw[..raw.len() - 1], 1u64 << 10),
+        'm' | 'M' => (&raw[..raw.len() - 1], 1 << 20),
+        'g' | 'G' => (&raw[..raw.len() - 1], 1 << 30),
+        _ => (raw, 1),
     };
     let n: u64 = digits.trim().parse().ok()?;
-    n.checked_shl(shift).filter(|&b| b > 0)
+    n.checked_mul(unit).filter(|&b| b > 0)
 }
 
 /// Most recent quarantine files kept per cache directory; older evidence
@@ -633,40 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn old_format_cache_files_are_upgraded_to_v3_on_load() {
-        let dir = scratch_dir("upgrade");
-        let s = spec();
-        let key = TraceKey::new(&s, 0, 2_000);
-        let path = dir.join(key.file_name());
-
-        // Seed the cache with a legacy v2 file, as a pre-v3 run would
-        // have left behind.
-        let direct = s.trace(0, 2_000);
-        let mut bytes = Vec::new();
-        direct.write_to_v2(&mut bytes).expect("v2 encode");
-        std::fs::write(&path, &bytes).expect("seed v2 cache file");
-
-        let store = TraceStore::with_cache_dir(&dir);
-        let t = store.get(&s, 0, 2_000);
-        assert_eq!(t.insts(), direct.insts());
-        let stats = store.stats();
-        assert_eq!(stats.disk_loads, 1, "{stats:?}");
-        assert_eq!(stats.generated, 0, "{stats:?}");
-        assert_eq!(stats.upgraded, 1, "{stats:?}");
-
-        // The file on disk is now the current format and still valid.
-        let reader = Trace::open(&path).expect("reopen upgraded file");
-        assert_eq!(reader.version(), CURRENT_FORMAT_VERSION);
-        assert_eq!(Trace::load(&path).expect("load upgraded").insts(), direct.insts());
-
-        // A second store just disk-loads it; no further upgrade.
-        let again = TraceStore::with_cache_dir(&dir);
-        let _ = again.get(&s, 0, 2_000);
-        assert_eq!(again.stats().upgraded, 0, "{:?}", again.stats());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stream_serves_from_disk_without_materializing() {
         let dir = scratch_dir("stream");
         let s = spec();
@@ -724,6 +671,15 @@ mod tests {
         assert_eq!(parse_budget(""), None);
         assert_eq!(parse_budget("lots"), None);
         assert_eq!(parse_budget("-5M"), None);
+        // The largest budget that fits, and the first that does not.
+        assert_eq!(parse_budget("17179869183G"), Some(17_179_869_183 << 30));
+        assert_eq!(parse_budget("17179869184G"), None);
+        // Past u64::MAX by a little more than one unit: these must not
+        // wrap around to 1 GiB, 1 MiB and 1 KiB.
+        assert_eq!(parse_budget("17179869185G"), None);
+        assert_eq!(parse_budget("18014398509481985M"), None);
+        assert_eq!(parse_budget("18014398509481985K"), None);
+        assert_eq!(parse_budget("18446744073709551615"), Some(u64::MAX));
     }
 
     #[test]

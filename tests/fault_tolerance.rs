@@ -1,5 +1,6 @@
-//! Fault-tolerance guarantees: torn/corrupt trace-cache files are
-//! detected, quarantined, and regenerated (never trusted); `Trace::save`
+//! Fault-tolerance guarantees: torn, corrupt or retired-format
+//! trace-cache files are detected, quarantined, and regenerated (never
+//! trusted); `Trace::save`
 //! is atomic under concurrency; `Engine::try_map` isolates panicking
 //! tasks without losing or perturbing sibling results; and the
 //! `faultpoint` facility drives every degradation path deterministically.
@@ -90,8 +91,8 @@ fn bit_flipped_cache_file_is_caught_by_the_checksum() {
     let spec = &lcf_suite()[1];
     let good = TraceStore::with_cache_dir(&dir).get(spec, 0, 12_000);
 
-    // Flip one bit deep inside the record payload. Every value of the
-    // flipped field decodes fine, so only the v2 checksum can notice.
+    // Flip one bit deep inside a block's payload. The flipped bytes may
+    // well decode to valid records, so the block checksum must notice.
     let path = cache_file(&dir);
     let mut bytes = std::fs::read(&path).expect("read cache file");
     let mid = bytes.len() / 2;
@@ -109,6 +110,33 @@ fn bit_flipped_cache_file_is_caught_by_the_checksum() {
 }
 
 #[test]
+fn retired_format_version_is_quarantined_and_regenerated() {
+    let _g = gate();
+    let dir = scratch_dir("oldversion");
+    let spec = &lcf_suite()[2];
+    let good = TraceStore::with_cache_dir(&dir).get(spec, 0, 12_000);
+
+    // Patch the version field to 2, as a cache written before v3 would
+    // read. The store reads v3 only, so this file takes the same path as
+    // any other it cannot read.
+    let path = cache_file(&dir);
+    let mut bytes = std::fs::read(&path).expect("read cache file");
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite");
+
+    let store = TraceStore::with_cache_dir(&dir);
+    let regenerated = store.get(spec, 0, 12_000);
+    let stats = store.stats();
+    assert_eq!(stats.corrupt, 1, "{stats:?}");
+    assert_eq!(stats.disk_loads, 0, "{stats:?}");
+    assert_eq!(stats.generated, 1, "{stats:?}");
+    assert_eq!(regenerated.insts(), good.insts());
+    assert_eq!(regenerated.insts(), spec.trace(0, 12_000).insts());
+    assert_eq!(quarantined_files(&dir).len(), 1, "old file kept");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn torn_files_are_never_loadable_at_any_truncation_point() {
     let _g = gate();
     let mut t = Trace::new(TraceMeta::new("torn", 0));
@@ -117,9 +145,10 @@ fn torn_files_are_never_loadable_at_any_truncation_point() {
     }
     let mut bytes = Vec::new();
     t.write_to(&mut bytes).expect("serialize");
-    // Every proper prefix must fail to decode — including "clean" cuts at
-    // record boundaries and a cut that drops only the checksum trailer.
-    for cut in [bytes.len() - 8, bytes.len() - 8 - 37, bytes.len() / 2, 10, 3] {
+    // Every proper prefix must fail to decode — including a "clean" cut at
+    // the block boundary (the whole end marker dropped) and a cut that
+    // drops only the end marker's checksum.
+    for cut in [bytes.len() - 8, bytes.len() - 16, bytes.len() / 2, 10, 3] {
         let err = Trace::read_from(&bytes[..cut]).expect_err("prefix must not load");
         assert!(
             matches!(err, ReadTraceError::Io(_) | ReadTraceError::ChecksumMismatch { .. }),

@@ -1,16 +1,16 @@
-//! Golden-master tests for the experiment binaries.
+//! Golden-master tests for every non-probe study.
 //!
-//! Each test runs one binary's library entry point
-//! (`bp_experiments::reports::*_report`) at the `--quick` dataset scale
-//! and compares its rendered stdout byte-for-byte against a checked-in
-//! fixture under `tests/golden/`. Any numeric drift — a predictor change,
-//! a pipeline-model change, a float reassociation — fails the suite with
-//! the first differing line.
+//! Each test runs one study's library entry point
+//! (`bp_experiments::{reports, studies}::*_report`) at the `--quick`
+//! dataset scale and compares its rendered stdout byte-for-byte against a
+//! checked-in fixture under `tests/golden/`. Any numeric drift — a
+//! predictor change, a pipeline-model change, a float reassociation —
+//! fails the suite with the first differing line.
 //!
 //! To regenerate fixtures after an *intentional* change:
 //!
 //! ```text
-//! BRANCH_LAB_UPDATE_GOLDEN=1 cargo test --test golden
+//! BRANCH_LAB_UPDATE_GOLDEN=1 cargo test --release --test golden -- --include-ignored
 //! ```
 //!
 //! then review the diff like any other code change. Set
@@ -18,13 +18,15 @@
 //!
 //! The fixtures are thread-count independent ([`bp_core::Engine::map`]
 //! returns results in input order and all reductions are serial) and
-//! identical in debug and release (no fast-math). Binaries whose output
-//! depends on `HashMap` iteration ties (`fig6`, `table3`) are excluded.
+//! identical in debug and release (no fast-math). `table3` and `fig6`
+//! are `#[ignore]`d only for their debug-build run time (over a minute
+//! each, a few seconds in release); `ci.sh`'s release golden leg runs
+//! them with `--include-ignored`.
 
 use std::path::PathBuf;
 
-use bp_core::DatasetConfig;
-use bp_experiments::reports;
+use bp_core::{DatasetConfig, SamplingConfig};
+use bp_experiments::{reports, studies};
 
 /// The dataset scale the fixtures were recorded at: exactly `--quick`.
 fn golden_config() -> DatasetConfig {
@@ -122,4 +124,66 @@ fn golden_fig9() {
 #[test]
 fn golden_grid() {
     check("grid", &reports::grid_report(&golden_config()).render());
+}
+
+#[test]
+fn golden_fig4() {
+    check("fig4", &studies::fig4_report(&golden_config()).render());
+}
+
+#[test]
+fn golden_alloc_stats() {
+    check(
+        "alloc_stats",
+        &studies::alloc_stats_report(&golden_config()).render(),
+    );
+}
+
+#[test]
+fn golden_fig10() {
+    check("fig10", &studies::fig10_report(&golden_config()).render());
+}
+
+#[test]
+fn golden_helpers() {
+    check(
+        "helpers",
+        &studies::helpers_report(&golden_config()).render(),
+    );
+}
+
+#[test]
+fn golden_ablation() {
+    check(
+        "ablation",
+        &studies::ablation_report(&golden_config()).render(),
+    );
+}
+
+#[test]
+fn golden_baselines() {
+    check(
+        "baselines",
+        &studies::baselines_report(&golden_config()).render(),
+    );
+}
+
+/// Recorded with the sampling knobs `branch-lab run sampled --quick`
+/// resolves when no `BRANCH_LAB_SAMPLE*` variable is set.
+#[test]
+fn golden_sampled() {
+    let report = studies::sampled_report(&golden_config(), &SamplingConfig::default());
+    check("sampled", &report.render());
+}
+
+#[test]
+#[ignore = "over a minute in a debug build; ci.sh runs it in release"]
+fn golden_table3() {
+    check("table3", &studies::table3_report(&golden_config()).render());
+}
+
+#[test]
+#[ignore = "over a minute in a debug build; ci.sh runs it in release"]
+fn golden_fig6() {
+    check("fig6", &studies::fig6_report(&golden_config()).render());
 }
