@@ -169,7 +169,8 @@ echo "== serve =="
 # identical requests onto exactly one execution (serve.* counters),
 # return bodies byte-identical to the equivalent CLI invocation, and —
 # after a kill -9 plus on-disk corruption — quarantine the damaged entry
-# (never serve it) while intact entries survive the restart.
+# (never serve it) while intact entries survive the restart, and survive
+# a 64 MiB request line without growing its peak RSS.
 SERVE_OUT=target/ci-serve
 rm -rf "$SERVE_OUT" && mkdir -p "$SERVE_OUT/cache"
 
@@ -243,6 +244,22 @@ smoke --post /run --body "$CONC_REQ" > "$SERVE_OUT/survivor.txt" 2> "$SERVE_OUT/
 grep -q "cache=hit-disk" "$SERVE_OUT/survivor.err" \
     || { echo "serve leg: intact entry must survive restart"; exit 1; }
 cmp "$SERVE_OUT/survivor.txt" "$SERVE_OUT/conc.txt"
+
+# A hostile head: one 64 MiB request line with no newline. The parser
+# must give up at its 16 KiB head cap instead of buffering the line, so
+# the server's peak RSS (VmHWM) stays within 8 MiB of where it was, and
+# the server keeps answering. The writer fails once the server closes.
+vmhwm_kb() { sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$SERVE_PID/status"; }
+HWM_BEFORE=$(vmhwm_kb)
+(
+    exec 3<> "/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
+    head -c $((64 << 20)) /dev/zero | tr '\0' a >&3
+) 2> /dev/null || true
+smoke --get /healthz > /dev/null 2> "$SERVE_OUT/hostile.err" \
+    || { echo "serve leg: server stopped answering after a 64 MiB head"; cat "$SERVE_OUT/hostile.err"; exit 1; }
+HWM_AFTER=$(vmhwm_kb)
+[ $((HWM_AFTER - HWM_BEFORE)) -le $((8 << 10)) ] \
+    || { echo "serve leg: a 64 MiB head raised VmHWM from $HWM_BEFORE to $HWM_AFTER kB"; exit 1; }
 kill -9 "$SERVE_PID" 2> /dev/null || true
 wait "$SERVE_PID" 2> /dev/null || true
 

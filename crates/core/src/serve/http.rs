@@ -11,10 +11,16 @@
 //! Hard limits keep a hostile peer from ballooning memory, mirroring the
 //! decode hardening of the trace codec: request lines and headers are
 //! capped at [`MAX_HEAD_BYTES`], bodies at [`MAX_BODY_BYTES`], and both
-//! caps are checked *before* allocation.
+//! caps hold *before* allocation. Each head line is read against the
+//! head budget still left, so a line with no newline costs at most the
+//! cap, never its own length.
+//!
+//! [`Response::write_to`] serializes the whole response (status line,
+//! headers, framing, body) into one buffer and hands it to the stream in
+//! one `write_all`, so a reply costs one `write` system call rather than
+//! one per formatted fragment.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
 /// Cap on the request line + headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -142,58 +148,42 @@ impl Response {
     }
 
     /// Serializes the response (status line, headers, framing, body) to
-    /// `out`. Always closes the connection (`Connection: close`).
+    /// `out` in a single `write_all`. Always closes the connection
+    /// (`Connection: close`).
     ///
     /// # Errors
     ///
     /// Propagates transport write failures.
     pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
+        // Formatting straight onto a socket costs one `write` per
+        // fragment; assemble the reply first and send it once.
+        let mut wire = Vec::with_capacity(256 + self.body.len());
+        write!(wire, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
         for (name, value) in &self.headers {
-            write!(out, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        write!(out, "Content-Length: {}\r\n", self.body.len())?;
-        write!(out, "Connection: close\r\n\r\n")?;
-        out.write_all(&self.body)?;
+        write!(wire, "Content-Length: {}\r\n", self.body.len())?;
+        wire.extend_from_slice(b"Connection: close\r\n\r\n");
+        wire.extend_from_slice(&self.body);
+        out.write_all(&wire)?;
         out.flush()
     }
 }
 
 /// Reads one request from `stream` (blocking, one request per
-/// connection).
+/// connection). The server passes its `TcpStream`; any reader works.
 ///
 /// # Errors
 ///
 /// Returns a structured [`HttpError`] for every malformed or oversized
-/// input — never panics, never allocates proportionally to a hostile
+/// input — never panics, never reads a head line past what is left of
+/// [`MAX_HEAD_BYTES`], never allocates proportionally to a hostile
 /// `Content-Length` beyond [`MAX_BODY_BYTES`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+pub fn read_request(stream: impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
-    let mut line = String::new();
 
-    let read_line = |reader: &mut BufReader<&mut TcpStream>,
-                         line: &mut String,
-                         head_bytes: &mut usize|
-     -> Result<(), HttpError> {
-        line.clear();
-        let n = reader
-            .read_line(line)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(HttpError::UnexpectedEof);
-        }
-        *head_bytes += n;
-        if *head_bytes > MAX_HEAD_BYTES {
-            return Err(HttpError::HeadTooLarge);
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(())
-    };
-
-    read_line(&mut reader, &mut line, &mut head_bytes)?;
+    let line = read_head_line(&mut reader, &mut head_bytes)?;
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m.to_uppercase(), t.to_string(), v),
@@ -209,7 +199,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 
     let mut headers = Vec::new();
     loop {
-        read_line(&mut reader, &mut line, &mut head_bytes)?;
+        let line = read_head_line(&mut reader, &mut head_bytes)?;
         if line.is_empty() {
             break;
         }
@@ -244,6 +234,32 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         headers,
         body,
     })
+}
+
+/// Reads one head line, without its line ending, and charges it to
+/// `head_bytes`. The read stops one byte past the head budget that is
+/// left, so an over-long line is rejected after at most
+/// [`MAX_HEAD_BYTES`] + 1 bytes, whatever its length.
+fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, HttpError> {
+    let budget = (MAX_HEAD_BYTES - *head_bytes) as u64 + 1;
+    let mut raw = Vec::new();
+    let n = reader
+        .take(budget)
+        .read_until(b'\n', &mut raw)
+        .map_err(|e| HttpError::Io(e.to_string()))?;
+    if n == 0 {
+        return Err(HttpError::UnexpectedEof);
+    }
+    *head_bytes += n;
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(HttpError::HeadTooLarge);
+    }
+    let mut line = String::from_utf8(raw)
+        .map_err(|_| HttpError::Io("stream did not contain valid UTF-8".to_string()))?;
+    while line.ends_with('\n') || line.ends_with('\r') {
+        line.pop();
+    }
+    Ok(line)
 }
 
 #[cfg(test)]
@@ -330,18 +346,111 @@ mod tests {
         ));
     }
 
+    /// A sink that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Writes `response` and returns its bytes and its `write` calls.
+    fn wire(response: &Response) -> (Vec<u8>, usize) {
+        let mut out = Writes::default();
+        response.write_to(&mut out).unwrap();
+        (out.0.concat(), out.0.len())
+    }
+
     #[test]
     fn response_serialization_includes_framing() {
-        let mut out = Vec::new();
-        Response::text("hello")
-            .with_header("X-Test", "1")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let (bytes, _) = wire(&Response::text("hello").with_header("X-Test", "1"));
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 5\r\n"));
         assert!(text.contains("X-Test: 1\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\nhello"));
+
+        // A cache hit as the study server sends it, with a body the size
+        // of a `serve-mix` sweep hit's, and the 400 a worker sends for an
+        // unparseable request. The expected bytes are pinned from the
+        // fragment-per-`write` serializer (22 and 14 `write` calls) that
+        // this one replaced; each response must leave in one call.
+        let body: Vec<u8> = (0..254u8).map(|i| b' ' + i % 95).collect();
+        let hit = Response::text(body.clone())
+            .with_header("X-Branch-Lab-Key", "0123456789abcdef")
+            .with_header("X-Branch-Lab-Cache", "hit");
+        let hit_head = "HTTP/1.1 200 OK\r\n\
+                        Content-Type: text/plain; charset=utf-8\r\n\
+                        X-Branch-Lab-Key: 0123456789abcdef\r\n\
+                        X-Branch-Lab-Cache: hit\r\n\
+                        Content-Length: 254\r\n\
+                        Connection: close\r\n\r\n";
+        let bad = Response::error(400, &HttpError::HeadTooLarge.to_string());
+        let bad_wire = "HTTP/1.1 400 Bad Request\r\n\
+                        Content-Type: text/plain; charset=utf-8\r\n\
+                        Content-Length: 33\r\n\
+                        Connection: close\r\n\r\n\
+                        request head exceeds 16384 bytes\n";
+        let (hit_bytes, hit_writes) = wire(&hit);
+        let (bad_bytes, bad_writes) = wire(&bad);
+        assert_eq!(hit_bytes, [hit_head.as_bytes(), &body].concat());
+        assert_eq!(bad_bytes, bad_wire.as_bytes());
+        assert_eq!((hit_writes, bad_writes), (1, 1), "write calls per response");
+    }
+
+    /// A reader that counts the bytes the parser pulls from it.
+    struct Pulled<R> {
+        inner: R,
+        pulled: usize,
+    }
+
+    impl<R: Read> Read for Pulled<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.pulled += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn over_long_line_is_rejected_within_the_head_budget() {
+        const LINE: u64 = 64 << 20;
+        // Reading a line to its newline would buffer all 64 MiB; the
+        // budgeted read stops one byte past the cap, and the `BufReader`
+        // (8 KiB buffer) pulls at most one buffer beyond what it hands on.
+        let mut src = Pulled {
+            inner: std::io::repeat(b'a').take(LINE),
+            pulled: 0,
+        };
+        assert!(matches!(read_request(&mut src), Err(HttpError::HeadTooLarge)));
+        assert!(
+            src.pulled <= MAX_HEAD_BYTES + 8 * 1024,
+            "pulled {} of {LINE} bytes",
+            src.pulled
+        );
+
+        // The same cap holds for a header line after a valid request line.
+        let mut src = Pulled {
+            inner: b"GET /x HTTP/1.1\r\nh: ".chain(std::io::repeat(b'a').take(LINE)),
+            pulled: 0,
+        };
+        assert!(matches!(read_request(&mut src), Err(HttpError::HeadTooLarge)));
+        assert!(src.pulled <= MAX_HEAD_BYTES + 8 * 1024, "pulled {}", src.pulled);
+
+        // A head of exactly the cap still parses.
+        let request_line = "GET /x HTTP/1.1\r\n";
+        let filler = MAX_HEAD_BYTES - request_line.len() - "h: \r\n\r\n".len();
+        let exact = format!("{request_line}h: {}\r\n\r\n", "a".repeat(filler));
+        assert_eq!(exact.len(), MAX_HEAD_BYTES);
+        let req = read_request(exact.as_bytes()).unwrap();
+        assert_eq!(req.header("h").map(str::len), Some(filler));
     }
 }

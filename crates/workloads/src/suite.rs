@@ -8,6 +8,8 @@
 //! footprint, and rare-branch skew. Absolute values are scaled to
 //! laptop-size traces (see `DESIGN.md`).
 
+use std::sync::OnceLock;
+
 use crate::motifs::{RareTier, VarGapSpec};
 use crate::spec::{Family, MotifSet, WorkloadSpec};
 
@@ -453,6 +455,14 @@ pub fn lcf_suite() -> Vec<WorkloadSpec> {
     ]
 }
 
+/// Both suites in suite order (SPECint, then LCF), built once per
+/// process: serve resolves a workload on every `POST /sweep`, and
+/// building both suites costs more than the rest of a sweep hit.
+fn all_workloads() -> &'static [WorkloadSpec] {
+    static ALL: OnceLock<Vec<WorkloadSpec>> = OnceLock::new();
+    ALL.get_or_init(|| specint_suite().into_iter().chain(lcf_suite()).collect())
+}
+
 /// Looks a workload up by name across both suites (SPECint first, then
 /// LCF) — the CLI's `--workload` resolver.
 ///
@@ -465,21 +475,14 @@ pub fn lcf_suite() -> Vec<WorkloadSpec> {
 /// ```
 #[must_use]
 pub fn find_workload(name: &str) -> Option<WorkloadSpec> {
-    specint_suite()
-        .into_iter()
-        .chain(lcf_suite())
-        .find(|s| s.name == name)
+    all_workloads().iter().find(|s| s.name == name).cloned()
 }
 
 /// Names of every workload, in suite order — what the CLI prints when a
 /// `--workload` lookup fails.
 #[must_use]
 pub fn workload_names() -> Vec<String> {
-    specint_suite()
-        .into_iter()
-        .chain(lcf_suite())
-        .map(|s| s.name)
-        .collect()
+    all_workloads().iter().map(|s| s.name.clone()).collect()
 }
 
 /// A content digest of every workload definition in both suites (FNV-1a
@@ -501,10 +504,10 @@ pub fn workload_names() -> Vec<String> {
 /// ```
 #[must_use]
 pub fn suite_digest() -> u64 {
-    static DIGEST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    static DIGEST: OnceLock<u64> = OnceLock::new();
     *DIGEST.get_or_init(|| {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for spec in specint_suite().iter().chain(lcf_suite().iter()) {
+        for spec in all_workloads() {
             // The derived Debug form covers every field of the spec
             // (including nested motif sets), so no parameter can change
             // without changing the digest.
