@@ -182,6 +182,9 @@ serve_start() { # <logfile> — a fresh log per start so the readiness
         --cache-dir "$SERVE_OUT/cache" > "$SERVE_LOG" 2>&1 &
     SERVE_PID=$!
     disown "$SERVE_PID" # silence job-control noise from the kill -9 below
+    # A failing check below exits the script; take the server with it
+    # so it does not keep running and holding its port.
+    trap 'kill -9 "$SERVE_PID" 2> /dev/null || true' EXIT
     SERVE_ADDR=
     for _ in $(seq 100); do
         SERVE_ADDR=$(sed -n 's#.*listening on http://\([0-9.:]*\) .*#\1#p' "$SERVE_LOG")
@@ -262,6 +265,7 @@ HWM_AFTER=$(vmhwm_kb)
     || { echo "serve leg: a 64 MiB head raised VmHWM from $HWM_BEFORE to $HWM_AFTER kB"; exit 1; }
 kill -9 "$SERVE_PID" 2> /dev/null || true
 wait "$SERVE_PID" 2> /dev/null || true
+trap - EXIT
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -71,17 +71,15 @@ impl Default for DatasetConfig {
 
 /// SimPoint-style sampled-replay configuration.
 ///
-/// When enabled, replay-backed studies cluster fixed-length intervals by
-/// BBV, simulate one medoid representative per phase (preceded by an
-/// architectural warm-up prefix whose contribution is discarded), and
-/// reconstruct whole-trace MPKI/IPC as cluster-weighted estimates with
-/// confidence intervals. `None` fields resolve against the dataset via
+/// The `sampled` study clusters fixed-length intervals by BBV, simulates
+/// one medoid representative per phase (preceded by an architectural
+/// warm-up prefix whose contribution is discarded), and reconstructs
+/// whole-trace MPKI/IPC as cluster-weighted estimates with confidence
+/// intervals. `None` fields resolve against the dataset via
 /// [`SamplingConfig::resolve`], so the same config adapts to `--quick`
 /// and `--len` scales.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplingConfig {
-    /// Master switch; `false` means full replay everywhere.
-    pub enabled: bool,
     /// Clustering interval length in instructions (`None` = 1/20 of the
     /// trace length, giving 20 intervals per trace).
     pub interval_len: Option<usize>,
@@ -94,24 +92,11 @@ pub struct SamplingConfig {
 }
 
 impl SamplingConfig {
-    /// Sampling off — the default.
-    #[must_use]
-    pub fn disabled() -> Self {
-        SamplingConfig {
-            enabled: false,
-            interval_len: None,
-            warmup: None,
-            max_phases: 4,
-        }
-    }
-
-    /// Sampling on with every knob at its dataset-relative default.
+    /// Every knob at its dataset-relative default; the same as
+    /// [`SamplingConfig::default`].
     #[must_use]
     pub fn enabled() -> Self {
-        SamplingConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
+        Self::default()
     }
 
     /// Concrete interval geometry for a dataset: every `None` is replaced
@@ -134,7 +119,11 @@ impl SamplingConfig {
 
 impl Default for SamplingConfig {
     fn default() -> Self {
-        Self::disabled()
+        SamplingConfig {
+            interval_len: None,
+            warmup: None,
+            max_phases: 4,
+        }
     }
 }
 
@@ -168,7 +157,7 @@ mod tests {
     #[test]
     fn sampling_resolves_dataset_relative_defaults() {
         let standard = DatasetConfig::standard();
-        let r = SamplingConfig::enabled().resolve(&standard);
+        let r = SamplingConfig::default().resolve(&standard);
         assert_eq!(r.interval_len, 50_000);
         assert_eq!(r.warmup, 10_000);
         assert_eq!(r.max_phases, 4);
@@ -177,13 +166,13 @@ mod tests {
         let explicit = SamplingConfig {
             interval_len: Some(50_000),
             warmup: Some(10_000),
-            ..SamplingConfig::enabled()
+            ..SamplingConfig::default()
         };
         assert_eq!(explicit.resolve(&standard), r);
         let custom = SamplingConfig {
             interval_len: Some(10_000),
             warmup: None,
-            ..SamplingConfig::enabled()
+            ..SamplingConfig::default()
         };
         assert_eq!(custom.resolve(&standard).warmup, 2_000);
     }

@@ -13,6 +13,8 @@
 //! studies themselves are registered by `bp-experiments`, which owns the
 //! figure/table computations.
 
+use std::collections::BTreeMap;
+
 use crate::config::{DatasetConfig, SamplingConfig};
 use crate::report::Report;
 
@@ -20,16 +22,17 @@ use crate::report::Report;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StudyKind {
     /// A paper artifact: runs on the standard dataset options
-    /// (`--quick`, `--len`, `--csv`), emits a metrics manifest with the
-    /// dataset-shape info block, and is included in `all` sweeps.
+    /// (`--quick`, `--len`, `--csv`), takes no positional arguments, and
+    /// is included in `all` sweeps.
     Report,
     /// Same invocation surface as [`StudyKind::Report`] but excluded
     /// from `all` sweeps (supplementary context such as the predictor
     /// survey).
     Standalone,
     /// A diagnostic probe (calibration, IPC debugging): takes free-form
-    /// positional arguments, emits a bare metrics manifest, and is
-    /// excluded from `all`.
+    /// positional arguments ([`StudyCtx::args`]) and is excluded from
+    /// `all`. Its manifest and cache key record them like any other
+    /// entry of [`StudyCtx::describe`].
     Probe,
 }
 
@@ -44,43 +47,80 @@ pub struct StudyInfo {
     pub kind: StudyKind,
 }
 
-/// Everything a study may consult while running.
+impl StudyInfo {
+    /// Checks positional arguments against the study's kind: only
+    /// [`StudyKind::Probe`] studies read [`StudyCtx::args`], so any other
+    /// study refuses them rather than run as if they were absent.
+    ///
+    /// # Errors
+    ///
+    /// A usage message naming the study and its first argument.
+    pub fn check_args(&self, args: &[String]) -> Result<(), String> {
+        match args.first() {
+            Some(first) if self.kind != StudyKind::Probe => Err(format!(
+                "study \"{}\" takes no positional args (got \"{first}\")",
+                self.name
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The one description of a study run: everything a study may consult,
+/// and so everything its report is a function of.
+///
+/// [`StudyCtx::describe`] lists it as named entries. Those entries are
+/// the `info` block of every run manifest (`branch-lab run`, `all` and
+/// serve) and the components of serve's cache key, so what a manifest
+/// records, what a key hashes and what a study reads cannot drift apart.
+/// Cancellation is not part of it: the executor (`bp_core::exec`)
+/// installs each attempt's token as the thread's cancel scope.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StudyCtx {
     /// Dataset shape (trace length, slicing, input cap).
     pub dataset: DatasetConfig,
     /// Positional arguments, used by [`StudyKind::Probe`] studies only.
     pub args: Vec<String>,
-    /// Sampled-replay configuration; disabled by default. Studies that
-    /// support sampling resolve it against [`StudyCtx::dataset`].
+    /// Sampled-replay geometry, resolved against [`StudyCtx::dataset`] by
+    /// the studies that sample.
     pub sampling: SamplingConfig,
-    /// Cancellation handle for this run. Defaults to an inert token; the
-    /// fault-tolerant executor (`bp_core::exec`) arms it with deadlines
-    /// and installs it as the cancel scope, so long studies stop at the
-    /// next block checkpoint when cancelled.
-    pub cancel: bp_metrics::cancel::CancelToken,
 }
 
 impl StudyCtx {
-    /// A context with no positional arguments and an inert cancel token.
+    /// A context with no positional arguments and default sampling.
     #[must_use]
     pub fn new(dataset: DatasetConfig) -> Self {
         StudyCtx {
             dataset,
             args: Vec::new(),
-            sampling: SamplingConfig::disabled(),
-            cancel: bp_metrics::cancel::CancelToken::new(),
+            sampling: SamplingConfig::default(),
         }
     }
 
-    /// A context wired to an executor-owned cancellation token.
+    /// The run as named entries: the resolved dataset shape
+    /// (`trace_len`, `slice_len`, `max_inputs`), the probe `args`
+    /// (joined with U+001F, so no split of them collides with another),
+    /// and the resolved sampling geometry (`sample_interval`,
+    /// `sample_warmup`, `sample_phases`). Resolved values make two
+    /// spellings of one run (`--len 1000000` and the default, or an
+    /// explicit knob equal to its default) describe it identically.
     #[must_use]
-    pub fn with_cancel(dataset: DatasetConfig, cancel: bp_metrics::cancel::CancelToken) -> Self {
-        StudyCtx {
-            dataset,
-            args: Vec::new(),
-            sampling: SamplingConfig::disabled(),
-            cancel,
-        }
+    pub fn describe(&self) -> BTreeMap<String, String> {
+        let sampling = self.sampling.resolve(&self.dataset);
+        let max_inputs =
+            self.dataset.max_inputs.map_or_else(|| "none".to_owned(), |n| n.to_string());
+        [
+            ("trace_len", self.dataset.trace_len.to_string()),
+            ("slice_len", self.dataset.slice.len().to_string()),
+            ("max_inputs", max_inputs),
+            ("args", self.args.join("\u{1f}")),
+            ("sample_interval", sampling.interval_len.to_string()),
+            ("sample_warmup", sampling.warmup.to_string()),
+            ("sample_phases", sampling.max_phases.to_string()),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect()
     }
 }
 
@@ -214,6 +254,43 @@ mod tests {
         let ctx = StudyCtx::new(DatasetConfig::quick());
         assert_eq!(reg.get("a").unwrap().run(&ctx).render(), "ran\n");
         assert!(reg.get("zzz").is_none());
+    }
+
+    #[test]
+    fn describe_canonicalizes_spellings_and_separates_runs() {
+        let plain = StudyCtx::new(DatasetConfig::standard());
+        let d = plain.describe();
+        assert_eq!(d["trace_len"], "1000000");
+        assert_eq!(d["max_inputs"], "none");
+        assert_eq!(d["args"], "");
+        assert_eq!(d["sample_interval"], "50000");
+        assert_eq!(d["sample_warmup"], "10000");
+        assert_eq!(d["sample_phases"], "4");
+        // An explicit default is the same run.
+        let mut spelled = StudyCtx::new(DatasetConfig::standard().with_trace_len(1_000_000));
+        spelled.sampling.interval_len = Some(50_000);
+        assert_eq!(spelled.describe(), d);
+        // A changed knob or argument split is a different run.
+        let mut coarser = plain.clone();
+        coarser.sampling.interval_len = Some(100_000);
+        assert_ne!(coarser.describe(), d);
+        let mut one = plain.clone();
+        one.args = vec!["a b".to_owned()];
+        let mut two = plain;
+        two.args = vec!["a".to_owned(), "b".to_owned()];
+        assert_ne!(one.describe(), two.describe());
+    }
+
+    #[test]
+    fn only_probes_take_positional_args() {
+        let info = |kind| StudyInfo { name: "s", title: "t", kind };
+        let args = ["7".to_owned()];
+        assert!(info(StudyKind::Probe).check_args(&args).is_ok());
+        for kind in [StudyKind::Report, StudyKind::Standalone] {
+            assert!(info(kind).check_args(&[]).is_ok());
+            let err = info(kind).check_args(&args).unwrap_err();
+            assert!(err.contains("takes no positional args (got \"7\")"), "{err}");
+        }
     }
 
     #[test]

@@ -32,30 +32,33 @@
 //! * prints a final per-study summary table and exits nonzero iff any
 //!   study ultimately failed.
 //!
-//! The remaining flags (`--len`, `--quick`, `--csv`) are the standard
-//! report-study options and apply to every study.
+//! The remaining flags (`--len`, `--quick`, `--csv`, `--sample-*`) are
+//! the standard report-study options: they build one [`bp_core::StudyCtx`]
+//! ([`Cli::ctx`]) that every study runs on. A malformed or unknown flag,
+//! or a positional argument, is a usage error (exit 2) before any study
+//! runs.
 //!
 //! With `BRANCH_LAB_METRICS` pointing at a sink directory, each study
 //! writes a per-study *delta* manifest there (counters attributed to
-//! that study alone, via [`bp_metrics::CounterBaseline`]); `all` merges
-//! whichever manifests exist into `<sink>/all.json`, annotated with a
-//! per-child status table and attempt counts — a partial sweep produces
-//! a partial (but honest) merged manifest.
+//! that study alone, recorded by [`crate::run_recorded`] with the same
+//! `info` block as `branch-lab run`); `all` merges whichever manifests
+//! exist into `<sink>/all.json`, annotated with a per-child status table
+//! and attempt counts — a partial sweep produces a partial (but honest)
+//! merged manifest.
 //!
 //! Fault injection: each attempt of study `<bin>` passes the
 //! `all.child.<bin>` fault site, so `BRANCH_LAB_FAULTS=all.child.fig3:fail`
 //! deterministically fails that study; `exec.deadline.<bin>` force-expires
 //! its deadline. Both drive the chaos leg of `ci.sh`.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bp_core::exec::{self, Backoff, ExecOptions, Task, TaskReport};
-use bp_core::{StudyCtx, Table};
+use bp_core::Table;
 
 use crate::registry::registry;
-use crate::Cli;
+use crate::{cli, flag_value, Cli};
 
 /// How many extra attempts a failing study gets.
 const RETRIES: u32 = 1;
@@ -69,7 +72,7 @@ struct Options {
 }
 
 impl Options {
-    fn parse_from(args: Vec<String>) -> Options {
+    fn parse_from(args: Vec<String>) -> Result<Options, String> {
         let env_flag = |name: &str| {
             std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
         };
@@ -86,29 +89,25 @@ impl Options {
                 "--keep-going" => keep_going = true,
                 "--resume" => resume = true,
                 "--timeout-secs" => {
-                    let v = args.next().expect("--timeout-secs needs a value");
-                    let secs: u64 = v.parse().expect("--timeout-secs must be an integer");
+                    let secs: u64 = flag_value(&mut args, "--timeout-secs")?;
                     timeout = (secs > 0).then(|| Duration::from_secs(secs));
                 }
                 _ => forwarded.push(a),
             }
         }
-        let cli = Cli::parse_from(forwarded);
+        let cli = Cli::parse_from(forwarded)?;
         if let Some(first) = cli.rest.first() {
-            panic!("unknown argument {first}; supported: --len N --quick --csv DIR");
+            return Err(format!("all takes no positional args (got \"{first}\")"));
         }
-        Options { keep_going, resume, timeout, cli }
+        Ok(Options { keep_going, resume, timeout, cli })
     }
 }
 
 /// Runs the full sweep with the given (already `skip`ped) argument list.
-/// Exits the process with status 1 iff any study ultimately failed.
-///
-/// # Panics
-///
-/// Panics on malformed arguments.
+/// Exits the process with status 1 iff any study ultimately failed, and
+/// with status 2 on a usage error.
 pub fn run_from(args: Vec<String>) {
-    let opts = Options::parse_from(args);
+    let opts = Options::parse_from(args).unwrap_or_else(|e| cli::usage_error(&e));
     // Default the shared trace cache before the first store access, so a
     // bare `branch-lab all` leaves reusable traces behind like the old
     // child-process runner did. An explicit setting wins.
@@ -127,23 +126,18 @@ pub fn run_from(args: Vec<String>) {
     }
 
     let reg = registry();
-    let info = manifest_info(&opts.cli);
+    let ctx = opts.cli.ctx();
     let tasks: Vec<Task<'_>> = reg
         .report_names()
         .into_iter()
         .map(|bin| {
-            let cli = &opts.cli;
-            let reg = &reg;
-            let info = &info;
-            Task::new(bin, move |token: &bp_metrics::cancel::CancelToken| {
-                let baseline = bp_metrics::CounterBaseline::take();
+            let (cli, reg, ctx) = (&opts.cli, &reg, &ctx);
+            Task::new(bin, move |_| {
                 let study = reg.get(bin).expect("report_names came from this registry");
-                let ctx = StudyCtx::with_cancel(cli.dataset(), token.clone());
-                let report = study.run(&ctx);
+                let (report, manifest) = crate::run_recorded(study, ctx);
                 cli.emit_report(&report);
                 if let Some(sink) = bp_metrics::sink_dir() {
-                    baseline
-                        .capture_delta(bin, info.clone())
+                    manifest
                         .write_to_sink(sink)
                         .map_err(|e| format!("failed to write manifest: {e}"))?;
                 }
@@ -169,22 +163,6 @@ pub fn run_from(args: Vec<String>) {
     if reports.iter().any(|r| !r.outcome.is_success()) {
         std::process::exit(1);
     }
-}
-
-/// The dataset-shape `info` block every per-study manifest records —
-/// the same keys and formatting [`Cli::metrics_run`] uses, so a study
-/// run under `all` and one run standalone produce comparable manifests.
-fn manifest_info(cli: &Cli) -> BTreeMap<String, String> {
-    let cfg = cli.dataset();
-    BTreeMap::from([
-        ("trace_len".to_string(), cfg.trace_len.to_string()),
-        ("slice_len".to_string(), cfg.slice.len().to_string()),
-        (
-            "max_inputs".to_string(),
-            cfg.max_inputs.map_or_else(|| "none".to_owned(), |n| n.to_string()),
-        ),
-        ("quick".to_string(), cli.quick.to_string()),
-    ])
 }
 
 fn print_summary(reports: &[TaskReport]) {

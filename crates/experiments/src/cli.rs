@@ -10,9 +10,14 @@
 //!   single-pass predictor sweep on one workload.
 //!
 //! Every subcommand shares one argument parser ([`crate::Cli`]), metrics
-//! plumbing, and output formatting.
+//! plumbing, and output formatting. A usage error (an unknown flag, a
+//! malformed value, a positional argument for a study that takes none)
+//! prints its message and exits with status 2.
 
-use bp_core::{StudyCtx, StudyKind, Table};
+use std::collections::BTreeMap;
+
+use bp_core::{Report, StudyKind, Table};
+use bp_metrics::{CounterBaseline, Manifest};
 use bp_pipeline::{PipelineConfig, SweepReplay};
 use bp_predictors::{sweep_flags, PredictorSpec};
 use bp_workloads::{find_workload, workload_names};
@@ -40,15 +45,15 @@ pub fn help_text() -> String {
          \x20   --len N               instructions per workload trace (default 1,000,000)\n\
          \x20   --quick               reduced dataset scale for smoke runs\n\
          \x20   --csv DIR             also write each table as CSV under DIR\n\
-         \x20   --sampled             SimPoint-style sampled replay: simulate only\n\
-         \x20                         representative intervals, reconstruct weighted\n\
-         \x20                         MPKI/IPC with confidence intervals\n\
-         \x20   --sample-interval N   clustering interval in instructions (default len/20)\n\
+         \x20   --sample-interval N   sampled-replay geometry, read by the `sampled` study:\n\
+         \x20                         clustering interval in instructions (default len/20)\n\
          \x20   --sample-warmup N     warm-up prefix per interval, discarded from stats\n\
          \x20                         (default interval/5)\n\
          \x20   --sample-phases N     cap on phases = representatives (default 4)\n\
          Probe studies (calibrate, debug_ipc) take positional arguments instead;\n\
-         `branch-lab list` shows them in brackets.\n\
+         `branch-lab list` shows them in brackets. Every run manifest records the\n\
+         resolved dataset, arguments and sampling geometry. A malformed or unknown\n\
+         flag exits with status 2.\n\
          \n\
          ALL-RUNNER FLAGS:\n\
          \x20   --keep-going       continue past a failing study\n\
@@ -82,10 +87,6 @@ pub fn help_text() -> String {
          \x20   BRANCH_LAB_RETRY_DELAY_MS     all-runner: retry backoff base in ms (default 500);\n\
          \x20                                 read by Backoff::from_env, not serve (no retries)\n\
          \x20   BRANCH_LAB_UPDATE_GOLDEN      golden tests: rewrite fixtures instead of diffing\n\
-         \x20   BRANCH_LAB_SAMPLE             1 = default-enable --sampled (flags win)\n\
-         \x20   BRANCH_LAB_SAMPLE_INTERVAL    default for --sample-interval\n\
-         \x20   BRANCH_LAB_SAMPLE_WARMUP      default for --sample-warmup\n\
-         \x20   BRANCH_LAB_SAMPLE_PHASES      default for --sample-phases\n\
          \x20   BRANCH_LAB_SERVE_ADDR         serve: listen address (default 127.0.0.1:7878)\n\
          \x20   BRANCH_LAB_SERVE_WORKERS      serve: worker threads (default: cores, capped at 8)\n\
          \x20   BRANCH_LAB_SERVE_CACHE_DIR    serve: result-cache directory (default memory-only)\n\
@@ -101,15 +102,26 @@ pub fn help_text() -> String {
     s
 }
 
-/// Looks `name` up in the registry and runs it with `args`.
-///
-/// Report studies reject positional arguments (same message as the
-/// legacy binaries), start a manifest-emitting metrics run, and honour
-/// `--csv`; probe studies consume the positionals.
-///
-/// # Panics
-///
-/// Panics on malformed arguments, as the legacy binaries did.
+/// Prints a usage error and exits with status 2.
+pub(crate) fn usage_error(message: &str) -> ! {
+    eprintln!("{message}; try `branch-lab help`");
+    std::process::exit(2);
+}
+
+/// Writes `manifest` to the `BRANCH_LAB_METRICS` sink, if one is set.
+/// A failed write goes to stderr only, so stdout is the same with
+/// metrics on or off.
+fn save_manifest(manifest: &Manifest) {
+    if let Some(sink) = bp_metrics::sink_dir() {
+        if let Err(e) = manifest.write_to_sink(sink) {
+            eprintln!("bp-metrics: failed to write {}.json: {e}", manifest.run);
+        }
+    }
+}
+
+/// Looks `name` up in the registry and runs it with `args`: positional
+/// arguments go to probe studies and are refused by the others, `--csv`
+/// is honoured, and the run's manifest goes to the metrics sink.
 pub fn run_study(name: &str, args: Vec<String>) {
     let reg = registry::registry();
     let Some(study) = reg.get(name) else {
@@ -119,30 +131,12 @@ pub fn run_study(name: &str, args: Vec<String>) {
         );
         std::process::exit(2);
     };
-    let cli = Cli::parse_from(args);
-    match study.info().kind {
-        StudyKind::Report | StudyKind::Standalone => {
-            if let Some(first) = cli.rest.first() {
-                panic!(
-                    "unknown argument {first}; supported: --len N --quick --csv DIR \
-                     --sampled --sample-interval N --sample-warmup N --sample-phases N"
-                );
-            }
-            let _run = cli.metrics_run(name);
-            let mut ctx = StudyCtx::new(cli.dataset());
-            ctx.sampling = cli.sampling;
-            let report = study.run(&ctx);
-            cli.emit_report(&report);
-        }
-        StudyKind::Probe => {
-            let _run = bp_metrics::RunGuard::begin(name);
-            let mut ctx = StudyCtx::new(cli.dataset());
-            ctx.args.clone_from(&cli.rest);
-            ctx.sampling = cli.sampling;
-            let report = study.run(&ctx);
-            cli.emit_report(&report);
-        }
-    }
+    let cli = Cli::parse_from(args)
+        .and_then(|cli| study.info().check_args(&cli.rest).map(|()| cli))
+        .unwrap_or_else(|e| usage_error(&e));
+    let (report, manifest) = crate::run_recorded(study, &cli.ctx());
+    cli.emit_report(&report);
+    save_manifest(&manifest);
 }
 
 fn cmd_list() {
@@ -212,8 +206,27 @@ fn cmd_sweep(args: Vec<String>) {
         std::process::exit(2);
     });
 
-    let _run = bp_metrics::RunGuard::begin("sweep");
-    print!("{}", sweep_report(&spec, &specs, &scales, len).render());
+    let (report, manifest) = sweep_recorded(&spec, &specs, &scales, len);
+    print!("{}", report.render());
+    save_manifest(&manifest);
+}
+
+/// [`sweep_report`] with its manifest, captured like a study run's
+/// ([`crate::run_recorded`]); its `info` names the workload and length.
+#[must_use]
+pub fn sweep_recorded(
+    spec: &bp_workloads::WorkloadSpec,
+    specs: &[PredictorSpec],
+    scales: &[u32],
+    len: usize,
+) -> (Report, Manifest) {
+    let baseline = CounterBaseline::take();
+    let report = sweep_report(spec, specs, scales, len);
+    let info = BTreeMap::from([
+        ("workload".to_owned(), spec.name.clone()),
+        ("len".to_owned(), len.to_string()),
+    ]);
+    (report, baseline.capture_delta("sweep", info))
 }
 
 /// Builds the single-pass predictor-sweep report: one table, one row per
@@ -229,7 +242,7 @@ pub fn sweep_report(
     specs: &[PredictorSpec],
     scales: &[u32],
     len: usize,
-) -> bp_core::Report {
+) -> Report {
     let trace = spec.cached_trace(0, len);
     let mut built = PredictorSpec::build_all(specs);
     let flags =
@@ -260,7 +273,7 @@ pub fn sweep_report(
         row.extend(ipc.iter().map(|per_scale| format!("{:.3}", per_scale[pi])));
         table.row(row);
     }
-    let mut report = bp_core::Report::new();
+    let mut report = Report::new();
     report.section(
         format!(
             "sweep: {} ({} insts, {} conditional branches, one replay pass)",

@@ -10,7 +10,8 @@
 
 use std::path::PathBuf;
 
-use bp_core::{DatasetConfig, Report, ReportItem, SamplingConfig, Table};
+use bp_core::{DatasetConfig, Report, ReportItem, SamplingConfig, Study, StudyCtx, Table};
+use bp_metrics::{CounterBaseline, Manifest};
 
 pub mod all_runner;
 pub mod cli;
@@ -31,106 +32,58 @@ pub struct Cli {
     /// Positional arguments (consumed by probe studies such as
     /// `calibrate`; rejected by report studies).
     pub rest: Vec<String>,
-    /// Sampled-replay options (`--sampled` and friends; environment
-    /// defaults come from `BRANCH_LAB_SAMPLE*`, flags win).
+    /// Sampled-replay geometry (`--sample-interval`, `--sample-warmup`,
+    /// `--sample-phases`).
     pub sampling: SamplingConfig,
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage message) on malformed arguments.
-    #[must_use]
-    pub fn parse() -> Self {
-        Cli::parse_from(std::env::args().skip(1))
-    }
-
-    /// Sampling options taken from the environment: `BRANCH_LAB_SAMPLE=1`
-    /// enables sampling, `BRANCH_LAB_SAMPLE_INTERVAL` /
-    /// `BRANCH_LAB_SAMPLE_WARMUP` / `BRANCH_LAB_SAMPLE_PHASES` override
-    /// the knobs. Command-line flags win over the environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a numeric variable holds a non-integer.
-    #[must_use]
-    pub fn sampling_from_env() -> SamplingConfig {
-        let num = |name: &str| -> Option<usize> {
-            std::env::var(name)
-                .ok()
-                .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} must be an integer")))
-        };
-        let mut s = SamplingConfig::disabled();
-        if let Ok(v) = std::env::var("BRANCH_LAB_SAMPLE") {
-            s.enabled = !matches!(v.as_str(), "" | "0" | "false" | "off");
-        }
-        s.interval_len = num("BRANCH_LAB_SAMPLE_INTERVAL");
-        s.warmup = num("BRANCH_LAB_SAMPLE_WARMUP");
-        if let Some(p) = num("BRANCH_LAB_SAMPLE_PHASES") {
-            s.max_phases = p;
-        }
-        s
-    }
-
     /// Parses an explicit argument list (no binary name).
     ///
-    /// `--help` prints the shared help text and exits. Unknown `--flags`
-    /// panic with a usage message; bare arguments collect into
-    /// [`Cli::rest`] for probe studies.
+    /// `--help` prints the shared help text and exits. Bare arguments
+    /// collect into [`Cli::rest`] for probe studies.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (with a usage message) on malformed arguments.
-    #[must_use]
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = Cli {
-            sampling: Cli::sampling_from_env(),
-            ..Cli::default()
-        };
+    /// A usage message for an unknown `--flag`, a flag without its value,
+    /// a value that does not parse, or a `--len` below 10.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut cli = Cli::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--len" => {
-                    let v = args.next().expect("--len needs a value");
-                    cli.len = Some(v.parse().expect("--len must be an integer"));
+                    let len = flag_value(&mut args, "--len")?;
+                    if len < 10 {
+                        return Err(format!("--len must be at least 10, got {len}"));
+                    }
+                    cli.len = Some(len);
                 }
                 "--quick" => cli.quick = true,
-                "--csv" => {
-                    let v = args.next().expect("--csv needs a directory");
-                    cli.csv = Some(PathBuf::from(v));
-                }
-                "--sampled" => cli.sampling.enabled = true,
+                "--csv" => cli.csv = Some(flag_value(&mut args, "--csv")?),
                 "--sample-interval" => {
-                    let v = args.next().expect("--sample-interval needs a value");
-                    cli.sampling.interval_len =
-                        Some(v.parse().expect("--sample-interval must be an integer"));
+                    cli.sampling.interval_len = Some(flag_value(&mut args, "--sample-interval")?);
                 }
                 "--sample-warmup" => {
-                    let v = args.next().expect("--sample-warmup needs a value");
-                    cli.sampling.warmup =
-                        Some(v.parse().expect("--sample-warmup must be an integer"));
+                    cli.sampling.warmup = Some(flag_value(&mut args, "--sample-warmup")?);
                 }
                 "--sample-phases" => {
-                    let v = args.next().expect("--sample-phases needs a value");
-                    cli.sampling.max_phases =
-                        v.parse().expect("--sample-phases must be an integer");
+                    cli.sampling.max_phases = flag_value(&mut args, "--sample-phases")?;
                 }
                 "--help" | "-h" => {
                     print!("{}", cli::help_text());
                     std::process::exit(0);
                 }
                 other if other.starts_with('-') => {
-                    panic!(
+                    return Err(format!(
                         "unknown argument {other}; supported: --len N --quick --csv DIR \
-                         --sampled --sample-interval N --sample-warmup N --sample-phases N"
-                    )
+                         --sample-interval N --sample-warmup N --sample-phases N"
+                    ))
                 }
                 other => cli.rest.push(other.to_owned()),
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// The dataset configuration implied by the options.
@@ -147,29 +100,15 @@ impl Cli {
         }
     }
 
-    /// Starts a `bp-metrics` run for a report study. The returned guard
-    /// writes `<sink>/<name>.json` on drop when `BRANCH_LAB_METRICS`
-    /// selects a sink directory; otherwise it is inert. The manifest's
-    /// `info` block records the dataset shape so runs are comparable.
+    /// The study context the options describe: dataset, positional
+    /// arguments and sampling geometry.
     #[must_use]
-    pub fn metrics_run(&self, name: &str) -> bp_metrics::RunGuard {
-        let cfg = self.dataset();
-        let mut guard = bp_metrics::RunGuard::begin(name);
-        guard.info("trace_len", cfg.trace_len);
-        guard.info("slice_len", cfg.slice.len());
-        guard.info(
-            "max_inputs",
-            cfg.max_inputs.map_or_else(|| "none".to_owned(), |n| n.to_string()),
-        );
-        guard.info("quick", self.quick);
-        if self.sampling.enabled {
-            let r = self.sampling.resolve(&cfg);
-            guard.info("sampled", true);
-            guard.info("sample_interval", r.interval_len);
-            guard.info("sample_warmup", r.warmup);
-            guard.info("sample_phases", r.max_phases);
+    pub fn ctx(&self) -> StudyCtx {
+        StudyCtx {
+            dataset: self.dataset(),
+            args: self.rest.clone(),
+            sampling: self.sampling,
         }
-        guard
     }
 
     /// Prints a table under a heading and optionally writes CSV.
@@ -200,6 +139,27 @@ impl Cli {
     }
 }
 
+/// Runs one study on `ctx` and captures its manifest: the counters and
+/// timers the run moved (a delta over a baseline taken just before it,
+/// so runs sharing one process stay apart) under the `info` block
+/// [`StudyCtx::describe`]. `branch-lab run`, `all` and serve's `/run`
+/// all record a study through here.
+#[must_use]
+pub fn run_recorded(study: &dyn Study, ctx: &StudyCtx) -> (Report, Manifest) {
+    let baseline = CounterBaseline::take();
+    let report = study.run(ctx);
+    (report, baseline.capture_delta(study.info().name, ctx.describe()))
+}
+
+/// Takes the value after `flag` from `args` and parses it.
+pub(crate) fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("invalid value \"{v}\" for {flag}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,25 +183,33 @@ mod tests {
     fn parse_from_splits_flags_and_positionals() {
         let cli = Cli::parse_from(
             ["--quick", "200000", "--len", "5000"].map(String::from),
-        );
+        )
+        .unwrap();
         assert!(cli.quick);
         assert_eq!(cli.len, Some(5000));
         assert_eq!(cli.rest, vec!["200000".to_owned()]);
+        assert_eq!(cli.ctx().args, cli.rest);
     }
 
     #[test]
     fn parse_from_reads_sampling_flags() {
         let cli = Cli::parse_from(
-            ["--sampled", "--sample-interval", "5000", "--sample-phases", "3"].map(String::from),
-        );
-        assert!(cli.sampling.enabled);
+            ["--sample-interval", "5000", "--sample-phases", "3"].map(String::from),
+        )
+        .unwrap();
         assert_eq!(cli.sampling.interval_len, Some(5000));
         assert_eq!(cli.sampling.warmup, None);
         assert_eq!(cli.sampling.max_phases, 3);
-        // Sampling knobs without --sampled stay latent (resolved but
-        // disabled) so env/flag defaults compose.
-        let cli = Cli::parse_from(["--sample-warmup", "100"].map(String::from));
-        assert!(!cli.sampling.enabled);
-        assert_eq!(cli.sampling.warmup, Some(100));
+        assert_eq!(cli.ctx().sampling, cli.sampling);
+        // Malformed values are usage errors, not panics.
+        for bad in [
+            &["--sample-warmup"][..],
+            &["--sample-warmup", "x"],
+            &["--len", "abc"],
+            &["--len", "5"],
+        ] {
+            let args = bad.iter().map(|a| (*a).to_owned());
+            assert!(Cli::parse_from(args).is_err(), "{bad:?}");
+        }
     }
 }

@@ -8,13 +8,17 @@
 //!
 //! * the JSON request schema mirroring the `run` / `sweep` CLI flags;
 //! * cache-key derivation ([`study_key`] / [`sweep_key`]) from exactly
-//!   the inputs a study is a pure function of — study name, dataset
-//!   shape, probe/sweep config, and the workload-suite trace digest
-//!   ([`bp_workloads::suite_digest`]);
+//!   the inputs a result is a pure function of — for a study, the name
+//!   and its [`StudyCtx::describe`] entries (dataset shape, probe args,
+//!   sampling geometry), the same entries its manifest records; for a
+//!   sweep, its workload, predictors, scales and length — plus the
+//!   workload-suite trace digest ([`bp_workloads::suite_digest`]);
 //! * dispatch through the fault-tolerant executor ([`bp_core::exec`])
 //!   with per-request deadlines and cooperative cancellation;
 //! * byte-identity: a served body is [`bp_core::Report::render`] output,
-//!   which is exactly what the equivalent CLI invocation prints.
+//!   which is exactly what the equivalent CLI invocation prints, and its
+//!   manifest is the CLI's ([`crate::run_recorded`],
+//!   [`cli::sweep_recorded`]) plus the entry's `key` and `source`.
 //!
 //! # Routes
 //!
@@ -44,14 +48,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bp_core::cancel::CancelToken;
 use bp_core::exec::{self, ExecOptions, Outcome, Task};
 use bp_core::serve::cache::{CacheEntry, CacheKey, ResultCache, Tier};
 use bp_core::serve::http::{Request, Response};
 use bp_core::serve::{Flight, Handler, Server, Singleflight};
-use bp_core::{DatasetConfig, SamplingConfig, StudyCtx, StudyKind, StudyRegistry};
+use bp_core::{Report, SamplingConfig, StudyCtx, StudyKind, StudyRegistry};
 use bp_metrics::json::{self, Value};
-use bp_metrics::{Counter, CounterBaseline};
+use bp_metrics::{Counter, Manifest};
 use bp_predictors::PredictorSpec;
 use bp_workloads::{find_workload, parse_budget, suite_digest, workload_names};
 
@@ -152,48 +155,32 @@ fn default_workers() -> usize {
 /// a different canonicalization), so entries persisted by an older
 /// binary can never alias a newer request that hashes the same bytes by
 /// coincidence. History: 1 = original study/sweep components; 2 = added
-/// the sampling dimension to study keys.
-pub const KEY_SCHEMA_VERSION: u32 = 2;
+/// the sampling dimension to study keys; 3 = study keys hash
+/// [`StudyCtx::describe`], whose resolved sampling geometry is always
+/// present.
+pub const KEY_SCHEMA_VERSION: u32 = 3;
 
 /// Derives the content-address of one registry study run.
 ///
 /// Components are exactly the inputs the result is a pure function of:
-/// the key-schema version, the study name, the dataset shape
-/// ([`DatasetConfig`] fields — so two flag spellings of the same dataset
-/// share a key), the probe arguments, the *resolved* sampling
-/// configuration (so `--sampled` results never collide with full-replay
-/// results, while an explicit knob equal to its default shares the
-/// default's key), and the workload-suite digest (so changing trace
-/// generators invalidates every cached result).
+/// the key-schema version, the study name, every entry of
+/// [`StudyCtx::describe`] (resolved values, so two spellings of the same
+/// run share a key while any change a study could see does not), and
+/// the workload-suite digest (so changing trace generators invalidates
+/// every cached result).
 #[must_use]
-pub fn study_key(
-    study: &str,
-    dataset: &DatasetConfig,
-    args: &[String],
-    sampling: &SamplingConfig,
-) -> CacheKey {
-    let mut builder = CacheKey::builder()
-        .component("schema", KEY_SCHEMA_VERSION)
-        .component("kind", "study")
-        .component("study", study)
-        .component("trace_len", dataset.trace_len)
-        .component("slice_len", dataset.slice.len())
-        .component(
-            "max_inputs",
-            dataset.max_inputs.map_or_else(|| "none".to_owned(), |n| n.to_string()),
+pub fn study_key(study: &str, ctx: &StudyCtx) -> CacheKey {
+    ctx.describe()
+        .into_iter()
+        .fold(
+            CacheKey::builder()
+                .component("schema", KEY_SCHEMA_VERSION)
+                .component("kind", "study")
+                .component("study", study),
+            |key, (name, value)| key.component(&name, value),
         )
-        .component("args", args.join("\u{1f}"));
-    if sampling.enabled {
-        let r = sampling.resolve(dataset);
-        builder = builder
-            .component("sampling", "on")
-            .component("sample_interval", r.interval_len)
-            .component("sample_warmup", r.warmup)
-            .component("sample_phases", r.max_phases);
-    } else {
-        builder = builder.component("sampling", "off");
-    }
-    builder.component("traces", format!("{:016x}", suite_digest())).finish()
+        .component("traces", format!("{:016x}", suite_digest()))
+        .finish()
 }
 
 /// Derives the content-address of one predictor sweep.
@@ -325,7 +312,6 @@ impl RunRequest {
                 "quick",
                 "args",
                 "deadline_secs",
-                "sampled",
                 "sample_interval",
                 "sample_warmup",
                 "sample_phases",
@@ -339,11 +325,10 @@ impl RunRequest {
             }
         }
         let mut sampling = SamplingConfig {
-            enabled: field_bool(&obj, "sampled")?,
-            ..SamplingConfig::disabled()
+            interval_len: field_u64(&obj, "sample_interval")?.map(|n| n as usize),
+            warmup: field_u64(&obj, "sample_warmup")?.map(|n| n as usize),
+            ..SamplingConfig::default()
         };
-        sampling.interval_len = field_u64(&obj, "sample_interval")?.map(|n| n as usize);
-        sampling.warmup = field_u64(&obj, "sample_warmup")?.map(|n| n as usize);
         if let Some(p) = field_u64(&obj, "sample_phases")? {
             sampling.max_phases = p as usize;
         }
@@ -423,10 +408,12 @@ impl StudyService {
     }
 
     /// Serves `key` from cache, or coalesces onto / leads one execution
-    /// of `work` through the fault-tolerant executor.
+    /// of `work` through the fault-tolerant executor. The stored entry is
+    /// the rendered report and its manifest, tagged with `key` and
+    /// `source: serve`.
     fn dispatch<F>(&self, key: CacheKey, label: &str, deadline: Option<Duration>, work: F) -> Response
     where
-        F: FnOnce(&CancelToken) -> Result<(Vec<u8>, String), String>,
+        F: FnOnce() -> (Report, Manifest),
     {
         if let Some((entry, tier)) = self.cache.get(key) {
             let source = match tier {
@@ -444,11 +431,10 @@ impl StudyService {
                 return Ok((entry, false));
             }
             self.m_exec.incr();
-            let mut output: Option<(Vec<u8>, String)> = None;
-            let mut body = work.take();
-            let task = Task::new(label, |token| {
-                let run = body.take().expect("executor runs the single attempt once");
-                output = Some(run(token)?);
+            let mut output = None;
+            let task = Task::new(label, |_| {
+                let run = work.take().expect("executor runs the single attempt once");
+                output = Some(run());
                 Ok(())
             });
             let opts = ExecOptions { deadline, ..ExecOptions::default() };
@@ -457,8 +443,12 @@ impl StudyService {
                 .expect("one task in, one report out");
             match report.outcome {
                 Outcome::Ok => {
-                    let (body, manifest) = output.expect("successful task produced output");
-                    Ok((self.cache.store(CacheEntry { key, body, manifest }), true))
+                    let (report, mut manifest) = output.expect("successful task produced output");
+                    manifest.info.insert("key".to_owned(), key.hex());
+                    manifest.info.insert("source".to_owned(), "serve".to_owned());
+                    let body = report.render().into_bytes();
+                    let entry = CacheEntry { key, body, manifest: manifest.to_json() };
+                    Ok((self.cache.store(entry), true))
                 }
                 Outcome::Failed(detail) => Err(detail),
                 Outcome::Resumed | Outcome::NotRun => Err("task did not run".to_string()),
@@ -501,26 +491,13 @@ impl StudyService {
             );
         };
         let info = study.info();
-        if info.kind != StudyKind::Probe {
-            if let Some(first) = parsed.cli.rest.first() {
-                return Response::error(
-                    400,
-                    &format!("study \"{}\" takes no positional args (got \"{first}\")", info.name),
-                );
-            }
+        if let Err(e) = info.check_args(&parsed.cli.rest) {
+            return Response::error(400, &e);
         }
-        let dataset = parsed.cli.dataset();
-        let sampling = parsed.cli.sampling;
-        let key = study_key(info.name, &dataset, &parsed.cli.rest, &sampling);
-        let args = parsed.cli.rest.clone();
-        self.dispatch(key, info.name, parsed.deadline, move |token| {
-            let baseline = CounterBaseline::take();
-            let mut ctx = StudyCtx::with_cancel(dataset, token.clone());
-            ctx.args = args;
-            ctx.sampling = sampling;
-            let report = study.run(&ctx);
-            let body = report.render().into_bytes();
-            Ok((body, manifest_json(&baseline, info.name, &dataset, key)))
+        let ctx = parsed.cli.ctx();
+        let key = study_key(info.name, &ctx);
+        self.dispatch(key, info.name, parsed.deadline, move || {
+            crate::run_recorded(study, &ctx)
         })
     }
 
@@ -542,16 +519,8 @@ impl StudyService {
         let labels: Vec<String> = parsed.specs.iter().map(PredictorSpec::label).collect();
         let key = sweep_key(&spec.name, &labels, &parsed.scales, parsed.len);
         let SweepRequest { specs, scales, len, deadline, .. } = parsed;
-        self.dispatch(key, "sweep", deadline, move |_token| {
-            let baseline = CounterBaseline::take();
-            let report = cli::sweep_report(&spec, &specs, &scales, len);
-            let body = report.render().into_bytes();
-            let mut info = BTreeMap::new();
-            info.insert("workload".to_owned(), spec.name.clone());
-            info.insert("len".to_owned(), len.to_string());
-            info.insert("key".to_owned(), key.hex());
-            info.insert("source".to_owned(), "serve".to_owned());
-            Ok((body, baseline.capture_delta("sweep", info).to_json()))
+        self.dispatch(key, "sweep", deadline, move || {
+            cli::sweep_recorded(&spec, &specs, &scales, len)
         })
     }
 
@@ -626,27 +595,6 @@ fn entry_response(entry: &CacheEntry, source: &str) -> Response {
     Response::text(entry.body.clone())
         .with_header("X-Branch-Lab-Key", &entry.key.hex())
         .with_header("X-Branch-Lab-Cache", source)
-}
-
-/// The per-request manifest: the same info block `branch-lab run` emits
-/// (dataset shape), plus the cache key, captured as a delta so a
-/// long-lived server attributes counters to the request that moved them.
-fn manifest_json(
-    baseline: &CounterBaseline,
-    study: &str,
-    dataset: &DatasetConfig,
-    key: CacheKey,
-) -> String {
-    let mut info = BTreeMap::new();
-    info.insert("trace_len".to_owned(), dataset.trace_len.to_string());
-    info.insert("slice_len".to_owned(), dataset.slice.len().to_string());
-    info.insert(
-        "max_inputs".to_owned(),
-        dataset.max_inputs.map_or_else(|| "none".to_owned(), |n| n.to_string()),
-    );
-    info.insert("key".to_owned(), key.hex());
-    info.insert("source".to_owned(), "serve".to_owned());
-    baseline.capture_delta(study, info).to_json()
 }
 
 impl Handler for StudyService {
@@ -737,64 +685,61 @@ mod tests {
     fn keys_canonicalize_datasets_not_flag_spellings() {
         // `--len 1000000` and the standard default describe the same
         // dataset; the keys must agree because they derive from the
-        // resolved `DatasetConfig`, not the flag spelling.
-        let off = SamplingConfig::disabled();
+        // resolved context, not the flag spelling.
+        let key = |study: &str, cli: &Cli| study_key(study, &cli.ctx());
         let plain = Cli::default();
         let spelled = Cli { len: Some(1_000_000), ..Cli::default() };
-        assert_eq!(
-            study_key("fig3", &plain.dataset(), &[], &off),
-            study_key("fig3", &spelled.dataset(), &[], &off)
-        );
+        assert_eq!(key("fig3", &plain), key("fig3", &spelled));
         // But a different study, dataset scale, or argument list never
         // collides.
-        let base = study_key("fig3", &plain.dataset(), &[], &off);
+        let base = key("fig3", &plain);
         let quick = Cli { quick: true, ..Cli::default() };
-        assert_ne!(base, study_key("fig1", &plain.dataset(), &[], &off));
-        assert_ne!(base, study_key("fig3", &quick.dataset(), &[], &off));
-        assert_ne!(base, study_key("fig3", &plain.dataset(), &["600".to_owned()], &off));
+        let probe = Cli { rest: vec!["600".to_owned()], ..Cli::default() };
+        assert_ne!(base, key("fig1", &plain));
+        assert_ne!(base, key("fig3", &quick));
+        assert_ne!(base, key("fig3", &probe));
     }
 
     #[test]
     fn sampling_is_a_key_dimension_with_resolved_canonicalization() {
-        let dataset = Cli::default().dataset();
-        let off = SamplingConfig::disabled();
-        let on = SamplingConfig::enabled();
-        // Sampled and full runs of the same study must never share a
-        // cache entry.
-        let full = study_key("sampled", &dataset, &[], &off);
-        let sampled = study_key("sampled", &dataset, &[], &on);
-        assert_ne!(full, sampled);
+        let ctx = Cli::default().ctx();
+        let key = study_key("sampled", &ctx);
         // Spelling the resolved defaults explicitly is the same request.
-        let resolved = on.resolve(&dataset);
-        let explicit = SamplingConfig {
+        let resolved = ctx.sampling.resolve(&ctx.dataset);
+        let mut explicit = ctx.clone();
+        explicit.sampling = SamplingConfig {
             interval_len: Some(resolved.interval_len),
             warmup: Some(resolved.warmup),
-            ..on
+            max_phases: resolved.max_phases,
         };
-        assert_eq!(sampled, study_key("sampled", &dataset, &[], &explicit));
+        assert_eq!(key, study_key("sampled", &explicit));
         // Any resolved knob change is a different result.
-        let coarser = SamplingConfig { interval_len: Some(resolved.interval_len * 2), ..on };
-        assert_ne!(sampled, study_key("sampled", &dataset, &[], &coarser));
-        let fewer = SamplingConfig { max_phases: 2, ..on };
-        assert_ne!(sampled, study_key("sampled", &dataset, &[], &fewer));
-        // Sampling knobs without `enabled` stay latent — same key as off.
-        let latent = SamplingConfig { interval_len: Some(12_345), ..off };
-        assert_eq!(full, study_key("sampled", &dataset, &[], &latent));
+        let knobs = [
+            SamplingConfig { interval_len: Some(resolved.interval_len * 2), ..ctx.sampling },
+            SamplingConfig { warmup: Some(resolved.warmup + 1), ..ctx.sampling },
+            SamplingConfig { max_phases: 2, ..ctx.sampling },
+        ];
+        for sampling in knobs {
+            let changed = StudyCtx { sampling, ..ctx.clone() };
+            assert_ne!(key, study_key("sampled", &changed), "{sampling:?}");
+        }
     }
 
     #[test]
     fn run_request_parses_sampling_fields() {
         let req = RunRequest::parse(
-            b"{\"study\": \"sampled\", \"sampled\": true, \"sample_interval\": 5000, \
-              \"sample_phases\": 3}",
+            b"{\"study\": \"sampled\", \"sample_interval\": 5000, \"sample_phases\": 3}",
         )
         .unwrap();
-        assert!(req.cli.sampling.enabled);
         assert_eq!(req.cli.sampling.interval_len, Some(5000));
         assert_eq!(req.cli.sampling.warmup, None);
         assert_eq!(req.cli.sampling.max_phases, 3);
-        let err = RunRequest::parse(b"{\"study\": \"sampled\", \"sample_intervel\": 1}")
-            .unwrap_err();
-        assert!(err.contains("unknown field"), "{err}");
+        for body in [
+            &b"{\"study\": \"sampled\", \"sample_intervel\": 1}"[..],
+            b"{\"study\": \"sampled\", \"sampled\": true}",
+        ] {
+            let err = RunRequest::parse(body).unwrap_err();
+            assert!(err.contains("unknown field"), "{err}");
+        }
     }
 }

@@ -11,10 +11,12 @@
 //! instead of re-replaying per configuration; the H2P studies screen
 //! slices with [`H2pCriteria::screen_slices`].
 
+use std::sync::Arc;
+
 use bp_analysis::{
     accuracy_spread_from_points, compute_alloc_stats, rank_heavy_hitters, spread_points,
-    BranchProfile, DependencyAnalysis, H2pCriteria, RegValueAnalysis, DEFAULT_WINDOW,
-    PAPER_TRACKED_REGS,
+    BranchProfile, DepBranchReport, DependencyAnalysis, H2pCriteria, HeavyHitter,
+    RegValueAnalysis, DEFAULT_WINDOW, PAPER_TRACKED_REGS,
 };
 use bp_core::{f3, DatasetConfig, Report, ResolvedSampling, SamplingConfig, Table};
 use bp_helpers::{
@@ -74,22 +76,36 @@ pub fn fig4_report(cfg: &DatasetConfig) -> Report {
     report
 }
 
+/// The first input's trace of `spec` and its top H2P heavy hitter, if
+/// any: the paper's H2P screen over 8KB TAGE-SC-L slices, ranked by
+/// dynamic executions. Table III, Fig. 6 and Fig. 10 all start here.
+fn top_h2p(spec: &WorkloadSpec, cfg: &DatasetConfig) -> (Arc<Trace>, Option<HeavyHitter>) {
+    let trace = spec.cached_trace(0, cfg.trace_len);
+    let (merged, h2ps) =
+        H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
+    let top = rank_heavy_hitters(&merged, h2ps.iter().copied()).into_iter().next();
+    (trace, top)
+}
+
+/// The dependency branches of every execution of the H2P at `ip`, as
+/// Table III and Fig. 6 read them: the paper's 5,000-instruction window,
+/// at most 256 nodes per execution.
+fn dependencies(trace: &Trace, ip: u64) -> DepBranchReport {
+    DependencyAnalysis::new(trace).analyze(trace, ip, DEFAULT_WINDOW, 256)
+}
+
 /// Fig. 6: history-position distributions of dependency branches for the
 /// top H2P heavy hitter of each SPECint benchmark.
 #[must_use]
 pub fn fig6_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
     for spec in &specint_suite() {
-        let trace = spec.cached_trace(0, cfg.trace_len);
-        let (merged, h2ps) =
-            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
-        let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
-        let Some(top) = hitters.first() else {
+        let (trace, top) = top_h2p(spec, cfg);
+        let Some(top) = top else {
             report.note(format!("\n== Fig. 6 {}: no H2P found ==", spec.name));
             continue;
         };
-        let dep = DependencyAnalysis::new(&trace);
-        let analysis = dep.analyze(&trace, top.ip, DEFAULT_WINDOW, 256);
+        let analysis = dependencies(&trace, top.ip);
 
         // Summarize per dependency branch: how many distinct positions,
         // and the occurrence-weighted position span.
@@ -149,11 +165,8 @@ pub fn fig10_report(cfg: &DatasetConfig) -> Report {
         "657.xz_s",
     ];
     for spec in specint_suite().iter().filter(|s| shown.contains(&s.name.as_str())) {
-        let trace = spec.cached_trace(0, cfg.trace_len);
-        let (merged, h2ps) =
-            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
-        let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
-        let Some(top) = hitters.first() else {
+        let (trace, top) = top_h2p(spec, cfg);
+        let Some(top) = top else {
             report.note(format!("\n== Fig. 10 {}: no H2P found ==", spec.name));
             continue;
         };
@@ -207,11 +220,8 @@ pub fn table3_report(cfg: &DatasetConfig) -> Report {
         "max-hist-pos",
     ]);
     for spec in &specint_suite() {
-        let trace = spec.cached_trace(0, cfg.trace_len);
-        let (merged, h2ps) =
-            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
-        let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
-        let Some(top) = hitters.first() else {
+        let (trace, top) = top_h2p(spec, cfg);
+        let Some(top) = top else {
             table.row(vec![
                 spec.name.clone(),
                 "-".into(),
@@ -221,8 +231,7 @@ pub fn table3_report(cfg: &DatasetConfig) -> Report {
             ]);
             continue;
         };
-        let dep = DependencyAnalysis::new(&trace);
-        let analysis = dep.analyze(&trace, top.ip, DEFAULT_WINDOW, 256);
+        let analysis = dependencies(&trace, top.ip);
         table.row(vec![
             spec.name.clone(),
             format!("{:#x}", top.ip),

@@ -9,12 +9,14 @@
 //! its stdout to be byte-identical to the legacy golden fixtures under
 //! `tests/golden/` (recorded from the standalone binaries).
 
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::Command;
 
 use bp_core::StudyKind;
 use bp_experiments::registry::registry;
+use bp_experiments::Cli;
 use bp_metrics::json::Value;
 
 /// The legacy `all.rs` BINS array, verbatim. `report_names()` must keep
@@ -134,6 +136,58 @@ fn manifest_records_the_engine_thread_count_under_a_bad_override() {
 }
 
 #[test]
+fn manifest_records_the_sampling_geometry() {
+    // The manifest's `info` block is the run's `StudyCtx::describe`:
+    // the resolved dataset shape and the sampling geometry the run used.
+    let sink = std::env::temp_dir()
+        .join(format!("branch-lab-cli-sampling-{}", std::process::id()));
+    let args = ["--quick", "--len", "20000", "--sample-interval", "500"];
+    let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
+        .args(["run", "sampled"])
+        .args(args)
+        .env("BRANCH_LAB_TRACE_DIR", trace_dir())
+        .env("BRANCH_LAB_METRICS", &sink)
+        .output()
+        .expect("spawn branch-lab");
+    let manifest = std::fs::read_to_string(sink.join("sampled.json"));
+    std::fs::remove_dir_all(&sink).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let manifest = bp_metrics::json::parse(&manifest.expect("manifest written to the sink"))
+        .expect("manifest is JSON");
+    let info = manifest.as_obj().and_then(|m| m.get("info")).and_then(Value::as_obj);
+    let recorded: BTreeMap<String, String> = info
+        .expect("manifest has an info block")
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_str().expect("info values are strings").to_owned()))
+        .collect();
+    assert_eq!(recorded["sample_interval"], "500");
+    let cli = Cli::parse_from(args.map(String::from)).unwrap();
+    assert_eq!(recorded, cli.ctx().describe());
+}
+
+#[test]
+fn usage_errors_exit_2_without_a_panic() {
+    for args in [
+        &["run", "fig3", "stray"][..],
+        &["run", "fig3", "--len", "abc"],
+        &["run", "fig3", "--len", "5"],
+        &["run", "fig3", "--bogus"],
+        &["all", "--bogus"],
+        &["all", "--timeout-secs", "x"],
+        &["run", "fig4", "--quick", "--sampled"],
+    ] {
+        let out = run_cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn probe_studies_take_positional_arguments() {
     let out = run_cli(&["run", "calibrate", "60000"]);
     assert!(
@@ -221,5 +275,8 @@ fn help_is_the_single_flag_surface() {
         "branch-lab sweep",
     ] {
         assert!(stdout.contains(needle), "help is missing {needle}");
+    }
+    for gone in ["--sampled ", "BRANCH_LAB_SAMPLE"] {
+        assert!(!stdout.contains(gone), "help still documents {gone}");
     }
 }

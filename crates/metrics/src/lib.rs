@@ -33,9 +33,7 @@ pub mod faultpoint;
 pub mod json;
 pub mod manifest;
 
-pub use manifest::{
-    merge_manifests, merge_manifests_with_children, normalize, CounterBaseline, Manifest, RunGuard,
-};
+pub use manifest::{merge_manifests_with_children, normalize, CounterBaseline, Manifest};
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -4,10 +4,12 @@
 //!
 //! Two schemas exist:
 //!
-//! * `bp-metrics/run-v1` — one process's run, written by [`RunGuard`]
-//!   as `<sink>/<run>.json`.
-//! * `bp-metrics/merged-v1` — the `all` binary's merge of its children:
-//!   `{"runs": [<run manifests…>], "schema": "bp-metrics/merged-v1"}`.
+//! * `bp-metrics/run-v1` — one run, captured by
+//!   [`CounterBaseline::capture_delta`] and written by
+//!   [`Manifest::write_to_sink`] as `<sink>/<run>.json`.
+//! * `bp-metrics/merged-v1` — the `all` runner's merge of its studies:
+//!   `{"runs": [<run manifests…>], "schema": "bp-metrics/merged-v1"}`
+//!   plus per-study status tables ([`merge_manifests_with_children`]).
 //!
 //! Serialization goes through [`crate::json::Value::to_json`], so output
 //! is canonical: sorted keys, two-space indent, stable escapes. The only
@@ -104,8 +106,7 @@ impl Manifest {
     }
 
     /// Writes the manifest as `<dir>/<run>.json` (payload plus trailing
-    /// newline, the same framing [`RunGuard`] uses), creating `dir` if
-    /// needed.
+    /// newline), creating `dir` if needed.
     ///
     /// # Errors
     ///
@@ -199,18 +200,13 @@ fn strip_volatile(value: &mut Value) {
 }
 
 /// Merges single-run manifest documents into one `bp-metrics/merged-v1`
-/// document: `runs` sorted by each run's `run` name. Fails if any input
+/// document: `runs` sorted by each run's `run` name, plus per-child
+/// outcome tables — `children` (`{name: status}`) so a *partial* merge
+/// (some children failed or never ran) names exactly what is missing
+/// from `runs` and why, and `child_attempts` (`{name: attempts}`)
+/// recording how many executor attempts each child consumed. With an
+/// empty `children` slice both tables are left out. Fails if any input
 /// is not valid JSON.
-pub fn merge_manifests(run_jsons: &[String]) -> Result<String, JsonError> {
-    merge_manifests_with_children(run_jsons, &[])
-}
-
-/// Like [`merge_manifests`], but additionally records per-child outcome
-/// tables: `children` (`{name: status}`) so a *partial* merge — some
-/// children failed or never ran — names exactly what is missing from
-/// `runs` and why, and `child_attempts` (`{name: attempts}`) recording
-/// how many executor attempts each child consumed. With an empty
-/// `children` slice the output is byte-identical to [`merge_manifests`].
 pub fn merge_manifests_with_children(
     run_jsons: &[String],
     children: &[(String, String, u32)],
@@ -253,56 +249,6 @@ fn run_name(value: &Value) -> String {
         .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string()
-}
-
-/// Scopes one run: construct at the top of `main`, annotate with
-/// [`RunGuard::info`], and on drop — if the environment configured a
-/// manifest sink — the captured manifest is written to
-/// `<sink>/<run>.json`. Never touches stdout, so experiment output stays
-/// byte-identical with metrics on or off.
-pub struct RunGuard {
-    run: String,
-    info: BTreeMap<String, String>,
-    start: Instant,
-}
-
-impl RunGuard {
-    /// Starts the run clock.
-    #[must_use]
-    pub fn begin(run: &str) -> RunGuard {
-        RunGuard {
-            run: run.to_string(),
-            info: BTreeMap::new(),
-            start: Instant::now(),
-        }
-    }
-
-    /// Records one configuration key for the manifest's `info` table.
-    pub fn info(&mut self, key: &str, value: impl ToString) {
-        self.info.insert(key.to_string(), value.to_string());
-    }
-
-    /// Captures the manifest now (without writing it) — used by tests.
-    #[must_use]
-    pub fn capture(&self) -> Manifest {
-        let wall = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Manifest::capture(&self.run, self.info.clone(), wall)
-    }
-}
-
-impl Drop for RunGuard {
-    fn drop(&mut self) {
-        let Some(dir) = crate::sink_dir() else {
-            return;
-        };
-        let manifest = self.capture();
-        let path = dir.join(format!("{}.json", self.run));
-        let payload = format!("{}\n", manifest.to_json());
-        let result = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, payload));
-        if let Err(err) = result {
-            eprintln!("bp-metrics: failed to write {}: {err}", path.display());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -353,10 +299,10 @@ mod tests {
     #[test]
     fn merge_with_children_records_statuses_and_empty_matches_plain() {
         let runs = vec![sample("fig1", 4, 5).to_json()];
-        assert_eq!(
-            merge_manifests(&runs).unwrap(),
-            merge_manifests_with_children(&runs, &[]).unwrap()
-        );
+        // No children: the plain merge, runs and schema only.
+        let plain = json::parse(&merge_manifests_with_children(&runs, &[]).unwrap()).unwrap();
+        let keys: Vec<&String> = plain.as_obj().unwrap().keys().collect();
+        assert_eq!(keys, ["runs", "schema"]);
         let children = vec![
             ("fig1".to_string(), "ok".to_string(), 1),
             ("fig2".to_string(), "failed: exit status: 101".to_string(), 2),
@@ -391,10 +337,10 @@ mod tests {
 
     #[test]
     fn merge_sorts_runs_and_tags_schema() {
-        let merged = merge_manifests(&[
-            sample("fig2", 4, 5).to_json(),
-            sample("fig1", 4, 5).to_json(),
-        ])
+        let merged = merge_manifests_with_children(
+            &[sample("fig2", 4, 5).to_json(), sample("fig1", 4, 5).to_json()],
+            &[],
+        )
         .unwrap();
         let value = json::parse(&merged).unwrap();
         let map = value.as_obj().unwrap();

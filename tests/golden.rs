@@ -168,8 +168,8 @@ fn golden_baselines() {
     );
 }
 
-/// Recorded with the sampling knobs `branch-lab run sampled --quick`
-/// resolves when no `BRANCH_LAB_SAMPLE*` variable is set.
+/// Recorded with the default sampling knobs, what `branch-lab run
+/// sampled --quick` resolves without `--sample-*` flags.
 #[test]
 fn golden_sampled() {
     let report = studies::sampled_report(&golden_config(), &SamplingConfig::default());

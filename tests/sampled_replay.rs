@@ -268,7 +268,7 @@ fn sampled_walks_match_full_flags_at_any_chunking() {
 #[test]
 fn sampled_replay_reconstructs_perlbench_within_two_percent() {
     let cfg = DatasetConfig::standard();
-    let sampling = SamplingConfig::enabled().resolve(&cfg);
+    let sampling = SamplingConfig::default().resolve(&cfg);
     let specs = specint_suite();
     let spec = specs.iter().find(|s| s.name == "600.perlbench_s").expect("suite workload");
     let c = sampled_comparison(spec, &cfg, &sampling);
@@ -295,7 +295,7 @@ fn sampled_replay_reconstructs_perlbench_within_two_percent() {
 #[ignore = "full-suite standard-scale sweep; run by ci.sh in release"]
 fn sampled_mpki_bars_contain_golden_across_suite() {
     let cfg = DatasetConfig::standard();
-    let sampling = SamplingConfig::enabled().resolve(&cfg);
+    let sampling = SamplingConfig::default().resolve(&cfg);
     let mut best_err = f64::INFINITY;
     for spec in specint_suite().iter().chain(lcf_suite().iter()) {
         let c = sampled_comparison(spec, &cfg, &sampling);

@@ -8,6 +8,7 @@
 //! so cache keys never collide across tests sharing the process-global
 //! metrics counters.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -79,16 +80,19 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn keys_are_deterministic_across_threads_and_orderings() {
-    let dataset = Cli { quick: true, ..Cli::default() }.dataset();
-    let args = vec!["600".to_owned(), "0".to_owned()];
-    let off = SamplingConfig::disabled();
-    let reference = study_key("calibrate", &dataset, &args, &off);
+    let cli = Cli {
+        quick: true,
+        rest: vec!["600".to_owned(), "0".to_owned()],
+        ..Cli::default()
+    };
+    let ctx = cli.ctx();
+    let reference = study_key("calibrate", &ctx);
     // Recomputation from any thread, any number of times, agrees.
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(|| {
                 for _ in 0..100 {
-                    assert_eq!(study_key("calibrate", &dataset, &args, &off), reference);
+                    assert_eq!(study_key("calibrate", &ctx), reference);
                 }
             });
         }
@@ -111,24 +115,26 @@ fn keys_are_deterministic_across_threads_and_orderings() {
 #[test]
 fn any_single_field_change_changes_the_key() {
     let base_cfg = DatasetConfig::standard();
-    let off = SamplingConfig::disabled();
-    let base = study_key("fig7", &base_cfg, &[], &off);
-    assert_ne!(base, study_key("fig8", &base_cfg, &[], &off), "study name");
+    let base_ctx = StudyCtx::new(base_cfg);
+    let base = study_key("fig7", &base_ctx);
+    assert_ne!(base, study_key("fig8", &base_ctx), "study name");
     assert_ne!(
         base,
-        study_key("fig7", &base_cfg.with_trace_len(999_990), &[], &off),
+        study_key("fig7", &StudyCtx::new(base_cfg.with_trace_len(999_990))),
         "trace length"
     );
     assert_ne!(
         base,
-        study_key("fig7", &DatasetConfig { max_inputs: Some(1), ..base_cfg }, &[], &off),
+        study_key("fig7", &StudyCtx::new(DatasetConfig { max_inputs: Some(1), ..base_cfg })),
         "input cap"
     );
-    assert_ne!(base, study_key("fig7", &base_cfg, &["x".to_owned()], &off), "args");
+    let args = StudyCtx { args: vec!["x".to_owned()], ..base_ctx.clone() };
+    assert_ne!(base, study_key("fig7", &args), "args");
+    let sampling = SamplingConfig { interval_len: Some(25_000), ..SamplingConfig::default() };
     assert_ne!(
         base,
-        study_key("fig7", &base_cfg, &[], &SamplingConfig::enabled()),
-        "sampling"
+        study_key("fig7", &StudyCtx { sampling, ..base_ctx }),
+        "sample_interval"
     );
 
     let labels = vec!["gshare".to_owned(), "bimodal".to_owned()];
@@ -166,11 +172,7 @@ fn served_study_is_byte_identical_to_direct_render_and_caches() {
     // The served body is exactly Report::render() of the same study on
     // the same dataset — which is exactly the CLI's stdout.
     let cli = Cli { quick: true, len: Some(20_000), ..Cli::default() };
-    let expected = registry::registry()
-        .get("fig3")
-        .unwrap()
-        .run(&StudyCtx::new(cli.dataset()))
-        .render();
+    let expected = registry::registry().get("fig3").unwrap().run(&cli.ctx()).render();
     assert_eq!(miss.body, expected.as_bytes(), "served body != CLI render");
 
     // A repeat request hits the cache, same key, same bytes.
@@ -196,6 +198,56 @@ fn served_study_is_byte_identical_to_direct_render_and_caches() {
     assert!(text.contains("\"counters\""), "manifest lacks counters: {text}");
     assert!(text.contains("\"source\": \"serve\""), "{text}");
 
+    server.shutdown();
+}
+
+#[test]
+fn sampling_geometry_is_part_of_the_served_key() {
+    let (server, addr) = serve(None);
+    let coarse = request(
+        addr,
+        "POST",
+        "/run",
+        r#"{"study": "sampled", "quick": true, "len": 20000, "sample_interval": 500}"#,
+    );
+    assert_eq!(coarse.status, 200, "{}", String::from_utf8_lossy(&coarse.body));
+    assert_eq!(coarse.cache, "miss");
+
+    // The same request at the default interval is a different run: it
+    // must execute under its own key, never be answered with the
+    // interval-500 report.
+    let default = request(
+        addr,
+        "POST",
+        "/run",
+        r#"{"study": "sampled", "quick": true, "len": 20000}"#,
+    );
+    assert_eq!(default.status, 200, "{}", String::from_utf8_lossy(&default.body));
+    assert_eq!(default.cache, "miss");
+    assert_ne!(default.key, coarse.key);
+    let cli = Cli { quick: true, len: Some(20_000), ..Cli::default() };
+    let expected = registry::registry().get("sampled").unwrap().run(&cli.ctx()).render();
+    assert_eq!(default.body, expected.as_bytes(), "served body != CLI render");
+    assert_ne!(default.body, coarse.body);
+
+    // Both manifests record the geometry that produced them, in the same
+    // entries `branch-lab run` records, plus the entry's key and source.
+    for (reply, interval) in [(&coarse, 500), (&default, 1000)] {
+        let manifest = request(addr, "GET", &format!("/result/{}/manifest", reply.key), "");
+        let doc = bp_metrics::json::parse(std::str::from_utf8(&manifest.body).unwrap()).unwrap();
+        let recorded: BTreeMap<String, String> = doc.as_obj().unwrap()["info"]
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_str().unwrap().to_owned()))
+            .collect();
+        let mut ctx = cli.ctx();
+        ctx.sampling.interval_len = Some(interval);
+        let mut described = ctx.describe();
+        described.insert("key".to_owned(), reply.key.clone());
+        described.insert("source".to_owned(), "serve".to_owned());
+        assert_eq!(recorded, described);
+    }
     server.shutdown();
 }
 
