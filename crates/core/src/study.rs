@@ -87,16 +87,6 @@ pub struct StudyCtx {
 }
 
 impl StudyCtx {
-    /// A context with no positional arguments and default sampling.
-    #[must_use]
-    pub fn new(dataset: DatasetConfig) -> Self {
-        StudyCtx {
-            dataset,
-            args: Vec::new(),
-            sampling: SamplingConfig::default(),
-        }
-    }
-
     /// The run as named entries: the resolved dataset shape
     /// (`trace_len`, `slice_len`, `max_inputs`), the probe `args`
     /// (joined with U+001F, so no split of them collides with another),
@@ -251,14 +241,22 @@ mod tests {
         reg.register(stub("c", StudyKind::Report));
         assert_eq!(reg.names(), vec!["b", "a", "s", "c"]);
         assert_eq!(reg.report_names(), vec!["b", "c"]);
-        let ctx = StudyCtx::new(DatasetConfig::quick());
+        let ctx = StudyCtx {
+            dataset: DatasetConfig::quick(),
+            args: Vec::new(),
+            sampling: SamplingConfig::default(),
+        };
         assert_eq!(reg.get("a").unwrap().run(&ctx).render(), "ran\n");
         assert!(reg.get("zzz").is_none());
     }
 
     #[test]
     fn describe_canonicalizes_spellings_and_separates_runs() {
-        let plain = StudyCtx::new(DatasetConfig::standard());
+        let plain = StudyCtx {
+            dataset: DatasetConfig::standard(),
+            args: Vec::new(),
+            sampling: SamplingConfig::default(),
+        };
         let d = plain.describe();
         assert_eq!(d["trace_len"], "1000000");
         assert_eq!(d["max_inputs"], "none");
@@ -267,7 +265,10 @@ mod tests {
         assert_eq!(d["sample_warmup"], "10000");
         assert_eq!(d["sample_phases"], "4");
         // An explicit default is the same run.
-        let mut spelled = StudyCtx::new(DatasetConfig::standard().with_trace_len(1_000_000));
+        let mut spelled = StudyCtx {
+            dataset: DatasetConfig::standard().with_trace_len(1_000_000),
+            ..plain.clone()
+        };
         spelled.sampling.interval_len = Some(50_000);
         assert_eq!(spelled.describe(), d);
         // A changed knob or argument split is a different run.

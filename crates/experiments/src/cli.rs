@@ -9,10 +9,10 @@
 //! * `branch-lab sweep --workload W --predictors a,b,c` — ad-hoc
 //!   single-pass predictor sweep on one workload.
 //!
-//! Every subcommand shares one argument parser ([`crate::Cli`]), metrics
-//! plumbing, and output formatting. A usage error (an unknown flag, a
-//! malformed value, a positional argument for a study that takes none)
-//! prints its message and exits with status 2.
+//! `run` and `all` parse the study flags through [`crate::Cli`]; every
+//! subcommand reads flag values through one helper, and a usage error
+//! (an unknown flag, a malformed value, a positional argument for a
+//! study that takes none) prints its message and exits with status 2.
 
 use std::collections::BTreeMap;
 
@@ -20,9 +20,9 @@ use bp_core::{Report, StudyKind, Table};
 use bp_metrics::{CounterBaseline, Manifest};
 use bp_pipeline::{PipelineConfig, SweepReplay};
 use bp_predictors::{sweep_flags, PredictorSpec};
-use bp_workloads::{find_workload, workload_names};
+use bp_workloads::{find_workload, workload_names, WorkloadSpec};
 
-use crate::{all_runner, registry, Cli};
+use crate::{all_runner, flag_value, len_value, registry, Cli};
 
 /// The single help surface of the `branch-lab` CLI.
 #[must_use]
@@ -53,7 +53,7 @@ pub fn help_text() -> String {
          Probe studies (calibrate, debug_ipc) take positional arguments instead;\n\
          `branch-lab list` shows them in brackets. Every run manifest records the\n\
          resolved dataset, arguments and sampling geometry. A malformed or unknown\n\
-         flag exits with status 2.\n\
+         flag to any subcommand exits with status 2.\n\
          \n\
          ALL-RUNNER FLAGS:\n\
          \x20   --keep-going       continue past a failing study\n\
@@ -157,75 +157,113 @@ fn cmd_list() {
     }
 }
 
-fn cmd_sweep(args: Vec<String>) {
-    let mut workload: Option<String> = None;
-    let mut predictors: Option<String> = None;
-    let mut scales: Vec<u32> = vec![1];
-    let mut len: usize = 200_000;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => workload = Some(it.next().expect("--workload needs a name")),
-            "--predictors" => predictors = Some(it.next().expect("--predictors needs labels")),
-            "--scales" => {
-                scales = it
-                    .next()
-                    .expect("--scales needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.parse().expect("--scales must be integers"))
-                    .collect();
-            }
-            "--len" => {
-                len = it
-                    .next()
-                    .expect("--len needs a value")
-                    .parse()
-                    .expect("--len must be an integer");
-            }
-            "--help" | "-h" => {
-                print!("{}", help_text());
-                return;
-            }
-            other => panic!(
-                "unknown sweep argument {other}; supported: --workload NAME \
-                 --predictors A,B --scales N,M --len N"
-            ),
-        }
-    }
-    let workload = workload.expect("sweep requires --workload NAME");
-    let predictors = predictors.expect("sweep requires --predictors A,B,..");
-    let Some(spec) = find_workload(&workload) else {
-        eprintln!(
-            "unknown workload '{workload}'; available: {}",
-            workload_names().join(", ")
-        );
-        std::process::exit(2);
-    };
-    let specs = PredictorSpec::parse_list(&predictors).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+/// The options of `branch-lab sweep`, resolved.
+struct SweepArgs {
+    spec: WorkloadSpec,
+    specs: Vec<PredictorSpec>,
+    scales: Vec<u32>,
+    len: usize,
+}
 
+impl SweepArgs {
+    /// Parses the `sweep` flags; `--help` prints the help text and exits.
+    fn parse_from(args: Vec<String>) -> Result<SweepArgs, String> {
+        let (mut workload, mut predictors) = (None, None);
+        let mut scales = vec![1];
+        let mut len = 200_000;
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--workload" => workload = Some(flag_value::<String>(&mut args, "--workload")?),
+                "--predictors" => {
+                    predictors = Some(flag_value::<String>(&mut args, "--predictors")?);
+                }
+                "--scales" => {
+                    scales = flag_value::<String>(&mut args, "--scales")?
+                        .split(',')
+                        .map(parse_scale)
+                        .collect::<Result<_, _>>()?;
+                }
+                "--len" => len = len_value(&mut args)?,
+                "--help" | "-h" => {
+                    print!("{}", help_text());
+                    std::process::exit(0);
+                }
+                other => {
+                    return Err(format!(
+                        "unknown sweep argument {other}; supported: --workload NAME \
+                         --predictors A,B --scales N,M --len N"
+                    ))
+                }
+            }
+        }
+        let workload = workload.ok_or("sweep requires --workload NAME")?;
+        let predictors = predictors.ok_or("sweep requires --predictors A,B,..")?;
+        let spec = find_workload(&workload).ok_or_else(|| {
+            format!(
+                "unknown workload '{workload}'; available: {}",
+                workload_names().join(", ")
+            )
+        })?;
+        let specs = PredictorSpec::parse_list(&predictors)?;
+        Ok(SweepArgs { spec, specs, scales, len })
+    }
+}
+
+/// Parses one pipeline scale factor: an integer from 1 to 64, the range
+/// [`PipelineConfig::scaled`] accepts.
+pub(crate) fn parse_scale(s: &str) -> Result<u32, String> {
+    s.parse()
+        .ok()
+        .filter(|factor| (1..=64).contains(factor))
+        .ok_or_else(|| format!("bad scale \"{s}\": must be an integer from 1 to 64"))
+}
+
+fn cmd_sweep(args: Vec<String>) {
+    let SweepArgs { spec, specs, scales, len } =
+        SweepArgs::parse_from(args).unwrap_or_else(|e| usage_error(&e));
     let (report, manifest) = sweep_recorded(&spec, &specs, &scales, len);
     print!("{}", report.render());
     save_manifest(&manifest);
 }
 
+/// A sweep as named entries: the workload, the canonical predictor
+/// labels in row order, the scales and the length. They are the `info`
+/// block of a sweep manifest ([`sweep_recorded`]) and the components
+/// [`crate::serve::sweep_key`] hashes, as [`bp_core::StudyCtx::describe`]
+/// is for a study run.
+#[must_use]
+pub fn describe_sweep(
+    workload: &str,
+    labels: &[String],
+    scales: &[u32],
+    len: usize,
+) -> BTreeMap<String, String> {
+    let scales: Vec<String> = scales.iter().map(ToString::to_string).collect();
+    [
+        ("workload", workload.to_owned()),
+        ("predictors", labels.join(",")),
+        ("scales", scales.join(",")),
+        ("len", len.to_string()),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name.to_owned(), value))
+    .collect()
+}
+
 /// [`sweep_report`] with its manifest, captured like a study run's
-/// ([`crate::run_recorded`]); its `info` names the workload and length.
+/// ([`crate::run_recorded`]) under the `info` block [`describe_sweep`].
 #[must_use]
 pub fn sweep_recorded(
-    spec: &bp_workloads::WorkloadSpec,
+    spec: &WorkloadSpec,
     specs: &[PredictorSpec],
     scales: &[u32],
     len: usize,
 ) -> (Report, Manifest) {
     let baseline = CounterBaseline::take();
     let report = sweep_report(spec, specs, scales, len);
-    let info = BTreeMap::from([
-        ("workload".to_owned(), spec.name.clone()),
-        ("len".to_owned(), len.to_string()),
-    ]);
+    let labels: Vec<String> = specs.iter().map(PredictorSpec::label).collect();
+    let info = describe_sweep(&spec.name, &labels, scales, len);
     (report, baseline.capture_delta("sweep", info))
 }
 
@@ -238,7 +276,7 @@ pub fn sweep_recorded(
 /// sweep responses byte-identical to the CLI.
 #[must_use]
 pub fn sweep_report(
-    spec: &bp_workloads::WorkloadSpec,
+    spec: &WorkloadSpec,
     specs: &[PredictorSpec],
     scales: &[u32],
     len: usize,

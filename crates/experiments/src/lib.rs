@@ -52,13 +52,7 @@ impl Cli {
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--len" => {
-                    let len = flag_value(&mut args, "--len")?;
-                    if len < 10 {
-                        return Err(format!("--len must be at least 10, got {len}"));
-                    }
-                    cli.len = Some(len);
-                }
+                "--len" => cli.len = Some(len_value(&mut args)?),
                 "--quick" => cli.quick = true,
                 "--csv" => cli.csv = Some(flag_value(&mut args, "--csv")?),
                 "--sample-interval" => {
@@ -143,7 +137,7 @@ impl Cli {
 /// timers the run moved (a delta over a baseline taken just before it,
 /// so runs sharing one process stay apart) under the `info` block
 /// [`StudyCtx::describe`]. `branch-lab run`, `all` and serve's `/run`
-/// all record a study through here.
+/// all record a study through here. A study that panics records nothing.
 #[must_use]
 pub fn run_recorded(study: &dyn Study, ctx: &StudyCtx) -> (Report, Manifest) {
     let baseline = CounterBaseline::take();
@@ -158,6 +152,15 @@ pub(crate) fn flag_value<T: std::str::FromStr>(
 ) -> Result<T, String> {
     let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse().map_err(|_| format!("invalid value \"{v}\" for {flag}"))
+}
+
+/// Takes a `--len` value from `args`: an instruction count of at least 10.
+pub(crate) fn len_value(args: &mut impl Iterator<Item = String>) -> Result<usize, String> {
+    let len = flag_value(args, "--len")?;
+    if len < 10 {
+        return Err(format!("--len must be at least 10, got {len}"));
+    }
+    Ok(len)
 }
 
 #[cfg(test)]
@@ -201,6 +204,8 @@ mod tests {
         assert_eq!(cli.sampling.warmup, None);
         assert_eq!(cli.sampling.max_phases, 3);
         assert_eq!(cli.ctx().sampling, cli.sampling);
+        let cli = Cli::parse_from(["--sample-warmup", "100"].map(String::from)).unwrap();
+        assert_eq!(cli.sampling.warmup, Some(100));
         // Malformed values are usage errors, not panics.
         for bad in [
             &["--sample-warmup"][..],

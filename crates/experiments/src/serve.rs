@@ -10,9 +10,10 @@
 //! * cache-key derivation ([`study_key`] / [`sweep_key`]) from exactly
 //!   the inputs a result is a pure function of — for a study, the name
 //!   and its [`StudyCtx::describe`] entries (dataset shape, probe args,
-//!   sampling geometry), the same entries its manifest records; for a
-//!   sweep, its workload, predictors, scales and length — plus the
-//!   workload-suite trace digest ([`bp_workloads::suite_digest`]);
+//!   sampling geometry); for a sweep, its [`cli::describe_sweep`]
+//!   entries (workload, predictors, scales and length) — in both cases
+//!   the entries its manifest records — plus the workload-suite trace
+//!   digest ([`bp_workloads::suite_digest`]);
 //! * dispatch through the fault-tolerant executor ([`bp_core::exec`])
 //!   with per-request deadlines and cooperative cancellation;
 //! * byte-identity: a served body is [`bp_core::Report::render`] output,
@@ -58,7 +59,7 @@ use bp_metrics::{Counter, Manifest};
 use bp_predictors::PredictorSpec;
 use bp_workloads::{find_workload, parse_budget, suite_digest, workload_names};
 
-use crate::{cli, registry, Cli};
+use crate::{cli, flag_value, registry, Cli};
 
 /// Default listen address when neither `--addr` nor
 /// `BRANCH_LAB_SERVE_ADDR` is set.
@@ -85,61 +86,58 @@ impl ServeOptions {
     /// Resolves options from the environment, then applies `args`
     /// (flags win over environment variables).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed flags or values.
-    #[must_use]
-    pub fn resolve(args: Vec<String>) -> ServeOptions {
+    /// A usage message for an unknown flag, a flag without its value, or
+    /// a value (flag or variable) that does not parse.
+    pub fn resolve(args: Vec<String>) -> Result<ServeOptions, String> {
         let env = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
+        let budget = |v: &str, what: &str| {
+            parse_budget(v).ok_or_else(|| {
+                format!("invalid value \"{v}\" for {what}: bytes with optional K/M/G suffix")
+            })
+        };
         let mut opts = ServeOptions {
             addr: env("BRANCH_LAB_SERVE_ADDR").unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-            workers: env("BRANCH_LAB_SERVE_WORKERS").map_or_else(default_workers, |v| {
-                v.parse().expect("BRANCH_LAB_SERVE_WORKERS must be an integer")
-            }),
+            workers: match env("BRANCH_LAB_SERVE_WORKERS") {
+                Some(v) => v
+                    .parse()
+                    .map_err(|_| format!("invalid value \"{v}\" for BRANCH_LAB_SERVE_WORKERS"))?,
+                None => default_workers(),
+            },
             cache_dir: env("BRANCH_LAB_SERVE_CACHE_DIR").map(PathBuf::from),
-            cache_budget: env("BRANCH_LAB_SERVE_CACHE_BUDGET").map(|v| {
-                parse_budget(&v).expect("BRANCH_LAB_SERVE_CACHE_BUDGET must be bytes with optional K/M/G suffix")
-            }),
+            cache_budget: env("BRANCH_LAB_SERVE_CACHE_BUDGET")
+                .map(|v| budget(&v, "BRANCH_LAB_SERVE_CACHE_BUDGET"))
+                .transpose()?,
             deadline: None,
         };
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
             match a.as_str() {
-                "--addr" => opts.addr = it.next().expect("--addr needs HOST:PORT"),
-                "--workers" => {
-                    opts.workers = it
-                        .next()
-                        .expect("--workers needs a count")
-                        .parse()
-                        .expect("--workers must be an integer");
-                }
-                "--cache-dir" => {
-                    opts.cache_dir = Some(PathBuf::from(it.next().expect("--cache-dir needs a directory")));
-                }
+                "--addr" => opts.addr = flag_value(&mut args, "--addr")?,
+                "--workers" => opts.workers = flag_value(&mut args, "--workers")?,
+                "--cache-dir" => opts.cache_dir = Some(flag_value(&mut args, "--cache-dir")?),
                 "--cache-budget" => {
-                    let v = it.next().expect("--cache-budget needs bytes (K/M/G suffix ok)");
-                    opts.cache_budget =
-                        Some(parse_budget(&v).expect("--cache-budget must be bytes with optional K/M/G suffix"));
+                    let v: String = flag_value(&mut args, "--cache-budget")?;
+                    opts.cache_budget = Some(budget(&v, "--cache-budget")?);
                 }
                 "--deadline-secs" => {
-                    let secs: u64 = it
-                        .next()
-                        .expect("--deadline-secs needs a value")
-                        .parse()
-                        .expect("--deadline-secs must be an integer");
+                    let secs: u64 = flag_value(&mut args, "--deadline-secs")?;
                     opts.deadline = (secs > 0).then(|| Duration::from_secs(secs));
                 }
                 "--help" | "-h" => {
                     print!("{}", cli::help_text());
                     std::process::exit(0);
                 }
-                other => panic!(
-                    "unknown serve argument {other}; supported: --addr HOST:PORT --workers N \
-                     --cache-dir DIR --cache-budget BYTES --deadline-secs N"
-                ),
+                other => {
+                    return Err(format!(
+                        "unknown serve argument {other}; supported: --addr HOST:PORT --workers N \
+                         --cache-dir DIR --cache-budget BYTES --deadline-secs N"
+                    ))
+                }
             }
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -185,20 +183,22 @@ pub fn study_key(study: &str, ctx: &StudyCtx) -> CacheKey {
 
 /// Derives the content-address of one predictor sweep.
 ///
-/// Predictor labels must already be canonical ([`PredictorSpec::parse`]
-/// then [`PredictorSpec::label`]), so spelling variants of the same
-/// predictor share a key. Predictor *order* stays significant — it is
-/// row order in the output.
+/// Components are the key-schema version, every entry of
+/// [`cli::describe_sweep`] (the entries its manifest records) and the
+/// workload-suite digest. Predictor labels must already be canonical
+/// ([`PredictorSpec::parse`] then [`PredictorSpec::label`]), so spelling
+/// variants of the same predictor share a key. Predictor *order* stays
+/// significant — it is row order in the output.
 #[must_use]
 pub fn sweep_key(workload: &str, labels: &[String], scales: &[u32], len: usize) -> CacheKey {
-    let scales: Vec<String> = scales.iter().map(ToString::to_string).collect();
-    CacheKey::builder()
-        .component("schema", KEY_SCHEMA_VERSION)
-        .component("kind", "sweep")
-        .component("workload", workload)
-        .component("predictors", labels.join(","))
-        .component("scales", scales.join(","))
-        .component("len", len)
+    cli::describe_sweep(workload, labels, scales, len)
+        .into_iter()
+        .fold(
+            CacheKey::builder()
+                .component("schema", KEY_SCHEMA_VERSION)
+                .component("kind", "sweep"),
+            |key, (name, value)| key.component(&name, value),
+        )
         .component("traces", format!("{:016x}", suite_digest()))
         .finish()
 }
@@ -360,10 +360,7 @@ impl SweepRequest {
         let scales = if scales_raw.is_empty() {
             vec![1]
         } else {
-            scales_raw
-                .iter()
-                .map(|s| s.parse().map_err(|_| format!("bad scale \"{s}\": must be an integer")))
-                .collect::<Result<Vec<u32>, _>>()?
+            scales_raw.iter().map(|s| cli::parse_scale(s)).collect::<Result<Vec<u32>, _>>()?
         };
         let len = field_u64(&obj, "len")?.map_or(200_000, |n| n as usize);
         if len < 10 {
@@ -618,7 +615,7 @@ impl Handler for StudyService {
 /// The `branch-lab serve` entry point: resolve options, bind, announce,
 /// serve forever.
 pub fn run_from(args: Vec<String>) {
-    let opts = ServeOptions::resolve(args);
+    let opts = ServeOptions::resolve(args).unwrap_or_else(|e| cli::usage_error(&e));
     // The serve.* counters are the operational surface (`GET /metrics`);
     // they must count even when BRANCH_LAB_METRICS is unset.
     bp_metrics::force_enable();
@@ -679,6 +676,32 @@ mod tests {
         assert_eq!(a.scales, vec![1, 4]);
         assert_eq!(b.scales, a.scales);
         assert_eq!(a.len, 200_000);
+        // A scale `PipelineConfig::scaled` refuses is a 400, not a panic
+        // in the worker.
+        for scales in ["[0]", "[65]", "[\"x\"]"] {
+            let body =
+                format!("{{\"workload\": \"w\", \"predictors\": \"gshare\", \"scales\": {scales}}}");
+            let err = SweepRequest::parse(body.as_bytes()).unwrap_err();
+            assert!(err.contains("must be an integer from 1 to 64"), "{scales}: {err}");
+        }
+    }
+
+    #[test]
+    fn serve_options_reject_malformed_flags() {
+        let resolve =
+            |args: &[&str]| ServeOptions::resolve(args.iter().map(|a| (*a).to_owned()).collect());
+        let opts =
+            resolve(&["--workers", "3", "--cache-budget", "64M", "--deadline-secs", "0"]).unwrap();
+        assert_eq!((opts.workers, opts.cache_budget, opts.deadline), (3, Some(64 << 20), None));
+        for bad in [
+            &["--bogus"][..],
+            &["--workers"],
+            &["--workers", "x"],
+            &["--cache-budget", "lots"],
+            &["--deadline-secs", "-1"],
+        ] {
+            assert!(resolve(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

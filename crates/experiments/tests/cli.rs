@@ -179,6 +179,11 @@ fn usage_errors_exit_2_without_a_panic() {
         &["all", "--bogus"],
         &["all", "--timeout-secs", "x"],
         &["run", "fig4", "--quick", "--sampled"],
+        &["sweep", "--workload", "streaming", "--predictors", "gshare", "--len", "abc"],
+        &["sweep", "--workload", "streaming", "--predictors", "gshare", "--scales", "0"],
+        &["sweep", "--predictors", "gshare"],
+        &["sweep", "--bogus"],
+        &["serve", "--workers", "x"],
     ] {
         let out = run_cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -50,19 +50,6 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Snapshots the live registry into a manifest.
-    #[must_use]
-    pub fn capture(run: &str, info: BTreeMap<String, String>, wall_time_ns: u64) -> Manifest {
-        Manifest {
-            run: run.to_string(),
-            info,
-            threads: crate::thread_count(),
-            wall_time_ns,
-            counters: crate::snapshot_counters().into_iter().collect(),
-            timers_ns: crate::snapshot_timers().into_iter().collect(),
-        }
-    }
-
     fn to_value(&self) -> Value {
         let mut map = BTreeMap::new();
         map.insert("schema".to_string(), Value::Str(RUN_SCHEMA.to_string()));
@@ -123,10 +110,9 @@ impl Manifest {
 /// that unit's activity to its own manifest.
 ///
 /// The registry is process-global and cumulative; when several studies
-/// run sequentially in one process (the in-process `all` executor), a
-/// plain [`Manifest::capture`] after study N would include studies
-/// 1..N-1 too. Delta capture restores the per-study manifests the old
-/// one-child-per-process runner produced.
+/// run sequentially in one process (the in-process `all` executor, a
+/// serve worker), a snapshot of it after study N would include studies
+/// 1..N-1 too. Delta capture keeps each run's manifest to that run.
 pub struct CounterBaseline {
     counters: BTreeMap<String, u64>,
     timers: BTreeMap<String, u64>,

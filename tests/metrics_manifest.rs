@@ -32,11 +32,12 @@ fn manifests_identical_across_thread_counts() {
     let mut manifests = Vec::new();
     for threads in [1usize, 8] {
         metrics::reset();
+        let baseline = metrics::CounterBaseline::take();
         let study = scaling_study_with(Engine::with_threads(threads), suite, &cfg);
         assert_eq!(study.scales.len(), 6);
         let mut info = BTreeMap::new();
         info.insert("threads_requested".to_owned(), threads.to_string());
-        manifests.push(metrics::Manifest::capture("scaling", info, 0).to_json());
+        manifests.push(baseline.capture_delta("scaling", info).to_json());
     }
 
     // Both manifests are valid JSON with a populated counter table.

@@ -17,8 +17,11 @@ use std::sync::Arc;
 use bp_core::serve::cache::CacheKey;
 use bp_core::serve::Server;
 use bp_core::{DatasetConfig, SamplingConfig, StudyCtx};
+use bp_experiments::cli::{describe_sweep, sweep_report};
 use bp_experiments::serve::{study_key, sweep_key, StudyService};
 use bp_experiments::{registry, Cli};
+use bp_predictors::PredictorSpec;
+use bp_workloads::find_workload;
 
 /// A served response, parsed just enough for assertions.
 struct Reply {
@@ -114,18 +117,19 @@ fn keys_are_deterministic_across_threads_and_orderings() {
 
 #[test]
 fn any_single_field_change_changes_the_key() {
-    let base_cfg = DatasetConfig::standard();
-    let base_ctx = StudyCtx::new(base_cfg);
+    let base_ctx = Cli::default().ctx();
+    let base_cfg = base_ctx.dataset;
+    let with_dataset = |dataset| StudyCtx { dataset, ..base_ctx.clone() };
     let base = study_key("fig7", &base_ctx);
     assert_ne!(base, study_key("fig8", &base_ctx), "study name");
     assert_ne!(
         base,
-        study_key("fig7", &StudyCtx::new(base_cfg.with_trace_len(999_990))),
+        study_key("fig7", &with_dataset(base_cfg.with_trace_len(999_990))),
         "trace length"
     );
     assert_ne!(
         base,
-        study_key("fig7", &StudyCtx::new(DatasetConfig { max_inputs: Some(1), ..base_cfg })),
+        study_key("fig7", &with_dataset(DatasetConfig { max_inputs: Some(1), ..base_cfg })),
         "input cap"
     );
     let args = StudyCtx { args: vec!["x".to_owned()], ..base_ctx.clone() };
@@ -233,21 +237,55 @@ fn sampling_geometry_is_part_of_the_served_key() {
     // Both manifests record the geometry that produced them, in the same
     // entries `branch-lab run` records, plus the entry's key and source.
     for (reply, interval) in [(&coarse, 500), (&default, 1000)] {
-        let manifest = request(addr, "GET", &format!("/result/{}/manifest", reply.key), "");
-        let doc = bp_metrics::json::parse(std::str::from_utf8(&manifest.body).unwrap()).unwrap();
-        let recorded: BTreeMap<String, String> = doc.as_obj().unwrap()["info"]
-            .as_obj()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.as_str().unwrap().to_owned()))
-            .collect();
         let mut ctx = cli.ctx();
         ctx.sampling.interval_len = Some(interval);
         let mut described = ctx.describe();
         described.insert("key".to_owned(), reply.key.clone());
         described.insert("source".to_owned(), "serve".to_owned());
-        assert_eq!(recorded, described);
+        assert_eq!(served_info(addr, &reply.key), described);
     }
+    server.shutdown();
+}
+
+/// The `info` block of the manifest cached under `key`.
+fn served_info(addr: std::net::SocketAddr, key: &str) -> BTreeMap<String, String> {
+    let manifest = request(addr, "GET", &format!("/result/{key}/manifest"), "");
+    assert_eq!(manifest.status, 200, "{}", String::from_utf8_lossy(&manifest.body));
+    let doc = bp_metrics::json::parse(std::str::from_utf8(&manifest.body).unwrap()).unwrap();
+    doc.as_obj().unwrap()["info"]
+        .as_obj()
+        .unwrap()
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_str().unwrap().to_owned()))
+        .collect()
+}
+
+#[test]
+fn served_sweep_manifest_records_what_its_key_hashes() {
+    let (server, addr) = serve(None);
+    let mut infos = Vec::new();
+    for predictors in ["gshare,bimodal", "bimodal,gshare"] {
+        let body = format!(
+            r#"{{"workload": "streaming", "predictors": "{predictors}", "scales": [1, 4], "len": 20000}}"#
+        );
+        let reply = request(addr, "POST", "/sweep", &body);
+        assert_eq!(reply.status, 200, "{}", String::from_utf8_lossy(&reply.body));
+        assert_eq!(reply.cache, "miss");
+        let specs = PredictorSpec::parse_list(predictors).unwrap();
+        let labels: Vec<String> = specs.iter().map(PredictorSpec::label).collect();
+        assert_eq!(reply.key, sweep_key("streaming", &labels, &[1, 4], 20_000).hex());
+        let spec = find_workload("streaming").unwrap();
+        let expected = sweep_report(&spec, &specs, &[1, 4], 20_000).render();
+        assert_eq!(reply.body, expected.as_bytes(), "served body != CLI render");
+        // The manifest names every input the key hashes, so two sweeps
+        // under different keys never record the same `info`.
+        let mut described = describe_sweep("streaming", &labels, &[1, 4], 20_000);
+        described.insert("key".to_owned(), reply.key.clone());
+        described.insert("source".to_owned(), "serve".to_owned());
+        assert_eq!(served_info(addr, &reply.key), described);
+        infos.push(described);
+    }
+    assert_ne!(infos[0]["predictors"], infos[1]["predictors"]);
     server.shutdown();
 }
 
