@@ -129,6 +129,12 @@ chaos_all clean
 chaos_all panic BRANCH_LAB_FAULTS=engine.task:panic@3 BRANCH_LAB_CHAOS_SEED=7
 grep -q "injected fault: panic at engine.task" "$CHAOS_OUT/panic.log" \
     || { echo "chaos leg: panic schedule never fired"; exit 1; }
+# The engine re-raises the task's own payload, so the executor reports
+# the fault's message itself, and all's retry absorbs it.
+grep -qF "table1 failed (panicked: injected fault: panic at engine.task)" "$CHAOS_OUT/panic.log" \
+    || { echo "chaos leg: the executor must see the task's own panic message"; exit 1; }
+grep -Eq "table1 +ok +2" "$CHAOS_OUT/panic.log" \
+    || { echo "chaos leg: table1 should recover on its second attempt"; exit 1; }
 diff -r "$CHAOS_OUT/clean" "$CHAOS_OUT/panic"
 
 chaos_all timeout BRANCH_LAB_FAULTS=exec.deadline.fig1:fail@1

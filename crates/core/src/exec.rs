@@ -2,24 +2,24 @@
 //!
 //! The `all` runner used to spawn one child *process* per study so a
 //! crash or hang could be contained and `kill`ed. This module provides
-//! the same containment in-process — cheaper, debuggable, and reusable
-//! by a future `branch-lab serve` (ROADMAP item 2) — by composing four
-//! mechanisms:
+//! the same containment in-process — cheaper, debuggable, and shared
+//! with `branch-lab serve` — by composing four mechanisms:
 //!
 //! * **Panic isolation.** Every attempt runs under `catch_unwind`; a
 //!   panicking study costs exactly its own slot.
 //! * **Cooperative cancellation + deadlines.** Each attempt gets a fresh
 //!   [`CancelToken`], installed as the thread's cancel scope
 //!   ([`bp_metrics::cancel`]) and handed to the task body. A per-task
-//!   deadline arms both the token (observed lazily at every block
-//!   checkpoint) and a watchdog thread that cancels the token the moment
-//!   the deadline passes — so a study stuck *between* checkpoints is
-//!   still marked cancelled, and a study inside the replay loop stops
-//!   within one 16K-record block.
+//!   deadline is armed on that token alone: every reader of the token
+//!   ([`cancel::checkpoint`] in the block loops, and the check after the
+//!   body returns) tests it, so a study inside the replay loop stops
+//!   within one 16K-record block, and a body that returns past its
+//!   deadline still counts as cancelled.
 //! * **Bounded retries with deterministic jittered backoff.** Retry
 //!   delays are `[0.5, 1.5) × base`, drawn from an FNV hash of
 //!   (seed, task name, attempt) — see [`Backoff`] — so a fleet of
 //!   retrying tasks decorrelates without losing reproducibility.
+//!   Cancelled attempts are retried like any other failure.
 //! * **Checkpoint/resume at task granularity.** Completed task names
 //!   (and their attempt counts) append to a checkpoint file; a resumed
 //!   run skips them and reports byte-identical merged manifests.
@@ -32,13 +32,10 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bp_metrics::cancel::{self, CancelToken, Cancelled};
 use bp_metrics::faultpoint;
-
-use crate::parallel::panic_message;
 
 /// Deterministic seeded jittered retry backoff.
 ///
@@ -120,7 +117,8 @@ pub struct ExecOptions {
     pub retries: u32,
     /// Retry-delay policy.
     pub backoff: Backoff,
-    /// Per-attempt deadline; `None` disables the watchdog.
+    /// Per-attempt deadline, armed on the attempt's [`CancelToken`];
+    /// `None` = no deadline.
     pub deadline: Option<Duration>,
     /// Keep running later tasks after a failure (`false`: remaining
     /// tasks report [`Outcome::NotRun`]).
@@ -240,49 +238,14 @@ fn record_checkpoint(path: &std::path::Path, name: &str, attempts: u32) {
     }
 }
 
-/// A watchdog that cancels `token` when `after` elapses, unless
-/// [`Watchdog::disarm`] runs first. Complements the token's lazy
-/// deadline: a task stuck *between* checkpoints (or one that never polls)
-/// is still marked cancelled the moment its deadline passes.
-struct Watchdog {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn arm(token: &CancelToken, after: Duration) -> Watchdog {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_state = Arc::clone(&state);
-        let token = token.clone();
-        let handle = std::thread::spawn(move || {
-            let (done, cv) = &*thread_state;
-            let expires = Instant::now() + after;
-            let mut finished = done.lock().unwrap_or_else(PoisonError::into_inner);
-            while !*finished {
-                let now = Instant::now();
-                if now >= expires {
-                    token.cancel(&format!(
-                        "deadline expired after {:.1}s",
-                        after.as_secs_f64()
-                    ));
-                    return;
-                }
-                finished = cv
-                    .wait_timeout(finished, expires - now)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        });
-        Watchdog { state, handle: Some(handle) }
-    }
-
-    fn disarm(mut self) {
-        let (done, cv) = &*self.state;
-        *done.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+/// Renders a panic payload the way the default hook would.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
     }
 }
 
@@ -290,9 +253,9 @@ impl Watchdog {
 /// [`TaskReport`] per task (same order).
 ///
 /// Each attempt: fire the `{fault_prefix}.{name}` fault site if armed;
-/// build a fresh [`CancelToken`] (deadline-armed, watchdog-guarded, and
-/// force-expired when the `exec.deadline.{name}` site fires); install it
-/// as the thread's cancel scope; run the body under `catch_unwind`; and
+/// build a fresh [`CancelToken`] (deadline-armed, and force-expired when
+/// the `exec.deadline.{name}` site fires); install it as the thread's
+/// cancel scope; run the body under `catch_unwind`; and
 /// classify the result — an `Ok` body under a cancelled token still
 /// counts as a cancelled attempt, so deadlines work even for bodies with
 /// no cancellation checkpoints. Cancelled and failed attempts both
@@ -396,20 +359,15 @@ fn run_attempt(task: &mut Task<'_>, opts: &ExecOptions) -> Option<String> {
         }
     }
     let token = CancelToken::new();
-    let mut watchdog = None;
     if faultpoint::should_fail(&format!("exec.deadline.{}", task.name)) {
         token.cancel("injected fault: deadline expired");
     } else if let Some(deadline) = opts.deadline {
         token.set_deadline_in(deadline);
-        watchdog = Some(Watchdog::arm(&token, deadline));
     }
     let result = {
         let _scope = cancel::set_scope(token.clone());
         catch_unwind(AssertUnwindSafe(|| (task.run)(&token)))
     };
-    if let Some(watchdog) = watchdog {
-        watchdog.disarm();
-    }
     match result {
         // A body that returned cleanly under a cancelled token still
         // counts as cancelled: the attempt ran past its deadline (or the
@@ -516,13 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_cancels_a_stuck_task_via_the_watchdog() {
+    fn deadline_cancels_a_polling_task_via_its_token() {
         let tasks = vec![Task::new("stuck", |token: &CancelToken| {
-            // Simulates a body between checkpoints: polls the token like
-            // the block loop would, without ever finishing on its own.
+            // Polls the token like the block loop would, without ever
+            // finishing on its own: only the token's deadline stops it.
             let start = Instant::now();
             while !token.is_cancelled() {
-                assert!(start.elapsed() < Duration::from_secs(10), "watchdog never fired");
+                assert!(start.elapsed() < Duration::from_secs(10), "deadline never expired");
                 std::thread::sleep(Duration::from_millis(1));
             }
             Err(format!("cancelled: {}", token.reason()))

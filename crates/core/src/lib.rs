@@ -45,7 +45,7 @@ pub use experiment::{
     StorageScalingStudy,
 };
 pub use bp_metrics::thread_count;
-pub use parallel::{Engine, TaskError};
+pub use parallel::Engine;
 pub use report::{f3, pct, Report, ReportItem, Table};
 pub use study::{FnStudy, Study, StudyCtx, StudyInfo, StudyKind, StudyRegistry};
 

@@ -249,7 +249,7 @@ fn worker_loop(listener: &TcpListener, handler: &Arc<dyn Handler>, stop: &Atomic
                         500,
                         &format!(
                             "internal error: {}",
-                            crate::parallel::panic_message(payload.as_ref())
+                            crate::exec::panic_message(payload.as_ref())
                         ),
                     ),
                 };

@@ -1,8 +1,8 @@
-//! The study registry: every paper table, figure, ablation and probe as
-//! a named, runnable unit.
+//! The study registry: every paper table, figure, ablation and
+//! supplementary study as a named, runnable unit.
 //!
 //! Each experiment (Table I, Fig. 7, the ablations, the calibration
-//! probe, …) implements [`Study`]: a static [`StudyInfo`] describing it
+//! table, …) implements [`Study`]: a static [`StudyInfo`] describing it
 //! plus a `run` that computes a [`Report`]. A [`StudyRegistry`] holds
 //! them in a fixed order and is the single source of truth the
 //! `branch-lab` CLI dispatches from — `branch-lab list` prints it,
@@ -22,18 +22,12 @@ use crate::report::Report;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StudyKind {
     /// A paper artifact: runs on the standard dataset options
-    /// (`--quick`, `--len`, `--csv`), takes no positional arguments, and
-    /// is included in `all` sweeps.
+    /// (`--quick`, `--len`, `--csv`) and is included in `all` sweeps.
     Report,
     /// Same invocation surface as [`StudyKind::Report`] but excluded
     /// from `all` sweeps (supplementary context such as the predictor
-    /// survey).
+    /// survey or the calibration table).
     Standalone,
-    /// A diagnostic probe (calibration, IPC debugging): takes free-form
-    /// positional arguments ([`StudyCtx::args`]) and is excluded from
-    /// `all`. Its manifest and cache key record them like any other
-    /// entry of [`StudyCtx::describe`].
-    Probe,
 }
 
 /// Static description of a study.
@@ -45,25 +39,6 @@ pub struct StudyInfo {
     pub title: &'static str,
     /// Invocation class.
     pub kind: StudyKind,
-}
-
-impl StudyInfo {
-    /// Checks positional arguments against the study's kind: only
-    /// [`StudyKind::Probe`] studies read [`StudyCtx::args`], so any other
-    /// study refuses them rather than run as if they were absent.
-    ///
-    /// # Errors
-    ///
-    /// A usage message naming the study and its first argument.
-    pub fn check_args(&self, args: &[String]) -> Result<(), String> {
-        match args.first() {
-            Some(first) if self.kind != StudyKind::Probe => Err(format!(
-                "study \"{}\" takes no positional args (got \"{first}\")",
-                self.name
-            )),
-            _ => Ok(()),
-        }
-    }
 }
 
 /// The one description of a study run: everything a study may consult,
@@ -79,8 +54,6 @@ impl StudyInfo {
 pub struct StudyCtx {
     /// Dataset shape (trace length, slicing, input cap).
     pub dataset: DatasetConfig,
-    /// Positional arguments, used by [`StudyKind::Probe`] studies only.
-    pub args: Vec<String>,
     /// Sampled-replay geometry, resolved against [`StudyCtx::dataset`] by
     /// the studies that sample.
     pub sampling: SamplingConfig,
@@ -88,12 +61,11 @@ pub struct StudyCtx {
 
 impl StudyCtx {
     /// The run as named entries: the resolved dataset shape
-    /// (`trace_len`, `slice_len`, `max_inputs`), the probe `args`
-    /// (joined with U+001F, so no split of them collides with another),
-    /// and the resolved sampling geometry (`sample_interval`,
-    /// `sample_warmup`, `sample_phases`). Resolved values make two
-    /// spellings of one run (`--len 1000000` and the default, or an
-    /// explicit knob equal to its default) describe it identically.
+    /// (`trace_len`, `slice_len`, `max_inputs`) and the resolved sampling
+    /// geometry (`sample_interval`, `sample_warmup`, `sample_phases`).
+    /// Resolved values make two spellings of one run (`--len 1000000`
+    /// and the default, or an explicit knob equal to its default)
+    /// describe it identically.
     #[must_use]
     pub fn describe(&self) -> BTreeMap<String, String> {
         let sampling = self.sampling.resolve(&self.dataset);
@@ -103,7 +75,6 @@ impl StudyCtx {
             ("trace_len", self.dataset.trace_len.to_string()),
             ("slice_len", self.dataset.slice.len().to_string()),
             ("max_inputs", max_inputs),
-            ("args", self.args.join("\u{1f}")),
             ("sample_interval", sampling.interval_len.to_string()),
             ("sample_warmup", sampling.warmup.to_string()),
             ("sample_phases", sampling.max_phases.to_string()),
@@ -236,17 +207,15 @@ mod tests {
     fn registry_preserves_order_and_filters_kinds() {
         let mut reg = StudyRegistry::new();
         reg.register(stub("b", StudyKind::Report));
-        reg.register(stub("a", StudyKind::Probe));
         reg.register(stub("s", StudyKind::Standalone));
         reg.register(stub("c", StudyKind::Report));
-        assert_eq!(reg.names(), vec!["b", "a", "s", "c"]);
+        assert_eq!(reg.names(), vec!["b", "s", "c"]);
         assert_eq!(reg.report_names(), vec!["b", "c"]);
         let ctx = StudyCtx {
             dataset: DatasetConfig::quick(),
-            args: Vec::new(),
             sampling: SamplingConfig::default(),
         };
-        assert_eq!(reg.get("a").unwrap().run(&ctx).render(), "ran\n");
+        assert_eq!(reg.get("s").unwrap().run(&ctx).render(), "ran\n");
         assert!(reg.get("zzz").is_none());
     }
 
@@ -254,13 +223,11 @@ mod tests {
     fn describe_canonicalizes_spellings_and_separates_runs() {
         let plain = StudyCtx {
             dataset: DatasetConfig::standard(),
-            args: Vec::new(),
             sampling: SamplingConfig::default(),
         };
         let d = plain.describe();
         assert_eq!(d["trace_len"], "1000000");
         assert_eq!(d["max_inputs"], "none");
-        assert_eq!(d["args"], "");
         assert_eq!(d["sample_interval"], "50000");
         assert_eq!(d["sample_warmup"], "10000");
         assert_eq!(d["sample_phases"], "4");
@@ -271,27 +238,15 @@ mod tests {
         };
         spelled.sampling.interval_len = Some(50_000);
         assert_eq!(spelled.describe(), d);
-        // A changed knob or argument split is a different run.
+        // A changed knob is a different run.
         let mut coarser = plain.clone();
         coarser.sampling.interval_len = Some(100_000);
         assert_ne!(coarser.describe(), d);
-        let mut one = plain.clone();
-        one.args = vec!["a b".to_owned()];
-        let mut two = plain;
-        two.args = vec!["a".to_owned(), "b".to_owned()];
-        assert_ne!(one.describe(), two.describe());
-    }
-
-    #[test]
-    fn only_probes_take_positional_args() {
-        let info = |kind| StudyInfo { name: "s", title: "t", kind };
-        let args = ["7".to_owned()];
-        assert!(info(StudyKind::Probe).check_args(&args).is_ok());
-        for kind in [StudyKind::Report, StudyKind::Standalone] {
-            assert!(info(kind).check_args(&[]).is_ok());
-            let err = info(kind).check_args(&args).unwrap_err();
-            assert!(err.contains("takes no positional args (got \"7\")"), "{err}");
-        }
+        let shorter = StudyCtx {
+            dataset: DatasetConfig::standard().with_trace_len(30_000),
+            ..plain
+        };
+        assert_ne!(shorter.describe(), d);
     }
 
     #[test]
@@ -299,6 +254,6 @@ mod tests {
     fn duplicate_names_panic() {
         let mut reg = StudyRegistry::new();
         reg.register(stub("x", StudyKind::Report));
-        reg.register(stub("x", StudyKind::Probe));
+        reg.register(stub("x", StudyKind::Standalone));
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! The studies run **in-process** as tasks of the fault-tolerant
 //! executor ([`bp_core::exec`]), which supplies panic isolation,
-//! cooperative cancellation with per-study deadlines (a watchdog thread
-//! plus block-granular checkpoints in the replay loops), bounded retries
+//! cooperative cancellation with per-study deadlines (armed on each
+//! attempt's token and observed at the replay loops' block-granular
+//! checkpoints), bounded retries
 //! with deterministic jittered backoff, and a study-granularity
 //! checkpoint file. Running in one process means every study shares the
 //! in-memory `TraceStore`; `all` still defaults `BRANCH_LAB_TRACE_DIR`
@@ -35,8 +36,8 @@
 //! The remaining flags (`--len`, `--quick`, `--csv`, `--sample-*`) are
 //! the standard report-study options: they build one [`bp_core::StudyCtx`]
 //! ([`Cli::ctx`]) that every study runs on. A malformed or unknown flag,
-//! or a positional argument, is a usage error (exit 2) before any study
-//! runs.
+//! a bare argument, or a `--csv` directory that cannot be created is a
+//! usage error (exit 2) before any study runs.
 //!
 //! With `BRANCH_LAB_METRICS` pointing at a sink directory, each study
 //! writes a per-study *delta* manifest there (counters attributed to
@@ -96,9 +97,6 @@ impl Options {
             }
         }
         let cli = Cli::parse_from(forwarded)?;
-        if let Some(first) = cli.rest.first() {
-            return Err(format!("all takes no positional args (got \"{first}\")"));
-        }
         Ok(Options { keep_going, resume, timeout, cli })
     }
 }

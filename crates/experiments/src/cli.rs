@@ -11,8 +11,9 @@
 //!
 //! `run` and `all` parse the study flags through [`crate::Cli`]; every
 //! subcommand reads flag values through one helper, and a usage error
-//! (an unknown flag, a malformed value, a positional argument for a
-//! study that takes none) prints its message and exits with status 2.
+//! (an unknown flag, a malformed value, a bare argument, a `--csv`
+//! directory that cannot be created) prints its message and exits with
+//! status 2 before any study runs.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +42,7 @@ pub fn help_text() -> String {
          \x20                                       result cache (see DESIGN.md \"Serving\")\n\
          \x20   branch-lab help                     this text\n\
          \n\
-         FLAGS (report studies):\n\
+         FLAGS (every study):\n\
          \x20   --len N               instructions per workload trace (default 1,000,000)\n\
          \x20   --quick               reduced dataset scale for smoke runs\n\
          \x20   --csv DIR             also write each table as CSV under DIR\n\
@@ -50,10 +51,9 @@ pub fn help_text() -> String {
          \x20   --sample-warmup N     warm-up prefix per interval, discarded from stats\n\
          \x20                         (default interval/5)\n\
          \x20   --sample-phases N     cap on phases = representatives (default 4)\n\
-         Probe studies (calibrate, debug_ipc) take positional arguments instead;\n\
-         `branch-lab list` shows them in brackets. Every run manifest records the\n\
-         resolved dataset, arguments and sampling geometry. A malformed or unknown\n\
-         flag to any subcommand exits with status 2.\n\
+         A study takes flags only. Every run manifest records the resolved dataset\n\
+         and sampling geometry. A malformed or unknown flag, or a bare argument, to\n\
+         any subcommand exits with status 2.\n\
          \n\
          ALL-RUNNER FLAGS:\n\
          \x20   --keep-going       continue past a failing study\n\
@@ -119,9 +119,8 @@ fn save_manifest(manifest: &Manifest) {
     }
 }
 
-/// Looks `name` up in the registry and runs it with `args`: positional
-/// arguments go to probe studies and are refused by the others, `--csv`
-/// is honoured, and the run's manifest goes to the metrics sink.
+/// Looks `name` up in the registry and runs it with the flags `args`:
+/// `--csv` is honoured, and the run's manifest goes to the metrics sink.
 pub fn run_study(name: &str, args: Vec<String>) {
     let reg = registry::registry();
     let Some(study) = reg.get(name) else {
@@ -131,9 +130,7 @@ pub fn run_study(name: &str, args: Vec<String>) {
         );
         std::process::exit(2);
     };
-    let cli = Cli::parse_from(args)
-        .and_then(|cli| study.info().check_args(&cli.rest).map(|()| cli))
-        .unwrap_or_else(|e| usage_error(&e));
+    let cli = Cli::parse_from(args).unwrap_or_else(|e| usage_error(&e));
     let (report, manifest) = crate::run_recorded(study, &cli.ctx());
     cli.emit_report(&report);
     save_manifest(&manifest);
@@ -151,7 +148,6 @@ fn cmd_list() {
         let kind = match info.kind {
             StudyKind::Report => "report",
             StudyKind::Standalone => "extra ",
-            StudyKind::Probe => "probe ",
         };
         println!("{:width$}  {kind}  {}", info.name, info.title);
     }

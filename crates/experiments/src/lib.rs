@@ -29,9 +29,6 @@ pub struct Cli {
     pub quick: bool,
     /// Directory for CSV output.
     pub csv: Option<PathBuf>,
-    /// Positional arguments (consumed by probe studies such as
-    /// `calibrate`; rejected by report studies).
-    pub rest: Vec<String>,
     /// Sampled-replay geometry (`--sample-interval`, `--sample-warmup`,
     /// `--sample-phases`).
     pub sampling: SamplingConfig,
@@ -40,13 +37,15 @@ pub struct Cli {
 impl Cli {
     /// Parses an explicit argument list (no binary name).
     ///
-    /// `--help` prints the shared help text and exits. Bare arguments
-    /// collect into [`Cli::rest`] for probe studies.
+    /// `--help` prints the shared help text and exits. A study's inputs
+    /// are flags only, so a bare argument is refused. `--csv DIR` creates
+    /// `DIR` here, before any study runs.
     ///
     /// # Errors
     ///
-    /// A usage message for an unknown `--flag`, a flag without its value,
-    /// a value that does not parse, or a `--len` below 10.
+    /// A usage message for an unknown flag or bare argument, a flag
+    /// without its value, a value that does not parse, a `--len` below
+    /// 10, or a `--csv` directory that cannot be created.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut cli = Cli::default();
         let mut args = args.into_iter();
@@ -68,14 +67,17 @@ impl Cli {
                     print!("{}", cli::help_text());
                     std::process::exit(0);
                 }
-                other if other.starts_with('-') => {
+                other => {
                     return Err(format!(
                         "unknown argument {other}; supported: --len N --quick --csv DIR \
                          --sample-interval N --sample-warmup N --sample-phases N"
                     ))
                 }
-                other => cli.rest.push(other.to_owned()),
             }
+        }
+        if let Some(dir) = &cli.csv {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create --csv directory {}: {e}", dir.display()))?;
         }
         Ok(cli)
     }
@@ -94,23 +96,22 @@ impl Cli {
         }
     }
 
-    /// The study context the options describe: dataset, positional
-    /// arguments and sampling geometry.
+    /// The study context the options describe: dataset and sampling
+    /// geometry.
     #[must_use]
     pub fn ctx(&self) -> StudyCtx {
         StudyCtx {
             dataset: self.dataset(),
-            args: self.rest.clone(),
             sampling: self.sampling,
         }
     }
 
-    /// Prints a table under a heading and optionally writes CSV.
+    /// Prints a table under a heading and optionally writes CSV into the
+    /// `--csv` directory, which [`Cli::parse_from`] created.
     pub fn emit(&self, heading: &str, name: &str, table: &Table) {
         println!("\n== {heading} ==");
         print!("{}", table.render());
         if let Some(dir) = &self.csv {
-            std::fs::create_dir_all(dir).expect("create csv dir");
             let path = dir.join(format!("{name}.csv"));
             std::fs::write(&path, table.to_csv()).expect("write csv");
             println!("(csv written to {})", path.display());
@@ -183,15 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_splits_flags_and_positionals() {
-        let cli = Cli::parse_from(
-            ["--quick", "200000", "--len", "5000"].map(String::from),
-        )
-        .unwrap();
+    fn parse_from_takes_flags_only() {
+        let cli = Cli::parse_from(["--quick", "--len", "5000"].map(String::from)).unwrap();
         assert!(cli.quick);
         assert_eq!(cli.len, Some(5000));
-        assert_eq!(cli.rest, vec!["200000".to_owned()]);
-        assert_eq!(cli.ctx().args, cli.rest);
+        assert_eq!(cli.ctx().dataset.trace_len, 5000);
+        let err = Cli::parse_from(["--quick", "200000"].map(String::from)).unwrap_err();
+        assert!(err.contains("unknown argument 200000"), "{err}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The canonical study registry: every table, figure, ablation and probe
-//! this crate implements, in presentation order.
+//! The canonical study registry: every table, figure, ablation and
+//! supplementary study this crate implements, in presentation order.
 //!
 //! [`registry`] is the single source of truth for the `branch-lab` CLI —
 //! `list` prints it, `run` dispatches through it, and the `all` runner
 //! derives its child list from [`StudyRegistry::report_names`]. Adding a
 //! study here is all it takes to appear in every surface; the
-//! completeness test in `tests/registry.rs` pins the order the `all`
-//! checkpoint/resume format and `ci.sh` depend on.
+//! completeness tests in `crates/experiments/tests/cli.rs` pin the order
+//! the `all` checkpoint/resume format and `ci.sh` depend on. Every study
+//! reads only its [`StudyCtx`], which the standard flags build.
 
 use bp_core::{FnStudy, Report, StudyCtx, StudyInfo, StudyKind, StudyRegistry};
 
@@ -31,7 +32,8 @@ fn report(
 }
 
 /// Builds the full registry: the sixteen paper artifacts in publication
-/// order, then the diagnostic probes.
+/// order with the standalone studies among them, then the calibration
+/// table.
 #[must_use]
 pub fn registry() -> StudyRegistry {
     let mut reg = StudyRegistry::new();
@@ -158,33 +160,10 @@ pub fn registry() -> StudyRegistry {
     reg.register(Box::new(FnStudy::new(
         StudyInfo {
             name: "calibrate",
-            title: "Probe: per-workload accuracy/branch statistics ([len])",
-            kind: StudyKind::Probe,
+            title: "Calibration: per-workload TAGE-SC-L accuracy and branch statistics",
+            kind: StudyKind::Standalone,
         },
-        |ctx| {
-            let len = ctx
-                .args
-                .first()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(500_000);
-            studies::calibrate_report(len)
-        },
-    )));
-    reg.register(Box::new(FnStudy::new(
-        StudyInfo {
-            name: "debug_ipc",
-            title: "Probe: absolute IPC per scale for one workload ([which] [len])",
-            kind: StudyKind::Probe,
-        },
-        |ctx| {
-            let which = ctx.args.first().map_or("1", String::as_str);
-            let len = ctx
-                .args
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(500_000);
-            studies::debug_ipc_report(which, len)
-        },
+        |ctx| studies::calibrate_report(ctx.dataset.trace_len),
     )));
     reg
 }

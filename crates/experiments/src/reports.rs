@@ -9,8 +9,8 @@
 //! dispatcher goes through [`crate::Cli::emit_report`], which
 //! additionally handles CSV output. Keeping the logic here means a
 //! golden test exercises exactly the code `branch-lab run` ships. The
-//! remaining studies (Figs. 4, 6, 10, Table III, ablations, probes) live
-//! in [`crate::studies`].
+//! remaining studies (Figs. 4, 6, 10, Table III, ablations, calibration)
+//! live in [`crate::studies`].
 
 use bp_analysis::{
     paper_equivalent, rank_heavy_hitters, top_n_fraction, BinSpec, BranchProfile, H2pCriteria,

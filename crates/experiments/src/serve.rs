@@ -9,8 +9,8 @@
 //! * the JSON request schema mirroring the `run` / `sweep` CLI flags;
 //! * cache-key derivation ([`study_key`] / [`sweep_key`]) from exactly
 //!   the inputs a result is a pure function of — for a study, the name
-//!   and its [`StudyCtx::describe`] entries (dataset shape, probe args,
-//!   sampling geometry); for a sweep, its [`cli::describe_sweep`]
+//!   and its [`StudyCtx::describe`] entries (dataset shape and sampling
+//!   geometry); for a sweep, its [`cli::describe_sweep`]
 //!   entries (workload, predictors, scales and length) — in both cases
 //!   the entries its manifest records — plus the workload-suite trace
 //!   digest ([`bp_workloads::suite_digest`]);
@@ -155,8 +155,9 @@ fn default_workers() -> usize {
 /// coincidence. History: 1 = original study/sweep components; 2 = added
 /// the sampling dimension to study keys; 3 = study keys hash
 /// [`StudyCtx::describe`], whose resolved sampling geometry is always
-/// present.
-pub const KEY_SCHEMA_VERSION: u32 = 3;
+/// present; 4 = the `args` entry left [`StudyCtx::describe`] (studies
+/// take flags only).
+pub const KEY_SCHEMA_VERSION: u32 = 4;
 
 /// Derives the content-address of one registry study run.
 ///
@@ -310,7 +311,6 @@ impl RunRequest {
                 "study",
                 "len",
                 "quick",
-                "args",
                 "deadline_secs",
                 "sample_interval",
                 "sample_warmup",
@@ -336,7 +336,6 @@ impl RunRequest {
             len: len.map(|n| n as usize),
             quick: field_bool(&obj, "quick")?,
             csv: None,
-            rest: field_list(&obj, "args")?,
             sampling,
         };
         Ok(RunRequest { study, cli, deadline: parse_deadline(&obj)? })
@@ -488,9 +487,6 @@ impl StudyService {
             );
         };
         let info = study.info();
-        if let Err(e) = info.check_args(&parsed.cli.rest) {
-            return Response::error(400, &e);
-        }
         let ctx = parsed.cli.ctx();
         let key = study_key(info.name, &ctx);
         self.dispatch(key, info.name, parsed.deadline, move || {
@@ -560,7 +556,6 @@ impl StudyService {
                         match info.kind {
                             StudyKind::Report => "report",
                             StudyKind::Standalone => "standalone",
-                            StudyKind::Probe => "probe",
                         }
                         .to_owned(),
                     ),
@@ -713,14 +708,11 @@ mod tests {
         let plain = Cli::default();
         let spelled = Cli { len: Some(1_000_000), ..Cli::default() };
         assert_eq!(key("fig3", &plain), key("fig3", &spelled));
-        // But a different study, dataset scale, or argument list never
-        // collides.
+        // But a different study or dataset scale never collides.
         let base = key("fig3", &plain);
         let quick = Cli { quick: true, ..Cli::default() };
-        let probe = Cli { rest: vec!["600".to_owned()], ..Cli::default() };
         assert_ne!(base, key("fig1", &plain));
         assert_ne!(base, key("fig3", &quick));
-        assert_ne!(base, key("fig3", &probe));
     }
 
     #[test]
@@ -760,6 +752,7 @@ mod tests {
         for body in [
             &b"{\"study\": \"sampled\", \"sample_intervel\": 1}"[..],
             b"{\"study\": \"sampled\", \"sampled\": true}",
+            b"{\"study\": \"calibrate\", \"args\": [\"60000\"]}",
         ] {
             let err = RunRequest::parse(body).unwrap_err();
             assert!(err.contains("unknown field"), "{err}");

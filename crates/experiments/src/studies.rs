@@ -1,11 +1,11 @@
-//! Report functions for the analysis studies, ablations and probes
-//! (Figs. 4, 6, 10, Table III, `alloc_stats`, `baselines`, `helpers`,
-//! `ablation`, `calibrate`, `debug_ipc`).
+//! Report functions for the analysis studies, ablations and
+//! supplementary tables (Figs. 4, 6, 10, Table III, `alloc_stats`,
+//! `baselines`, `helpers`, `ablation`, `sampled`, `calibrate`).
 //!
 //! Same contract as [`crate::reports`]: each function computes one
 //! study and returns a [`Report`] whose `render()` is byte-identical to
 //! the stdout of the legacy standalone binary. Sweep-shaped studies
-//! (`baselines`, the `ablation` accuracy tables, `debug_ipc`) step all
+//! (`baselines`, the `ablation` accuracy tables) step all
 //! their configurations through a single trace pass via
 //! [`bp_predictors::sweep_flags`] / [`bp_pipeline::SweepReplay`]
 //! instead of re-replaying per configuration; the H2P studies screen
@@ -29,7 +29,7 @@ use bp_pipeline::{
 };
 use bp_predictors::{
     measure, misprediction_flags, sweep_flags, AccuracyStats, DirectionPredictor,
-    PerfectPredictor, Predictor, PredictorSpec, TageConfig, TageScL, TageSclConfig,
+    Predictor, PredictorSpec, TageConfig, TageScL, TageSclConfig,
 };
 use bp_trace::profile_intervals;
 use bp_trace::Trace;
@@ -613,8 +613,9 @@ pub fn helpers_report(cfg: &DatasetConfig) -> Report {
     report
 }
 
-/// Calibration probe: per-workload TAGE-SC-L accuracy and branch
-/// statistics for tuning suite parameters against Tables I/II.
+/// Calibration table: per-workload TAGE-SC-L accuracy and branch
+/// statistics over `len`-instruction traces (`run calibrate --len N`),
+/// for tuning suite parameters against Tables I/II.
 #[must_use]
 pub fn calibrate_report(len: usize) -> Report {
     let mut report = Report::new();
@@ -638,41 +639,6 @@ pub fn calibrate_report(len: usize) -> Report {
             stats.accuracy(),
             stats.total as f64 / per_ip.len() as f64,
             stats.total as f64 / trace.len() as f64,
-        ));
-    }
-    report
-}
-
-/// Debug probe: absolute IPC per scale for one workload under TAGE-SC-L
-/// 8KB and perfect prediction. Both configurations replay in lockstep.
-#[must_use]
-pub fn debug_ipc_report(which: &str, len: usize) -> Report {
-    let mut report = Report::new();
-    let suite = specint_suite();
-    let lcf = lcf_suite();
-    let spec = match which {
-        s if s.starts_with("lcf") => &lcf[s[3..].parse::<usize>().unwrap_or(0)],
-        s => &suite[s.parse::<usize>().unwrap_or(1)],
-    };
-    report.note(format!("workload {} len {len}", spec.name));
-    let trace = spec.cached_trace(0, len);
-    let mut predictors: Vec<Box<dyn DirectionPredictor>> =
-        vec![Box::new(TageScL::kb8()), Box::new(PerfectPredictor)];
-    let mut streams =
-        sweep_flags(&mut predictors, trace.reader(), None).expect("in-memory reader cannot fail");
-    let perfect_flags = streams.pop().expect("two streams");
-    let tage_flags = streams.pop().expect("one stream");
-    let mpki = tage_flags.iter().filter(|&&f| f).count() as f64 * 1000.0 / len as f64;
-    report.note(format!("tage8 MPKI {mpki:.2}"));
-    let base = PipelineConfig::skylake();
-    let sweep = SweepReplay::new(&trace, &base);
-    for scale in PipelineConfig::SCALES {
-        let stats = sweep.simulate_many(&[&tage_flags, &perfect_flags], &base.scaled(scale));
-        report.note(format!(
-            "{scale:>3}x  tage8 {:.3}  perfect {:.3}  ratio {:.3}",
-            stats[0].ipc(),
-            stats[1].ipc(),
-            stats[1].ipc() / stats[0].ipc()
         ));
     }
     report

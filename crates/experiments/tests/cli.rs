@@ -16,7 +16,7 @@ use std::process::Command;
 
 use bp_core::StudyKind;
 use bp_experiments::registry::registry;
-use bp_experiments::Cli;
+use bp_experiments::{studies, Cli};
 use bp_metrics::json::Value;
 
 /// The legacy `all.rs` BINS array, verbatim. `report_names()` must keep
@@ -42,23 +42,20 @@ fn report_names_match_the_legacy_all_list() {
 fn registry_covers_every_study_binary() {
     let reg = registry();
     // Full presentation order: the sixteen `all` children with the
-    // standalone survey interleaved, then the probes.
+    // standalone studies interleaved, then the calibration table.
     assert_eq!(
         reg.names(),
         vec![
             "table1", "fig1", "fig2", "table2", "baselines", "grid", "fig3", "fig4",
             "fig5", "table3", "fig6", "alloc_stats", "fig7", "fig8", "fig9", "fig10",
-            "helpers", "ablation", "sampled", "calibrate", "debug_ipc",
+            "helpers", "ablation", "sampled", "calibrate",
         ]
     );
-    for standalone in ["baselines", "grid", "sampled"] {
+    for standalone in ["baselines", "grid", "sampled", "calibrate"] {
         assert_eq!(
             reg.get(standalone).unwrap().info().kind,
             StudyKind::Standalone
         );
-    }
-    for probe in ["calibrate", "debug_ipc"] {
-        assert_eq!(reg.get(probe).unwrap().info().kind, StudyKind::Probe);
     }
     for study in reg.studies() {
         assert!(!study.info().title.is_empty(), "{}", study.info().name);
@@ -135,21 +132,20 @@ fn manifest_records_the_engine_thread_count_under_a_bad_override() {
     assert_eq!(threads, Some(available as u64));
 }
 
-#[test]
-fn manifest_records_the_sampling_geometry() {
-    // The manifest's `info` block is the run's `StudyCtx::describe`:
-    // the resolved dataset shape and the sampling geometry the run used.
+/// Runs `branch-lab run <study> <args>` with a metrics sink, requires
+/// success, and returns its stdout and the `info` block of the manifest
+/// it wrote. That block is the run's `StudyCtx::describe`.
+fn run_with_sink(study: &str, args: &[&str]) -> (String, BTreeMap<String, String>) {
     let sink = std::env::temp_dir()
-        .join(format!("branch-lab-cli-sampling-{}", std::process::id()));
-    let args = ["--quick", "--len", "20000", "--sample-interval", "500"];
+        .join(format!("branch-lab-cli-{study}-{}", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
-        .args(["run", "sampled"])
+        .args(["run", study])
         .args(args)
         .env("BRANCH_LAB_TRACE_DIR", trace_dir())
         .env("BRANCH_LAB_METRICS", &sink)
         .output()
         .expect("spawn branch-lab");
-    let manifest = std::fs::read_to_string(sink.join("sampled.json"));
+    let manifest = std::fs::read_to_string(sink.join(format!("{study}.json")));
     std::fs::remove_dir_all(&sink).ok();
     assert!(
         out.status.success(),
@@ -159,11 +155,18 @@ fn manifest_records_the_sampling_geometry() {
     let manifest = bp_metrics::json::parse(&manifest.expect("manifest written to the sink"))
         .expect("manifest is JSON");
     let info = manifest.as_obj().and_then(|m| m.get("info")).and_then(Value::as_obj);
-    let recorded: BTreeMap<String, String> = info
+    let recorded = info
         .expect("manifest has an info block")
         .iter()
         .map(|(k, v)| (k.clone(), v.as_str().expect("info values are strings").to_owned()))
         .collect();
+    (String::from_utf8_lossy(&out.stdout).into_owned(), recorded)
+}
+
+#[test]
+fn manifest_records_the_sampling_geometry() {
+    let args = ["--quick", "--len", "20000", "--sample-interval", "500"];
+    let (_, recorded) = run_with_sink("sampled", &args);
     assert_eq!(recorded["sample_interval"], "500");
     let cli = Cli::parse_from(args.map(String::from)).unwrap();
     assert_eq!(recorded, cli.ctx().describe());
@@ -171,13 +174,23 @@ fn manifest_records_the_sampling_geometry() {
 
 #[test]
 fn usage_errors_exit_2_without_a_panic() {
+    // A `--csv` directory under a regular file cannot be created.
+    let file = std::env::temp_dir().join(format!("branch-lab-cli-csv-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let bad_csv = file.join("sub");
+    let bad_csv = bad_csv.to_str().unwrap();
     for args in [
         &["run", "fig3", "stray"][..],
         &["run", "fig3", "--len", "abc"],
         &["run", "fig3", "--len", "5"],
         &["run", "fig3", "--bogus"],
+        &["run", "calibrate", "60000"],
+        &["run", "debug_ipc", "1", "60000"],
+        &["run", "fig4", "--quick", "--len", "20000", "--csv", bad_csv],
         &["all", "--bogus"],
+        &["all", "stray"],
         &["all", "--timeout-secs", "x"],
+        &["all", "--quick", "--csv", bad_csv],
         &["run", "fig4", "--quick", "--sampled"],
         &["sweep", "--workload", "streaming", "--predictors", "gshare", "--len", "abc"],
         &["sweep", "--workload", "streaming", "--predictors", "gshare", "--scales", "0"],
@@ -189,20 +202,37 @@ fn usage_errors_exit_2_without_a_panic() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        // Refused before any study ran.
+        assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
     }
+    std::fs::remove_file(&file).ok();
 }
 
 #[test]
-fn probe_studies_take_positional_arguments() {
-    let out = run_cli(&["run", "calibrate", "60000"]);
+fn calibrate_takes_its_length_from_len() {
+    let out = run_cli(&["run", "calibrate", "--len", "60000"]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("workload"), "calibrate header missing");
-    assert!(stdout.contains("game"), "calibrate rows missing");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        studies::calibrate_report(60_000).render()
+    );
+}
+
+#[test]
+fn calibrate_manifest_records_the_length_it_ran() {
+    // calibrate reads the context its manifest records: a `--len 30000`
+    // run prints the 30,000-instruction report and records that length.
+    let args = ["--len", "30000"];
+    let (stdout, recorded) = run_with_sink("calibrate", &args);
+    assert_eq!(stdout, studies::calibrate_report(30_000).render());
+    assert_eq!(recorded["trace_len"], "30000");
+    assert!(!recorded.contains_key("args"), "{recorded:?}");
+    let cli = Cli::parse_from(args.map(String::from)).unwrap();
+    assert_eq!(recorded, cli.ctx().describe());
 }
 
 #[test]

@@ -32,7 +32,8 @@
 //! [`checkpoint`] reports cancellation by panicking with a dedicated
 //! [`Cancelled`] payload. Unwinding is the one mechanism that already
 //! exits every loop, drops every guard, and is caught at every task
-//! boundary (`Engine::try_map`, the executor's `catch_unwind`) — a
+//! boundary (`Engine::map`'s per-task `catch_unwind`, which re-raises
+//! the payload unchanged, and the executor's) — a
 //! `Result` plumbed through the replay hot loops would cost real
 //! throughput for a cold path. Catchers downcast to [`Cancelled`] to
 //! distinguish an orderly stop from a genuine panic.
@@ -42,8 +43,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The panic payload [`checkpoint`] unwinds with. Task-boundary catchers
-/// (`Engine::try_map`, `bp_core::exec`) downcast to this type to classify
-/// a cooperative stop as cancellation rather than failure-by-panic.
+/// (`Engine::map`, `bp_core::exec`) downcast to this type to classify a
+/// cooperative stop as cancellation rather than failure-by-panic.
 #[derive(Clone, Debug)]
 pub struct Cancelled {
     /// Why the token was cancelled, plus the site that observed it.
@@ -97,9 +98,7 @@ impl CancelToken {
     }
 
     /// Arms a wall-clock deadline `after` from now. Expiry is observed by
-    /// the next [`CancelToken::is_cancelled`] (or [`checkpoint`]) call —
-    /// or immediately by a watchdog thread that calls
-    /// [`CancelToken::cancel`] at the deadline.
+    /// the next [`CancelToken::is_cancelled`] (or [`checkpoint`]) call.
     pub fn set_deadline_in(&self, after: Duration) {
         let at = Instant::now().checked_add(after);
         *self.inner.deadline.lock().unwrap_or_else(PoisonError::into_inner) = at;
@@ -112,8 +111,8 @@ impl CancelToken {
     }
 
     /// Whether the token is cancelled — by an explicit [`CancelToken::cancel`]
-    /// or because its deadline has passed (checked lazily here, so a
-    /// deadline works even without a watchdog thread).
+    /// or because its deadline has passed (checked here, on every call, so
+    /// a deadline needs no thread of its own).
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         if self.inner.cancelled.load(Ordering::Acquire) {

@@ -2,9 +2,10 @@
 //! (`bp_core::exec`) and the cooperative-cancellation plumbing beneath
 //! it: a cancelled sweep stops at the next block checkpoint instead of
 //! finishing the trace, deadlines reach into the replay hot loops, the
-//! engine classifies cancellation as an orderly stop (never retried),
-//! and an interrupted-then-resumed task fleet merges to manifests
-//! byte-identical to an uninterrupted run at any thread count.
+//! engine re-raises cancellation as the typed orderly stop without
+//! running any task body, and an interrupted-then-resumed task fleet
+//! merges to manifests byte-identical to an uninterrupted run at any
+//! thread count.
 //!
 //! Cancel scopes, fault plans and metrics counters are process-global,
 //! so every test here serializes behind one gate.
@@ -125,8 +126,8 @@ fn executor_deadline_interrupts_a_replay_loop_and_reports_structured_failure() {
 
     let started = Instant::now();
     let tasks = vec![Task::new("endless-replay", |_: &cancel::CancelToken| {
-        // Replays forever: only the deadline (watchdog → token → block
-        // checkpoint inside `simulate`) can stop it.
+        // Replays forever: only the deadline (token → block checkpoint
+        // inside `simulate`) can stop it.
         loop {
             let stats = replay.simulate(&flags, &config);
             assert!(stats.ipc() > 0.0);
@@ -159,13 +160,18 @@ fn engine_under_a_cancelled_scope_stops_orderly_and_never_retries() {
     token.cancel("fleet shutdown");
     let _scope = cancel::set_scope(token);
     let items: Vec<u32> = (0..12).collect();
-    let out = Engine::with_threads(3).try_map_with(&items, 5, |i, _| format!("t{i}"), |_, &x| x);
-    for r in &out {
-        let e = r.as_ref().expect_err("every task sees the cancelled scope");
-        assert!(e.cancelled, "classified as cancellation: {e}");
-        assert_eq!(e.attempts, 1, "cancelled tasks must not burn retries");
-        assert!(e.message.contains("fleet shutdown"), "{}", e.message);
-    }
+    let bodies = AtomicU32::new(0);
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        Engine::with_threads(3).map(&items, |_, &x| {
+            bodies.fetch_add(1, Ordering::Relaxed);
+            x
+        })
+    }))
+    .expect_err("every task sees the cancelled scope");
+    let cancelled = payload.downcast_ref::<cancel::Cancelled>().expect("typed Cancelled payload");
+    assert!(cancelled.reason.contains("fleet shutdown"), "{}", cancelled.reason);
+    assert!(cancelled.reason.contains("engine.task"), "{}", cancelled.reason);
+    assert_eq!(bodies.load(Ordering::Relaxed), 0, "no task body runs, none is retried");
 }
 
 /// One synthetic "study": deterministic counter increments plus a

@@ -1,16 +1,20 @@
 //! Fault-tolerance guarantees: torn, corrupt or retired-format
 //! trace-cache files are detected, quarantined, and regenerated (never
 //! trusted); `Trace::save`
-//! is atomic under concurrency; `Engine::try_map` isolates panicking
-//! tasks without losing or perturbing sibling results; and the
-//! `faultpoint` facility drives every degradation path deterministically.
+//! is atomic under concurrency; a panicking `Engine::map` task fails the
+//! map with its own message only after its siblings ran, and the
+//! executor's retry absorbs a one-shot panic; and the `faultpoint`
+//! facility drives every degradation path deterministically.
 //!
 //! Fault plans are process-global, so every test here serializes behind
 //! one gate — the suite is cheap, the determinism is worth it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use branch_lab::core::cancel::CancelToken;
+use branch_lab::core::exec::{self, ExecOptions, Outcome, Task};
 use branch_lab::core::{faultpoint, Engine};
 use branch_lab::trace::{ReadTraceError, RetiredInst, Trace, TraceMeta};
 use branch_lab::workloads::{lcf_suite, specint_suite, TraceStore};
@@ -211,62 +215,44 @@ fn concurrent_savers_and_loaders_never_observe_a_torn_file() {
 }
 
 #[test]
-fn try_map_panic_costs_one_slot_and_siblings_stay_byte_identical() {
-    let _g = gate();
-    let items: Vec<u64> = (0..40).collect();
-    let f = |_: usize, &x: &u64| {
-        assert!(x != 11 && x != 29, "sacrificial task {x}");
-        (x as f64).sqrt().ln_1p()
-    };
-    let serial = Engine::with_threads(1).try_map(&items, f);
-    for threads in 1..=16 {
-        let out = Engine::with_threads(threads).try_map(&items, f);
-        assert_eq!(out.len(), items.len());
-        for (i, (got, want)) in out.iter().zip(&serial).enumerate() {
-            match (got, want) {
-                (Ok(g), Ok(w)) => {
-                    assert_eq!(g.to_bits(), w.to_bits(), "item {i} at {threads} threads");
-                }
-                (Err(e), Err(_)) => {
-                    assert!(i == 11 || i == 29, "unexpected failure at {i}");
-                    assert_eq!(e.index, i);
-                    assert_eq!(e.label, format!("#{i}"));
-                    assert!(e.message.contains("sacrificial task"), "{}", e.message);
-                }
-                _ => panic!("item {i}: success/failure split differs from serial"),
-            }
-        }
-    }
-}
-
-#[test]
 fn injected_engine_task_panic_is_isolated_and_reported() {
     let _g = gate();
     // Fire on the 4th arrival at engine.task. With 1 thread, arrival
     // order is input order, so item index 3 fails.
     faultpoint::install_for_tests(Some("engine.task:panic@4"));
     let items: Vec<u32> = (0..8).collect();
-    let out = Engine::with_threads(1).try_map(&items, |_, &x| x + 100);
+    let ran = AtomicU32::new(0);
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        Engine::with_threads(1).map(&items, |_, &x| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            x + 100
+        })
+    }));
     faultpoint::install_for_tests(None);
-    for (i, r) in out.iter().enumerate() {
-        if i == 3 {
-            let e = r.as_ref().expect_err("task 3 must fail");
-            assert_eq!(e.index, 3);
-            assert!(e.message.contains("injected fault"), "{}", e.message);
-        } else {
-            assert_eq!(*r.as_ref().expect("sibling survives"), (i as u32) + 100);
-        }
-    }
+    let payload = out.expect_err("the injected panic fails the map");
+    let message = payload.downcast_ref::<String>().expect("the fault's own message");
+    assert!(message.contains("injected fault"), "{message}");
+    assert_eq!(ran.load(Ordering::Relaxed), 7, "the 7 siblings all ran");
 }
 
 #[test]
 fn injected_transient_panic_is_absorbed_by_retry() {
     let _g = gate();
+    // One attempt of the task panics inside its engine map; the
+    // executor's retry runs the whole task again, as `all` does.
     faultpoint::install_for_tests(Some("engine.task:panic@2"));
     let items: Vec<u32> = (0..4).collect();
-    let out = Engine::with_threads(1).try_map_with(&items, 1, |i, _| format!("w{i}"), |_, &x| x);
+    let mut out = Vec::new();
+    let tasks = vec![Task::new("study", |_: &CancelToken| {
+        out = Engine::with_threads(1).map(&items, |_, &x| x);
+        Ok(())
+    })];
+    let opts = ExecOptions { retries: 1, ..ExecOptions::default() };
+    let reports = exec::run(tasks, &opts);
     faultpoint::install_for_tests(None);
-    assert!(out.iter().all(Result::is_ok), "one retry absorbs a one-shot fault");
+    assert_eq!(reports[0].outcome, Outcome::Ok, "one retry absorbs a one-shot fault");
+    assert_eq!(reports[0].attempts, 2);
+    assert_eq!(out, items);
 }
 
 #[test]

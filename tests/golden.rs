@@ -1,4 +1,4 @@
-//! Golden-master tests for every non-probe study.
+//! Golden-master tests for every registered study.
 //!
 //! Each test runs one study's library entry point
 //! (`bp_experiments::{reports, studies}::*_report`) at the `--quick`
@@ -174,6 +174,12 @@ fn golden_baselines() {
 fn golden_sampled() {
     let report = studies::sampled_report(&golden_config(), &SamplingConfig::default());
     check("sampled", &report.render());
+}
+
+/// What `branch-lab run calibrate --quick` prints.
+#[test]
+fn golden_calibrate() {
+    check("calibrate", &studies::calibrate_report(golden_config().trace_len).render());
 }
 
 #[test]

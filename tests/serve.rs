@@ -1,7 +1,7 @@
 //! Integration tests for `branch-lab serve`: cache-key determinism, the
 //! end-to-end HTTP loop, singleflight coalescing, byte-identity with the
-//! CLI's report rendering, and corrupt-entry quarantine across server
-//! instances.
+//! CLI's report rendering, per-request deadlines, and corrupt-entry
+//! quarantine across server instances.
 //!
 //! Each test binds its own ephemeral-port server over its own
 //! `StudyService`, and uses a study/len combination unique to that test
@@ -19,7 +19,7 @@ use bp_core::serve::Server;
 use bp_core::{DatasetConfig, SamplingConfig, StudyCtx};
 use bp_experiments::cli::{describe_sweep, sweep_report};
 use bp_experiments::serve::{study_key, sweep_key, StudyService};
-use bp_experiments::{registry, Cli};
+use bp_experiments::{registry, studies, Cli};
 use bp_predictors::PredictorSpec;
 use bp_workloads::find_workload;
 
@@ -83,11 +83,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn keys_are_deterministic_across_threads_and_orderings() {
-    let cli = Cli {
-        quick: true,
-        rest: vec!["600".to_owned(), "0".to_owned()],
-        ..Cli::default()
-    };
+    let cli = Cli { quick: true, len: Some(60_000), ..Cli::default() };
     let ctx = cli.ctx();
     let reference = study_key("calibrate", &ctx);
     // Recomputation from any thread, any number of times, agrees.
@@ -105,10 +101,10 @@ fn keys_are_deterministic_across_threads_and_orderings() {
     let forward = CacheKey::builder()
         .component("study", "fig7")
         .component("trace_len", 1000)
-        .component("args", "a b")
+        .component("sample_interval", 500)
         .finish();
     let backward = CacheKey::builder()
-        .component("args", "a b")
+        .component("sample_interval", 500)
         .component("trace_len", 1000)
         .component("study", "fig7")
         .finish();
@@ -132,8 +128,6 @@ fn any_single_field_change_changes_the_key() {
         study_key("fig7", &with_dataset(DatasetConfig { max_inputs: Some(1), ..base_cfg })),
         "input cap"
     );
-    let args = StudyCtx { args: vec!["x".to_owned()], ..base_ctx.clone() };
-    assert_ne!(base, study_key("fig7", &args), "args");
     let sampling = SamplingConfig { interval_len: Some(25_000), ..SamplingConfig::default() };
     assert_ne!(
         base,
@@ -202,6 +196,46 @@ fn served_study_is_byte_identical_to_direct_render_and_caches() {
     assert!(text.contains("\"counters\""), "manifest lacks counters: {text}");
     assert!(text.contains("\"source\": \"serve\""), "{text}");
 
+    server.shutdown();
+}
+
+#[test]
+fn served_calibrate_reads_its_length_from_len() {
+    let (server, addr) = serve(None);
+    let reply = request(addr, "POST", "/run", r#"{"study": "calibrate", "len": 30000}"#);
+    assert_eq!(reply.status, 200, "{}", String::from_utf8_lossy(&reply.body));
+    let expected = studies::calibrate_report(30_000).render();
+    assert_eq!(reply.body, expected.as_bytes(), "served body != CLI render");
+    server.shutdown();
+}
+
+/// The `serve.deadline_expired` counter, read through `GET /metrics`.
+fn deadline_expired(addr: std::net::SocketAddr) -> u64 {
+    let reply = request(addr, "GET", "/metrics", "");
+    let doc = bp_metrics::json::parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
+    doc.as_obj().unwrap()["counters"]
+        .as_obj()
+        .unwrap()
+        .get("serve.deadline_expired")
+        .map_or(0, |v| v.as_u64().unwrap())
+}
+
+#[test]
+fn an_expired_deadline_is_a_504_and_is_never_cached() {
+    // Counter handles are taken when the service is built.
+    bp_metrics::force_enable();
+    let (server, addr) = serve(None);
+    // A full-length fig7 takes well over a second even in release.
+    let body = r#"{"study": "fig7", "len": 1000000, "deadline_secs": 1}"#;
+    let key = study_key("fig7", &Cli { len: Some(1_000_000), ..Cli::default() }.ctx());
+    for _ in 0..2 {
+        let before = deadline_expired(addr);
+        let reply = request(addr, "POST", "/run", body);
+        assert_eq!(reply.status, 504, "{}", String::from_utf8_lossy(&reply.body));
+        assert!(String::from_utf8_lossy(&reply.body).contains("deadline expired"));
+        assert_eq!(reply.key, key.hex(), "504s carry the request's key");
+        assert_eq!(deadline_expired(addr), before + 1);
+    }
     server.shutdown();
 }
 
@@ -325,6 +359,9 @@ fn malformed_requests_fail_closed() {
         400,
         "typo'd fields must not silently run (and cache) the default config"
     );
+    let args = request(addr, "POST", "/run", r#"{"study": "fig3", "args": ["1"]}"#);
+    assert_eq!(args.status, 400, "studies take flags only");
+    assert!(String::from_utf8_lossy(&args.body).contains("unknown field \"args\""));
     assert_eq!(
         request(addr, "POST", "/run", r#"{"study": "zzz"}"#).status,
         404
