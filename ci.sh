@@ -22,8 +22,7 @@ cargo test -q --workspace
 echo "== golden (release) =="
 # Share one trace cache across the golden runs so the leg stays fast; the
 # fixtures themselves are independent of where traces are cached.
-# `--include-ignored` adds the table3 and fig6 fixtures, which are too
-# slow for the debug `cargo test` above but take seconds in release.
+# `--include-ignored` runs any fixture ignored for debug-build run time.
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo test --release -q --test golden --test metrics_manifest -- --include-ignored
 
@@ -109,9 +108,11 @@ echo "== chaos harness =="
 # `branch-lab all` executor: an injected mid-study engine panic, a forced
 # per-study deadline expiry, and a corrupt trace cache must each be
 # absorbed (retry / regenerate) with CSV outputs byte-identical to a
-# clean run; an unrecovered failure must exit nonzero; and a memory
-# budget far below the working set must degrade to disk streaming
-# (eviction counters in the merged manifest) without changing results.
+# clean run, and a deadline stop must print no panic report; an
+# unrecovered failure must exit nonzero; and a memory budget far below
+# the working set must degrade to disk streaming and evict memoized
+# intermediates (eviction counters in the merged manifest) without
+# changing results.
 CHAOS_TRACES=target/ci-chaos-traces
 CHAOS_OUT=target/ci-chaos
 rm -rf "$CHAOS_TRACES" "$CHAOS_OUT" && mkdir -p "$CHAOS_OUT"
@@ -142,6 +143,10 @@ grep -q "injected fault: deadline expired" "$CHAOS_OUT/timeout.log" \
     || { echo "chaos leg: deadline schedule never fired"; exit 1; }
 grep -Eq "fig1 +ok +2" "$CHAOS_OUT/timeout.log" \
     || { echo "chaos leg: fig1 should recover on its second attempt"; exit 1; }
+# A cooperative stop is not a crash: no panic report from the checkpoint.
+if grep -Eq "panicked at .*cancel\.rs" "$CHAOS_OUT/timeout.log"; then
+    echo "chaos leg: a cancelled study printed a panic report"; exit 1
+fi
 diff -r "$CHAOS_OUT/clean" "$CHAOS_OUT/timeout"
 
 chaos_all corrupt BRANCH_LAB_FAULTS=trace_store.load:fail@1
@@ -167,13 +172,16 @@ mkdir -p "$CHAOS_SINK"
 chaos_all membudget BRANCH_LAB_MEM_BUDGET=4M BRANCH_LAB_METRICS="$CHAOS_SINK"
 grep -q '"trace_store.evict"' "$CHAOS_SINK/all.json" \
     || { echo "chaos leg: memory governor never evicted under a 4M budget"; exit 1; }
+grep -q '"trace_store.memo_evict"' "$CHAOS_SINK/all.json" \
+    || { echo "chaos leg: memory governor never evicted a memo entry under a 4M budget"; exit 1; }
 diff -r "$CHAOS_OUT/clean" "$CHAOS_OUT/membudget"
 
 echo "== serve =="
 # The long-running study server must: serve a repeated request from the
 # content-addressed cache without re-executing, coalesce two concurrent
 # identical requests onto exactly one execution (serve.* counters),
-# return bodies byte-identical to the equivalent CLI invocation, and —
+# return bodies byte-identical to the equivalent CLI invocation, answer
+# a sweep at new scales from the per-trace memo, and —
 # after a kill -9 plus on-disk corruption — quarantine the damaged entry
 # (never serve it) while intact entries survive the restart, and survive
 # a 64 MiB request line without growing its peak RSS.
@@ -227,6 +235,29 @@ smoke --post /run --body "$CONC_REQ" --concurrent 2 > "$SERVE_OUT/conc.txt" 2> "
 smoke --get /metrics > "$SERVE_OUT/metrics.json" 2> /dev/null
 grep -q '"serve.exec": 2' "$SERVE_OUT/metrics.json" \
     || { echo "serve leg: expected exactly 2 executions"; cat "$SERVE_OUT/metrics.json"; exit 1; }
+
+# Sweeps share the per-trace memo: the same workload and predictors at
+# other scales is a new result (a miss), yet it trains no predictor and
+# prepares no trace again — the memo's hit counter rises — and its body
+# is still the CLI's.
+SWEEP='"workload": "streaming", "predictors": ["gshare", "tage-sc-l-8kb"], "len": 30000'
+memo_hits() {
+    smoke --get /metrics 2> /dev/null | sed -n 's/.*"trace_store.memo_hit": \([0-9]*\).*/\1/p'
+}
+smoke --post /sweep --body "{$SWEEP, \"scales\": [1, 2, 4]}" > /dev/null 2> "$SERVE_OUT/sweep1.err"
+grep -q "cache=miss" "$SERVE_OUT/sweep1.err" || { echo "serve leg: first sweep must execute"; exit 1; }
+HITS_BEFORE=$(memo_hits)
+smoke --post /sweep --body "{$SWEEP, \"scales\": [8, 16, 32]}" > "$SERVE_OUT/sweep2.txt" 2> "$SERVE_OUT/sweep2.err"
+grep -q "cache=miss" "$SERVE_OUT/sweep2.err" \
+    || { echo "serve leg: a sweep at other scales must execute"; exit 1; }
+HITS_AFTER=$(memo_hits)
+[ "${HITS_AFTER:-0}" -gt "${HITS_BEFORE:-0}" ] \
+    || { echo "serve leg: the second sweep must read the memo (hits $HITS_BEFORE -> $HITS_AFTER)"; exit 1; }
+env BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
+    target/release/branch-lab sweep --workload streaming --predictors gshare,tage-sc-l-8kb \
+    --scales 8,16,32 --len 30000 > "$SERVE_OUT/sweep-cli.txt"
+cmp "$SERVE_OUT/sweep2.txt" "$SERVE_OUT/sweep-cli.txt" \
+    || { echo "serve leg: served sweep differs from CLI stdout"; exit 1; }
 
 # Chaos: kill -9, corrupt the fig3 entry on disk as a torn write would,
 # restart on the same cache directory.

@@ -97,6 +97,9 @@ pub struct DependencyAnalysis {
     /// Conditional-branch ordinal per instruction index (how many
     /// conditional branches retired strictly before it).
     branch_ordinal: Vec<u32>,
+    /// Instruction index of each conditional branch, in trace order, so
+    /// a window's branches are one contiguous run.
+    branch_index: Vec<usize>,
 }
 
 const NONE: usize = usize::MAX;
@@ -109,6 +112,7 @@ impl DependencyAnalysis {
         let mut producers = vec![[NONE, NONE]; n];
         let mut mem_producers = vec![NONE; n];
         let mut branch_ordinal = vec![0u32; n];
+        let mut branch_index = Vec::new();
         let mut last_reg_writer = [NONE; NUM_REGS];
         let mut last_mem_writer: HashMap<u64, usize> = HashMap::new();
         let mut ord = 0u32;
@@ -116,6 +120,7 @@ impl DependencyAnalysis {
             branch_ordinal[i] = ord;
             if inst.is_conditional_branch() {
                 ord += 1;
+                branch_index.push(i);
             }
             if let Some(r) = inst.src1 {
                 producers[i][0] = last_reg_writer[r.index()];
@@ -142,7 +147,15 @@ impl DependencyAnalysis {
             producers,
             mem_producers,
             branch_ordinal,
+            branch_index,
         }
+    }
+
+    /// The producers of instruction `p`'s inputs: its two register
+    /// sources, then its memory source (`NONE` where absent).
+    fn inputs(&self, p: usize) -> [usize; 3] {
+        let [a, b] = self.producers[p];
+        [a, b, self.mem_producers[p]]
     }
 
     /// Walks the dependency graph backwards from instruction `root`,
@@ -154,30 +167,34 @@ impl DependencyAnalysis {
         root: usize,
         window: usize,
         max_nodes: usize,
+        scratch: &mut Scratch,
         report: &mut DepBranchReport,
     ) {
         let lo = root.saturating_sub(window);
-        // Closure of producer indices feeding the root's condition.
-        let mut in_closure: HashMap<usize, ()> = HashMap::new();
-        let mut stack: Vec<usize> = self.producers[root]
-            .iter()
-            .copied()
-            .filter(|&p| p != NONE && p >= lo)
-            .collect();
-        while let Some(p) = stack.pop() {
-            if in_closure.len() >= max_nodes {
+        // Closure of producer indices feeding the root's condition: the
+        // instructions stamped with this execution's epoch.
+        let Scratch { closure, walk, .. } = scratch;
+        let epoch = closure.next_epoch();
+        let mut closure_len = 0usize;
+        // The closure's earliest instruction: a branch at or before it
+        // has no ancestor in the closure, since producers precede their
+        // consumers.
+        let mut closure_min = usize::MAX;
+        walk.clear();
+        walk.extend(self.producers[root].iter().copied().filter(|&p| p != NONE && p >= lo));
+        while let Some(p) = walk.pop() {
+            if closure_len >= max_nodes {
                 break;
             }
-            if in_closure.insert(p, ()).is_some() {
+            if closure.stamps[p] == epoch {
                 continue;
             }
-            for q in self.producers[p]
-                .iter()
-                .copied()
-                .chain(std::iter::once(self.mem_producers[p]))
-            {
-                if q != NONE && q >= lo && !in_closure.contains_key(&q) {
-                    stack.push(q);
+            closure.stamps[p] = epoch;
+            closure_len += 1;
+            closure_min = closure_min.min(p);
+            for q in self.inputs(p) {
+                if q != NONE && q >= lo && closure.stamps[q] != epoch {
+                    walk.push(q);
                 }
             }
         }
@@ -186,51 +203,38 @@ impl DependencyAnalysis {
         // the H2P's condition. We chase each branch's producers a bounded
         // number of hops and test membership in the root closure.
         let root_ord = self.branch_ordinal[root];
-        for (j, inst) in trace.insts()[lo..root].iter().enumerate() {
-            let idx = lo + j;
-            if !inst.is_conditional_branch() {
-                continue;
-            }
-            if self.reaches_closure(idx, lo, &in_closure) {
+        let window_branches = self.branch_ordinal[lo] as usize..root_ord as usize;
+        for &idx in &self.branch_index[window_branches] {
+            if idx > closure_min && self.reaches_closure(idx, lo, epoch, scratch) {
                 // History position: 1 = the branch immediately before.
                 let pos = (root_ord - self.branch_ordinal[idx]) as usize;
-                *report.occurrences.entry((inst.ip, pos)).or_default() += 1;
+                *report.occurrences.entry((trace.insts()[idx].ip, pos)).or_default() += 1;
             }
         }
     }
 
-    /// Bounded backward BFS from `start`'s operands: true when any
-    /// ancestor within the hop/node budget belongs to `closure`.
-    fn reaches_closure(
-        &self,
-        start: usize,
-        lo: usize,
-        closure: &HashMap<usize, ()>,
-    ) -> bool {
+    /// Bounded backward search from `start`'s operands: true when any
+    /// ancestor within the hop/node budget belongs to the closure stamped
+    /// with `epoch`.
+    fn reaches_closure(&self, start: usize, lo: usize, epoch: u32, scratch: &mut Scratch) -> bool {
         const MAX_NODES: usize = 48;
-        let mut stack: Vec<usize> = self.producers[start]
-            .iter()
-            .copied()
-            .filter(|&p| p != NONE && p >= lo)
-            .collect();
+        let visit = scratch.visited.next_epoch();
+        let Scratch { closure, visited, search, .. } = scratch;
+        search.clear();
+        search.extend(self.producers[start].iter().copied().filter(|&p| p != NONE && p >= lo));
         let mut seen = 0usize;
-        let mut visited: Vec<usize> = Vec::with_capacity(MAX_NODES);
-        while let Some(p) = stack.pop() {
-            if closure.contains_key(&p) {
+        while let Some(p) = search.pop() {
+            if closure.stamps[p] == epoch {
                 return true;
             }
-            if seen >= MAX_NODES || visited.contains(&p) {
+            if seen >= MAX_NODES || visited.stamps[p] == visit {
                 continue;
             }
-            visited.push(p);
+            visited.stamps[p] = visit;
             seen += 1;
-            for q in self.producers[p]
-                .iter()
-                .copied()
-                .chain(std::iter::once(self.mem_producers[p]))
-            {
+            for q in self.inputs(p) {
                 if q != NONE && q >= lo {
-                    stack.push(q);
+                    search.push(q);
                 }
             }
         }
@@ -250,13 +254,65 @@ impl DependencyAnalysis {
         max_nodes: usize,
     ) -> DepBranchReport {
         let mut report = DepBranchReport::default();
+        let mut scratch = Scratch::new(self.producers.len());
         for br in trace.conditional_branches() {
             if br.ip == h2p_ip {
                 report.executions += 1;
-                self.analyze_execution(trace, br.index, window, max_nodes, &mut report);
+                self.analyze_execution(trace, br.index, window, max_nodes, &mut scratch, &mut report);
             }
         }
         report
+    }
+}
+
+/// Search state reused across the executions of one
+/// [`DependencyAnalysis::analyze`] call: the root closure and each
+/// branch's bounded search keep their membership as epoch stamps per
+/// instruction (a new epoch empties a set without touching memory), and
+/// the two walks reuse their stacks.
+struct Scratch {
+    /// The current execution's producer closure.
+    closure: Stamps,
+    /// The instructions the current bounded search has visited.
+    visited: Stamps,
+    /// The closure walk's stack.
+    walk: Vec<usize>,
+    /// The bounded search's stack.
+    search: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(len: usize) -> Self {
+        Scratch {
+            closure: Stamps::new(len),
+            visited: Stamps::new(len),
+            walk: Vec::new(),
+            search: Vec::new(),
+        }
+    }
+}
+
+/// A set of instruction indices as epoch stamps: `i` is a member iff
+/// `stamps[i] == epoch`.
+struct Stamps {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl Stamps {
+    fn new(len: usize) -> Self {
+        Stamps { stamps: vec![0; len], epoch: 0 }
+    }
+
+    /// Empties the set and returns its new epoch.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: clear stale stamps so no old set aliases.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
     }
 }
 
@@ -370,6 +426,27 @@ mod tests {
         // D is further; nothing should be found.
         let r = dep.analyze(&t, h2p_ip, 1, 128);
         assert_eq!(r.dep_branch_count(), 0);
+    }
+
+    #[test]
+    fn closure_epochs_survive_wrapping() {
+        // Start the epoch counter just short of wrapping: the stamps
+        // must be cleared on the wrap so no earlier closure leaks into
+        // a later execution's membership tests.
+        let (t, _, _, h2p_ip) = dependency_trace(3);
+        let dep = DependencyAnalysis::new(&t);
+        let expected = dep.analyze(&t, h2p_ip, 1_000, 128);
+        let mut scratch = Scratch::new(t.len());
+        scratch.closure.epoch = u32::MAX - 3;
+        scratch.visited.epoch = u32::MAX - 50;
+        let mut report = DepBranchReport::default();
+        for br in t.conditional_branches().filter(|b| b.ip == h2p_ip) {
+            report.executions += 1;
+            dep.analyze_execution(&t, br.index, 1_000, 128, &mut scratch, &mut report);
+        }
+        assert!(scratch.closure.epoch < 20, "the closure counter wrapped");
+        assert!(scratch.visited.epoch < u32::MAX - 50, "the search counter wrapped");
+        assert_eq!(report, expected);
     }
 
     #[test]

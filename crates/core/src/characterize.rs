@@ -6,13 +6,15 @@
 //! slices into phases, and aggregate.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use bp_analysis::{cluster_slices, BranchProfile, H2pCriteria, PhaseConfig};
-use bp_predictors::DirectionPredictor;
+use bp_predictors::{DirectionPredictor, PredictorSpec};
 use bp_trace::Trace;
-use bp_workloads::WorkloadSpec;
+use bp_workloads::{DerivedKey, TraceStore, WorkloadSpec};
 
 use crate::config::DatasetConfig;
+use crate::memo::{profile_bytes, set_bytes};
 use crate::parallel::Engine;
 
 /// Characterization of one application input (one trace).
@@ -133,59 +135,60 @@ fn mean(v: &[f64]) -> f64 {
 }
 
 /// Characterizes a workload across all of its (configured) inputs, using a
-/// fresh predictor per input from `make_predictor`. Inputs run in parallel
-/// on [`Engine::from_env`]; traces come from the shared
-/// [`bp_workloads::TraceStore`].
+/// fresh `predictor` per input. Inputs run in parallel on
+/// [`Engine::from_env`]; traces come from the shared
+/// [`bp_workloads::TraceStore`], and so does each input's
+/// characterization: it is memoized per trace, slice length and
+/// predictor, so Table I and Fig. 2 compute it once between them.
 ///
 /// # Examples
 ///
 /// ```
-/// use bp_core::{characterize_workload, DatasetConfig};
-/// use bp_predictors::TageScL;
+/// use bp_core::{characterize_workload, memo, DatasetConfig};
 /// use bp_workloads::specint_suite;
 ///
 /// let spec = &specint_suite()[1];
-/// let c = characterize_workload(spec, &DatasetConfig::quick(), || TageScL::kb8());
+/// let c = characterize_workload(spec, &DatasetConfig::quick(), memo::TAGE_SC_L_8KB);
 /// assert_eq!(c.name, spec.name);
 /// assert!(c.avg_accuracy > 0.5);
 /// ```
 #[must_use]
-pub fn characterize_workload<P, F>(
+pub fn characterize_workload(
     spec: &WorkloadSpec,
     config: &DatasetConfig,
-    make_predictor: F,
-) -> WorkloadCharacterization
-where
-    P: DirectionPredictor,
-    F: Fn() -> P + Sync,
-{
-    characterize_workload_with(Engine::from_env(), spec, config, make_predictor)
+    predictor: PredictorSpec,
+) -> WorkloadCharacterization {
+    characterize_workload_with(Engine::from_env(), spec, config, predictor)
 }
 
 /// [`characterize_workload`] on an explicit [`Engine`]. Per-input results
 /// are aggregated in input order, so the outcome is thread-count
 /// independent.
 #[must_use]
-pub fn characterize_workload_with<P, F>(
+pub fn characterize_workload_with(
     engine: Engine,
     spec: &WorkloadSpec,
     config: &DatasetConfig,
-    make_predictor: F,
-) -> WorkloadCharacterization
-where
-    P: DirectionPredictor,
-    F: Fn() -> P + Sync,
-{
+    predictor: PredictorSpec,
+) -> WorkloadCharacterization {
     let _timer = bp_metrics::stage("study.characterize");
     bp_metrics::Counter::get("study.characterize.inputs")
         .add(u64::from(config.inputs_for(spec.inputs)));
     let inputs: Vec<u32> = (0..config.inputs_for(spec.inputs)).collect();
-    let per_input = engine.map(&inputs, |_, &input| {
-        let trace = spec.cached_trace(input, config.trace_len);
-        let mut predictor = make_predictor();
-        characterize_input(spec, &trace, input, config, &mut predictor)
+    let per_input: Vec<Arc<InputCharacterization>> = engine.map(&inputs, |_, &input| {
+        let store = TraceStore::global();
+        let what = format!("characterize {predictor:?} slice={}", config.slice.len());
+        let key = DerivedKey::new(spec, input, config.trace_len, what);
+        store.derive(key, || {
+            let trace = store.get(spec, input, config.trace_len);
+            let c = characterize_input(spec, &trace, input, config, &mut *predictor.build());
+            let bytes = profile_bytes(&c.profile)
+                + set_bytes(&c.h2p_union)
+                + c.h2ps_per_slice.iter().map(set_bytes).sum::<u64>();
+            (c, bytes)
+        })
     });
-    aggregate(spec, per_input)
+    aggregate(spec, per_input.iter().map(|c| InputCharacterization::clone(c)).collect())
 }
 
 fn aggregate(
@@ -258,14 +261,14 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_predictors::TageScL;
+    use crate::memo::TAGE_SC_L_8KB;
     use bp_workloads::specint_suite;
 
     #[test]
     fn characterizes_mcf_like_workload() {
         let spec = &specint_suite()[1]; // mcf-like: H2P-heavy
         let cfg = DatasetConfig::quick();
-        let c = characterize_workload(spec, &cfg, TageScL::kb8);
+        let c = characterize_workload(spec, &cfg, TAGE_SC_L_8KB);
         assert_eq!(c.inputs.len(), 2);
         assert!(c.avg_accuracy > 0.6 && c.avg_accuracy < 1.0);
         // mcf-like must expose H2Ps that dominate mispredictions.
@@ -286,7 +289,7 @@ mod tests {
             max_inputs: Some(3),
             ..DatasetConfig::quick()
         };
-        let c = characterize_workload(spec, &cfg, TageScL::kb8);
+        let c = characterize_workload(spec, &cfg, TAGE_SC_L_8KB);
         // The same static H2P sites should appear in all 3 inputs
         // (program structure is input-independent).
         assert!(
@@ -300,7 +303,7 @@ mod tests {
     fn phases_are_detected() {
         let spec = &specint_suite()[0];
         let cfg = DatasetConfig::quick();
-        let c = characterize_workload(spec, &cfg, TageScL::kb8);
+        let c = characterize_workload(spec, &cfg, TAGE_SC_L_8KB);
         assert!(c.avg_phases >= 1.0);
     }
 }

@@ -2,27 +2,31 @@
 //!
 //! All studies share one structure: step every predictor configuration
 //! through **one** pass over the trace
-//! ([`sweep_flags`](bp_predictors::sweep_flags), fed by the in-memory
-//! trace or by [`TraceStore::stream`]) to get misprediction streams, then
-//! replay those streams in lockstep through the pipeline
-//! timing model ([`SweepReplay`]) at several capacity scalings.
-//! Misprediction streams are scale-independent, so each predictor pass is
-//! reused across all pipeline configurations; the prepared trace is
-//! decoded once per workload instead of once per (config, scale) cell.
+//! ([`sweep_flags`](bp_predictors::sweep_flags), fed by
+//! [`TraceStore::stream`](bp_workloads::TraceStore::stream)) to get
+//! misprediction streams, then replay those streams in lockstep through
+//! the pipeline timing model ([`SweepReplay`]) at several capacity
+//! scalings. Misprediction streams are scale-independent, so each
+//! predictor pass is reused across all pipeline configurations; the
+//! prepared trace is decoded once per workload instead of once per
+//! (config, scale) cell. Both are memoized per trace ([`memo::flags`],
+//! [`memo::replay`]), so the studies also share them with each other and
+//! with serve sweeps: Figs. 5, 7 and 8 and the grid replay one
+//! preparation per LCF trace, and train each predictor configuration
+//! once.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use bp_analysis::H2pCriteria;
 use bp_pipeline::{simulate, PipelineConfig, SweepReplay};
 use bp_predictors::{
-    misprediction_flags, sweep_flags, DirectionPredictor, PerfectSetOracle, PredictorSpec, TageScL,
+    misprediction_flags, DirectionPredictor, PerfectSetOracle, PredictorSpec, TageScL,
     TageSclConfig,
 };
-use bp_trace::Trace;
-use bp_workloads::{TraceStore, WorkloadSpec};
+use bp_workloads::WorkloadSpec;
 
 use crate::config::DatasetConfig;
+use crate::memo::{self, TAGE_SC_L_8KB};
 use crate::parallel::Engine;
 
 /// IPC of one predictor across pipeline scales, relative to a baseline.
@@ -67,38 +71,37 @@ impl ScalingStudy {
 }
 
 /// Per-workload mispredict streams for the four Fig. 1 predictor
-/// configurations.
+/// configurations, and the prepared trace they replay against.
 struct WorkloadStreams {
-    trace: Arc<Trace>,
-    tage8: Vec<bool>,
-    tage64: Vec<bool>,
+    sweep: Arc<SweepReplay>,
+    tage8: Arc<Vec<bool>>,
+    tage64: Arc<Vec<bool>>,
     perfect_h2p: Vec<bool>,
     perfect: Vec<bool>,
 }
 
-fn streams_for(spec: &WorkloadSpec, config: &DatasetConfig) -> WorkloadStreams {
-    let trace = spec.cached_trace(0, config.trace_len);
-
+fn streams_for(
+    spec: &WorkloadSpec,
+    config: &DatasetConfig,
+    base: &PipelineConfig,
+) -> WorkloadStreams {
+    let len = config.trace_len;
     // Per-slice H2P screen (fresh 8KB predictor) for the oracle set.
-    let (_, h2ps) = H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, config.slice);
-    // All three honest configurations share one pass over the branch
-    // stream; each still sees exactly its solo training sequence.
-    let mut predictors: Vec<Box<dyn DirectionPredictor>> = vec![
-        Box::new(TageScL::kb8()),
-        Box::new(TageScL::kb64()),
-        Box::new(PerfectSetOracle::new(TageScL::kb8(), h2ps)),
-    ];
-    let mut flags =
-        sweep_flags(&mut predictors, trace.reader(), None).expect("in-memory reader cannot fail");
-    let perfect_h2p_flags = flags.pop().expect("three streams");
-    let tage64_flags = flags.pop().expect("two streams");
-    let tage8_flags = flags.pop().expect("one stream");
-    let perfect = vec![false; trace.conditional_branch_count()];
+    let screen = memo::h2p_screen(spec, 0, len, config.slice, TAGE_SC_L_8KB);
+    let tage64_spec = PredictorSpec::TageScl { storage_kb: 64 };
+    let mut flags = memo::flags(spec, len, &[TAGE_SC_L_8KB, tage64_spec]);
+    let tage64 = flags.pop().expect("two streams");
+    let tage8 = flags.pop().expect("one stream");
+    // The oracle is not a predictor spec, so its lane is not memoized.
+    let trace = spec.cached_trace(0, len);
+    let mut oracle = PerfectSetOracle::new(TageScL::kb8(), screen.1.iter().copied());
+    let perfect_h2p = misprediction_flags(&mut oracle, &trace);
+    let perfect = vec![false; tage8.len()];
     WorkloadStreams {
-        trace,
-        tage8: tage8_flags,
-        tage64: tage64_flags,
-        perfect_h2p: perfect_h2p_flags,
+        sweep: memo::replay(spec, len, base),
+        tage8,
+        tage64,
+        perfect_h2p,
         perfect,
     }
 }
@@ -133,8 +136,8 @@ pub fn scaling_study_with(
     // Per workload: log(ipc ratio) for every (series, scale) cell. The
     // four series replay in lockstep through one prepared trace.
     let contribs: Vec<Vec<Vec<f64>>> = engine.map(specs, |_, spec| {
-        let st = streams_for(spec, config);
-        let sweep = SweepReplay::new(&st.trace, &base_cfg);
+        let st = streams_for(spec, config, &base_cfg);
+        let sweep = &st.sweep;
         let base_ipc = sweep.simulate(&st.tage8, &base_cfg).ipc();
         let lanes: [&[bool]; 4] = [&st.tage8, &st.tage64, &st.perfect_h2p, &st.perfect];
         let mut contrib = vec![vec![0.0f64; scales.len()]; labels.len()];
@@ -195,7 +198,7 @@ pub struct StorageScalingStudy {
 /// across pipeline scales, reporting the fraction of the 8KB→perfect IPC
 /// gap closed. Workloads run in parallel on [`Engine::from_env`]; within
 /// a workload, all storage points share a single trace pass
-/// ([`sweep_flags`]) and replay in lockstep ([`SweepReplay`]).
+/// ([`memo::flags`]) and replay in lockstep ([`SweepReplay`]).
 #[must_use]
 pub fn storage_scaling_study(
     specs: &[WorkloadSpec],
@@ -207,7 +210,8 @@ pub fn storage_scaling_study(
 /// [`storage_scaling_study`] on an explicit [`Engine`].
 ///
 /// Fully streamed: both the lockstep predictor pass and the replay
-/// preparation consume the trace through [`TraceStore::stream`], so a
+/// preparation consume the trace through
+/// [`TraceStore::stream`](bp_workloads::TraceStore::stream), so a
 /// workload whose trace lives on disk is never materialized — peak
 /// memory is bounded by the prepared 12-byte records plus one flag
 /// stream per storage point, independent of decode blocking.
@@ -225,11 +229,8 @@ pub fn storage_scaling_study_with(
     let rows: Vec<StorageScalingRow> = engine.map(specs, |_, spec| {
         // All storage points train through one pass over the branch
         // stream — this is the sweep the single-pass engine exists for.
-        let mut predictors = PredictorSpec::build_all(&PredictorSpec::storage_points());
-        let store = TraceStore::global();
-        let stream = store.stream(spec, 0, config.trace_len);
         let flags_per_storage =
-            sweep_flags(&mut predictors, stream, None).expect("stream trace for storage sweep");
+            memo::flags(spec, config.trace_len, &PredictorSpec::storage_points());
         let perfect = vec![false; flags_per_storage[0].len()];
         // Lane order: the 8KB baseline, the perfect bound, then every
         // storage point (8KB replays twice so each lane maps 1:1 onto
@@ -237,9 +238,8 @@ pub fn storage_scaling_study_with(
         let mut lanes: Vec<&[bool]> = Vec::with_capacity(storages.len() + 2);
         lanes.push(&flags_per_storage[0]);
         lanes.push(&perfect);
-        lanes.extend(flags_per_storage.iter().map(Vec::as_slice));
-        let sweep = SweepReplay::prepare(store.stream(spec, 0, config.trace_len), &base_cfg)
-            .expect("stream trace for replay prepare");
+        lanes.extend(flags_per_storage.iter().map(|f| f.as_slice()));
+        let sweep = memo::replay(spec, config.trace_len, &base_cfg);
         let mut gap_closed = Vec::with_capacity(scales.len());
         for &scale in &scales {
             let cfg = base_cfg.scaled(scale);
@@ -299,10 +299,11 @@ pub struct HeteroGridStudy {
 /// pipeline scale from **one** prepared trace.
 ///
 /// This is the single-pass form of the paper's per-workload grids: per
-/// workload, the trace is streamed twice ([`TraceStore::stream`] — once
-/// to train all predictors, once to prepare the replay) regardless of
-/// how many (predictor, scale) cells the grid has, and never
-/// materialized when the on-disk cache holds it.
+/// workload, the trace is streamed at most twice
+/// ([`TraceStore::stream`](bp_workloads::TraceStore::stream) — once to
+/// train the predictors the memo lacks, once to prepare the replay)
+/// regardless of how many (predictor, scale) cells the grid has, and
+/// never materialized when the on-disk cache holds it.
 #[must_use]
 pub fn hetero_grid_study(workloads: &[WorkloadSpec], config: &DatasetConfig) -> HeteroGridStudy {
     hetero_grid_study_with(Engine::from_env(), workloads, config)
@@ -323,14 +324,9 @@ pub fn hetero_grid_study_with(
     let grid_specs = PredictorSpec::hetero_grid();
     let base_cfg = PipelineConfig::skylake();
     let rows: Vec<HeteroGridRow> = engine.map(workloads, |_, spec| {
-        let store = TraceStore::global();
-        let mut predictors = PredictorSpec::build_all(&grid_specs);
-        let stream = store.stream(spec, 0, config.trace_len);
-        let flags =
-            sweep_flags(&mut predictors, stream, None).expect("stream trace for grid sweep");
-        let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
-        let sweep = SweepReplay::prepare(store.stream(spec, 0, config.trace_len), &base_cfg)
-            .expect("stream trace for replay prepare");
+        let flags = memo::flags(spec, config.trace_len, &grid_specs);
+        let lanes: Vec<&[bool]> = flags.iter().map(|f| f.as_slice()).collect();
+        let sweep = memo::replay(spec, config.trace_len, &base_cfg);
         let insts = sweep.len().max(1) as f64;
         let mut ipc = Vec::with_capacity(scales.len());
         let mut mpki = Vec::new();
@@ -418,12 +414,11 @@ pub fn rare_oracle_study_with(
         // One shared pass trains the 8KB baseline and the 1024KB
         // predictor; an oracle over set S mispredicts exactly where the
         // big predictor mispredicts outside S.
-        let mut predictors: Vec<Box<dyn DirectionPredictor>> = vec![
-            Box::new(TageScL::kb8()),
-            Box::new(TageScL::new(TageSclConfig::storage_kb(1024))),
-        ];
-        let mut streams = sweep_flags(&mut predictors, trace.reader(), None)
-            .expect("in-memory reader cannot fail");
+        let mut streams = memo::flags(
+            spec,
+            config.trace_len,
+            &[TAGE_SC_L_8KB, PredictorSpec::TageScl { storage_kb: 1024 }],
+        );
         let big_flags = streams.pop().expect("two streams");
         let flags8 = streams.pop().expect("one stream");
         let perfect = vec![false; trace.conditional_branch_count()];
@@ -431,7 +426,7 @@ pub fn rare_oracle_study_with(
             let set = ips_above(threshold);
             trace
                 .conditional_branches()
-                .zip(&big_flags)
+                .zip(big_flags.iter())
                 .map(|(b, &missed)| missed && !set.contains(&b.ip))
                 .collect()
         };
@@ -439,7 +434,7 @@ pub fn rare_oracle_study_with(
         let after_100 = masked(100.0);
 
         // All four IPC points come from one lockstep replay.
-        let sweep = SweepReplay::new(&trace, &cfg);
+        let sweep = memo::replay(spec, config.trace_len, &cfg);
         let stats = sweep.simulate_many(&[&flags8, &perfect, &after_1000, &after_100], &cfg);
         let ipc8 = stats[0].ipc();
         let ipc_perfect = stats[1].ipc();

@@ -5,18 +5,17 @@
 //! ([`characterize_workload`]), the IPC limit studies of Figs. 1/5/7/8
 //! ([`scaling_study`], [`storage_scaling_study`], [`rare_oracle_study`]),
 //! the study registry the `branch-lab` CLI dispatches from ([`Study`],
-//! [`StudyRegistry`]), and plain-text/CSV reporting ([`Table`],
-//! [`Report`]).
+//! [`StudyRegistry`]), the per-trace intermediates the studies share
+//! ([`memo`]), and plain-text/CSV reporting ([`Table`], [`Report`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use bp_core::{characterize_workload, DatasetConfig};
-//! use bp_predictors::TageScL;
+//! use bp_core::{characterize_workload, memo, DatasetConfig};
 //! use bp_workloads::specint_suite;
 //!
 //! let leela = &specint_suite()[6];
-//! let c = characterize_workload(leela, &DatasetConfig::quick(), || TageScL::kb8());
+//! let c = characterize_workload(leela, &DatasetConfig::quick(), memo::TAGE_SC_L_8KB);
 //! // leela-like is the least predictable SPECint workload.
 //! assert!(c.avg_accuracy < 0.97);
 //! assert!(!c.h2p_union.is_empty());
@@ -28,6 +27,7 @@ mod characterize;
 mod config;
 pub mod exec;
 mod experiment;
+pub mod memo;
 mod parallel;
 mod report;
 pub mod serve;

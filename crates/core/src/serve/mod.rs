@@ -1,16 +1,17 @@
 //! `branch-lab serve` — the long-running study server substrate.
 //!
-//! ROADMAP item 2: the study registry makes every figure a pure, labeled,
-//! deterministic function of (study, dataset flags, config), which is
-//! exactly the shape of a cacheable RPC. This module provides the
+//! The study registry makes every figure a pure, labeled, deterministic
+//! function of (study, dataset flags, config), which is exactly the
+//! shape of a cacheable RPC. This module provides the
 //! protocol-and-plumbing half, kept in `bp-core` so it stays independent
 //! of the concrete study set:
 //!
 //! * [`http`] — a hand-rolled, hardened HTTP/1.1 subset over
 //!   `std::net::TcpListener` (the workspace is offline-green; no hyper);
 //! * [`cache`] — the content-addressed [`ResultCache`](cache::ResultCache)
-//!   with an LRU disk tier reusing the trace store's atomic-rename +
-//!   FNV-trailer durability pattern;
+//!   with an LRU disk tier. Its entry files follow the trace store's
+//!   durability pattern, a unique temp file renamed into place and an
+//!   FNV-1a trailer, in a copy of that code rather than a shared one;
 //! * [`Singleflight`] — in-flight request coalescing: concurrent
 //!   identical requests share one execution, and every follower gets the
 //!   leader's result;
@@ -18,7 +19,11 @@
 //!   listener and dispatching each request to a [`Handler`].
 //!
 //! The request semantics (JSON schema, registry dispatch, byte-identity
-//! with the CLI) live in `bp-experiments`, which owns the studies.
+//! with the CLI) live in `bp-experiments`, which owns the studies. A
+//! miss executes in-process, so it reads the traces and the per-trace
+//! memo ([`crate::memo`]) of the global trace store that every earlier
+//! request filled: a sweep trains only the predictors the memo lacks on
+//! its trace, under the store's one `BRANCH_LAB_MEM_BUDGET`.
 //!
 //! Counters: `serve.request` (accepted requests), `serve.http_error`
 //! (unparseable requests answered 400), plus the `serve.cache.*` family

@@ -77,10 +77,9 @@ impl Options {
         let env_flag = |name: &str| {
             std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
         };
-        let env_u64 = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
         let mut keep_going = env_flag("BRANCH_LAB_KEEP_GOING");
         let mut resume = false;
-        let mut timeout = env_u64("BRANCH_LAB_CHILD_TIMEOUT_SECS")
+        let mut timeout = cli::env_u64("BRANCH_LAB_CHILD_TIMEOUT_SECS")?
             .filter(|&secs| secs > 0)
             .map(Duration::from_secs);
         let mut forwarded = Vec::new();

@@ -17,11 +17,11 @@
 
 use std::collections::BTreeMap;
 
-use bp_core::{Report, StudyKind, Table};
+use bp_core::{memo, Report, StudyKind, Table};
 use bp_metrics::{CounterBaseline, Manifest};
-use bp_pipeline::{PipelineConfig, SweepReplay};
-use bp_predictors::{sweep_flags, PredictorSpec};
-use bp_workloads::{find_workload, workload_names, WorkloadSpec};
+use bp_pipeline::PipelineConfig;
+use bp_predictors::PredictorSpec;
+use bp_workloads::{find_workload, parse_budget, workload_names, WorkloadSpec};
 
 use crate::{all_runner, flag_value, len_value, registry, Cli};
 
@@ -80,8 +80,9 @@ pub fn help_text() -> String {
          \x20   BRANCH_LAB_METRICS            metrics sink: stderr, off, or a directory\n\
          \x20   BRANCH_LAB_FAULTS             deterministic fault injection spec (tests)\n\
          \x20   BRANCH_LAB_CHAOS_SEED         seed for probabilistic faults + retry jitter\n\
-         \x20   BRANCH_LAB_MEM_BUDGET         trace-cache memory budget (e.g. 512M); cold\n\
-         \x20                                 traces evict and stream from disk when over\n\
+         \x20   BRANCH_LAB_MEM_BUDGET         memory budget (e.g. 512M) for traces and the\n\
+         \x20                                 intermediates memoized from them; cold entries\n\
+         \x20                                 evict, and traces stream from disk when over\n\
          \x20   BRANCH_LAB_KEEP_GOING         all-runner: same as --keep-going\n\
          \x20   BRANCH_LAB_CHILD_TIMEOUT_SECS all-runner: same as --timeout-secs (0 = none)\n\
          \x20   BRANCH_LAB_RETRY_DELAY_MS     all-runner: retry backoff base in ms (default 500);\n\
@@ -106,6 +107,51 @@ pub fn help_text() -> String {
 pub(crate) fn usage_error(message: &str) -> ! {
     eprintln!("{message}; try `branch-lab help`");
     std::process::exit(2);
+}
+
+/// Reads the numeric variable `name`: a whole number, surrounding
+/// blanks allowed. Unset or empty is `None`.
+///
+/// # Errors
+///
+/// A usage message naming the variable when its value does not parse.
+pub(crate) fn env_u64(name: &str) -> Result<Option<u64>, String> {
+    match std::env::var(name) {
+        Ok(v) if v.is_empty() => Ok(None),
+        Ok(v) => v
+            .trim()
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("invalid value \"{v}\" for {name}: a whole number")),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(format!("invalid value {v:?} for {name}: a whole number"))
+        }
+    }
+}
+
+/// Checks the numeric environment variables once, at start-up of `run`,
+/// `all`, `sweep` and `serve`, with the parsers their readers use: the
+/// memory budget ([`parse_budget`]), the all-runner's per-study timeout
+/// and its retry delay. A malformed value is a usage error that names
+/// the variable, never a silent default: an unparsed budget would
+/// otherwise leave the trace store and its memo unbounded.
+///
+/// # Errors
+///
+/// A usage message naming the first malformed variable.
+pub(crate) fn check_numeric_env() -> Result<(), String> {
+    let budget = std::env::var_os("BRANCH_LAB_MEM_BUDGET").filter(|v| !v.is_empty());
+    if let Some(v) = budget {
+        if v.to_str().and_then(parse_budget).is_none() {
+            return Err(format!(
+                "invalid value {v:?} for BRANCH_LAB_MEM_BUDGET: bytes with optional K/M/G suffix"
+            ));
+        }
+    }
+    env_u64("BRANCH_LAB_CHILD_TIMEOUT_SECS")?;
+    env_u64("BRANCH_LAB_RETRY_DELAY_MS")?;
+    Ok(())
 }
 
 /// Writes `manifest` to the `BRANCH_LAB_METRICS` sink, if one is set.
@@ -269,7 +315,10 @@ pub fn sweep_recorded(
 /// Shared by `branch-lab sweep` and the serve-mode `/sweep` endpoint;
 /// the heading format is load-bearing — [`bp_core::Report::render`] of
 /// this report is exactly the CLI's stdout, which is what makes served
-/// sweep responses byte-identical to the CLI.
+/// sweep responses byte-identical to the CLI. The flag streams and the
+/// prepared replay come from the per-trace memo ([`bp_core::memo`]): a
+/// sweep trains only the predictors no earlier sweep or study of the
+/// process trained on this trace, and prepares the trace once.
 #[must_use]
 pub fn sweep_report(
     spec: &WorkloadSpec,
@@ -277,13 +326,10 @@ pub fn sweep_report(
     scales: &[u32],
     len: usize,
 ) -> Report {
-    let trace = spec.cached_trace(0, len);
-    let mut built = PredictorSpec::build_all(specs);
-    let flags =
-        sweep_flags(&mut built, trace.reader(), None).expect("in-memory reader cannot fail");
+    let flags = memo::flags(spec, len, specs);
     let base = PipelineConfig::skylake();
-    let sweep = SweepReplay::new(&trace, &base);
-    let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
+    let sweep = memo::replay(spec, len, &base);
+    let lanes: Vec<&[bool]> = flags.iter().map(|f| f.as_slice()).collect();
     let mut header = vec!["predictor".to_owned(), "accuracy".to_owned()];
     header.extend(scales.iter().map(|s| format!("ipc@{s}x")));
     let mut table = Table::new(header.iter().map(String::as_str).collect());
@@ -312,7 +358,7 @@ pub fn sweep_report(
         format!(
             "sweep: {} ({} insts, {} conditional branches, one replay pass)",
             spec.name,
-            trace.len(),
+            sweep.len(),
             sweep.cond_branch_count()
         ),
         "sweep",
@@ -329,6 +375,9 @@ pub fn main() {
         return;
     }
     let cmd = args.remove(0);
+    if matches!(cmd.as_str(), "run" | "all" | "sweep" | "serve") {
+        check_numeric_env().unwrap_or_else(|e| usage_error(&e));
+    }
     match cmd.as_str() {
         "list" => cmd_list(),
         "run" => {

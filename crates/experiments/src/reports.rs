@@ -16,11 +16,11 @@ use bp_analysis::{
     paper_equivalent, rank_heavy_hitters, top_n_fraction, BinSpec, BranchProfile, H2pCriteria,
     RecurrenceAnalysis,
 };
+use bp_core::memo::{self, TAGE_SC_L_8KB};
 use bp_core::{
     characterize_workload, f3, hetero_grid_study, pct, rare_oracle_study, scaling_study,
     storage_scaling_study, DatasetConfig, Table,
 };
-use bp_predictors::TageScL;
 use bp_trace::SliceConfig;
 use bp_workloads::{lcf_suite, specint_suite};
 
@@ -50,7 +50,7 @@ pub fn table1_report(cfg: &DatasetConfig) -> Report {
     let mut means = [0.0f64; 12];
     let suite = specint_suite();
     for spec in &suite {
-        let c = characterize_workload(spec, cfg, TageScL::kb8);
+        let c = characterize_workload(spec, cfg, TAGE_SC_L_8KB);
         let cells = [
             c.avg_phases,
             c.total_static_branches as f64,
@@ -124,10 +124,8 @@ pub fn table2_report(cfg: &DatasetConfig) -> Report {
     for spec in &suite {
         // The paper analyzes each LCF app as one 30M-instruction trace;
         // we use the whole trace as a single slice.
-        let trace = spec.cached_trace(0, cfg.trace_len);
         let whole = SliceConfig::new(cfg.trace_len);
-        let mut bpu = TageScL::kb8();
-        let profile = BranchProfile::collect(&mut bpu, trace.insts());
+        let profile = memo::profile(spec, cfg.trace_len, TAGE_SC_L_8KB);
         let h2ps = H2pCriteria::paper().screen(&profile, whole);
         let cells = [
             profile.static_branch_count() as f64,
@@ -230,7 +228,7 @@ pub fn fig2_report(cfg: &DatasetConfig) -> Report {
     let mut top5_sum = 0.0;
     let suite = specint_suite();
     for spec in &suite {
-        let c = characterize_workload(spec, cfg, TageScL::kb8);
+        let c = characterize_workload(spec, cfg, TAGE_SC_L_8KB);
         // Merge profiles across inputs; rank the H2P union by executions.
         let mut merged = BranchProfile::new();
         for ic in &c.inputs {
@@ -268,9 +266,7 @@ pub fn fig3_report(cfg: &DatasetConfig) -> Report {
     let mut execs = Vec::new();
     let mut accuracy = Vec::new();
     for spec in &lcf_suite() {
-        let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut bpu = TageScL::kb8();
-        let profile = BranchProfile::collect(&mut bpu, trace.insts());
+        let profile = memo::profile(spec, cfg.trace_len, TAGE_SC_L_8KB);
         let window = profile.instructions;
         for (_, s) in profile.iter() {
             mispredicts.push(paper_equivalent(s.mispredicts, window));

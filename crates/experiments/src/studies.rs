@@ -9,15 +9,19 @@
 //! their configurations through a single trace pass via
 //! [`bp_predictors::sweep_flags`] / [`bp_pipeline::SweepReplay`]
 //! instead of re-replaying per configuration; the H2P studies screen
-//! slices with [`H2pCriteria::screen_slices`].
+//! slices with [`H2pCriteria::screen_slices`]. The screens, profiles,
+//! survey flags and dependency analyses come from the per-trace memo
+//! ([`bp_core::memo`]), so Table III, Figs. 4, 6 and 10 and the
+//! `baselines` survey share what the other studies already computed.
 
 use std::sync::Arc;
 
 use bp_analysis::{
     accuracy_spread_from_points, compute_alloc_stats, rank_heavy_hitters, spread_points,
-    BranchProfile, DepBranchReport, DependencyAnalysis, H2pCriteria, HeavyHitter,
-    RegValueAnalysis, DEFAULT_WINDOW, PAPER_TRACKED_REGS,
+    BranchProfile, DepBranchReport, H2pCriteria, HeavyHitter, RegValueAnalysis, DEFAULT_WINDOW,
+    PAPER_TRACKED_REGS,
 };
+use bp_core::memo::{self, TAGE_SC_L_8KB};
 use bp_core::{f3, DatasetConfig, Report, ResolvedSampling, SamplingConfig, Table};
 use bp_helpers::{
     train_helper, CnnNet, HistoryEncoder, HybridPredictor, PhaseHelper, PhaseHelperConfig,
@@ -42,9 +46,7 @@ pub fn fig4_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
     let mut points = Vec::new();
     for spec in &lcf_suite() {
-        let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut bpu = TageScL::kb8();
-        let profile = BranchProfile::collect(&mut bpu, trace.insts());
+        let profile = memo::profile(spec, cfg.trace_len, TAGE_SC_L_8KB);
         points.extend(spread_points(&profile));
     }
     let bins = accuracy_spread_from_points(&points, 100.0, 15_000.0);
@@ -76,22 +78,20 @@ pub fn fig4_report(cfg: &DatasetConfig) -> Report {
     report
 }
 
-/// The first input's trace of `spec` and its top H2P heavy hitter, if
-/// any: the paper's H2P screen over 8KB TAGE-SC-L slices, ranked by
-/// dynamic executions. Table III, Fig. 6 and Fig. 10 all start here.
-fn top_h2p(spec: &WorkloadSpec, cfg: &DatasetConfig) -> (Arc<Trace>, Option<HeavyHitter>) {
-    let trace = spec.cached_trace(0, cfg.trace_len);
-    let (merged, h2ps) =
-        H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), &trace, cfg.slice);
-    let top = rank_heavy_hitters(&merged, h2ps.iter().copied()).into_iter().next();
-    (trace, top)
+/// The top H2P heavy hitter of the first input of `spec`, if any: the
+/// paper's H2P screen over 8KB TAGE-SC-L slices, ranked by dynamic
+/// executions. Table III, Fig. 6 and Fig. 10 all start here.
+fn top_h2p(spec: &WorkloadSpec, cfg: &DatasetConfig) -> Option<HeavyHitter> {
+    let screen = memo::h2p_screen(spec, 0, cfg.trace_len, cfg.slice, TAGE_SC_L_8KB);
+    let (merged, h2ps) = &*screen;
+    rank_heavy_hitters(merged, h2ps.iter().copied()).into_iter().next()
 }
 
 /// The dependency branches of every execution of the H2P at `ip`, as
 /// Table III and Fig. 6 read them: the paper's 5,000-instruction window,
 /// at most 256 nodes per execution.
-fn dependencies(trace: &Trace, ip: u64) -> DepBranchReport {
-    DependencyAnalysis::new(trace).analyze(trace, ip, DEFAULT_WINDOW, 256)
+fn dependencies(spec: &WorkloadSpec, cfg: &DatasetConfig, ip: u64) -> Arc<DepBranchReport> {
+    memo::dependencies(spec, cfg.trace_len, ip, DEFAULT_WINDOW, 256)
 }
 
 /// Fig. 6: history-position distributions of dependency branches for the
@@ -100,12 +100,11 @@ fn dependencies(trace: &Trace, ip: u64) -> DepBranchReport {
 pub fn fig6_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
     for spec in &specint_suite() {
-        let (trace, top) = top_h2p(spec, cfg);
-        let Some(top) = top else {
+        let Some(top) = top_h2p(spec, cfg) else {
             report.note(format!("\n== Fig. 6 {}: no H2P found ==", spec.name));
             continue;
         };
-        let analysis = dependencies(&trace, top.ip);
+        let analysis = dependencies(spec, cfg, top.ip);
 
         // Summarize per dependency branch: how many distinct positions,
         // and the occurrence-weighted position span.
@@ -165,11 +164,11 @@ pub fn fig10_report(cfg: &DatasetConfig) -> Report {
         "657.xz_s",
     ];
     for spec in specint_suite().iter().filter(|s| shown.contains(&s.name.as_str())) {
-        let (trace, top) = top_h2p(spec, cfg);
-        let Some(top) = top else {
+        let Some(top) = top_h2p(spec, cfg) else {
             report.note(format!("\n== Fig. 10 {}: no H2P found ==", spec.name));
             continue;
         };
+        let trace = spec.cached_trace(0, cfg.trace_len);
         let rv = RegValueAnalysis::collect(&trace, top.ip, PAPER_TRACKED_REGS);
         let mut table = Table::new(vec![
             "register",
@@ -220,8 +219,7 @@ pub fn table3_report(cfg: &DatasetConfig) -> Report {
         "max-hist-pos",
     ]);
     for spec in &specint_suite() {
-        let (trace, top) = top_h2p(spec, cfg);
-        let Some(top) = top else {
+        let Some(top) = top_h2p(spec, cfg) else {
             table.row(vec![
                 spec.name.clone(),
                 "-".into(),
@@ -231,7 +229,7 @@ pub fn table3_report(cfg: &DatasetConfig) -> Report {
             ]);
             continue;
         };
-        let analysis = dependencies(&trace, top.ip);
+        let analysis = dependencies(spec, cfg, top.ip);
         table.row(vec![
             spec.name.clone(),
             format!("{:#x}", top.ip),
@@ -288,8 +286,7 @@ pub fn alloc_stats_report(cfg: &DatasetConfig) -> Report {
 }
 
 /// §II context: the predictor-generation survey on both suites. All
-/// seven generations score in one pass per workload
-/// ([`sweep_flags`]).
+/// seven generations score in one pass per workload ([`memo::flags`]).
 #[must_use]
 pub fn baselines_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
@@ -307,10 +304,7 @@ pub fn baselines_report(cfg: &DatasetConfig) -> Report {
     let mut means = [0.0f64; 7];
     let mut n = 0.0f64;
     for spec in specint_suite().iter().chain(lcf_suite().iter()) {
-        let trace = spec.cached_trace(0, cfg.trace_len);
-        let mut predictors = PredictorSpec::build_all(&specs);
-        let accs: Vec<f64> = sweep_flags(&mut predictors, trace.reader(), None)
-            .expect("in-memory reader cannot fail")
+        let accs: Vec<f64> = memo::flags(spec, cfg.trace_len, &specs)
             .iter()
             .map(|flags| AccuracyStats::from_flags(flags).accuracy())
             .collect();
@@ -511,11 +505,10 @@ fn cnn_study(report: &mut Report, spec: &WorkloadSpec, cfg: &DatasetConfig) {
     // Screen H2Ps on the training traces, a fresh predictor per trace.
     let mut h2ps = std::collections::HashSet::new();
     let mut merged = BranchProfile::new();
-    for t in &train_traces {
-        let (profile, screened) =
-            H2pCriteria::paper().screen_slices(&mut TageScL::kb8(), t, cfg.slice);
-        h2ps.extend(screened);
-        merged.merge(&profile);
+    for input in 0..train_inputs {
+        let screen = memo::h2p_screen(spec, input, cfg.trace_len, cfg.slice, TAGE_SC_L_8KB);
+        h2ps.extend(screen.1.iter().copied());
+        merged.merge(&screen.0);
     }
     let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
     let targets: Vec<u64> = hitters.iter().take(8).map(|h| h.ip).collect();

@@ -209,6 +209,63 @@ fn usage_errors_exit_2_without_a_panic() {
 }
 
 #[test]
+fn a_malformed_numeric_variable_exits_2_and_names_itself() {
+    // Each is checked at start-up, before any study or server runs, with
+    // the parser its reader uses; none falls back to a silent default.
+    for (var, value, args) in [
+        ("BRANCH_LAB_MEM_BUDGET", "600MB", &["sweep", "--workload", "streaming", "--predictors", "gshare"][..]),
+        ("BRANCH_LAB_CHILD_TIMEOUT_SECS", "1s", &["all", "--quick", "--len", "40000"]),
+        ("BRANCH_LAB_RETRY_DELAY_MS", "fast", &["run", "fig3", "--quick"]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
+            .args(args)
+            .env("BRANCH_LAB_TRACE_DIR", trace_dir())
+            .env(var, value)
+            .output()
+            .expect("spawn branch-lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var) && stderr.contains(value), "{var}={value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}
+
+#[test]
+fn a_small_memory_budget_evicts_intermediates_and_keeps_the_output() {
+    // A 4M budget holds not even one quick trace, so every memo fill
+    // evicts the entries before it; the study must print its fixture.
+    let sink = std::env::temp_dir().join(format!("branch-lab-cli-budget-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
+        .args(["run", "fig5", "--quick"])
+        .env("BRANCH_LAB_TRACE_DIR", trace_dir())
+        .env("BRANCH_LAB_MEM_BUDGET", "4M")
+        .env("BRANCH_LAB_METRICS", &sink)
+        .output()
+        .expect("spawn branch-lab");
+    let manifest = std::fs::read_to_string(sink.join("fig5.json"));
+    std::fs::remove_dir_all(&sink).ok();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fig5.txt");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        std::fs::read_to_string(fixture).expect("fig5 fixture")
+    );
+    let manifest = bp_metrics::json::parse(&manifest.expect("manifest written to the sink"))
+        .expect("manifest is JSON");
+    let counter = |name: &str| {
+        manifest
+            .as_obj()
+            .and_then(|m| m.get("counters"))
+            .and_then(Value::as_obj)
+            .and_then(|c| c.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or(0)
+    };
+    assert!(counter("trace_store.memo_evict") > 0, "no memo entry was evicted");
+    assert!(counter("trace_store.memo_fill") > 0, "nothing was memoized");
+}
+
+#[test]
 fn calibrate_takes_its_length_from_len() {
     let out = run_cli(&["run", "calibrate", "--len", "60000"]);
     assert!(

@@ -29,8 +29,9 @@
 //!
 //! # Cancellation is a panic
 //!
-//! [`checkpoint`] reports cancellation by panicking with a dedicated
-//! [`Cancelled`] payload. Unwinding is the one mechanism that already
+//! [`checkpoint`] reports cancellation by unwinding with a dedicated
+//! [`Cancelled`] payload ([`std::panic::resume_unwind`], so the panic
+//! hook prints nothing for it). Unwinding is the one mechanism that already
 //! exits every loop, drops every guard, and is caught at every task
 //! boundary (`Engine::map`'s per-task `catch_unwind`, which re-raises
 //! the payload unchanged, and the executor's) — a
@@ -196,16 +197,20 @@ pub fn cancelled() -> bool {
 ///
 /// # Panics
 ///
-/// Panics (via `panic_any`, with a [`Cancelled`] payload) when the scope
-/// is cancelled — that is its job.
+/// Unwinds with a [`Cancelled`] payload when the scope is cancelled —
+/// that is its job. The unwind goes through
+/// [`std::panic::resume_unwind`], which skips the panic hook: a
+/// cooperative stop is not a crash, so it prints no `panicked at`
+/// report. `catch_unwind` still catches it, and the payload still
+/// downcasts to [`Cancelled`].
 pub fn checkpoint(site: &str) {
     let Some(token) = current() else { return };
     if token.is_cancelled() {
         crate::Counter::get("cancel.checkpoint_hits").incr();
         let reason = token.reason();
-        std::panic::panic_any(Cancelled {
+        std::panic::resume_unwind(Box::new(Cancelled {
             reason: format!("{reason} (stopped at {site})"),
-        });
+        }));
     }
 }
 
@@ -256,6 +261,30 @@ mod tests {
         assert!(c.reason.contains("test.site"), "{}", c.reason);
         drop(guard);
         assert!(!active(), "guard restores the empty scope");
+    }
+
+    #[test]
+    fn a_cooperative_stop_skips_the_panic_hook() {
+        // Count hook calls for `Cancelled` payloads only; other tests'
+        // panics go on to the default hook as usual.
+        static STOPS_REPORTED: std::sync::atomic::AtomicUsize =
+            std::sync::atomic::AtomicUsize::new(0);
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<Cancelled>().is_some() {
+                STOPS_REPORTED.fetch_add(1, Ordering::SeqCst);
+            }
+            default_hook(info);
+        }));
+        let t = CancelToken::new();
+        t.cancel("quiet stop");
+        let guard = set_scope(t);
+        let payload = std::panic::catch_unwind(|| checkpoint("test.quiet"))
+            .expect_err("cancelled checkpoint must unwind");
+        drop(guard);
+        drop(std::panic::take_hook());
+        assert!(payload.downcast_ref::<Cancelled>().is_some());
+        assert_eq!(STOPS_REPORTED.load(Ordering::SeqCst), 0, "the hook saw the stop");
     }
 
     #[test]

@@ -461,6 +461,13 @@ impl SweepReplay {
         self.cond_branches
     }
 
+    /// Heap bytes the prepared records hold: what keeping this
+    /// preparation resident costs.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        (self.insts.capacity() * std::mem::size_of::<PreparedInst>()) as u64
+    }
+
     /// Replays one misprediction stream — bit-identical to
     /// [`simulate`](crate::simulate) on the source trace.
     #[must_use]

@@ -25,7 +25,22 @@
 //! [`TraceStore::stream`] requests served block-wise from disk while a
 //! budget is active are counted as degraded streams. Degradation trades
 //! throughput for bounded memory; outputs are unaffected.
+//!
+//! # Per-trace memo
+//!
+//! Studies and serve sweeps derive the same intermediates from the same
+//! traces: flag streams of a predictor configuration, prepared replays,
+//! H2P screens, profiles, dependency analyses. [`TraceStore::derive`]
+//! memoizes each one under a [`DerivedKey`] — the trace's [`TraceKey`]
+//! plus a spelling of everything else the computation reads — with the
+//! same exactly-once `OnceLock` slots as traces, so concurrent requests
+//! for one key compute it once. A fill that unwinds (a cancelled
+//! study) stores nothing, and the next request computes it again.
+//! Memoized bytes count against the same `BRANCH_LAB_MEM_BUDGET` as
+//! resident traces, in one least-recently-used order, and are evicted
+//! by the same governor.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +84,27 @@ impl TraceKey {
     }
 }
 
+/// Identity of one intermediate derived from a trace: the trace's key
+/// plus a canonical spelling of everything else the computation reads
+/// (its kind, predictor, configuration, parameters). Two computations
+/// share a key only if they would produce the same value.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct DerivedKey {
+    /// The trace the intermediate is computed from.
+    pub trace: TraceKey,
+    /// Everything else the computation reads, e.g. `"flags gshare"`.
+    pub what: String,
+}
+
+impl DerivedKey {
+    /// The key of `what` computed from the trace of `spec` at
+    /// (`input`, `len`).
+    #[must_use]
+    pub fn new(spec: &WorkloadSpec, input: u32, len: usize, what: impl Into<String>) -> Self {
+        DerivedKey { trace: TraceKey::new(spec, input, len), what: what.into() }
+    }
+}
+
 /// Cumulative counters exposed for tests and diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -87,6 +123,12 @@ pub struct StoreStats {
     /// a memory budget was active (streaming degradation instead of
     /// materialization).
     pub degraded_streams: u64,
+    /// Memo entries computed and stored by [`TraceStore::derive`].
+    pub memo_fills: u64,
+    /// Memo requests answered from an entry already stored.
+    pub memo_hits: u64,
+    /// Memo entries dropped by the `BRANCH_LAB_MEM_BUDGET` governor.
+    pub memo_evicted: u64,
 }
 
 /// One memoization slot. The `OnceLock` guarantees exactly-once generation
@@ -94,19 +136,32 @@ pub struct StoreStats {
 /// without holding the store-wide map lock during generation.
 type Slot = Arc<OnceLock<Arc<Trace>>>;
 
+/// One memo slot: the type-erased value and its resident byte estimate,
+/// filled exactly once like a trace [`Slot`].
+type DerivedSlot = Arc<OnceLock<(Arc<dyn Any + Send + Sync>, u64)>>;
+
+/// An entry the memory governor accounts for.
+#[derive(Debug, PartialEq, Eq)]
+enum Resident {
+    Trace(TraceKey),
+    Derived(DerivedKey),
+}
+
 /// Thread-safe memoizing trace cache with optional `BPTR` persistence.
 pub struct TraceStore {
     traces: Mutex<HashMap<TraceKey, Slot>>,
     /// Lowered programs, memoized per workload name: program structure is
     /// input-independent, so all inputs of a workload share one program.
     programs: Mutex<HashMap<String, Arc<Program>>>,
+    /// Intermediates derived from traces ([`TraceStore::derive`]).
+    derived: Mutex<HashMap<DerivedKey, DerivedSlot>>,
     cache_dir: Option<PathBuf>,
-    /// Resident-byte cap for memoized traces; `None` disables eviction.
+    /// Resident-byte cap for memoized traces and intermediates; `None`
+    /// disables eviction.
     budget: Option<u64>,
-    /// Keys in least-recently-used order (front = coldest) with the
-    /// resident byte size of each memoized trace. Only maintained when a
-    /// budget is set.
-    lru: Mutex<Vec<(TraceKey, u64)>>,
+    /// Entries in least-recently-used order (front = coldest) with the
+    /// resident byte size of each. Only maintained when a budget is set.
+    lru: Mutex<Vec<(Resident, u64)>>,
     resident_bytes: AtomicU64,
     generated: AtomicU64,
     disk_loads: AtomicU64,
@@ -114,6 +169,9 @@ pub struct TraceStore {
     corrupt: AtomicU64,
     evicted: AtomicU64,
     degraded_streams: AtomicU64,
+    memo_fills: AtomicU64,
+    memo_hits: AtomicU64,
+    memo_evicted: AtomicU64,
     /// `bp-metrics` mirrors of the stats above (no-ops unless
     /// `BRANCH_LAB_METRICS` enables the registry).
     m_generated: Counter,
@@ -122,6 +180,9 @@ pub struct TraceStore {
     m_corrupt: Counter,
     m_evicted: Counter,
     m_degraded: Counter,
+    m_memo_fill: Counter,
+    m_memo_hit: Counter,
+    m_memo_evict: Counter,
 }
 
 impl TraceStore {
@@ -131,6 +192,7 @@ impl TraceStore {
         TraceStore {
             traces: Mutex::new(HashMap::new()),
             programs: Mutex::new(HashMap::new()),
+            derived: Mutex::new(HashMap::new()),
             cache_dir: None,
             budget: None,
             lru: Mutex::new(Vec::new()),
@@ -141,12 +203,18 @@ impl TraceStore {
             corrupt: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             degraded_streams: AtomicU64::new(0),
+            memo_fills: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
+            memo_evicted: AtomicU64::new(0),
             m_generated: Counter::get("trace_store.generate"),
             m_disk_loads: Counter::get("trace_store.disk_load"),
             m_hits: Counter::get("trace_store.hit"),
             m_corrupt: Counter::get("trace_store.corrupt"),
             m_evicted: Counter::get("trace_store.evict"),
             m_degraded: Counter::get("trace_store.degraded_stream"),
+            m_memo_fill: Counter::get("trace_store.memo_fill"),
+            m_memo_hit: Counter::get("trace_store.memo_hit"),
+            m_memo_evict: Counter::get("trace_store.memo_evict"),
         }
     }
 
@@ -159,8 +227,9 @@ impl TraceStore {
         s
     }
 
-    /// Caps the store's resident memoized-trace bytes (the memory
-    /// governor); least-recently-used entries are evicted past the cap.
+    /// Caps the store's resident bytes, traces and memoized intermediates
+    /// together (the memory governor); least-recently-used entries are
+    /// evicted past the cap.
     #[must_use]
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
         self.budget = Some(bytes);
@@ -170,7 +239,7 @@ impl TraceStore {
     /// The per-process shared store. Reads `BRANCH_LAB_TRACE_DIR` and
     /// `BRANCH_LAB_MEM_BUDGET` once, at first use: when set and
     /// non-empty, the global store persists traces in the former and
-    /// bounds resident trace memory to the latter.
+    /// bounds resident trace and memo memory to the latter.
     pub fn global() -> &'static TraceStore {
         static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -209,50 +278,150 @@ impl TraceStore {
             let mut map = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key.clone()).or_default())
         };
-        if let Some(t) = slot.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.m_hits.incr();
-            self.note_use(&key, t);
-            return Arc::clone(t);
-        }
-        let t = Arc::clone(slot.get_or_init(|| Arc::new(self.load_or_generate(spec, &key))));
-        self.note_use(&key, &t);
+        let t = match slot.get() {
+            Some(t) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.m_hits.incr();
+                Arc::clone(t)
+            }
+            None => Arc::clone(slot.get_or_init(|| Arc::new(self.load_or_generate(spec, &key)))),
+        };
+        let bytes = (t.len() * std::mem::size_of::<RetiredInst>()) as u64;
+        self.note_use(Resident::Trace(key), bytes);
         t
     }
 
-    /// Records that `key` is resident and was just used; under a memory
-    /// budget, evicts the coldest entries until the store fits. The entry
-    /// just used is never evicted, so the trace in active use cannot
-    /// thrash even when it alone exceeds the budget.
-    fn note_use(&self, key: &TraceKey, trace: &Arc<Trace>) {
+    /// Returns the intermediate `key` names, calling `compute` only if no
+    /// earlier request stored it. `compute` returns the value and an
+    /// estimate of its resident bytes, which count against the memory
+    /// budget.
+    ///
+    /// Concurrent requests for one key compute it once; the others wait
+    /// for that value. If `compute` unwinds — a cancelled study stops at a
+    /// checkpoint — nothing is stored, the unwind reaches the caller, and
+    /// the next request computes the value again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` already holds a value of another type than `T`.
+    pub fn derive<T, F>(&self, key: DerivedKey, compute: F) -> Arc<T>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce() -> (T, u64),
+    {
+        let mut compute = Some(compute);
+        let mut values = self.derive_many(std::slice::from_ref(&key), |_| {
+            vec![compute.take().expect("a single key is computed at most once")()]
+        });
+        values.pop().expect("one value per key")
+    }
+
+    /// [`TraceStore::derive`] for several keys at once: `compute`
+    /// receives the indices (into `keys`) of the entries not yet stored
+    /// and returns their values in that order, so one pass can fill them
+    /// all. Returns one value per key, in order.
+    ///
+    /// Each key is still filled exactly once: `compute` runs inside the
+    /// slot of the first missing key, and its other values fill their
+    /// slots only if no concurrent request filled them first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute` returns a different number of values than it
+    /// was asked for, or if a key holds a value of another type than `T`.
+    pub fn derive_many<T, F>(&self, keys: &[DerivedKey], mut compute: F) -> Vec<Arc<T>>
+    where
+        T: Any + Send + Sync,
+        F: FnMut(&[usize]) -> Vec<(T, u64)>,
+    {
+        let slots: Vec<DerivedSlot> = {
+            let mut map = self.derived.lock().unwrap_or_else(PoisonError::into_inner);
+            keys.iter().map(|k| Arc::clone(map.entry(k.clone()).or_default())).collect()
+        };
+        let hits = slots.iter().filter(|slot| slot.get().is_some()).count() as u64;
+        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
+        self.m_memo_hit.add(hits);
+        loop {
+            let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].get().is_none()).collect();
+            let Some(&first) = missing.first() else { break };
+            // No fill waits on another slot while it holds its own, so
+            // two requests filling overlapping key sets cannot deadlock.
+            let mut rest = Vec::new();
+            slots[first].get_or_init(|| {
+                let values = compute(&missing);
+                assert_eq!(values.len(), missing.len(), "one value per missing key");
+                let mut values = values.into_iter();
+                let head = values.next().expect("at least one missing key");
+                rest = values.collect();
+                self.erase_fill(head)
+            });
+            for (&i, value) in missing[1..].iter().zip(rest) {
+                slots[i].get_or_init(|| self.erase_fill(value));
+            }
+        }
+        slots
+            .iter()
+            .zip(keys)
+            .map(|(slot, key)| {
+                let (value, bytes) = slot.get().expect("every slot filled above");
+                let value = Arc::clone(value);
+                self.note_use(Resident::Derived(key.clone()), *bytes);
+                value
+                    .downcast::<T>()
+                    .unwrap_or_else(|_| panic!("memo key {key:?} holds a value of another type"))
+            })
+            .collect()
+    }
+
+    /// Type-erases a freshly computed memo value and counts its fill.
+    fn erase_fill<T: Any + Send + Sync>(
+        &self,
+        (value, bytes): (T, u64),
+    ) -> (Arc<dyn Any + Send + Sync>, u64) {
+        self.memo_fills.fetch_add(1, Ordering::Relaxed);
+        self.m_memo_fill.incr();
+        (Arc::new(value), bytes)
+    }
+
+    /// Records that `entry` (of `bytes` resident bytes) is resident and
+    /// was just used; under a memory budget, evicts the coldest entries,
+    /// traces and memo entries alike, until the store fits. The entry
+    /// just used is never evicted, so the trace or intermediate in active
+    /// use cannot thrash even when it alone exceeds the budget.
+    fn note_use(&self, entry: Resident, bytes: u64) {
         let Some(budget) = self.budget else { return };
-        let bytes = (trace.len() * std::mem::size_of::<RetiredInst>()) as u64;
         let mut cold = Vec::new();
         {
             let mut lru = self.lru.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(pos) = lru.iter().position(|(k, _)| k == key) {
-                let entry = lru.remove(pos);
-                lru.push(entry);
+            if let Some(pos) = lru.iter().position(|(e, _)| *e == entry) {
+                let used = lru.remove(pos);
+                lru.push(used);
             } else {
-                lru.push((key.clone(), bytes));
+                lru.push((entry, bytes));
                 self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
             while self.resident_bytes.load(Ordering::Relaxed) > budget && lru.len() > 1 {
-                let (k, b) = lru.remove(0);
+                let (e, b) = lru.remove(0);
                 self.resident_bytes.fetch_sub(b, Ordering::Relaxed);
-                cold.push(k);
+                cold.push(e);
             }
         }
-        if !cold.is_empty() {
-            let mut map = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
-            for k in &cold {
-                // Dropping the slot releases the store's Arc; callers
-                // already holding the trace keep it alive until they
-                // finish. The next request reloads from disk (or
-                // regenerates).
-                map.remove(k);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-                self.m_evicted.incr();
+        // Dropping a slot releases the store's Arc; callers already
+        // holding the value keep it alive until they finish. The next
+        // request reloads a trace from disk (or regenerates it) and
+        // computes an intermediate again.
+        for e in cold {
+            match e {
+                Resident::Trace(k) => {
+                    self.traces.lock().unwrap_or_else(PoisonError::into_inner).remove(&k);
+                    self.evicted.fetch_add(1, Ordering::Relaxed);
+                    self.m_evicted.incr();
+                }
+                Resident::Derived(k) => {
+                    self.derived.lock().unwrap_or_else(PoisonError::into_inner).remove(&k);
+                    self.memo_evicted.fetch_add(1, Ordering::Relaxed);
+                    self.m_memo_evict.incr();
+                }
             }
         }
     }
@@ -365,6 +534,9 @@ impl TraceStore {
             corrupt: self.corrupt.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             degraded_streams: self.degraded_streams.load(Ordering::Relaxed),
+            memo_fills: self.memo_fills.load(Ordering::Relaxed),
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            memo_evicted: self.memo_evicted.load(Ordering::Relaxed),
         }
     }
 }
@@ -710,6 +882,110 @@ mod tests {
         let y = tiny.get(&s, 0, 1_000);
         assert!(Arc::ptr_eq(&x, &y));
         assert_eq!(tiny.stats().evicted, 0);
+    }
+
+    fn memo_key(what: &str) -> DerivedKey {
+        DerivedKey::new(&spec(), 0, 1_000, what)
+    }
+
+    #[test]
+    fn concurrent_derives_compute_a_key_once() {
+        let store = TraceStore::new();
+        let computed = AtomicU64::new(0);
+        let values: Vec<Arc<u64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        store.derive(memo_key("answer"), || {
+                            computed.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            (42u64, 8)
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        });
+        assert_eq!(computed.load(Ordering::SeqCst), 1);
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0]) && **v == 42));
+        assert_eq!(store.stats().memo_fills, 1, "{:?}", store.stats());
+    }
+
+    #[test]
+    fn derive_many_computes_only_the_missing_keys_in_one_call() {
+        let store = TraceStore::new();
+        let a = store.derive(memo_key("a"), || (String::from("a"), 1));
+        let keys = [memo_key("a"), memo_key("b"), memo_key("c")];
+        let mut asked = Vec::new();
+        let got = store.derive_many(&keys, |missing| {
+            asked.push(missing.to_vec());
+            missing.iter().map(|&i| (keys[i].what.clone(), 1)).collect()
+        });
+        assert_eq!(asked, vec![vec![1, 2]]);
+        assert!(Arc::ptr_eq(&got[0], &a));
+        assert_eq!([&*got[1], &*got[2]], ["b", "c"]);
+        // Everything is stored now: a repeat computes nothing.
+        let again = store.derive_many(&keys, |_| -> Vec<(String, u64)> {
+            unreachable!("all keys are stored")
+        });
+        assert!(again.iter().zip(&got).all(|(x, y)| Arc::ptr_eq(x, y)));
+        let stats = store.stats();
+        assert_eq!((stats.memo_fills, stats.memo_hits), (3, 4), "{stats:?}");
+    }
+
+    #[test]
+    fn a_cancelled_fill_stores_nothing() {
+        use bp_metrics::cancel::{self, CancelToken, Cancelled};
+        let store = TraceStore::new();
+        let token = CancelToken::new();
+        token.cancel("unit test");
+        let stopped = {
+            let _scope = cancel::set_scope(token);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.derive(memo_key("stopped"), || {
+                    cancel::checkpoint("memo.fill");
+                    (1u64, 8)
+                })
+            }))
+        };
+        let payload = stopped.expect_err("the fill must unwind");
+        assert!(payload.downcast_ref::<Cancelled>().is_some());
+        assert_eq!(store.stats().memo_fills, 0);
+        // The next request computes the value afresh.
+        let v = store.derive(memo_key("stopped"), || (7u64, 8));
+        assert_eq!(*v, 7);
+        assert_eq!(store.stats().memo_fills, 1);
+    }
+
+    #[test]
+    fn memo_entries_share_the_budget_with_traces() {
+        // Room for one trace plus a few small entries: a trace-sized
+        // intermediate pushes the trace out, and small entries age out
+        // in least-recently-used order.
+        let one = (1_000 * std::mem::size_of::<RetiredInst>()) as u64;
+        let store = TraceStore::new().with_mem_budget(one + 16);
+        let s = spec();
+        let _t = store.get(&s, 0, 1_000);
+        let small = |what: &str| *store.derive(memo_key(what), || (what.len() as u64, 8));
+        assert_eq!((small("x"), small("yy")), (1, 2));
+        assert_eq!(store.stats().evicted + store.stats().memo_evicted, 0);
+        let big = store.derive(memo_key("big"), || (vec![0u8; 1_000], one));
+        assert_eq!(big.len(), 1_000);
+        assert_eq!((store.stats().evicted, store.stats().memo_evicted), (1, 0));
+        // One more small entry: the coldest intermediate goes.
+        assert_eq!(small("zzz"), 3);
+        let stats = store.stats();
+        assert_eq!((stats.evicted, stats.memo_evicted), (1, 1), "{stats:?}");
+        // An evicted intermediate is computed again, to the same value.
+        let fills = stats.memo_fills;
+        assert_eq!(small("x"), 1);
+        assert_eq!(store.stats().memo_fills, fills + 1);
+        // A budget smaller than one entry keeps the entry in use.
+        let tiny = TraceStore::new().with_mem_budget(1);
+        let a = tiny.derive(memo_key("a"), || (1u8, 64));
+        let b = tiny.derive(memo_key("a"), || (2u8, 64));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(tiny.stats().memo_evicted, 0);
     }
 
     #[test]

@@ -18,10 +18,7 @@
 //!
 //! The fixtures are thread-count independent ([`bp_core::Engine::map`]
 //! returns results in input order and all reductions are serial) and
-//! identical in debug and release (no fast-math). `table3` and `fig6`
-//! are `#[ignore]`d only for their debug-build run time (over a minute
-//! each, a few seconds in release); `ci.sh`'s release golden leg runs
-//! them with `--include-ignored`.
+//! identical in debug and release (no fast-math).
 
 use std::path::PathBuf;
 
@@ -183,13 +180,11 @@ fn golden_calibrate() {
 }
 
 #[test]
-#[ignore = "over a minute in a debug build; ci.sh runs it in release"]
 fn golden_table3() {
     check("table3", &studies::table3_report(&golden_config()).render());
 }
 
 #[test]
-#[ignore = "over a minute in a debug build; ci.sh runs it in release"]
 fn golden_fig6() {
     check("fig6", &studies::fig6_report(&golden_config()).render());
 }

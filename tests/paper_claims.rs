@@ -5,7 +5,7 @@ use branch_lab::analysis::{
     accuracy_spread, compute_alloc_stats, paper_equivalent, rank_heavy_hitters, BinSpec,
     BranchProfile, H2pCriteria, RecurrenceAnalysis,
 };
-use branch_lab::core::{characterize_workload, DatasetConfig};
+use branch_lab::core::{characterize_workload, memo::TAGE_SC_L_8KB, DatasetConfig};
 use branch_lab::predictors::{measure, TageScL, TageSclConfig};
 use branch_lab::trace::SliceConfig;
 use branch_lab::workloads::{lcf_suite, specint_suite};
@@ -15,7 +15,7 @@ use branch_lab::workloads::{lcf_suite, specint_suite};
 #[test]
 fn h2ps_own_a_disproportionate_misprediction_share() {
     let spec = &specint_suite()[1]; // mcf-like: paper reports 96.9%
-    let c = characterize_workload(spec, &DatasetConfig::quick(), TageScL::kb8);
+    let c = characterize_workload(spec, &DatasetConfig::quick(), TAGE_SC_L_8KB);
     assert!(
         c.avg_h2p_mispredict_share > 0.6,
         "mcf-like H2P share {}",
@@ -184,6 +184,6 @@ fn h2p_sites_recur_across_inputs() {
         max_inputs: Some(3),
         ..DatasetConfig::quick()
     };
-    let c = characterize_workload(spec, &cfg, TageScL::kb8);
+    let c = characterize_workload(spec, &cfg, TAGE_SC_L_8KB);
     assert!(c.h2p_3plus_inputs > 0, "union {}", c.h2p_union.len());
 }

@@ -334,7 +334,7 @@ fn metrics_disabled_registers_nothing() {
     let _ = simulate(&t, &flags, &PipelineConfig::skylake());
     let spec = &branch_lab::workloads::specint_suite()[0];
     let cfg = branch_lab::core::DatasetConfig::quick().with_trace_len(10_000);
-    let _ = branch_lab::core::characterize_workload(spec, &cfg, TageScL::kb8);
+    let _ = branch_lab::core::characterize_workload(spec, &cfg, branch_lab::core::memo::TAGE_SC_L_8KB);
 
     assert!(
         branch_lab::metrics::snapshot_counters().is_empty(),

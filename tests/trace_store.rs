@@ -6,8 +6,9 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use branch_lab::core::memo::TAGE_SC_L_8KB;
 use branch_lab::core::{
-    characterize_workload_with, rare_oracle_study_with, scaling_study_with,
+    characterize_input, characterize_workload_with, rare_oracle_study_with, scaling_study_with,
     storage_scaling_study_with, DatasetConfig, Engine,
 };
 use branch_lab::predictors::TageScL;
@@ -186,8 +187,19 @@ fn parallel_characterization_matches_serial_exactly() {
         max_inputs: Some(3),
         ..DatasetConfig::quick()
     };
-    let serial = characterize_workload_with(Engine::with_threads(1), spec, &cfg, TageScL::kb8);
-    let parallel = characterize_workload_with(Engine::with_threads(3), spec, &cfg, TageScL::kb8);
+    let parallel = characterize_workload_with(Engine::with_threads(3), spec, &cfg, TAGE_SC_L_8KB);
+    let serial = characterize_workload_with(Engine::with_threads(1), spec, &cfg, TAGE_SC_L_8KB);
+    // The per-input characterizations are memoized, so the second run
+    // reads the first's; each must equal a direct serial computation.
+    for (input, memoized) in (0..).zip(&parallel.inputs) {
+        let trace = spec.cached_trace(input, cfg.trace_len);
+        let direct = characterize_input(spec, &trace, input, &cfg, &mut TageScL::kb8());
+        assert_eq!(memoized.profile.accuracy().to_bits(), direct.profile.accuracy().to_bits());
+        assert_eq!(memoized.h2ps_per_slice, direct.h2ps_per_slice);
+        assert_eq!(memoized.static_per_slice, direct.static_per_slice);
+        assert_eq!(memoized.h2p_mispredict_share_per_slice, direct.h2p_mispredict_share_per_slice);
+        assert_eq!(memoized.phases, direct.phases);
+    }
     assert_eq!(serial.inputs.len(), parallel.inputs.len());
     assert_eq!(serial.avg_accuracy.to_bits(), parallel.avg_accuracy.to_bits());
     assert_eq!(
