@@ -10,11 +10,11 @@ use std::sync::Arc;
 
 use bp_analysis::{cluster_slices, BranchProfile, H2pCriteria, PhaseConfig};
 use bp_predictors::{DirectionPredictor, PredictorSpec};
-use bp_trace::Trace;
-use bp_workloads::{DerivedKey, TraceStore, WorkloadSpec};
+use bp_trace::{SliceConfig, Trace};
+use bp_workloads::{TraceStore, WorkloadSpec};
 
 use crate::config::DatasetConfig;
-use crate::memo::{profile_bytes, set_bytes};
+use crate::memo;
 use crate::parallel::Engine;
 
 /// Characterization of one application input (one trace).
@@ -72,13 +72,13 @@ pub struct WorkloadCharacterization {
     pub avg_h2p_mispredict_share: f64,
 }
 
-/// Characterizes one input trace with a fresh predictor.
+/// Characterizes one input trace with a fresh predictor, trained
+/// continuously across its `slice`-instruction slices.
 #[must_use]
 pub fn characterize_input(
-    spec: &WorkloadSpec,
     trace: &Trace,
     input: u32,
-    config: &DatasetConfig,
+    slice: SliceConfig,
     predictor: &mut dyn DirectionPredictor,
 ) -> InputCharacterization {
     let criteria = H2pCriteria::paper();
@@ -87,9 +87,9 @@ pub fn characterize_input(
     let mut static_per_slice = Vec::new();
     let mut shares = Vec::new();
     let mut h2p_exec_means = Vec::new();
-    for slice in trace.slices(config.slice) {
-        let profile = BranchProfile::collect(predictor, slice);
-        let h2ps = criteria.screen_set(&profile, config.slice);
+    for insts in trace.slices(slice) {
+        let profile = BranchProfile::collect(predictor, insts);
+        let h2ps = criteria.screen_set(&profile, slice);
         static_per_slice.push(profile.static_branch_count());
         let total_miss = profile.total_mispredicts();
         let h2p_miss: u64 = h2ps
@@ -112,8 +112,7 @@ pub fn characterize_input(
         h2ps_per_slice.push(h2ps);
     }
     let h2p_union: HashSet<u64> = h2ps_per_slice.iter().flatten().copied().collect();
-    let phases = cluster_slices(trace, config.slice, PhaseConfig::default()).num_phases;
-    let _ = spec;
+    let phases = cluster_slices(trace, slice, PhaseConfig::default()).num_phases;
     InputCharacterization {
         input,
         profile: whole,
@@ -137,9 +136,10 @@ fn mean(v: &[f64]) -> f64 {
 /// Characterizes a workload across all of its (configured) inputs, using a
 /// fresh `predictor` per input. Inputs run in parallel on
 /// [`Engine::from_env`]; traces come from the shared
-/// [`bp_workloads::TraceStore`], and so does each input's
-/// characterization: it is memoized per trace, slice length and
-/// predictor, so Table I and Fig. 2 compute it once between them.
+/// [`TraceStore::global`], and so does each input's characterization
+/// ([`memo::characterization`]): it is memoized per trace, slice length
+/// and predictor, so Table I, Fig. 2 and the H2P screens of the other
+/// studies compute it once between them.
 ///
 /// # Examples
 ///
@@ -158,15 +158,17 @@ pub fn characterize_workload(
     config: &DatasetConfig,
     predictor: PredictorSpec,
 ) -> WorkloadCharacterization {
-    characterize_workload_with(Engine::from_env(), spec, config, predictor)
+    let store = TraceStore::global();
+    characterize_workload_with(Engine::from_env(), store, spec, config, predictor)
 }
 
-/// [`characterize_workload`] on an explicit [`Engine`]. Per-input results
-/// are aggregated in input order, so the outcome is thread-count
-/// independent.
+/// [`characterize_workload`] on an explicit [`Engine`] and memoizing
+/// [`TraceStore`]. Per-input results are aggregated in input order, so
+/// the outcome is thread-count independent.
 #[must_use]
 pub fn characterize_workload_with(
     engine: Engine,
+    store: &TraceStore,
     spec: &WorkloadSpec,
     config: &DatasetConfig,
     predictor: PredictorSpec,
@@ -175,18 +177,9 @@ pub fn characterize_workload_with(
     bp_metrics::Counter::get("study.characterize.inputs")
         .add(u64::from(config.inputs_for(spec.inputs)));
     let inputs: Vec<u32> = (0..config.inputs_for(spec.inputs)).collect();
+    let (len, slice) = (config.trace_len, config.slice);
     let per_input: Vec<Arc<InputCharacterization>> = engine.map(&inputs, |_, &input| {
-        let store = TraceStore::global();
-        let what = format!("characterize {predictor:?} slice={}", config.slice.len());
-        let key = DerivedKey::new(spec, input, config.trace_len, what);
-        store.derive(key, || {
-            let trace = store.get(spec, input, config.trace_len);
-            let c = characterize_input(spec, &trace, input, config, &mut *predictor.build());
-            let bytes = profile_bytes(&c.profile)
-                + set_bytes(&c.h2p_union)
-                + c.h2ps_per_slice.iter().map(set_bytes).sum::<u64>();
-            (c, bytes)
-        })
+        memo::characterization(store, spec, input, len, slice, predictor)
     });
     aggregate(spec, per_input.iter().map(|c| InputCharacterization::clone(c)).collect())
 }

@@ -13,7 +13,8 @@
 //! [`memo::replay`]), so the studies also share them with each other and
 //! with serve sweeps: Figs. 5, 7 and 8 and the grid replay one
 //! preparation per LCF trace, and train each predictor configuration
-//! once.
+//! once. Each study's `_with` form names the [`TraceStore`] it memoizes
+//! in; the plain form uses [`TraceStore::global`].
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use bp_predictors::{
     misprediction_flags, DirectionPredictor, PerfectSetOracle, PredictorSpec, TageScL,
     TageSclConfig,
 };
-use bp_workloads::WorkloadSpec;
+use bp_workloads::{TraceStore, WorkloadSpec};
 
 use crate::config::DatasetConfig;
 use crate::memo::{self, TAGE_SC_L_8KB};
@@ -81,24 +82,25 @@ struct WorkloadStreams {
 }
 
 fn streams_for(
+    store: &TraceStore,
     spec: &WorkloadSpec,
     config: &DatasetConfig,
     base: &PipelineConfig,
 ) -> WorkloadStreams {
     let len = config.trace_len;
     // Per-slice H2P screen (fresh 8KB predictor) for the oracle set.
-    let screen = memo::h2p_screen(spec, 0, len, config.slice, TAGE_SC_L_8KB);
+    let screen = memo::characterization(store, spec, 0, len, config.slice, TAGE_SC_L_8KB);
     let tage64_spec = PredictorSpec::TageScl { storage_kb: 64 };
-    let mut flags = memo::flags(spec, len, &[TAGE_SC_L_8KB, tage64_spec]);
+    let mut flags = memo::flags(store, spec, len, &[TAGE_SC_L_8KB, tage64_spec]);
     let tage64 = flags.pop().expect("two streams");
     let tage8 = flags.pop().expect("one stream");
     // The oracle is not a predictor spec, so its lane is not memoized.
-    let trace = spec.cached_trace(0, len);
-    let mut oracle = PerfectSetOracle::new(TageScL::kb8(), screen.1.iter().copied());
+    let trace = store.get(spec, 0, len);
+    let mut oracle = PerfectSetOracle::new(TageScL::kb8(), screen.h2p_union.iter().copied());
     let perfect_h2p = misprediction_flags(&mut oracle, &trace);
     let perfect = vec![false; tage8.len()];
     WorkloadStreams {
-        sweep: memo::replay(spec, len, base),
+        sweep: memo::replay(store, spec, len, base),
         tage8,
         tage64,
         perfect_h2p,
@@ -111,15 +113,17 @@ fn streams_for(
 /// across workloads). Workloads run in parallel on [`Engine::from_env`].
 #[must_use]
 pub fn scaling_study(specs: &[WorkloadSpec], config: &DatasetConfig) -> ScalingStudy {
-    scaling_study_with(Engine::from_env(), specs, config)
+    scaling_study_with(Engine::from_env(), TraceStore::global(), specs, config)
 }
 
-/// [`scaling_study`] on an explicit [`Engine`]. Results are identical for
-/// any thread count: per-workload log-ratios are computed independently
-/// and reduced serially in workload order.
+/// [`scaling_study`] on an explicit [`Engine`] and memoizing
+/// [`TraceStore`]. Results are identical for any thread count:
+/// per-workload log-ratios are computed independently and reduced
+/// serially in workload order.
 #[must_use]
 pub fn scaling_study_with(
     engine: Engine,
+    store: &TraceStore,
     specs: &[WorkloadSpec],
     config: &DatasetConfig,
 ) -> ScalingStudy {
@@ -136,7 +140,7 @@ pub fn scaling_study_with(
     // Per workload: log(ipc ratio) for every (series, scale) cell. The
     // four series replay in lockstep through one prepared trace.
     let contribs: Vec<Vec<Vec<f64>>> = engine.map(specs, |_, spec| {
-        let st = streams_for(spec, config, &base_cfg);
+        let st = streams_for(store, spec, config, &base_cfg);
         let sweep = &st.sweep;
         let base_ipc = sweep.simulate(&st.tage8, &base_cfg).ipc();
         let lanes: [&[bool]; 4] = [&st.tage8, &st.tage64, &st.perfect_h2p, &st.perfect];
@@ -204,10 +208,11 @@ pub fn storage_scaling_study(
     specs: &[WorkloadSpec],
     config: &DatasetConfig,
 ) -> StorageScalingStudy {
-    storage_scaling_study_with(Engine::from_env(), specs, config)
+    storage_scaling_study_with(Engine::from_env(), TraceStore::global(), specs, config)
 }
 
-/// [`storage_scaling_study`] on an explicit [`Engine`].
+/// [`storage_scaling_study`] on an explicit [`Engine`] and memoizing
+/// [`TraceStore`].
 ///
 /// Fully streamed: both the lockstep predictor pass and the replay
 /// preparation consume the trace through
@@ -218,6 +223,7 @@ pub fn storage_scaling_study(
 #[must_use]
 pub fn storage_scaling_study_with(
     engine: Engine,
+    store: &TraceStore,
     specs: &[WorkloadSpec],
     config: &DatasetConfig,
 ) -> StorageScalingStudy {
@@ -229,8 +235,8 @@ pub fn storage_scaling_study_with(
     let rows: Vec<StorageScalingRow> = engine.map(specs, |_, spec| {
         // All storage points train through one pass over the branch
         // stream — this is the sweep the single-pass engine exists for.
-        let flags_per_storage =
-            memo::flags(spec, config.trace_len, &PredictorSpec::storage_points());
+        let storage_specs = PredictorSpec::storage_points();
+        let flags_per_storage = memo::flags(store, spec, config.trace_len, &storage_specs);
         let perfect = vec![false; flags_per_storage[0].len()];
         // Lane order: the 8KB baseline, the perfect bound, then every
         // storage point (8KB replays twice so each lane maps 1:1 onto
@@ -239,7 +245,7 @@ pub fn storage_scaling_study_with(
         lanes.push(&flags_per_storage[0]);
         lanes.push(&perfect);
         lanes.extend(flags_per_storage.iter().map(|f| f.as_slice()));
-        let sweep = memo::replay(spec, config.trace_len, &base_cfg);
+        let sweep = memo::replay(store, spec, config.trace_len, &base_cfg);
         let mut gap_closed = Vec::with_capacity(scales.len());
         for &scale in &scales {
             let cfg = base_cfg.scaled(scale);
@@ -306,15 +312,17 @@ pub struct HeteroGridStudy {
 /// never materialized when the on-disk cache holds it.
 #[must_use]
 pub fn hetero_grid_study(workloads: &[WorkloadSpec], config: &DatasetConfig) -> HeteroGridStudy {
-    hetero_grid_study_with(Engine::from_env(), workloads, config)
+    hetero_grid_study_with(Engine::from_env(), TraceStore::global(), workloads, config)
 }
 
-/// [`hetero_grid_study`] on an explicit [`Engine`]. Results are
-/// identical for any thread count: each workload's grid is computed
-/// independently and collected in workload order.
+/// [`hetero_grid_study`] on an explicit [`Engine`] and memoizing
+/// [`TraceStore`]. Results are identical for any thread count: each
+/// workload's grid is computed independently and collected in workload
+/// order.
 #[must_use]
 pub fn hetero_grid_study_with(
     engine: Engine,
+    store: &TraceStore,
     workloads: &[WorkloadSpec],
     config: &DatasetConfig,
 ) -> HeteroGridStudy {
@@ -324,9 +332,9 @@ pub fn hetero_grid_study_with(
     let grid_specs = PredictorSpec::hetero_grid();
     let base_cfg = PipelineConfig::skylake();
     let rows: Vec<HeteroGridRow> = engine.map(workloads, |_, spec| {
-        let flags = memo::flags(spec, config.trace_len, &grid_specs);
+        let flags = memo::flags(store, spec, config.trace_len, &grid_specs);
         let lanes: Vec<&[bool]> = flags.iter().map(|f| f.as_slice()).collect();
-        let sweep = memo::replay(spec, config.trace_len, &base_cfg);
+        let sweep = memo::replay(store, spec, config.trace_len, &base_cfg);
         let insts = sweep.len().max(1) as f64;
         let mut ipc = Vec::with_capacity(scales.len());
         let mut mpki = Vec::new();
@@ -373,10 +381,11 @@ pub struct RareOracleRow {
 /// rare branches below the threshold).
 #[must_use]
 pub fn rare_oracle_study(specs: &[WorkloadSpec], config: &DatasetConfig) -> Vec<RareOracleRow> {
-    rare_oracle_study_with(Engine::from_env(), specs, config)
+    rare_oracle_study_with(Engine::from_env(), TraceStore::global(), specs, config)
 }
 
-/// [`rare_oracle_study`] on an explicit [`Engine`].
+/// [`rare_oracle_study`] on an explicit [`Engine`] and memoizing
+/// [`TraceStore`].
 ///
 /// The 1024KB predictor's training sequence is independent of the oracle
 /// set (a [`PerfectSetOracle`] always trains its inner predictor on the
@@ -387,6 +396,7 @@ pub fn rare_oracle_study(specs: &[WorkloadSpec], config: &DatasetConfig) -> Vec<
 #[must_use]
 pub fn rare_oracle_study_with(
     engine: Engine,
+    store: &TraceStore,
     specs: &[WorkloadSpec],
     config: &DatasetConfig,
 ) -> Vec<RareOracleRow> {
@@ -394,7 +404,7 @@ pub fn rare_oracle_study_with(
     bp_metrics::Counter::get("study.rare_oracle.workloads").add(specs.len() as u64);
     let cfg = PipelineConfig::skylake();
     engine.map(specs, |_, spec| {
-        let trace = spec.cached_trace(0, config.trace_len);
+        let trace = store.get(spec, 0, config.trace_len);
         // Dynamic execution counts over the whole trace, converted to the
         // paper's 30M-instruction scale for the >1000/>100 thresholds.
         let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
@@ -415,6 +425,7 @@ pub fn rare_oracle_study_with(
         // predictor; an oracle over set S mispredicts exactly where the
         // big predictor mispredicts outside S.
         let mut streams = memo::flags(
+            store,
             spec,
             config.trace_len,
             &[TAGE_SC_L_8KB, PredictorSpec::TageScl { storage_kb: 1024 }],
@@ -434,7 +445,7 @@ pub fn rare_oracle_study_with(
         let after_100 = masked(100.0);
 
         // All four IPC points come from one lockstep replay.
-        let sweep = memo::replay(spec, config.trace_len, &cfg);
+        let sweep = memo::replay(store, spec, config.trace_len, &cfg);
         let stats = sweep.simulate_many(&[&flags8, &perfect, &after_1000, &after_100], &cfg);
         let ipc8 = stats[0].ipc();
         let ipc_perfect = stats[1].ipc();

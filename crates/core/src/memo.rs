@@ -1,17 +1,19 @@
-//! The studies' shared per-trace intermediates, memoized in the global
+//! The studies' shared per-trace intermediates, memoized in a
 //! [`TraceStore`] ([`TraceStore::derive`]).
 //!
 //! The paper's figures reuse a small set of computations over the same
 //! input-0 traces: flag streams of the same predictor configurations
 //! (Figs. 1, 5, 7, 8, the grid, the survey and serve sweeps), one
-//! prepared replay per trace, one TAGE-SC-L 8KB H2P screen and profile
-//! per trace (Tables II and III, Figs. 1, 3–6, 10), and one dependency
-//! analysis per top H2P (Table III, Fig. 6). Each
-//! function here computes its intermediate once per process — whichever
-//! study or request asks first — and hands every later caller the same
-//! value. Keys spell everything a computation reads, so a study sees
-//! exactly the bytes it would compute itself; memo entries count against
-//! `BRANCH_LAB_MEM_BUDGET` and are evicted with the traces.
+//! prepared replay per trace, one TAGE-SC-L 8KB slice screen per trace
+//! and slice length (Tables I–III, Figs. 1–6, 10), and one dependency
+//! analysis per top H2P (Table III, Fig. 6). Each function here computes
+//! its intermediate once per store — whichever study or request asks
+//! first — and hands every later caller the same value. Keys spell
+//! everything a computation reads, so a study sees exactly the bytes it
+//! would compute itself; memo entries count against the store's memory
+//! budget and are evicted with its traces. The studies and the CLI use
+//! [`TraceStore::global`]; a test can give a study a fresh
+//! [`TraceStore::new`] to compute everything itself.
 //!
 //! Only [`PredictorSpec`] predictors are memoized: a spec is plain data,
 //! so it can be part of a key. Oracle lanes and instrumented predictors
@@ -20,14 +22,17 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use bp_analysis::{BranchProfile, DepBranchReport, DependencyAnalysis, H2pCriteria};
+use bp_analysis::{DepBranchReport, DependencyAnalysis};
 use bp_pipeline::{PipelineConfig, SweepReplay};
 use bp_predictors::{sweep_flags, PredictorSpec};
 use bp_trace::SliceConfig;
 use bp_workloads::{DerivedKey, TraceStore, WorkloadSpec};
 
-/// Resident bytes of a [`BranchProfile`] entry, an estimate of one hash
-/// map slot (key, statistics, control byte and load-factor slack).
+use crate::characterize::{characterize_input, InputCharacterization};
+
+/// Resident bytes of a [`BranchProfile`](bp_analysis::BranchProfile)
+/// entry, an estimate of one hash map slot (key, statistics, control byte
+/// and load-factor slack).
 const PROFILE_ENTRY_BYTES: u64 = 40;
 /// Resident bytes of one entry of a `HashSet<u64>`, estimated likewise.
 const SET_ENTRY_BYTES: u64 = 16;
@@ -39,13 +44,8 @@ const OCCURRENCE_BYTES: u64 = 32;
 /// screen and profile of the paper runs.
 pub const TAGE_SC_L_8KB: PredictorSpec = PredictorSpec::TageScl { storage_kb: 8 };
 
-/// Estimated resident bytes of `profile`.
-pub(crate) fn profile_bytes(profile: &BranchProfile) -> u64 {
-    profile.static_branch_count() as u64 * PROFILE_ENTRY_BYTES
-}
-
 /// Estimated resident bytes of `set`.
-pub(crate) fn set_bytes(set: &HashSet<u64>) -> u64 {
+fn set_bytes(set: &HashSet<u64>) -> u64 {
     set.len() as u64 * SET_ENTRY_BYTES
 }
 
@@ -60,8 +60,12 @@ pub(crate) fn set_bytes(set: &HashSet<u64>) -> u64 {
 ///
 /// Panics if the trace cannot be read back from the store's disk cache.
 #[must_use]
-pub fn flags(spec: &WorkloadSpec, len: usize, predictors: &[PredictorSpec]) -> Vec<Arc<Vec<bool>>> {
-    let store = TraceStore::global();
+pub fn flags(
+    store: &TraceStore,
+    spec: &WorkloadSpec,
+    len: usize,
+    predictors: &[PredictorSpec],
+) -> Vec<Arc<Vec<bool>>> {
     let keys: Vec<DerivedKey> = predictors
         .iter()
         .map(|p| DerivedKey::new(spec, 0, len, format!("flags {p:?}")))
@@ -89,8 +93,12 @@ pub fn flags(spec: &WorkloadSpec, len: usize, predictors: &[PredictorSpec]) -> V
 ///
 /// Panics if the trace cannot be read back from the store's disk cache.
 #[must_use]
-pub fn replay(spec: &WorkloadSpec, len: usize, config: &PipelineConfig) -> Arc<SweepReplay> {
-    let store = TraceStore::global();
+pub fn replay(
+    store: &TraceStore,
+    spec: &WorkloadSpec,
+    len: usize,
+    config: &PipelineConfig,
+) -> Arc<SweepReplay> {
     let what = format!("replay cache={:?} mul={}", config.cache, config.mul_latency);
     store.derive(DerivedKey::new(spec, 0, len, what), || {
         let sweep = SweepReplay::prepare(store.stream(spec, 0, len), config)
@@ -100,42 +108,33 @@ pub fn replay(spec: &WorkloadSpec, len: usize, config: &PipelineConfig) -> Arc<S
     })
 }
 
-/// The paper's H2P screen of the trace of `spec` at (`input`, `len`):
-/// every `slice` screened with one continuously trained `predictor`
-/// ([`H2pCriteria::screen_slices`]), giving the whole-trace profile and
-/// the union of the per-slice H2P sets.
+/// The paper's §III characterization of the trace of `spec` at
+/// (`input`, `len`) ([`characterize_input`]): `predictor` trained
+/// continuously over every `slice`, each slice's profile screened for
+/// H2Ps, and the slices clustered into phases.
+///
+/// This one slice pass is every screen the studies read: its merged
+/// `profile` and `h2p_union` are the H2P screen of Figs. 1, 5, 6, 10 and
+/// Table III, and at `SliceConfig::new(len)` (one whole-trace slice) the
+/// profile and H2P set of Table II and Figs. 3 and 4.
 #[must_use]
-pub fn h2p_screen(
+pub fn characterization(
+    store: &TraceStore,
     spec: &WorkloadSpec,
     input: u32,
     len: usize,
     slice: SliceConfig,
     predictor: PredictorSpec,
-) -> Arc<(BranchProfile, HashSet<u64>)> {
-    let store = TraceStore::global();
-    let what = format!("h2p-screen {predictor:?} slice={}", slice.len());
+) -> Arc<InputCharacterization> {
+    let what = format!("characterize {predictor:?} slice={}", slice.len());
     store.derive(DerivedKey::new(spec, input, len, what), || {
         let trace = store.get(spec, input, len);
-        let screen = H2pCriteria::paper().screen_slices(&mut *predictor.build(), &trace, slice);
-        let bytes = profile_bytes(&screen.0) + set_bytes(&screen.1);
-        (screen, bytes)
+        let c = characterize_input(&trace, input, slice, &mut *predictor.build());
+        let bytes = c.profile.static_branch_count() as u64 * PROFILE_ENTRY_BYTES
+            + set_bytes(&c.h2p_union)
+            + c.h2ps_per_slice.iter().map(set_bytes).sum::<u64>();
+        (c, bytes)
     })
-}
-
-/// The whole-trace [`BranchProfile`] of `predictor` over input 0 of
-/// `spec` at `len` instructions, one continuously trained pass.
-#[must_use]
-pub fn profile(spec: &WorkloadSpec, len: usize, predictor: PredictorSpec) -> Arc<BranchProfile> {
-    let store = TraceStore::global();
-    store.derive(
-        DerivedKey::new(spec, 0, len, format!("profile {predictor:?}")),
-        || {
-            let trace = store.get(spec, 0, len);
-            let profile = BranchProfile::collect(&mut *predictor.build(), trace.insts());
-            let bytes = profile_bytes(&profile);
-            (profile, bytes)
-        },
-    )
 }
 
 /// The dependency branches of every execution of the branch at `ip` in
@@ -144,13 +143,13 @@ pub fn profile(spec: &WorkloadSpec, len: usize, predictor: PredictorSpec) -> Arc
 /// at most `max_nodes` closure nodes per execution).
 #[must_use]
 pub fn dependencies(
+    store: &TraceStore,
     spec: &WorkloadSpec,
     len: usize,
     ip: u64,
     window: usize,
     max_nodes: usize,
 ) -> Arc<DepBranchReport> {
-    let store = TraceStore::global();
     let what = format!("dependencies ip={ip:#x} window={window} nodes={max_nodes}");
     store.derive(DerivedKey::new(spec, 0, len, what), || {
         let trace = store.get(spec, 0, len);

@@ -21,7 +21,7 @@ use bp_core::{memo, Report, StudyKind, Table};
 use bp_metrics::{CounterBaseline, Manifest};
 use bp_pipeline::PipelineConfig;
 use bp_predictors::PredictorSpec;
-use bp_workloads::{find_workload, parse_budget, workload_names, WorkloadSpec};
+use bp_workloads::{find_workload, parse_budget, workload_names, TraceStore, WorkloadSpec};
 
 use crate::{all_runner, flag_value, len_value, registry, Cli};
 
@@ -326,9 +326,10 @@ pub fn sweep_report(
     scales: &[u32],
     len: usize,
 ) -> Report {
-    let flags = memo::flags(spec, len, specs);
+    let store = TraceStore::global();
+    let flags = memo::flags(store, spec, len, specs);
     let base = PipelineConfig::skylake();
-    let sweep = memo::replay(spec, len, &base);
+    let sweep = memo::replay(store, spec, len, &base);
     let lanes: Vec<&[bool]> = flags.iter().map(|f| f.as_slice()).collect();
     let mut header = vec!["predictor".to_owned(), "accuracy".to_owned()];
     header.extend(scales.iter().map(|s| format!("ipc@{s}x")));

@@ -12,17 +12,19 @@
 //! remaining studies (Figs. 4, 6, 10, Table III, ablations, calibration)
 //! live in [`crate::studies`].
 
+use std::sync::Arc;
+
 use bp_analysis::{
-    paper_equivalent, rank_heavy_hitters, top_n_fraction, BinSpec, BranchProfile, H2pCriteria,
+    paper_equivalent, rank_heavy_hitters, top_n_fraction, BinSpec, BranchProfile,
     RecurrenceAnalysis,
 };
 use bp_core::memo::{self, TAGE_SC_L_8KB};
 use bp_core::{
     characterize_workload, f3, hetero_grid_study, pct, rare_oracle_study, scaling_study,
-    storage_scaling_study, DatasetConfig, Table,
+    storage_scaling_study, DatasetConfig, InputCharacterization, Table,
 };
 use bp_trace::SliceConfig;
-use bp_workloads::{lcf_suite, specint_suite};
+use bp_workloads::{lcf_suite, specint_suite, TraceStore, WorkloadSpec};
 
 /// Re-exported from `bp-core`, where the registry's [`bp_core::Study`]
 /// trait returns them; legacy paths `reports::Report` / `ReportItem`
@@ -108,6 +110,17 @@ pub fn table1_report(cfg: &DatasetConfig) -> Report {
     report
 }
 
+/// The TAGE-SC-L 8KB screen of an LCF workload as Table II and Figs. 3
+/// and 4 read it: the paper analyzes each LCF app as one 30M-instruction
+/// trace, so the whole trace is a single slice.
+pub(crate) fn whole_trace_screen(
+    spec: &WorkloadSpec,
+    cfg: &DatasetConfig,
+) -> Arc<InputCharacterization> {
+    let (store, len) = (TraceStore::global(), cfg.trace_len);
+    memo::characterization(store, spec, 0, len, SliceConfig::new(len), TAGE_SC_L_8KB)
+}
+
 /// Table II: LCF application branch statistics under TAGE-SC-L 8KB.
 #[must_use]
 pub fn table2_report(cfg: &DatasetConfig) -> Report {
@@ -122,11 +135,8 @@ pub fn table2_report(cfg: &DatasetConfig) -> Report {
     let mut means = [0.0f64; 4];
     let suite = lcf_suite();
     for spec in &suite {
-        // The paper analyzes each LCF app as one 30M-instruction trace;
-        // we use the whole trace as a single slice.
-        let whole = SliceConfig::new(cfg.trace_len);
-        let profile = memo::profile(spec, cfg.trace_len, TAGE_SC_L_8KB);
-        let h2ps = H2pCriteria::paper().screen(&profile, whole);
+        let screen = whole_trace_screen(spec, cfg);
+        let (profile, h2ps) = (&screen.profile, &screen.h2p_union);
         let cells = [
             profile.static_branch_count() as f64,
             profile.mean_execs_per_static_branch(),
@@ -266,7 +276,7 @@ pub fn fig3_report(cfg: &DatasetConfig) -> Report {
     let mut execs = Vec::new();
     let mut accuracy = Vec::new();
     for spec in &lcf_suite() {
-        let profile = memo::profile(spec, cfg.trace_len, TAGE_SC_L_8KB);
+        let profile = &whole_trace_screen(spec, cfg).profile;
         let window = profile.instructions;
         for (_, s) in profile.iter() {
             mispredicts.push(paper_equivalent(s.mispredicts, window));

@@ -8,8 +8,8 @@
 //! (`baselines`, the `ablation` accuracy tables) step all
 //! their configurations through a single trace pass via
 //! [`bp_predictors::sweep_flags`] / [`bp_pipeline::SweepReplay`]
-//! instead of re-replaying per configuration; the H2P studies screen
-//! slices with [`H2pCriteria::screen_slices`]. The screens, profiles,
+//! instead of re-replaying per configuration. The H2P screens (the
+//! per-slice characterization of [`bp_core::memo::characterization`]),
 //! survey flags and dependency analyses come from the per-trace memo
 //! ([`bp_core::memo`]), so Table III, Figs. 4, 6 and 10 and the
 //! `baselines` survey share what the other studies already computed.
@@ -22,7 +22,9 @@ use bp_analysis::{
     PAPER_TRACKED_REGS,
 };
 use bp_core::memo::{self, TAGE_SC_L_8KB};
-use bp_core::{f3, DatasetConfig, Report, ResolvedSampling, SamplingConfig, Table};
+use bp_core::{
+    f3, DatasetConfig, InputCharacterization, Report, ResolvedSampling, SamplingConfig, Table,
+};
 use bp_helpers::{
     train_helper, CnnNet, HistoryEncoder, HybridPredictor, PhaseHelper, PhaseHelperConfig,
     TrainerConfig,
@@ -37,7 +39,9 @@ use bp_predictors::{
 };
 use bp_trace::profile_intervals;
 use bp_trace::Trace;
-use bp_workloads::{lcf_suite, specint_suite, WorkloadSpec};
+use bp_workloads::{lcf_suite, specint_suite, TraceStore, WorkloadSpec};
+
+use crate::reports::whole_trace_screen;
 
 /// Fig. 4: accuracy spread of rare branches — the per-execution-bin
 /// standard deviation of accuracy over the LCF dataset.
@@ -46,8 +50,7 @@ pub fn fig4_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
     let mut points = Vec::new();
     for spec in &lcf_suite() {
-        let profile = memo::profile(spec, cfg.trace_len, TAGE_SC_L_8KB);
-        points.extend(spread_points(&profile));
+        points.extend(spread_points(&whole_trace_screen(spec, cfg).profile));
     }
     let bins = accuracy_spread_from_points(&points, 100.0, 15_000.0);
     let mut table = Table::new(vec![
@@ -82,16 +85,24 @@ pub fn fig4_report(cfg: &DatasetConfig) -> Report {
 /// paper's H2P screen over 8KB TAGE-SC-L slices, ranked by dynamic
 /// executions. Table III, Fig. 6 and Fig. 10 all start here.
 fn top_h2p(spec: &WorkloadSpec, cfg: &DatasetConfig) -> Option<HeavyHitter> {
-    let screen = memo::h2p_screen(spec, 0, cfg.trace_len, cfg.slice, TAGE_SC_L_8KB);
-    let (merged, h2ps) = &*screen;
-    rank_heavy_hitters(merged, h2ps.iter().copied()).into_iter().next()
+    let screen = screen(spec, 0, cfg);
+    let hitters = rank_heavy_hitters(&screen.profile, screen.h2p_union.iter().copied());
+    hitters.into_iter().next()
+}
+
+/// The paper's H2P screen of input `input` of `spec`: 8KB TAGE-SC-L
+/// trained continuously across the configured slices.
+fn screen(spec: &WorkloadSpec, input: u32, cfg: &DatasetConfig) -> Arc<InputCharacterization> {
+    let store = TraceStore::global();
+    memo::characterization(store, spec, input, cfg.trace_len, cfg.slice, TAGE_SC_L_8KB)
 }
 
 /// The dependency branches of every execution of the H2P at `ip`, as
 /// Table III and Fig. 6 read them: the paper's 5,000-instruction window,
 /// at most 256 nodes per execution.
 fn dependencies(spec: &WorkloadSpec, cfg: &DatasetConfig, ip: u64) -> Arc<DepBranchReport> {
-    memo::dependencies(spec, cfg.trace_len, ip, DEFAULT_WINDOW, 256)
+    let store = TraceStore::global();
+    memo::dependencies(store, spec, cfg.trace_len, ip, DEFAULT_WINDOW, 256)
 }
 
 /// Fig. 6: history-position distributions of dependency branches for the
@@ -304,7 +315,7 @@ pub fn baselines_report(cfg: &DatasetConfig) -> Report {
     let mut means = [0.0f64; 7];
     let mut n = 0.0f64;
     for spec in specint_suite().iter().chain(lcf_suite().iter()) {
-        let accs: Vec<f64> = memo::flags(spec, cfg.trace_len, &specs)
+        let accs: Vec<f64> = memo::flags(TraceStore::global(), spec, cfg.trace_len, &specs)
             .iter()
             .map(|flags| AccuracyStats::from_flags(flags).accuracy())
             .collect();
@@ -506,9 +517,9 @@ fn cnn_study(report: &mut Report, spec: &WorkloadSpec, cfg: &DatasetConfig) {
     let mut h2ps = std::collections::HashSet::new();
     let mut merged = BranchProfile::new();
     for input in 0..train_inputs {
-        let screen = memo::h2p_screen(spec, input, cfg.trace_len, cfg.slice, TAGE_SC_L_8KB);
-        h2ps.extend(screen.1.iter().copied());
-        merged.merge(&screen.0);
+        let screen = screen(spec, input, cfg);
+        h2ps.extend(screen.h2p_union.iter().copied());
+        merged.merge(&screen.profile);
     }
     let hitters = rank_heavy_hitters(&merged, h2ps.iter().copied());
     let targets: Vec<u64> = hitters.iter().take(8).map(|h| h.ip).collect();

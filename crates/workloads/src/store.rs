@@ -297,9 +297,11 @@ impl TraceStore {
     /// budget.
     ///
     /// Concurrent requests for one key compute it once; the others wait
-    /// for that value. If `compute` unwinds — a cancelled study stops at a
-    /// checkpoint — nothing is stored, the unwind reaches the caller, and
-    /// the next request computes the value again.
+    /// for that value. The wait has no cancellation checkpoint, so a
+    /// waiter sees its own deadline only once the fill ends. If `compute`
+    /// unwinds — a cancelled study stops at a checkpoint — nothing is
+    /// stored, the unwind reaches the caller, and the next request
+    /// computes the value again.
     ///
     /// # Panics
     ///

@@ -6,12 +6,14 @@
 //! invocations into one train pass and one prepared replay per workload;
 //! these tests pin that the collapse changes nothing: every IPC and MPKI
 //! cell equals the solo number exactly (f64 bit equality, not epsilon),
-//! and 1-, 4- and 16-thread engines produce byte-identical studies.
+//! and 1-, 4- and 16-thread engines produce byte-identical studies. Each
+//! grid memoizes in a fresh [`TraceStore`], so every thread count trains
+//! and prepares its own lanes.
 
 use branch_lab::core::{hetero_grid_study_with, DatasetConfig, Engine, HeteroGridStudy};
 use branch_lab::pipeline::{PipelineConfig, SweepReplay};
 use branch_lab::predictors::misprediction_flags;
-use branch_lab::workloads::lcf_suite;
+use branch_lab::workloads::{lcf_suite, TraceStore};
 
 /// Two LCF workloads keep the per-config reference pass (16 solo train
 /// walks per workload) affordable while still exercising the parallel
@@ -23,6 +25,7 @@ fn workloads() -> Vec<branch_lab::workloads::WorkloadSpec> {
 fn grid(threads: usize) -> HeteroGridStudy {
     hetero_grid_study_with(
         Engine::with_threads(threads),
+        &TraceStore::new(),
         &workloads(),
         &DatasetConfig::quick(),
     )

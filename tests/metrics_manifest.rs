@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use branch_lab::core::{scaling_study_with, DatasetConfig, Engine};
 use branch_lab::metrics;
-use branch_lab::workloads::specint_suite;
+use branch_lab::workloads::{specint_suite, TraceStore};
 
 #[test]
 fn manifests_identical_across_thread_counts() {
@@ -23,17 +23,17 @@ fn manifests_identical_across_thread_counts() {
     let cfg = DatasetConfig::quick().with_trace_len(20_000);
     let suite = &specint_suite()[..3];
 
-    // Pre-warm the shared trace store so both measured runs see pure
-    // cache hits; otherwise the first run would count generations and
-    // the second hits, and the tables would differ for storage reasons,
-    // not scheduling reasons.
-    let _ = scaling_study_with(Engine::with_threads(1), suite, &cfg);
-
+    // Each measured run memoizes in a fresh trace store, so both generate
+    // every trace and compute every intermediate; sharing one store would
+    // make the first run count generations and memo fills and the second
+    // hits, and the tables would differ for storage reasons, not
+    // scheduling reasons.
     let mut manifests = Vec::new();
     for threads in [1usize, 8] {
         metrics::reset();
         let baseline = metrics::CounterBaseline::take();
-        let study = scaling_study_with(Engine::with_threads(threads), suite, &cfg);
+        let store = TraceStore::new();
+        let study = scaling_study_with(Engine::with_threads(threads), &store, suite, &cfg);
         assert_eq!(study.scales.len(), 6);
         let mut info = BTreeMap::new();
         info.insert("threads_requested".to_owned(), threads.to_string());
@@ -55,6 +55,7 @@ fn manifests_identical_across_thread_counts() {
         );
         assert!(counters.contains_key("pipeline.instructions"));
         assert!(counters.contains_key("tage.lookup"));
+        assert!(counters.contains_key("trace_store.memo_fill"));
     }
 
     // Modulo the volatile fields (threads, wall time, timers — and the

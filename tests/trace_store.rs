@@ -2,16 +2,17 @@
 //! bit-identical to direct generation (memory and disk paths), generation
 //! happens exactly once, oversized workload names fail loudly instead of
 //! being truncated, and the parallel studies match the serial path
-//! bit-for-bit.
+//! bit-for-bit. Each study run memoizes in a fresh [`TraceStore`], so
+//! the parallel run trains, prepares and screens everything itself
+//! instead of reading what the serial run stored.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use branch_lab::core::memo::TAGE_SC_L_8KB;
 use branch_lab::core::{
-    characterize_input, characterize_workload_with, rare_oracle_study_with, scaling_study_with,
+    characterize_workload_with, rare_oracle_study_with, scaling_study_with,
     storage_scaling_study_with, DatasetConfig, Engine,
 };
-use branch_lab::predictors::TageScL;
 use branch_lab::trace::{RetiredInst, Trace, TraceMeta, WriteTraceError};
 use branch_lab::workloads::{lcf_suite, specint_suite, TraceStore};
 
@@ -147,8 +148,8 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 fn parallel_scaling_study_matches_serial_exactly() {
     let specs = vec![specint_suite()[1].clone(), specint_suite()[6].clone()];
     let cfg = DatasetConfig::quick();
-    let serial = scaling_study_with(Engine::with_threads(1), &specs, &cfg);
-    let parallel = scaling_study_with(Engine::with_threads(4), &specs, &cfg);
+    let serial = scaling_study_with(Engine::with_threads(1), &TraceStore::new(), &specs, &cfg);
+    let parallel = scaling_study_with(Engine::with_threads(4), &TraceStore::new(), &specs, &cfg);
     assert_eq!(serial.scales, parallel.scales);
     for (s, p) in serial.series.iter().zip(&parallel.series) {
         assert_eq!(s.label, p.label);
@@ -161,8 +162,10 @@ fn parallel_storage_and_rare_studies_match_serial_exactly() {
     let specs = vec![lcf_suite()[1].clone(), lcf_suite()[5].clone()];
     let cfg = DatasetConfig::quick();
 
-    let serial = storage_scaling_study_with(Engine::with_threads(1), &specs, &cfg);
-    let parallel = storage_scaling_study_with(Engine::with_threads(4), &specs, &cfg);
+    let serial =
+        storage_scaling_study_with(Engine::with_threads(1), &TraceStore::new(), &specs, &cfg);
+    let parallel =
+        storage_scaling_study_with(Engine::with_threads(4), &TraceStore::new(), &specs, &cfg);
     assert_eq!(serial.storages_kb, parallel.storages_kb);
     for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(s.name, p.name);
@@ -171,8 +174,9 @@ fn parallel_storage_and_rare_studies_match_serial_exactly() {
         }
     }
 
-    let serial = rare_oracle_study_with(Engine::with_threads(1), &specs, &cfg);
-    let parallel = rare_oracle_study_with(Engine::with_threads(4), &specs, &cfg);
+    let serial = rare_oracle_study_with(Engine::with_threads(1), &TraceStore::new(), &specs, &cfg);
+    let parallel =
+        rare_oracle_study_with(Engine::with_threads(4), &TraceStore::new(), &specs, &cfg);
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.name, p.name);
         assert_eq!(s.remaining_after_1000.to_bits(), p.remaining_after_1000.to_bits());
@@ -187,19 +191,12 @@ fn parallel_characterization_matches_serial_exactly() {
         max_inputs: Some(3),
         ..DatasetConfig::quick()
     };
-    let parallel = characterize_workload_with(Engine::with_threads(3), spec, &cfg, TAGE_SC_L_8KB);
-    let serial = characterize_workload_with(Engine::with_threads(1), spec, &cfg, TAGE_SC_L_8KB);
-    // The per-input characterizations are memoized, so the second run
-    // reads the first's; each must equal a direct serial computation.
-    for (input, memoized) in (0..).zip(&parallel.inputs) {
-        let trace = spec.cached_trace(input, cfg.trace_len);
-        let direct = characterize_input(spec, &trace, input, &cfg, &mut TageScL::kb8());
-        assert_eq!(memoized.profile.accuracy().to_bits(), direct.profile.accuracy().to_bits());
-        assert_eq!(memoized.h2ps_per_slice, direct.h2ps_per_slice);
-        assert_eq!(memoized.static_per_slice, direct.static_per_slice);
-        assert_eq!(memoized.h2p_mispredict_share_per_slice, direct.h2p_mispredict_share_per_slice);
-        assert_eq!(memoized.phases, direct.phases);
-    }
+    let characterize = |threads| {
+        let engine = Engine::with_threads(threads);
+        characterize_workload_with(engine, &TraceStore::new(), spec, &cfg, TAGE_SC_L_8KB)
+    };
+    let serial = characterize(1);
+    let parallel = characterize(3);
     assert_eq!(serial.inputs.len(), parallel.inputs.len());
     assert_eq!(serial.avg_accuracy.to_bits(), parallel.avg_accuracy.to_bits());
     assert_eq!(
