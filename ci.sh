@@ -274,7 +274,7 @@ grep -q "cache=miss" "$SERVE_OUT/regen.err" \
     || { echo "serve leg: corrupt entry must re-execute, not serve"; exit 1; }
 grep -q "quarantined corrupt cache entry" "$SERVE_OUT/server2.log" \
     || { echo "serve leg: corrupt entry must be quarantined"; exit 1; }
-[ -f "$SERVE_OUT/cache/$FIG3_KEY.blr.corrupt" ] \
+[ -f "$SERVE_OUT/cache/$FIG3_KEY.blr.corrupt-1" ] \
     || { echo "serve leg: quarantine file missing"; exit 1; }
 cmp "$SERVE_OUT/regen.txt" "$SERVE_OUT/cli.txt" \
     || { echo "serve leg: regenerated body differs from CLI stdout"; exit 1; }
@@ -315,8 +315,11 @@ echo "== benchmark self-test =="
 # workspace legs above never build it. Its self-test runs every workload
 # traced and untraced at 20K records and checks the pinned replay,
 # sampled and serve-mix outputs, the printed metric names and units, and
-# that a doubled golden is reported as failed ops.
-cargo test --release -q --manifest-path perfbench/Cargo.toml
+# that a doubled golden is reported as failed ops. `--locked` fails the
+# leg when a crate-graph change would make the benchmark's own build
+# rewrite `perfbench/Cargo.lock` (it records each path crate's
+# dependencies).
+cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
 
 echo "== perf baseline =="
 # Gate replay throughput against the checked-in BENCH_*.json (newest by

@@ -51,16 +51,6 @@ impl DepBranchReport {
     pub fn max_position(&self) -> Option<usize> {
         self.occurrences.keys().map(|&(_, p)| p).max()
     }
-
-    /// Number of distinct history positions a given dependency branch was
-    /// observed at — the Fig. 6 instability measure.
-    #[must_use]
-    pub fn positions_of(&self, dep_ip: u64) -> usize {
-        self.occurrences
-            .keys()
-            .filter(|&&(ip, _)| ip == dep_ip)
-            .count()
-    }
 }
 
 /// Dependency analysis over one trace.
@@ -412,7 +402,7 @@ mod tests {
         let dep = DependencyAnalysis::new(&t);
         let r = dep.analyze(&t, h2p_ip, 1_000, 128);
         assert!(
-            r.positions_of(d_ip) >= 2,
+            r.occurrences.keys().filter(|&&(ip, _)| ip == d_ip).count() >= 2,
             "D should appear at multiple history positions"
         );
         assert!(r.min_position().unwrap() < r.max_position().unwrap());

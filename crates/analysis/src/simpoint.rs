@@ -45,14 +45,6 @@ pub struct SimPoints {
     pub representatives: Vec<Representative>,
 }
 
-impl SimPoints {
-    /// Total intervals clustered.
-    #[must_use]
-    pub fn num_intervals(&self) -> usize {
-        self.labels.len()
-    }
-}
-
 /// Elbow-criterion phase selection over BBV points: deterministic
 /// k-means at ascending k, stopping when the relative distortion
 /// improvement (measured against the k=1 distortion) falls below
@@ -175,7 +167,7 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
         assert_eq!(
             sp.representatives.iter().map(|r| r.cluster_size).sum::<usize>(),
-            sp.num_intervals()
+            sp.labels.len()
         );
         // Each representative belongs to the cluster it represents.
         for rep in &sp.representatives {

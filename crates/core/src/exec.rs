@@ -2,8 +2,10 @@
 //!
 //! The `all` runner used to spawn one child *process* per study so a
 //! crash or hang could be contained and `kill`ed. This module provides
-//! the same containment in-process — cheaper, debuggable, and shared
-//! with `branch-lab serve` — by composing four mechanisms:
+//! the same containment in-process — cheaper and debuggable — by
+//! composing four mechanisms (`branch-lab serve` runs each miss as one
+//! [`attempt`], the cancellable, deadline-armed unit each executor
+//! attempt runs):
 //!
 //! * **Panic isolation.** Every attempt runs under `catch_unwind`; a
 //!   panicking study costs exactly its own slot.
@@ -72,17 +74,8 @@ impl Backoff {
     /// The deterministic jittered delay before the given retry.
     #[must_use]
     pub fn jittered(&self, label: &str, attempt: u32) -> Duration {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        let mut mix = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for b in label.bytes() {
-            mix(b);
-        }
-        for b in attempt.to_le_bytes() {
-            mix(b);
-        }
+        let h = bp_metrics::fnv1a(bp_metrics::FNV_OFFSET ^ self.seed, label.as_bytes());
+        let h = bp_metrics::fnv1a(h, &attempt.to_le_bytes());
         // Jitter fraction in [0.5, 1.5): hash → [0, 1) + 0.5.
         #[allow(clippy::cast_precision_loss)] // 20-bit hash slice: exact in f64
         let frac = 0.5 + ((h >> 44) as f64) / ((1u64 << 20) as f64);
@@ -239,7 +232,8 @@ fn record_checkpoint(path: &std::path::Path, name: &str, attempts: u32) {
 }
 
 /// Renders a panic payload the way the default hook would.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -253,12 +247,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`TaskReport`] per task (same order).
 ///
 /// Each attempt: fire the `{fault_prefix}.{name}` fault site if armed;
-/// build a fresh [`CancelToken`] (deadline-armed, and force-expired when
-/// the `exec.deadline.{name}` site fires); install it as the thread's
-/// cancel scope; run the body under `catch_unwind`; and
-/// classify the result — an `Ok` body under a cancelled token still
-/// counts as a cancelled attempt, so deadlines work even for bodies with
-/// no cancellation checkpoints. Cancelled and failed attempts both
+/// run the body as one [`attempt`] (a fresh deadline-armed
+/// [`CancelToken`] as the thread's cancel scope) under `catch_unwind`;
+/// and classify the result — a body that returns under a cancelled token
+/// still counts as a cancelled attempt, so deadlines work even for bodies
+/// with no cancellation checkpoints. Cancelled and failed attempts both
 /// consume retries with jittered backoff between attempts.
 pub fn run(mut tasks: Vec<Task<'_>>, opts: &ExecOptions) -> Vec<TaskReport> {
     let done = match (&opts.checkpoint, opts.resume) {
@@ -358,22 +351,7 @@ fn run_attempt(task: &mut Task<'_>, opts: &ExecOptions) -> Option<String> {
             return Some("injected fault: child failure".to_string());
         }
     }
-    let token = CancelToken::new();
-    if faultpoint::should_fail(&format!("exec.deadline.{}", task.name)) {
-        token.cancel("injected fault: deadline expired");
-    } else if let Some(deadline) = opts.deadline {
-        token.set_deadline_in(deadline);
-    }
-    let result = {
-        let _scope = cancel::set_scope(token.clone());
-        catch_unwind(AssertUnwindSafe(|| (task.run)(&token)))
-    };
-    match result {
-        // A body that returned cleanly under a cancelled token still
-        // counts as cancelled: the attempt ran past its deadline (or the
-        // injected expiry) and its output must not be trusted as "on
-        // time".
-        Ok(Ok(())) if token.is_cancelled() => Some(format!("cancelled: {}", token.reason())),
+    match catch_unwind(AssertUnwindSafe(|| attempt(&task.name, opts.deadline, &mut task.run))) {
         Ok(Ok(())) => None,
         Ok(Err(message)) => Some(message),
         Err(payload) => match payload.downcast_ref::<Cancelled>() {
@@ -381,6 +359,36 @@ fn run_attempt(task: &mut Task<'_>, opts: &ExecOptions) -> Option<String> {
             None => Some(format!("panicked: {}", panic_message(payload.as_ref()))),
         },
     }
+}
+
+/// Runs `body` once as attempt `name`, the way the executor runs every
+/// attempt and serve runs a request: under a fresh [`CancelToken`] armed
+/// with `deadline` (or already expired when the `exec.deadline.{name}`
+/// fault site fires), installed as the thread's cancel scope and handed
+/// to the body.
+///
+/// # Panics
+///
+/// Unwinds with the body's own panic, or with a [`Cancelled`] payload
+/// when the body stops at a checkpoint or returns after its token was
+/// cancelled: output that ran past its deadline (or the injected expiry)
+/// must not be trusted as on time, so a deadline works even for a body
+/// with no checkpoint.
+pub fn attempt<T>(name: &str, deadline: Option<Duration>, body: impl FnOnce(&CancelToken) -> T) -> T {
+    let token = CancelToken::new();
+    if faultpoint::should_fail(&format!("exec.deadline.{name}")) {
+        token.cancel("injected fault: deadline expired");
+    } else if let Some(deadline) = deadline {
+        token.set_deadline_in(deadline);
+    }
+    let out = {
+        let _scope = cancel::set_scope(token.clone());
+        body(&token)
+    };
+    if token.is_cancelled() {
+        std::panic::resume_unwind(Box::new(Cancelled { reason: token.reason() }));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -6,15 +6,22 @@
 //! hash of exactly those inputs. [`CacheKey`] derives that hash;
 //! [`ResultCache`] stores the (report, manifest) pair in two tiers:
 //!
-//! * **Memory** — an LRU-bounded map of `Arc`'d entries; repeat requests
-//!   are served without touching disk.
+//! * **Memory** — one `OnceLock` slot per key, filled exactly once like
+//!   the trace store's memo slots: [`ResultCache::get_or_fill`] lets the
+//!   first request that finds a slot empty fill it, from disk or by
+//!   computing the result, while concurrent requests for the key wait and
+//!   share that entry. A fill that unwinds stores nothing, and a waiting
+//!   request then runs its own fill. The tier is LRU-bounded by resident
+//!   bytes.
 //! * **Disk** — one `BLR1` file per key under the cache directory,
-//!   written with the same unique-temp-file + atomic-rename + FNV-1a
-//!   trailer durability pattern as the trace store: a `kill -9` mid-write
-//!   can leave a stale temp file or no file, but never a
-//!   loadable-but-wrong entry. Torn or corrupt files are quarantined as
-//!   `.corrupt` and the result regenerates. The disk tier is LRU-bounded
-//!   by resident bytes (coldest-by-mtime first across restarts).
+//!   framed with an FNV-1a trailer and written with
+//!   [`durable::write_atomic`] (unique temp file, fsync, atomic rename):
+//!   a `kill -9` mid-write can leave a stale temp file or no file, but
+//!   never a loadable-but-wrong entry. Torn or corrupt files are
+//!   quarantined as `<key>.blr.corrupt-<n>` by [`durable::quarantine`],
+//!   as the trace store quarantines trace files, and the result
+//!   regenerates. The disk tier is LRU-bounded by resident bytes
+//!   (coldest-by-mtime first across restarts).
 //!
 //! Key derivation canonicalizes before hashing: components are sorted by
 //! name and joined unambiguously, so two requests that spell the same
@@ -23,27 +30,18 @@
 //! key.
 
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use bp_metrics::{faultpoint, Counter};
+use bp_metrics::durable::{self, Lru};
+use bp_metrics::{faultpoint, fnv1a, Counter, FNV_OFFSET};
 
 /// File magic for v1 cache entries.
 const MAGIC: &[u8; 4] = b"BLR1";
 /// Refuse to load cache files larger than this (a corrupt or hostile
 /// file must not drive allocation).
 const MAX_ENTRY_BYTES: u64 = 256 * 1024 * 1024;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// A content hash identifying one study result.
 ///
@@ -116,17 +114,13 @@ impl KeyBuilder {
     /// Finishes the derivation: FNV-1a 64 over the canonical form.
     #[must_use]
     pub fn finish(&self) -> CacheKey {
-        let mut hash = FNV_OFFSET;
         // Hash each component with explicit separators so no
         // concatenation of adjacent names/values can collide with a
         // different split of the same bytes.
-        for (name, value) in &self.components {
-            fnv1a(&mut hash, name.as_bytes());
-            fnv1a(&mut hash, &[0x00]);
-            fnv1a(&mut hash, value.as_bytes());
-            fnv1a(&mut hash, &[0x01]);
-        }
-        CacheKey(hash)
+        CacheKey(self.components.iter().fold(FNV_OFFSET, |hash, (name, value)| {
+            let hash = fnv1a(fnv1a(hash, name.as_bytes()), &[0x00]);
+            fnv1a(fnv1a(hash, value.as_bytes()), &[0x01])
+        }))
     }
 }
 
@@ -147,16 +141,17 @@ impl CacheEntry {
         (self.body.len() + self.manifest.len()) as u64
     }
 
-    /// Serializes to the `BLR1` on-disk form (without the trailer — the
-    /// writer appends it).
+    /// Serializes to the `BLR1` on-disk form, trailer included.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 * 3 + self.body.len() + self.manifest.len());
+        let mut out = Vec::with_capacity(4 + 8 * 4 + self.body.len() + self.manifest.len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&self.key.raw().to_le_bytes());
         out.extend_from_slice(&(self.body.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.manifest.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.body);
         out.extend_from_slice(self.manifest.as_bytes());
+        let trailer = fnv1a(FNV_OFFSET, &out);
+        out.extend_from_slice(&trailer.to_le_bytes());
         out
     }
 
@@ -167,9 +162,7 @@ impl CacheEntry {
             return Err("truncated header".to_string());
         }
         let (payload, trailer) = raw.split_at(raw.len() - 8);
-        let mut hash = FNV_OFFSET;
-        fnv1a(&mut hash, payload);
-        if trailer != hash.to_le_bytes() {
+        if trailer != fnv1a(FNV_OFFSET, payload).to_le_bytes() {
             return Err("checksum mismatch".to_string());
         }
         if &payload[..4] != MAGIC {
@@ -192,62 +185,42 @@ impl CacheEntry {
     }
 }
 
-/// How a lookup was satisfied.
+/// How a request for an entry was answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// Served from the in-memory map.
+pub enum Source {
+    /// Already in the memory tier.
     Memory,
-    /// Served from the disk tier (and promoted to memory).
+    /// Loaded from the disk tier (and promoted to memory).
     Disk,
+    /// Computed by this request.
+    Computed,
+    /// Filled by a concurrent request that this one waited on.
+    Joined,
 }
 
-/// LRU bookkeeping for one tier: keys warmest-last with resident bytes.
-#[derive(Default)]
-struct Lru {
-    /// `(key, bytes)`, front = coldest.
-    order: Vec<(CacheKey, u64)>,
-    resident: u64,
-}
-
-impl Lru {
-    /// Marks `key` as just-used (inserting if new), then returns the
-    /// coldest keys to evict to fit `budget` — never the just-used key.
-    fn note_use(&mut self, key: CacheKey, bytes: u64, budget: Option<u64>) -> Vec<CacheKey> {
-        if let Some(pos) = self.order.iter().position(|(k, _)| *k == key) {
-            let entry = self.order.remove(pos);
-            self.order.push(entry);
-        } else {
-            self.order.push((key, bytes));
-            self.resident += bytes;
-        }
-        let mut cold = Vec::new();
-        if let Some(budget) = budget {
-            while self.resident > budget && self.order.len() > 1 {
-                let (k, b) = self.order.remove(0);
-                self.resident -= b;
-                cold.push(k);
-            }
-        }
-        cold
-    }
-
-    fn forget(&mut self, key: CacheKey) {
-        if let Some(pos) = self.order.iter().position(|(k, _)| *k == key) {
-            let (_, b) = self.order.remove(pos);
-            self.resident -= b;
+impl Source {
+    /// The `X-Branch-Lab-Cache` label: `hit`, `hit-disk`, `miss` or
+    /// `join`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Source::Memory => "hit",
+            Source::Disk => "hit-disk",
+            Source::Computed => "miss",
+            Source::Joined => "join",
         }
     }
 }
+
+/// One memory-tier slot, filled at most once.
+type Slot = Arc<OnceLock<Arc<CacheEntry>>>;
 
 /// The two-tier content-addressed result cache.
 pub struct ResultCache {
-    mem: Mutex<HashMap<CacheKey, Arc<CacheEntry>>>,
-    mem_lru: Mutex<Lru>,
-    disk_lru: Mutex<Lru>,
+    slots: Mutex<HashMap<CacheKey, Slot>>,
+    mem_lru: Mutex<Lru<CacheKey>>,
+    disk_lru: Mutex<Lru<CacheKey>>,
     dir: Option<PathBuf>,
-    /// Per-tier resident-byte budget; `None` = unbounded.
-    budget: Option<u64>,
-    tmp_seq: AtomicU64,
     m_hit: Counter,
     m_disk_hit: Counter,
     m_miss: Counter,
@@ -262,12 +235,10 @@ impl ResultCache {
     #[must_use]
     pub fn new(dir: Option<PathBuf>, budget: Option<u64>) -> ResultCache {
         let cache = ResultCache {
-            mem: Mutex::new(HashMap::new()),
-            mem_lru: Mutex::new(Lru::default()),
-            disk_lru: Mutex::new(Lru::default()),
+            slots: Mutex::new(HashMap::new()),
+            mem_lru: Mutex::new(Lru::new(budget)),
+            disk_lru: Mutex::new(Lru::new(budget)),
             dir,
-            budget,
-            tmp_seq: AtomicU64::new(0),
             m_hit: Counter::get("serve.cache.hit"),
             m_disk_hit: Counter::get("serve.cache.disk_hit"),
             m_miss: Counter::get("serve.cache.miss"),
@@ -296,10 +267,8 @@ impl ResultCache {
             found.push((mtime, key, meta.len()));
         }
         found.sort();
-        let mut lru = self.disk_lru.lock().unwrap_or_else(PoisonError::into_inner);
         for (_, key, bytes) in found {
-            lru.order.push((key, bytes));
-            lru.resident += bytes;
+            self.touch_disk(key, bytes);
         }
     }
 
@@ -307,47 +276,79 @@ impl ResultCache {
         self.dir.as_ref().map(|d| d.join(format!("{}.blr", key.hex())))
     }
 
-    /// Looks `key` up: memory first, then disk (verifying the trailer and
-    /// promoting the entry to memory). Returns the entry and the tier
-    /// that satisfied it, or `None` on a miss. Corrupt disk entries are
-    /// quarantined as `.corrupt` and report as misses.
+    /// The memory-tier slot of `key`, created empty if it has none.
+    fn slot(&self, key: CacheKey) -> Slot {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(slots.entry(key).or_default())
+    }
+
+    /// Looks `key` up without computing it: memory first, then disk
+    /// (verifying the trailer and promoting the entry to memory). Returns
+    /// the entry and where it was found, or `None` on a miss. A corrupt
+    /// disk entry is quarantined and reads as a miss.
     #[must_use]
-    pub fn get(&self, key: CacheKey) -> Option<(Arc<CacheEntry>, Tier)> {
-        let hit = {
-            let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-            mem.get(&key).cloned()
+    pub fn get(&self, key: CacheKey) -> Option<(Arc<CacheEntry>, Source)> {
+        let resident = {
+            let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+            slots.get(&key).and_then(|slot| slot.get().cloned())
         };
-        if let Some(entry) = hit {
-            self.m_hit.incr();
-            self.touch_mem(&entry);
-            return Some((entry, Tier::Memory));
-        }
-        if let Some(entry) = self.load_disk(key) {
-            let entry = Arc::new(entry);
-            self.m_disk_hit.incr();
-            {
-                let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-                mem.insert(key, Arc::clone(&entry));
+        let (entry, source) = match resident {
+            Some(entry) => {
+                self.m_hit.incr();
+                (entry, Source::Memory)
             }
-            self.touch_mem(&entry);
-            self.touch_disk(key, std::fs::metadata(self.entry_path(key)?).map_or(0, |m| m.len()));
-            return Some((entry, Tier::Disk));
-        }
-        self.m_miss.incr();
-        None
+            None => {
+                let Some(entry) = self.load_disk(key) else {
+                    self.m_miss.incr();
+                    return None;
+                };
+                (Arc::clone(self.slot(key).get_or_init(|| Arc::new(entry))), Source::Disk)
+            }
+        };
+        self.touch_mem(&entry);
+        Some((entry, source))
     }
 
-    /// Memory-tier lookup without touching the hit/miss counters or the
-    /// LRU. This is the double-checked lookup a singleflight leader runs
-    /// before executing: it only needs to observe an entry another leader
-    /// stored moments ago (stores always populate memory), and it must
-    /// not double-count the request's one [`ResultCache::get`].
-    #[must_use]
-    pub fn peek(&self, key: CacheKey) -> Option<Arc<CacheEntry>> {
-        let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-        mem.get(&key).cloned()
+    /// Returns the entry under `key`, filling its memory slot at most
+    /// once: the first request to find the slot empty loads the disk
+    /// entry or, if there is none, stores the entry `compute` returns in
+    /// both tiers. Requests that arrive while a fill runs wait for it and
+    /// share its entry.
+    ///
+    /// If `compute` unwinds — a cancelled or panicking request — nothing
+    /// is stored, the unwind reaches this caller, and a request waiting on
+    /// the slot runs its own fill.
+    pub fn get_or_fill(
+        &self,
+        key: CacheKey,
+        compute: impl FnOnce() -> CacheEntry,
+    ) -> (Arc<CacheEntry>, Source) {
+        let slot = self.slot(key);
+        let mut source = Source::Joined;
+        let entry = match slot.get() {
+            Some(entry) => {
+                self.m_hit.incr();
+                source = Source::Memory;
+                Arc::clone(entry)
+            }
+            None => Arc::clone(slot.get_or_init(|| {
+                if let Some(entry) = self.load_disk(key) {
+                    source = Source::Disk;
+                    return Arc::new(entry);
+                }
+                self.m_miss.incr();
+                let entry = compute();
+                self.persist(&entry);
+                source = Source::Computed;
+                Arc::new(entry)
+            })),
+        };
+        self.touch_mem(&entry);
+        (entry, source)
     }
 
+    /// Reads and verifies the disk entry of `key`. A damaged entry is
+    /// quarantined and reads as `None`.
     fn load_disk(&self, key: CacheKey) -> Option<CacheEntry> {
         let path = self.entry_path(key)?;
         let meta = std::fs::metadata(&path).ok()?;
@@ -362,7 +363,11 @@ impl ResultCache {
                 self.quarantine(key, &path, "injected fault: corrupt cache entry");
                 None
             }
-            Ok(entry) => Some(entry),
+            Ok(entry) => {
+                self.m_disk_hit.incr();
+                self.touch_disk(key, raw.len() as u64);
+                Some(entry)
+            }
             Err(reason) => {
                 self.quarantine(key, &path, &reason);
                 None
@@ -371,81 +376,52 @@ impl ResultCache {
     }
 
     /// Quarantines a damaged entry so it is never served and never
-    /// reloaded: renamed to `.corrupt` (deleted if even the rename
-    /// fails), forgotten by the LRU, counted.
+    /// reloaded: moved aside by [`durable::quarantine`], forgotten by the
+    /// LRU, counted.
     fn quarantine(&self, key: CacheKey, path: &Path, reason: &str) {
         self.m_corrupt.incr();
         eprintln!(
             "branch-lab serve: quarantined corrupt cache entry {} ({reason})",
             path.display()
         );
-        let target = path.with_extension("blr.corrupt");
-        if std::fs::rename(path, &target).is_err() {
-            let _ = std::fs::remove_file(path);
-        }
+        durable::quarantine(path);
         self.disk_lru
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .forget(key);
+            .forget(&key);
     }
 
-    /// Inserts a freshly computed entry into both tiers. The disk write
-    /// is best-effort (a full disk degrades to memory-only caching) and
-    /// crash-safe: unique temp file, FNV-1a trailer, atomic rename.
-    pub fn store(&self, entry: CacheEntry) -> Arc<CacheEntry> {
+    /// Writes a freshly computed entry to the disk tier. Best-effort: a
+    /// full disk degrades to memory-only caching.
+    fn persist(&self, entry: &CacheEntry) {
         self.m_store.incr();
-        let key = entry.key;
-        let entry = Arc::new(entry);
-        {
-            let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-            mem.insert(key, Arc::clone(&entry));
+        let (Some(dir), Some(path)) = (&self.dir, self.entry_path(entry.key)) else { return };
+        if faultpoint::should_fail("serve.cache.save") {
+            eprintln!("branch-lab serve: injected fault: skipping cache save {}", entry.key.hex());
+            return;
         }
-        self.touch_mem(&entry);
-        if let Some(path) = self.entry_path(key) {
-            if faultpoint::should_fail("serve.cache.save") {
-                eprintln!("branch-lab serve: injected fault: skipping cache save {}", key.hex());
-            } else {
-                match self.save_disk(&entry, &path) {
-                    Ok(bytes) => self.touch_disk(key, bytes),
-                    Err(e) => eprintln!(
-                        "branch-lab serve: failed to persist cache entry {}: {e}",
-                        path.display()
-                    ),
-                }
-            }
+        let payload = entry.encode();
+        let saved = std::fs::create_dir_all(dir)
+            .and_then(|()| durable::write_atomic(&path, |w| w.write_all(&payload)));
+        match saved {
+            Ok(()) => self.touch_disk(entry.key, payload.len() as u64),
+            Err(e) => eprintln!(
+                "branch-lab serve: failed to persist cache entry {}: {e}",
+                path.display()
+            ),
         }
-        entry
     }
 
-    fn save_disk(&self, entry: &CacheEntry, path: &Path) -> std::io::Result<u64> {
-        let dir = path.parent().expect("entry path always has a parent");
-        std::fs::create_dir_all(dir)?;
-        let mut payload = entry.encode();
-        let mut hash = FNV_OFFSET;
-        fnv1a(&mut hash, &payload);
-        payload.extend_from_slice(&hash.to_le_bytes());
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &payload)?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
-        Ok(payload.len() as u64)
-    }
-
-    fn touch_mem(&self, entry: &Arc<CacheEntry>) {
+    fn touch_mem(&self, entry: &CacheEntry) {
         let cold = self
             .mem_lru
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .note_use(entry.key, entry.resident_bytes(), self.budget);
+            .note_use(entry.key, entry.resident_bytes());
         if !cold.is_empty() {
-            let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             for key in cold {
-                mem.remove(&key);
+                slots.remove(&key);
                 self.m_evict.incr();
             }
         }
@@ -456,7 +432,7 @@ impl ResultCache {
             .disk_lru
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .note_use(key, bytes, self.budget);
+            .note_use(key, bytes);
         for key in cold {
             if let Some(path) = self.entry_path(key) {
                 let _ = std::fs::remove_file(path);
@@ -517,10 +493,67 @@ mod tests {
         let cache = ResultCache::new(None, None);
         let key = CacheKey::builder().component("k", 1).finish();
         assert!(cache.get(key).is_none());
-        cache.store(entry(key, "hello"));
-        let (got, tier) = cache.get(key).unwrap();
-        assert_eq!(tier, Tier::Memory);
+        let (filled, source) = cache.get_or_fill(key, || entry(key, "hello"));
+        assert_eq!(source, Source::Computed);
+        let (got, source) = cache.get(key).unwrap();
+        assert_eq!(source, Source::Memory);
+        assert!(Arc::ptr_eq(&got, &filled));
         assert_eq!(got.body, b"hello");
+        let (_, source) = cache.get_or_fill(key, || unreachable!("the slot is filled"));
+        assert_eq!(source, Source::Memory);
+    }
+
+    #[test]
+    fn concurrent_requests_fill_a_missing_key_once() {
+        let cache = ResultCache::new(None, None);
+        let key = CacheKey::builder().component("k", 7).finish();
+        let fills = std::sync::atomic::AtomicU32::new(0);
+        let start = std::sync::Barrier::new(8);
+        let got: Vec<(Arc<CacheEntry>, Source)> = std::thread::scope(|scope| {
+            let requests: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get_or_fill(key, || {
+                            fills.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            // Hold the fill open while the others arrive.
+                            std::thread::sleep(std::time::Duration::from_millis(40));
+                            entry(key, "once")
+                        })
+                    })
+                })
+                .collect();
+            requests.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(fills.load(std::sync::atomic::Ordering::SeqCst), 1, "one fill");
+        assert!(got.iter().all(|(e, _)| Arc::ptr_eq(e, &got[0].0)), "one Arc for all");
+        let computed = got.iter().filter(|(_, s)| *s == Source::Computed).count();
+        assert_eq!(computed, 1);
+        assert!(got.iter().all(|(_, s)| matches!(s, Source::Computed | Source::Joined | Source::Memory)));
+    }
+
+    #[test]
+    fn a_fill_that_unwinds_stores_nothing() {
+        use bp_metrics::cancel::Cancelled;
+        let dir = temp_dir("unwind");
+        let cache = ResultCache::new(Some(dir.clone()), None);
+        let key = CacheKey::builder().component("k", 8).finish();
+        let stop = || -> CacheEntry {
+            std::panic::resume_unwind(Box::new(Cancelled { reason: "deadline expired".into() }))
+        };
+        let crash = || -> CacheEntry { panic!("study crashed") };
+        for fail in [&stop as &dyn Fn() -> CacheEntry, &crash] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.get_or_fill(key, fail)
+            }));
+            assert!(unwound.is_err(), "the unwind reaches the caller");
+            assert!(cache.get(key).is_none(), "nothing stored in either tier");
+        }
+        assert!(!dir.join(format!("{}.blr", key.hex())).exists());
+        // The next request fills the key.
+        let (got, source) = cache.get_or_fill(key, || entry(key, "second try"));
+        assert_eq!((got.body.as_slice(), source), (&b"second try"[..], Source::Computed));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -529,15 +562,19 @@ mod tests {
         let key = CacheKey::builder().component("k", 2).finish();
         {
             let cache = ResultCache::new(Some(dir.clone()), None);
-            cache.store(entry(key, "persisted"));
+            let _ = cache.get_or_fill(key, || entry(key, "persisted"));
         }
         let fresh = ResultCache::new(Some(dir.clone()), None);
-        let (got, tier) = fresh.get(key).unwrap();
-        assert_eq!(tier, Tier::Disk);
+        let (got, source) = fresh.get(key).unwrap();
+        assert_eq!(source, Source::Disk);
         assert_eq!(got.body, b"persisted");
         assert_eq!(got.manifest, "{\"run\": \"persisted\"}");
         // Second lookup is a memory hit (promotion).
-        assert_eq!(fresh.get(key).unwrap().1, Tier::Memory);
+        assert_eq!(fresh.get(key).unwrap().1, Source::Memory);
+        // A fill finds the disk entry without computing.
+        let other = ResultCache::new(Some(dir.clone()), None);
+        let (got, source) = other.get_or_fill(key, || unreachable!("the disk holds the entry"));
+        assert_eq!((got.body.as_slice(), source), (&b"persisted"[..], Source::Disk));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -547,7 +584,7 @@ mod tests {
         let key = CacheKey::builder().component("k", 3).finish();
         {
             let cache = ResultCache::new(Some(dir.clone()), None);
-            cache.store(entry(key, "good"));
+            let _ = cache.get_or_fill(key, || entry(key, "good"));
         }
         let path = dir.join(format!("{}.blr", key.hex()));
         // Flip a byte in the body region: the trailer must catch it.
@@ -560,11 +597,12 @@ mod tests {
         assert!(fresh.get(key).is_none(), "corrupt entry must read as a miss");
         assert!(!path.exists(), "corrupt entry must not stay loadable");
         assert!(
-            dir.join(format!("{}.blr.corrupt", key.hex())).exists(),
+            dir.join(format!("{}.blr.corrupt-1", key.hex())).exists(),
             "corrupt entry must be quarantined, not deleted"
         );
         // Regeneration overwrites cleanly.
-        fresh.store(entry(key, "good"));
+        let (_, source) = fresh.get_or_fill(key, || entry(key, "good"));
+        assert_eq!(source, Source::Computed);
         assert!(fresh.get(key).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -575,7 +613,9 @@ mod tests {
         let key = CacheKey::builder().component("k", 4).finish();
         {
             let cache = ResultCache::new(Some(dir.clone()), None);
-            cache.store(entry(key, "some body text that is long enough to truncate"));
+            let _ = cache.get_or_fill(key, || {
+                entry(key, "some body text that is long enough to truncate")
+            });
         }
         let path = dir.join(format!("{}.blr", key.hex()));
         let raw = std::fs::read(&path).unwrap();
@@ -592,7 +632,7 @@ mod tests {
         let key_b = CacheKey::builder().component("k", 6).finish();
         {
             let cache = ResultCache::new(Some(dir.clone()), None);
-            cache.store(entry(key_a, "a"));
+            let _ = cache.get_or_fill(key_a, || entry(key_a, "a"));
         }
         // Masquerade entry A as entry B.
         std::fs::rename(
@@ -614,7 +654,7 @@ mod tests {
             .map(|i| CacheKey::builder().component("k", 100 + i).finish())
             .collect();
         for (i, &key) in keys.iter().enumerate() {
-            cache.store(entry(key, &format!("body-{i}")));
+            let _ = cache.get_or_fill(key, || entry(key, &format!("body-{i}")));
         }
         let on_disk = |key: CacheKey| dir.join(format!("{}.blr", key.hex())).exists();
         assert!(!on_disk(keys[0]), "coldest entry must evict");

@@ -1,10 +1,10 @@
 //! `branch-lab serve` — registry-driven study serving over HTTP.
 //!
 //! The substrate (hardened HTTP/1.1 parsing, the content-addressed
-//! two-tier [`ResultCache`], [`Singleflight`] coalescing, the worker-pool
-//! [`Server`]) lives in [`bp_core::serve`]; this module supplies the
-//! request semantics, because only the experiments crate knows the study
-//! registry:
+//! two-tier [`ResultCache`] whose slots coalesce identical requests, the
+//! worker-pool [`Server`]) lives in [`bp_core::serve`]; this module
+//! supplies the request semantics, because only the experiments crate
+//! knows the study registry:
 //!
 //! * the JSON request schema mirroring the `run` / `sweep` CLI flags;
 //! * cache-key derivation ([`study_key`] / [`sweep_key`]) from exactly
@@ -14,8 +14,9 @@
 //!   entries (workload, predictors, scales and length) — in both cases
 //!   the entries its manifest records — plus the workload-suite trace
 //!   digest ([`bp_workloads::suite_digest`]);
-//! * dispatch through the fault-tolerant executor ([`bp_core::exec`])
-//!   with per-request deadlines and cooperative cancellation;
+//! * dispatch: a miss fills its cache slot with one direct attempt
+//!   ([`bp_core::exec::attempt`]) under the request's deadline and
+//!   cooperative cancellation;
 //! * byte-identity: a served body is [`bp_core::Report::render`] output,
 //!   which is exactly what the equivalent CLI invocation prints, and its
 //!   manifest is the CLI's ([`crate::run_recorded`],
@@ -36,23 +37,26 @@
 //! Every `/run`, `/sweep`, and `/result` response carries
 //! `X-Branch-Lab-Key` (the content hash) and `X-Branch-Lab-Cache`
 //! (`miss` = executed now, `hit` / `hit-disk` = served from cache,
-//! `join` = coalesced onto a concurrent identical request).
+//! `join` = waited on a concurrent identical request's fill, which may
+//! have executed or read the disk tier).
 //!
 //! Counters: `serve.exec` (studies actually executed), `serve.dedup_join`
-//! (requests coalesced onto an in-flight execution),
+//! (requests that waited on another request's fill),
 //! `serve.deadline_expired` (requests answered 504), plus the
 //! `serve.request` / `serve.http_error` / `serve.cache.*` families from
 //! the substrate.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bp_core::exec::{self, ExecOptions, Outcome, Task};
-use bp_core::serve::cache::{CacheEntry, CacheKey, ResultCache, Tier};
+use bp_core::cancel::Cancelled;
+use bp_core::exec;
+use bp_core::serve::cache::{CacheEntry, CacheKey, ResultCache, Source};
 use bp_core::serve::http::{Request, Response};
-use bp_core::serve::{Flight, Handler, Server, Singleflight};
+use bp_core::serve::{Handler, Server};
 use bp_core::{Report, SamplingConfig, StudyCtx, StudyKind, StudyRegistry};
 use bp_metrics::json::{self, Value};
 use bp_metrics::{Counter, Manifest};
@@ -143,8 +147,8 @@ impl ServeOptions {
 
 fn default_workers() -> usize {
     // Floor of 2: with one worker, concurrent identical requests would
-    // serialize on the accept loop and the singleflight path (and its
-    // dedup guarantee) could never engage.
+    // serialize on the accept loop, so one could never wait on another's
+    // cache fill (and the dedup guarantee could never engage).
     std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8))
 }
 
@@ -370,12 +374,11 @@ impl SweepRequest {
 }
 
 /// The serve-mode request handler: registry dispatch in front of the
-/// content-addressed cache, with singleflight coalescing and executor
-/// deadlines.
+/// content-addressed cache, whose slots coalesce identical requests, with
+/// per-request deadlines.
 pub struct StudyService {
     registry: StudyRegistry,
     cache: ResultCache,
-    flights: Singleflight<(Arc<CacheEntry>, bool)>,
     default_deadline: Option<Duration>,
     m_exec: Counter,
     m_join: Counter,
@@ -395,7 +398,6 @@ impl StudyService {
         StudyService {
             registry,
             cache: ResultCache::new(cache_dir, cache_budget),
-            flights: Singleflight::new(),
             default_deadline,
             m_exec: Counter::get("serve.exec"),
             m_join: Counter::get("serve.dedup_join"),
@@ -403,71 +405,46 @@ impl StudyService {
         }
     }
 
-    /// Serves `key` from cache, or coalesces onto / leads one execution
-    /// of `work` through the fault-tolerant executor. The stored entry is
-    /// the rendered report and its manifest, tagged with `key` and
-    /// `source: serve`.
+    /// Serves `key` from cache, or fills its cache slot: from the disk
+    /// tier, or by running `work` as one direct attempt under the
+    /// request's deadline. Requests arriving during a fill wait for it
+    /// (`join`). A stored entry is the rendered report and its manifest,
+    /// tagged with `key` and `source: serve`. An attempt that is
+    /// cancelled (a `504`) or panics (a `500`) stores nothing.
     fn dispatch<F>(&self, key: CacheKey, label: &str, deadline: Option<Duration>, work: F) -> Response
     where
         F: FnOnce() -> (Report, Manifest),
     {
-        if let Some((entry, tier)) = self.cache.get(key) {
-            let source = match tier {
-                Tier::Memory => "hit",
-                Tier::Disk => "hit-disk",
-            };
-            return entry_response(&entry, source);
-        }
         let deadline = deadline.or(self.default_deadline);
-        let mut work = Some(work);
-        let (result, flight) = self.flights.run(key.raw(), || {
-            // Double-checked: another leader may have finished (and
-            // stored) between our miss and taking the slot.
-            if let Some(entry) = self.cache.peek(key) {
-                return Ok((entry, false));
-            }
-            self.m_exec.incr();
-            let mut output = None;
-            let task = Task::new(label, |_| {
-                let run = work.take().expect("executor runs the single attempt once");
-                output = Some(run());
-                Ok(())
-            });
-            let opts = ExecOptions { deadline, ..ExecOptions::default() };
-            let report = exec::run(vec![task], &opts)
-                .pop()
-                .expect("one task in, one report out");
-            match report.outcome {
-                Outcome::Ok => {
-                    let (report, mut manifest) = output.expect("successful task produced output");
-                    manifest.info.insert("key".to_owned(), key.hex());
-                    manifest.info.insert("source".to_owned(), "serve".to_owned());
-                    let body = report.render().into_bytes();
-                    let entry = CacheEntry { key, body, manifest: manifest.to_json() };
-                    Ok((self.cache.store(entry), true))
+        let filled = catch_unwind(AssertUnwindSafe(|| {
+            self.cache.get_or_fill(key, || {
+                self.m_exec.incr();
+                let (report, mut manifest) = exec::attempt(label, deadline, |_| work());
+                manifest.info.insert("key".to_owned(), key.hex());
+                manifest.info.insert("source".to_owned(), "serve".to_owned());
+                let body = report.render().into_bytes();
+                CacheEntry { key, body, manifest: manifest.to_json() }
+            })
+        }));
+        match filled {
+            Ok((entry, source)) => {
+                if source == Source::Joined {
+                    self.m_join.incr();
                 }
-                Outcome::Failed(detail) => Err(detail),
-                Outcome::Resumed | Outcome::NotRun => Err("task did not run".to_string()),
+                entry_response(&entry, source.label())
             }
-        });
-        if flight == Flight::Joined {
-            self.m_join.incr();
-        }
-        match result {
-            Ok((entry, executed)) => {
-                let source = match flight {
-                    Flight::Joined => "join",
-                    Flight::Led if executed => "miss",
-                    Flight::Led => "hit",
-                };
-                entry_response(&entry, source)
-            }
-            Err(detail) if detail.contains("deadline expired") => {
-                self.m_deadline.incr();
-                Response::error(504, &format!("deadline expired: {detail}"))
-                    .with_header("X-Branch-Lab-Key", &key.hex())
-            }
-            Err(detail) => Response::error(500, &detail).with_header("X-Branch-Lab-Key", &key.hex()),
+            Err(payload) => match payload.downcast_ref::<Cancelled>() {
+                Some(stop) => {
+                    self.m_deadline.incr();
+                    Response::error(504, &format!("deadline expired: cancelled: {}", stop.reason))
+                        .with_header("X-Branch-Lab-Key", &key.hex())
+                }
+                None => Response::error(
+                    500,
+                    &format!("panicked: {}", exec::panic_message(payload.as_ref())),
+                )
+                .with_header("X-Branch-Lab-Key", &key.hex()),
+            },
         }
     }
 
@@ -526,19 +503,15 @@ impl StudyService {
         let Some(key) = CacheKey::from_hex(hex) else {
             return Response::error(400, "result keys are 16 lower-hex digits");
         };
-        let Some((entry, tier)) = self.cache.get(key) else {
+        let Some((entry, source)) = self.cache.get(key) else {
             return Response::error(404, &format!("no cached result under {}", key.hex()));
-        };
-        let source = match tier {
-            Tier::Memory => "hit",
-            Tier::Disk => "hit-disk",
         };
         if manifest {
             Response::json(entry.manifest.clone().into_bytes())
                 .with_header("X-Branch-Lab-Key", &key.hex())
-                .with_header("X-Branch-Lab-Cache", source)
+                .with_header("X-Branch-Lab-Cache", source.label())
         } else {
-            entry_response(&entry, source)
+            entry_response(&entry, source.label())
         }
     }
 

@@ -88,12 +88,6 @@ impl HistoryEncoder {
         self.window_len
     }
 
-    /// Number of embedding buckets `E`.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets
-    }
-
     /// Clears the window.
     pub fn reset(&mut self) {
         self.window.clear();

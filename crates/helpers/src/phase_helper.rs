@@ -133,12 +133,6 @@ impl PhaseHelper {
         }
     }
 
-    /// Number of learned phases.
-    #[must_use]
-    pub fn phase_count(&self) -> usize {
-        self.centroids.len()
-    }
-
     /// Observes a retired conditional branch, updating the online sketch.
     pub fn observe(&mut self, ip: u64, _taken: bool) {
         if self.recent.len() == self.config.window {
@@ -231,7 +225,7 @@ mod tests {
     fn learns_two_phases() {
         let t = phased_trace(8);
         let h = PhaseHelper::train(&[t], cfg());
-        assert_eq!(h.phase_count(), 2);
+        assert_eq!(h.centroids.len(), 2);
     }
 
     #[test]

@@ -96,18 +96,8 @@ impl When {
             When::Nth(n) => hit == n,
             When::Range { from, to } => hit >= from && to.is_none_or(|t| hit <= t),
             When::Prob { percent } => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-                let mut mix = |b: u8| {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                };
-                for b in site.bytes() {
-                    mix(b);
-                }
-                for b in hit.to_le_bytes() {
-                    mix(b);
-                }
-                (h % 100) < u64::from(percent)
+                let h = crate::fnv1a(crate::FNV_OFFSET ^ seed, site.as_bytes());
+                (crate::fnv1a(h, &hit.to_le_bytes()) % 100) < u64::from(percent)
             }
         }
     }

@@ -25,10 +25,16 @@
 //! same total work regardless of `BRANCH_LAB_THREADS`, so counter totals
 //! are deterministic across thread counts — only the timing fields vary
 //! (see [`manifest::normalize`]).
+//!
+//! As the base crate, it also holds what crates at every layer share:
+//! cooperative cancellation ([`cancel`]), fault injection
+//! ([`faultpoint`]), the cache files of the trace store and serve
+//! ([`durable`]), and the one FNV-1a hash ([`fnv1a`]).
 
 #![warn(missing_docs)]
 
 pub mod cancel;
+pub mod durable;
 pub mod faultpoint;
 pub mod json;
 pub mod manifest;
@@ -40,6 +46,21 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// The FNV-1a 64 offset basis: the hash of no bytes, and the start of
+/// every [`fnv1a`] chain.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a 64 hash `hash` over `bytes`. Start a chain at
+/// [`FNV_OFFSET`] (or at it XORed with a seed). This is branch-lab's one
+/// FNV-1a: serve's cache keys and entry trailers, the workload digests,
+/// retry jitter, `@p%` fault schedules and predictor state digests all
+/// hash with it. bp-trace's block checksum is a separate copy, because
+/// that crate depends on no other.
+#[must_use]
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
 
 /// How the metrics layer was configured by `BRANCH_LAB_METRICS`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -282,6 +303,15 @@ pub fn thread_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // A chain over the pieces equals one pass over their concatenation.
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), fnv1a(FNV_OFFSET, b"foobar"));
+    }
 
     #[test]
     fn mode_parsing() {

@@ -15,14 +15,11 @@ pub(crate) struct Fnv(u64);
 
 impl Fnv {
     pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(bp_metrics::FNV_OFFSET)
     }
 
     pub(crate) fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = bp_metrics::fnv1a(self.0, &v.to_le_bytes());
     }
 
     pub(crate) fn finish(self) -> u64 {

@@ -116,12 +116,6 @@ impl FoldedHistory {
         self.comp
     }
 
-    /// Original (unfolded) history length.
-    #[must_use]
-    pub fn original_len(&self) -> usize {
-        self.olen
-    }
-
     /// Shifts in the newest bit and shifts out the bit that just aged past
     /// `olen`. `outgoing` must be `history.bit(olen - 1)` *before* the new
     /// bit was pushed.

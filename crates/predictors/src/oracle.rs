@@ -99,12 +99,6 @@ impl<P: Predictor> PerfectSetOracle<P> {
         }
     }
 
-    /// Number of oracled IPs.
-    #[must_use]
-    pub fn oracled_count(&self) -> usize {
-        self.ips.len()
-    }
-
     /// Consumes the oracle, returning the inner predictor.
     pub fn into_inner(self) -> P {
         self.inner
@@ -182,6 +176,6 @@ mod tests {
         let o = PerfectSetOracle::new(Bimodal::new(8), [1u64, 2]);
         assert!(o.describe().contains("perfect-set(2)"));
         assert!(o.describe().contains("bimodal"));
-        assert_eq!(o.oracled_count(), 2);
+        assert_eq!(o.ips.len(), 2);
     }
 }

@@ -23,15 +23,14 @@
 //! structured [`ReadTraceError`], and trailing bytes after the end
 //! marker are rejected instead of silently ignored.
 //!
-//! [`Trace::save`] is crash-safe: it writes to a unique temporary file in
-//! the destination directory and atomically renames it into place, so a
-//! concurrent reader (or a `kill -9` mid-write) can never observe a
-//! half-written trace at the final path.
+//! Writing a file crash-safely (a unique temporary file, fsynced and
+//! renamed into place) is the trace store's job: it persists traces with
+//! `bp_metrics::durable::write_atomic`, because this crate depends on no
+//! other.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec_v3::TraceWriter;
 use crate::isa::{BranchKind, InstClass, Reg, NUM_REGS};
@@ -261,7 +260,7 @@ impl Trace {
     ///
     /// Propagates any I/O error from the writer, and returns
     /// [`WriteTraceError::NameTooLong`] when the workload name exceeds the
-    /// format's u16 length field (truncating it would make a `save`/`load`
+    /// format's u16 length field (truncating it would make a write/read
     /// round trip silently alter [`TraceMeta`]).
     pub fn write_to<W: Write>(&self, writer: W) -> Result<(), WriteTraceError> {
         let mut w = TraceWriter::new(writer, self.meta(), Some(self.len() as u64))?;
@@ -316,48 +315,6 @@ impl Trace {
         Ok(trace)
     }
 
-    /// Writes the trace to a file at `path` (see [`Trace::write_to`]),
-    /// atomically: bytes go to a unique temporary file in the same
-    /// directory, which is fsynced and renamed over `path`. Readers (and
-    /// concurrent savers racing on the same path) therefore only ever see
-    /// either the old complete file or the new complete file; a crash
-    /// mid-write leaves at worst an orphaned `.tmp` file, never a torn
-    /// trace at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation, write, and rename errors, plus
-    /// [`WriteTraceError::NameTooLong`] for oversized workload names. On
-    /// error the temporary file is removed (best-effort).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), WriteTraceError> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = path.as_ref();
-        let dir = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => std::path::PathBuf::from("."),
-        };
-        let base = path.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned());
-        let tmp = dir.join(format!(
-            ".{base}.{}.{}.tmp",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = || -> Result<(), WriteTraceError> {
-            let file = std::fs::File::create(&tmp)?;
-            let mut writer = io::BufWriter::new(file);
-            self.write_to(&mut writer)?;
-            // BufWriter::into_inner flushes; sync so the rename cannot be
-            // durable before the data it points at.
-            let file = writer.into_inner().map_err(io::IntoInnerError::into_error)?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(())
-        };
-        write().inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
-    }
-
     /// Reads a trace from a file at `path` (see [`Trace::read_from`]),
     /// materializing it fully. Prefer [`Trace::open`] when the consumer
     /// can stream.
@@ -391,7 +348,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::record::RetiredInst;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A fresh per-process scratch directory: concurrent test runs (or a
     /// concurrently running second checkout) must never share paths.
@@ -493,7 +450,7 @@ mod tests {
         let t = sample();
         let dir = scratch_dir("roundtrip");
         let path = dir.join("sample.bptr");
-        t.save(&path).unwrap();
+        t.write_to(std::fs::File::create(&path).unwrap()).unwrap();
         let back = Trace::load(&path).unwrap();
         assert_eq!(back.insts(), t.insts());
         let _ = std::fs::remove_dir_all(&dir);
@@ -507,7 +464,7 @@ mod tests {
         }
         let dir = scratch_dir("open");
         let path = dir.join("streamed.bptr");
-        t.save(&path).unwrap();
+        t.write_to(io::BufWriter::new(std::fs::File::create(&path).unwrap())).unwrap();
         let mut r = Trace::open(&path).unwrap();
         assert_eq!(r.meta(), t.meta());
         assert_eq!(r.len_hint(), Some(200_000));
@@ -597,20 +554,5 @@ mod tests {
                 assert_eq!(back.insts(), t.insts(), "undetected payload flip at byte {pos}");
             }
         }
-    }
-
-    #[test]
-    fn save_leaves_no_temp_files_behind() {
-        let t = sample();
-        let dir = scratch_dir("atomic");
-        let path = dir.join("atomic.bptr");
-        t.save(&path).unwrap();
-        t.save(&path).unwrap(); // overwrite is atomic too
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["atomic.bptr".to_string()], "{names:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -365,15 +365,6 @@ impl Program {
             .iter()
             .map(|(b, l)| (self.term_addr(*b), l.as_str()))
     }
-
-    /// IPs of terminators annotated with `label`.
-    #[must_use]
-    pub fn ips_labeled(&self, label: &str) -> Vec<u64> {
-        self.annotated_ips()
-            .filter(|(_, l)| *l == label)
-            .map(|(ip, _)| ip)
-            .collect()
-    }
 }
 
 /// Incremental builder for [`Program`]s.

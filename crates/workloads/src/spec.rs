@@ -53,14 +53,6 @@ pub struct MotifSet {
     pub rare_tiers: Vec<RareTier>,
 }
 
-impl MotifSet {
-    /// True if the set contains no motifs at all.
-    #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        *self == MotifSet::default()
-    }
-}
-
 /// A complete synthetic benchmark description.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkloadSpec {
@@ -86,7 +78,22 @@ pub struct WorkloadSpec {
     pub default_trace_len: usize,
 }
 
+/// Version of the trace generator: the program lowering, the motifs and
+/// the interpreter. Bump it whenever a change to them moves any trace,
+/// so files persisted by an older build are never read as this build's.
+/// `generator_version_pins_every_workloads_trace` fails until it moves.
+pub(crate) const GENERATOR_VERSION: u32 = 1;
+
 impl WorkloadSpec {
+    /// Digest of everything that generates this workload's traces: the
+    /// spec's `Debug` form (every field, the bytes
+    /// [`crate::suite_digest`] hashes per spec) and
+    /// [`GENERATOR_VERSION`]. The trace store keys its files by it.
+    pub(crate) fn generator_digest(&self) -> u64 {
+        let spec = bp_metrics::fnv1a(bp_metrics::FNV_OFFSET, format!("{self:?}").as_bytes());
+        bp_metrics::fnv1a(spec, &GENERATOR_VERSION.to_le_bytes())
+    }
+
     /// Deterministic structure seed derived from the workload name.
     fn structure_seed(&self) -> u64 {
         let mut h = SplitMix64::new(0xc0de);
@@ -344,6 +351,48 @@ mod tests {
     fn input_out_of_range_panics() {
         let spec = tiny_spec();
         let _ = spec.trace(99, 100);
+    }
+
+    /// `(GENERATOR_VERSION, digest of each workload's 2,000-record
+    /// input-0 trace)`, in suite order. A generator change that moves a
+    /// trace fails here until `GENERATOR_VERSION` moves with it; then
+    /// re-pin both together.
+    const PINNED: (u32, [(&str, u64); 15]) = (
+        1,
+        [
+            ("600.perlbench_s", 0x8e45_f50c_3712_0c5e),
+            ("605.mcf_s", 0x5f4c_9456_c746_d8bb),
+            ("620.omnetpp_s", 0xb41f_24cd_8549_584e),
+            ("623.xalancbmk_s", 0x38c0_99fa_7258_3fb0),
+            ("625.x264_s", 0x6879_06c4_ecde_c445),
+            ("631.deepsjeng_s", 0x4b80_e026_373d_c0c2),
+            ("641.leela_s", 0x6317_2844_3c01_2dc1),
+            ("648.exchange2_s", 0x7540_3dea_e696_c100),
+            ("657.xz_s", 0xa63d_ba05_0f8e_2335),
+            ("602.gcc_s", 0xe89a_197b_228e_c417),
+            ("game", 0xe9a5_d3c1_ccfc_7b41),
+            ("rdbms", 0x3501_1554_3674_b13e),
+            ("nosql", 0x017b_0351_eeda_f22a),
+            ("rt-analytics", 0x291d_7b59_23fb_e6fd),
+            ("streaming", 0xc6b5_961e_a861_99c8),
+        ],
+    );
+
+    #[test]
+    fn generator_version_pins_every_workloads_trace() {
+        let specs = crate::suite::specint_suite().into_iter().chain(crate::suite::lcf_suite());
+        let digests: Vec<(String, u64)> = specs
+            .map(|spec| {
+                let trace = spec.trace(0, 2_000);
+                let digest = trace.iter().fold(bp_metrics::FNV_OFFSET, |h, inst| {
+                    bp_metrics::fnv1a(h, format!("{inst:?}").as_bytes())
+                });
+                (spec.name, digest)
+            })
+            .collect();
+        let pinned: Vec<(String, u64)> =
+            PINNED.1.iter().map(|&(name, digest)| (name.to_owned(), digest)).collect();
+        assert_eq!((GENERATOR_VERSION, digests), (PINNED.0, pinned));
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //! generated **exactly once per process**, no matter how many experiments
 //! (or threads) request it. With a cache directory configured, traces are
 //! also persisted in the existing `BPTR` binary format so they are generated
-//! at most once per machine.
+//! at most once per machine and generator. A file is named
+//! `{name}-{digest:016x}-i{input}-l{len}.bptr`, where the digest covers
+//! the workload spec and the generator version, so a changed spec or
+//! generator never reads an older build's file. Files are written with
+//! [`bp_metrics::durable::write_atomic`] and damaged ones are moved aside
+//! with [`bp_metrics::durable::quarantine`], as serve's result cache does.
 //!
 //! The per-process singleton is [`TraceStore::global`]; workloads reach it
 //! through [`crate::WorkloadSpec::cached_trace`]. Set `BRANCH_LAB_TRACE_DIR`
@@ -18,9 +23,10 @@
 //! Long multi-study runs accumulate every workload's trace in memory.
 //! Setting `BRANCH_LAB_MEM_BUDGET` (bytes, with optional `K`/`M`/`G`
 //! suffix) caps the store's resident trace bytes: after each request the
-//! least-recently-used entries are dropped from the memoization map until
-//! the store is back under budget (the most recent entry always stays, so
-//! the trace in active use is never thrashed). Evicted traces reload from
+//! least-recently-used entries ([`bp_metrics::durable::Lru`]) are dropped
+//! from the memoization map until the store is back under budget (the
+//! most recent entry always stays, so the trace in active use is never
+//! thrashed). Evicted traces reload from
 //! the disk cache — or regenerate — on their next request, and
 //! [`TraceStore::stream`] requests served block-wise from disk while a
 //! budget is active are counted as degraded streams. Degradation trades
@@ -46,6 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use bp_metrics::durable::{self, Lru};
 use bp_metrics::Counter;
 use bp_trace::{
     BptrReader, ReadTraceError, RetiredInst, SharedReader, Trace, TraceMeta, TraceReader,
@@ -72,15 +79,22 @@ impl TraceKey {
         TraceKey { name: spec.name.clone(), input, len }
     }
 
-    /// File name used by the on-disk layer, with path-hostile characters
-    /// mapped to `_`.
-    fn file_name(&self) -> String {
+    /// File name used by the on-disk layer for the trace of `spec`, with
+    /// path-hostile characters mapped to `_`. It carries the spec's
+    /// generator digest, so a file is only ever read back by the spec and
+    /// generator that wrote it.
+    fn file_name(&self, spec: &WorkloadSpec) -> String {
         let sanitized: String = self
             .name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
             .collect();
-        format!("{sanitized}-i{}-l{}.bptr", self.input, self.len)
+        format!(
+            "{sanitized}-{:016x}-i{}-l{}.bptr",
+            spec.generator_digest(),
+            self.input,
+            self.len
+        )
     }
 }
 
@@ -115,7 +129,7 @@ pub struct StoreStats {
     /// Requests satisfied from memory (neither generated nor loaded).
     pub hits: u64,
     /// Cache files found torn, corrupt or in a retired format version,
-    /// quarantined as `.corrupt`, and regenerated.
+    /// quarantined as `.corrupt-<n>`, and regenerated.
     pub corrupt: u64,
     /// In-memory entries dropped by the `BRANCH_LAB_MEM_BUDGET` governor.
     pub evicted: u64,
@@ -156,13 +170,9 @@ pub struct TraceStore {
     /// Intermediates derived from traces ([`TraceStore::derive`]).
     derived: Mutex<HashMap<DerivedKey, DerivedSlot>>,
     cache_dir: Option<PathBuf>,
-    /// Resident-byte cap for memoized traces and intermediates; `None`
-    /// disables eviction.
-    budget: Option<u64>,
-    /// Entries in least-recently-used order (front = coldest) with the
-    /// resident byte size of each. Only maintained when a budget is set.
-    lru: Mutex<Vec<(Resident, u64)>>,
-    resident_bytes: AtomicU64,
+    /// Resident traces and intermediates in least-recently-used order
+    /// under the memory budget; `None` (no budget) disables eviction.
+    lru: Option<Mutex<Lru<Resident>>>,
     generated: AtomicU64,
     disk_loads: AtomicU64,
     hits: AtomicU64,
@@ -194,9 +204,7 @@ impl TraceStore {
             programs: Mutex::new(HashMap::new()),
             derived: Mutex::new(HashMap::new()),
             cache_dir: None,
-            budget: None,
-            lru: Mutex::new(Vec::new()),
-            resident_bytes: AtomicU64::new(0),
+            lru: None,
             generated: AtomicU64::new(0),
             disk_loads: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -232,7 +240,7 @@ impl TraceStore {
     /// evicted past the cap.
     #[must_use]
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.budget = Some(bytes);
+        self.lru = Some(Mutex::new(Lru::new(Some(bytes))));
         self
     }
 
@@ -391,23 +399,8 @@ impl TraceStore {
     /// just used is never evicted, so the trace or intermediate in active
     /// use cannot thrash even when it alone exceeds the budget.
     fn note_use(&self, entry: Resident, bytes: u64) {
-        let Some(budget) = self.budget else { return };
-        let mut cold = Vec::new();
-        {
-            let mut lru = self.lru.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(pos) = lru.iter().position(|(e, _)| *e == entry) {
-                let used = lru.remove(pos);
-                lru.push(used);
-            } else {
-                lru.push((entry, bytes));
-                self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            while self.resident_bytes.load(Ordering::Relaxed) > budget && lru.len() > 1 {
-                let (e, b) = lru.remove(0);
-                self.resident_bytes.fetch_sub(b, Ordering::Relaxed);
-                cold.push(e);
-            }
-        }
+        let Some(lru) = &self.lru else { return };
+        let cold = lru.lock().unwrap_or_else(PoisonError::into_inner).note_use(entry, bytes);
         // Dropping a slot releases the store's Arc; callers already
         // holding the value keep it alive until they finish. The next
         // request reloads a trace from disk (or regenerates it) and
@@ -429,9 +422,9 @@ impl TraceStore {
     }
 
     fn load_or_generate(&self, spec: &WorkloadSpec, key: &TraceKey) -> Trace {
-        if let Some(dir) = &self.cache_dir {
-            let path = dir.join(key.file_name());
-            match bp_metrics::time("trace_store.disk_load", || load_valid(&path, key)) {
+        let path = self.cache_dir.as_ref().map(|dir| dir.join(key.file_name(spec)));
+        if let Some(path) = &path {
+            match bp_metrics::time("trace_store.disk_load", || load_valid(path, key)) {
                 DiskRead::Valid(t) => {
                     self.disk_loads.fetch_add(1, Ordering::Relaxed);
                     self.m_disk_loads.incr();
@@ -440,7 +433,11 @@ impl TraceStore {
                 DiskRead::Corrupt(reason) => {
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
                     self.m_corrupt.incr();
-                    quarantine(&path, &reason);
+                    durable::quarantine(path);
+                    eprintln!(
+                        "branch-lab: quarantined corrupt trace cache file {} ({reason}); regenerating",
+                        path.display()
+                    );
                 }
                 DiskRead::Missing => {}
             }
@@ -451,14 +448,14 @@ impl TraceStore {
         });
         self.generated.fetch_add(1, Ordering::Relaxed);
         self.m_generated.incr();
-        if let Some(dir) = &self.cache_dir {
+        if let (Some(dir), Some(path)) = (&self.cache_dir, &path) {
             // Persistence is best-effort: a full disk or read-only cache
             // directory must not fail the experiment. The fault site lets
             // tests exercise exactly that degradation.
             let persist_ok = !bp_metrics::faultpoint::should_fail("trace_store.save")
                 && std::fs::create_dir_all(dir).is_ok();
             if persist_ok {
-                let _ = trace.save(dir.join(key.file_name()));
+                let _ = durable::write_atomic(path, |w| trace.write_to(w));
             }
         }
         trace
@@ -500,7 +497,7 @@ impl TraceStore {
             return StoreReader::Mem(SharedReader::new(t));
         }
         if let Some(dir) = &self.cache_dir {
-            let path = dir.join(key.file_name());
+            let path = dir.join(key.file_name(spec));
             if !bp_metrics::faultpoint::should_fail("trace_store.load") {
                 if let Ok(r) = Trace::open(&path) {
                     let meta = r.meta();
@@ -510,7 +507,7 @@ impl TraceStore {
                     {
                         self.disk_loads.fetch_add(1, Ordering::Relaxed);
                         self.m_disk_loads.incr();
-                        if self.budget.is_some() {
+                        if self.lru.is_some() {
                             // Streaming degradation: under a memory
                             // budget this block-wise read replaces a
                             // would-be materialization.
@@ -660,65 +657,6 @@ pub fn parse_budget(raw: &str) -> Option<u64> {
     };
     let n: u64 = digits.trim().parse().ok()?;
     n.checked_mul(unit).filter(|&b| b > 0)
-}
-
-/// Most recent quarantine files kept per cache directory; older evidence
-/// beyond this is pruned.
-const QUARANTINE_KEEP: usize = 8;
-
-/// Moves a damaged cache file aside as `<name>.corrupt-<n>` — with `n`
-/// picked so the name is fresh, so repeated corruption of the same key
-/// never clobbers earlier evidence — then prunes the directory's oldest
-/// quarantine files beyond [`QUARANTINE_KEEP`]. Renaming within a
-/// directory is atomic, so a concurrent reader sees the original file or
-/// no file — never a half-moved one. Best-effort: if even the rename
-/// fails, the file is removed so it cannot poison the next run.
-fn quarantine(path: &Path, reason: &str) {
-    let fresh_name = (1u32..10_000).map(|n| {
-        let mut q = path.as_os_str().to_owned();
-        q.push(format!(".corrupt-{n}"));
-        PathBuf::from(q)
-    });
-    let target = fresh_name.into_iter().find(|p| !p.exists());
-    let renamed = target.is_some_and(|t| std::fs::rename(path, &t).is_ok());
-    if !renamed {
-        let _ = std::fs::remove_file(path);
-    }
-    eprintln!(
-        "branch-lab: quarantined corrupt trace cache file {} ({reason}); regenerating",
-        path.display()
-    );
-    if let Some(dir) = path.parent() {
-        prune_quarantine(dir);
-    }
-}
-
-/// Deletes the oldest (by modification time, then name) quarantine files
-/// in `dir` beyond [`QUARANTINE_KEEP`]. Best-effort throughout: pruning
-/// exists to bound disk growth, not to guarantee an exact census.
-fn prune_quarantine(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut quarantined: Vec<(std::time::SystemTime, PathBuf)> = entries
-        .flatten()
-        .filter_map(|e| {
-            let p = e.path();
-            let name = p.file_name()?.to_str()?;
-            if !name.contains(".corrupt") {
-                return None;
-            }
-            let mtime =
-                e.metadata().and_then(|m| m.modified()).unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            Some((mtime, p))
-        })
-        .collect();
-    if quarantined.len() <= QUARANTINE_KEEP {
-        return;
-    }
-    quarantined.sort();
-    let excess = quarantined.len() - QUARANTINE_KEEP;
-    for (_, p) in quarantined.into_iter().take(excess) {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 #[cfg(test)]
@@ -1006,31 +944,6 @@ mod tests {
         let r = plain.stream(&s, 0, 2_000);
         assert!(matches!(r, StoreReader::Disk(_)));
         assert_eq!(plain.stats().degraded_streams, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn repeated_quarantines_keep_distinct_evidence_up_to_the_cap() {
-        let dir = scratch_dir("quarantine");
-        let victim = dir.join("w-i0-l100.bptr");
-        for round in 1..=(QUARANTINE_KEEP + 3) {
-            std::fs::write(&victim, format!("garbage {round}")).unwrap();
-            quarantine(&victim, "unit test");
-            assert!(!victim.exists(), "original must be moved aside");
-        }
-        let quarantined: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.contains(".corrupt"))
-            .collect();
-        assert_eq!(
-            quarantined.len(),
-            QUARANTINE_KEEP,
-            "retention is capped: {quarantined:?}"
-        );
-        let unique: std::collections::HashSet<&String> = quarantined.iter().collect();
-        assert_eq!(unique.len(), quarantined.len(), "names never clobber each other");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

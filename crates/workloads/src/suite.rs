@@ -506,19 +506,12 @@ pub fn workload_names() -> Vec<String> {
 pub fn suite_digest() -> u64 {
     static DIGEST: OnceLock<u64> = OnceLock::new();
     *DIGEST.get_or_init(|| {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for spec in all_workloads() {
+        all_workloads().iter().fold(bp_metrics::FNV_OFFSET, |hash, spec| {
             // The derived Debug form covers every field of the spec
             // (including nested motif sets), so no parameter can change
             // without changing the digest.
-            for b in format!("{spec:?}").bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= 0xff;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+            bp_metrics::fnv1a(bp_metrics::fnv1a(hash, format!("{spec:?}").as_bytes()), &[0xff])
+        })
     })
 }
 

@@ -1,7 +1,7 @@
 //! Fault-tolerance guarantees: torn, corrupt or retired-format
 //! trace-cache files are detected, quarantined, and regenerated (never
-//! trusted); `Trace::save`
-//! is atomic under concurrency; a panicking `Engine::map` task fails the
+//! trusted); `durable::write_atomic`, which persists trace and serve
+//! cache files, is atomic under concurrency; a panicking `Engine::map` task fails the
 //! map with its own message only after its siblings ran, and the
 //! executor's retry absorbs a one-shot panic; and the `faultpoint`
 //! facility drives every degradation path deterministically.
@@ -16,6 +16,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use branch_lab::core::cancel::CancelToken;
 use branch_lab::core::exec::{self, ExecOptions, Outcome, Task};
 use branch_lab::core::{faultpoint, Engine};
+use branch_lab::metrics::durable;
 use branch_lab::trace::{ReadTraceError, RetiredInst, Trace, TraceMeta};
 use branch_lab::workloads::{lcf_suite, specint_suite, TraceStore};
 
@@ -178,14 +179,14 @@ fn concurrent_savers_and_loaders_never_observe_a_torn_file() {
     };
     let a = make(400);
     let b = make(900);
-    a.save(&path).expect("seed file");
+    let save = |t: &Trace| durable::write_atomic(&path, |w| t.write_to(w)).expect("save");
+    save(&a);
 
     std::thread::scope(|scope| {
         for t in [&a, &b] {
-            let path = &path;
             scope.spawn(move || {
                 for _ in 0..60 {
-                    t.save(path).expect("save");
+                    save(t);
                 }
             });
         }

@@ -1,5 +1,5 @@
 //! Integration tests for `branch-lab serve`: cache-key determinism, the
-//! end-to-end HTTP loop, singleflight coalescing, byte-identity with the
+//! end-to-end HTTP loop, request coalescing, byte-identity with the
 //! CLI's report rendering, per-request deadlines, and corrupt-entry
 //! quarantine across server instances.
 //!
@@ -406,10 +406,13 @@ fn corrupt_disk_entries_quarantine_and_regenerate_across_instances() {
     // Corrupt the persisted entry the way a torn write would.
     let path = dir.join(format!("{}.blr", first.key));
     assert!(path.exists(), "entry must have persisted to {}", path.display());
-    let mut raw = std::fs::read(&path).unwrap();
-    let mid = raw.len() / 2;
-    raw[mid] ^= 0xff;
-    std::fs::write(&path, &raw).unwrap();
+    let corrupt = || {
+        let mut raw = std::fs::read(&path).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0xff;
+        std::fs::write(&path, &raw).unwrap();
+    };
+    corrupt();
 
     // A fresh instance must never serve the damaged bytes: it
     // quarantines, re-executes, and returns the same result as before.
@@ -419,10 +422,8 @@ fn corrupt_disk_entries_quarantine_and_regenerate_across_instances() {
     assert_eq!(regen.cache, "miss", "corrupt entry must not serve as a hit");
     assert_eq!(regen.key, first.key);
     assert_eq!(regen.body, first.body);
-    assert!(
-        dir.join(format!("{}.blr.corrupt", first.key)).exists(),
-        "damaged entry must be quarantined for post-mortem"
-    );
+    let quarantined = |n: u32| dir.join(format!("{}.blr.corrupt-{n}", first.key)).exists();
+    assert!(quarantined(1), "damaged entry must be quarantined for post-mortem");
 
     // And the regenerated entry is immediately durable again: a third
     // instance serves it from disk without executing.
@@ -432,6 +433,17 @@ fn corrupt_disk_entries_quarantine_and_regenerate_across_instances() {
     assert_eq!(disk.status, 200);
     assert_eq!(disk.cache, "hit-disk");
     assert_eq!(disk.body, first.body);
+    server.shutdown();
+
+    // Damage to the regenerated entry takes a fresh quarantine name, so
+    // the first evidence survives the second quarantine.
+    corrupt();
+    let (server, addr) = serve(Some(dir.clone()));
+    let again = request(addr, "POST", "/run", body);
+    assert_eq!(again.status, 200);
+    assert_eq!(again.cache, "miss", "corrupt entry must not serve as a hit");
+    assert_eq!(again.body, first.body);
+    assert!(quarantined(1) && quarantined(2), "both damaged copies must be kept");
     server.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);

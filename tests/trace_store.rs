@@ -13,8 +13,8 @@ use branch_lab::core::{
     characterize_workload_with, rare_oracle_study_with, scaling_study_with,
     storage_scaling_study_with, DatasetConfig, Engine,
 };
-use branch_lab::trace::{RetiredInst, Trace, TraceMeta, WriteTraceError};
-use branch_lab::workloads::{lcf_suite, specint_suite, TraceStore};
+use branch_lab::trace::{RetiredInst, Trace, TraceMeta, TraceReader, WriteTraceError};
+use branch_lab::workloads::{find_workload, lcf_suite, specint_suite, StoreReader, TraceStore};
 
 /// A fresh private directory under the system temp dir.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -59,6 +59,37 @@ fn disk_path_is_bit_identical_and_counted() {
     assert_eq!(reloaded.meta(), direct.meta());
     assert_eq!(reloaded.insts(), direct.insts());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_changed_spec_never_reads_the_old_specs_file() {
+    let dir = scratch_dir("respec");
+    let spec = find_workload("game").expect("game is in the suite");
+    // The same workload name with one generator parameter changed: two
+    // more data-dependent H2P motifs.
+    let mut changed = spec.clone();
+    changed.common.data_dep_h2ps.extend([55, 45]);
+    let want = changed.trace(0, 20_000);
+    assert_ne!(want.insts(), spec.trace(0, 20_000).insts(), "the change moves the trace");
+
+    let _ = TraceStore::with_cache_dir(&dir).get(&spec, 0, 20_000);
+    let store = TraceStore::with_cache_dir(&dir);
+    let got = store.get(&changed, 0, 20_000);
+    let stats = store.stats();
+    assert_eq!((stats.generated, stats.disk_loads), (1, 0), "{stats:?}");
+    assert_eq!(got.insts(), want.insts());
+
+    // Both specs' files now sit side by side, and a fresh store streams
+    // the changed spec's own file.
+    assert_eq!(std::fs::read_dir(&dir).expect("read dir").count(), 2);
+    let mut reader = TraceStore::with_cache_dir(&dir).stream(&changed, 0, 20_000);
+    assert!(matches!(reader, StoreReader::Disk(_)));
+    let mut streamed = Vec::new();
+    while let Some(chunk) = reader.next_chunk().expect("stream") {
+        streamed.extend_from_slice(chunk);
+    }
+    assert_eq!(streamed, want.insts());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
