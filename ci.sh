@@ -109,7 +109,8 @@ echo "== chaos harness =="
 # per-study deadline expiry, and a corrupt trace cache must each be
 # absorbed (retry / regenerate) with CSV outputs byte-identical to a
 # clean run, and a deadline stop must print no panic report; an
-# unrecovered failure must exit nonzero; and a memory budget far below
+# unrecovered failure must exit nonzero; a malformed schedule must be
+# refused before anything runs; and a memory budget far below
 # the working set must degrade to disk streaming and evict memoized
 # intermediates (eviction counters in the merged manifest) without
 # changing results.
@@ -166,6 +167,20 @@ set -e
 [ "$rc" -ne 0 ] || { echo "chaos leg: unrecovered failure must exit nonzero"; exit 1; }
 grep -Eq "table1 +failed: injected fault: child failure +2" "$CHAOS_OUT/unrecovered.log"
 grep -q "not-run" "$CHAOS_OUT/unrecovered.log"
+
+# A schedule that does not parse is a usage error (exit 2, the variable
+# named on stderr, nothing on stdout), never a fault-free run.
+set +e
+env BRANCH_LAB_TRACE_DIR="$CHAOS_TRACES" BRANCH_LAB_FAULTS=engine.task:explode \
+    target/release/branch-lab all --quick --len 40000 \
+    > "$CHAOS_OUT/malformed.out" 2> "$CHAOS_OUT/malformed.err"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "chaos leg: a malformed schedule must exit 2, got $rc"; exit 1; }
+grep -q "BRANCH_LAB_FAULTS" "$CHAOS_OUT/malformed.err" \
+    || { echo "chaos leg: a malformed schedule must name BRANCH_LAB_FAULTS"; exit 1; }
+[ ! -s "$CHAOS_OUT/malformed.out" ] \
+    || { echo "chaos leg: a malformed schedule must print nothing on stdout"; exit 1; }
 
 CHAOS_SINK="$CHAOS_OUT/membudget-metrics"
 mkdir -p "$CHAOS_SINK"

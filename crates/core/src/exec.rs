@@ -61,13 +61,10 @@ impl Backoff {
     }
 
     /// Reads `BRANCH_LAB_RETRY_DELAY_MS` (default 500) and
-    /// `BRANCH_LAB_CHAOS_SEED` (default 0).
+    /// `BRANCH_LAB_CHAOS_SEED` (default 0); panics if either is malformed.
     #[must_use]
     pub fn from_env() -> Backoff {
-        let ms = std::env::var("BRANCH_LAB_RETRY_DELAY_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(500);
+        let ms = bp_metrics::env::RETRY_DELAY_MS.get().unwrap_or(500);
         Backoff::new(Duration::from_millis(ms), faultpoint::env_seed())
     }
 

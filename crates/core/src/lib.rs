@@ -44,7 +44,6 @@ pub use experiment::{
     HeteroGridRow, HeteroGridStudy, RareOracleRow, ScalingSeries, ScalingStudy, StorageScalingRow,
     StorageScalingStudy,
 };
-pub use bp_metrics::thread_count;
 pub use parallel::Engine;
 pub use report::{f3, pct, Report, ReportItem, Table};
 pub use study::{FnStudy, Study, StudyCtx, StudyInfo, StudyKind, StudyRegistry};

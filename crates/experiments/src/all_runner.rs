@@ -12,21 +12,21 @@
 //! checkpoints), bounded retries
 //! with deterministic jittered backoff, and a study-granularity
 //! checkpoint file. Running in one process means every study shares the
-//! in-memory `TraceStore`; `all` still defaults `BRANCH_LAB_TRACE_DIR`
-//! to `out/traces` (an explicit value in the environment wins) so traces
-//! also persist on disk for later single-study runs, and so the memory
-//! governor (`BRANCH_LAB_MEM_BUDGET`) can evict cold traces and fall
-//! back to streaming them from disk.
+//! in-memory `TraceStore`; `all` still gives `BRANCH_LAB_TRACE_DIR` the
+//! default `out/traces` ([`bp_metrics::env::TRACE_DIR_DEFAULT`], before
+//! any study reads it; an explicit value in the environment wins) so
+//! traces also persist on disk for later single-study runs, and so the
+//! memory governor (`BRANCH_LAB_MEM_BUDGET`) can evict cold traces and
+//! fall back to streaming them from disk.
 //!
 //! A full sweep is exactly the kind of multi-hour batch run that must not
 //! lose fifteen finished studies to one flaky one, so the runner:
 //!
 //! * retries each failing study once (after a seeded jittered backoff);
-//! * with `--keep-going` (or `BRANCH_LAB_KEEP_GOING=1`) continues past
-//!   ultimately-failed studies instead of aborting;
-//! * cancels studies that exceed `--timeout-secs N` (or
-//!   `BRANCH_LAB_CHILD_TIMEOUT_SECS`; `0` disables the deadline) at the
-//!   next replay-block checkpoint;
+//! * with `--keep-going` continues past ultimately-failed studies
+//!   instead of aborting;
+//! * cancels studies that exceed `--timeout-secs N` (`0` disables the
+//!   deadline) at the next replay-block checkpoint;
 //! * records every success in a checkpoint file (`all.checkpoint` in the
 //!   metrics sink or trace dir) so `all --resume` re-runs only the
 //!   studies that have not succeeded yet;
@@ -52,11 +52,12 @@
 //! deterministically fails that study; `exec.deadline.<bin>` force-expires
 //! its deadline. Both drive the chaos leg of `ci.sh`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use bp_core::exec::{self, Backoff, ExecOptions, Task, TaskReport};
 use bp_core::Table;
+use bp_metrics::env;
 
 use crate::registry::registry;
 use crate::{cli, flag_value, Cli};
@@ -74,14 +75,7 @@ struct Options {
 
 impl Options {
     fn parse_from(args: Vec<String>) -> Result<Options, String> {
-        let env_flag = |name: &str| {
-            std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-        };
-        let mut keep_going = env_flag("BRANCH_LAB_KEEP_GOING");
-        let mut resume = false;
-        let mut timeout = cli::env_u64("BRANCH_LAB_CHILD_TIMEOUT_SECS")?
-            .filter(|&secs| secs > 0)
-            .map(Duration::from_secs);
+        let (mut keep_going, mut resume, mut timeout) = (false, false, None);
         let mut forwarded = Vec::new();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -108,15 +102,13 @@ pub fn run_from(args: Vec<String>) {
     // Default the shared trace cache before the first store access, so a
     // bare `branch-lab all` leaves reusable traces behind like the old
     // child-process runner did. An explicit setting wins.
-    if std::env::var("BRANCH_LAB_TRACE_DIR").ok().filter(|d| !d.is_empty()).is_none() {
-        std::env::set_var("BRANCH_LAB_TRACE_DIR", "out/traces");
-    }
-    let trace_dir = std::env::var("BRANCH_LAB_TRACE_DIR").expect("trace dir just defaulted");
+    let _ = env::TRACE_DIR_DEFAULT.set("out/traces".into());
+    let trace_dir = env::trace_dir().expect("trace dir just defaulted");
 
     // The checkpoint lives next to the other run artifacts: in the
     // metrics sink when one is configured, else in the trace dir.
     let checkpoint = bp_metrics::sink_dir()
-        .map_or_else(|| PathBuf::from(&trace_dir), Path::to_path_buf)
+        .map_or(trace_dir, Path::to_path_buf)
         .join("all.checkpoint");
     if let Some(dir) = checkpoint.parent() {
         let _ = std::fs::create_dir_all(dir);

@@ -13,15 +13,17 @@
 //! subcommand reads flag values through one helper, and a usage error
 //! (an unknown flag, a malformed value, a bare argument, a `--csv`
 //! directory that cannot be created) prints its message and exits with
-//! status 2 before any study runs.
+//! status 2 before any study runs. So does a malformed or unknown
+//! `BRANCH_LAB_*` variable under `run`, `all`, `sweep` and `serve`
+//! ([`bp_metrics::env::check`]).
 
 use std::collections::BTreeMap;
 
 use bp_core::{memo, Report, StudyKind, Table};
-use bp_metrics::{CounterBaseline, Manifest};
+use bp_metrics::{env, CounterBaseline, Manifest};
 use bp_pipeline::PipelineConfig;
 use bp_predictors::PredictorSpec;
-use bp_workloads::{find_workload, parse_budget, workload_names, TraceStore, WorkloadSpec};
+use bp_workloads::{find_workload, workload_names, TraceStore, WorkloadSpec};
 
 use crate::{all_runner, flag_value, len_value, registry, Cli};
 
@@ -67,34 +69,21 @@ pub fn help_text() -> String {
          \x20   --scales N,M,..        pipeline scale factors (default 1)\n\
          \x20   --len N                instructions to trace (default 200,000)\n\
          \n\
-         SERVE FLAGS (each overrides its BRANCH_LAB_SERVE_* variable):\n\
+         SERVE FLAGS:\n\
          \x20   --addr HOST:PORT       listen address (default 127.0.0.1:7878; :0 = any free port)\n\
-         \x20   --workers N            worker threads (default: cores, capped at 8)\n\
+         \x20   --workers N            worker threads, at least 1 (default: cores, 2 to 8)\n\
          \x20   --cache-dir DIR        persist results to disk under DIR (default memory-only)\n\
          \x20   --cache-budget BYTES   per-tier cache budget, e.g. 64M (default unbounded)\n\
          \x20   --deadline-secs N      default per-request execution deadline (0 = none)\n\
          \n\
-         ENVIRONMENT:\n\
-         \x20   BRANCH_LAB_THREADS             worker threads for parallel studies\n\
-         \x20   BRANCH_LAB_TRACE_DIR           shared on-disk trace cache directory\n\
-         \x20   BRANCH_LAB_METRICS            metrics sink: stderr, off, or a directory\n\
-         \x20   BRANCH_LAB_FAULTS             deterministic fault injection spec (tests)\n\
-         \x20   BRANCH_LAB_CHAOS_SEED         seed for probabilistic faults + retry jitter\n\
-         \x20   BRANCH_LAB_MEM_BUDGET         memory budget (e.g. 512M) for traces and the\n\
-         \x20                                 intermediates memoized from them; cold entries\n\
-         \x20                                 evict, and traces stream from disk when over\n\
-         \x20   BRANCH_LAB_KEEP_GOING         all-runner: same as --keep-going\n\
-         \x20   BRANCH_LAB_CHILD_TIMEOUT_SECS all-runner: same as --timeout-secs (0 = none)\n\
-         \x20   BRANCH_LAB_RETRY_DELAY_MS     all-runner: retry backoff base in ms (default 500);\n\
-         \x20                                 read by Backoff::from_env, not serve (no retries)\n\
-         \x20   BRANCH_LAB_UPDATE_GOLDEN      golden tests: rewrite fixtures instead of diffing\n\
-         \x20   BRANCH_LAB_SERVE_ADDR         serve: listen address (default 127.0.0.1:7878)\n\
-         \x20   BRANCH_LAB_SERVE_WORKERS      serve: worker threads (default: cores, capped at 8)\n\
-         \x20   BRANCH_LAB_SERVE_CACHE_DIR    serve: result-cache directory (default memory-only)\n\
-         \x20   BRANCH_LAB_SERVE_CACHE_BUDGET serve: per-tier cache budget, e.g. 64M\n\
-         \n\
-         WORKLOADS:\n",
+         ENVIRONMENT (a malformed value or an unknown BRANCH_LAB_* name exits with\n\
+         status 2):\n",
     );
+    for var in env::TABLE {
+        let [name, grammar, default, help] = var.doc();
+        s.push_str(&format!("    {name:<27}{help}\n    {:<27}{grammar}; default: {default}\n", ""));
+    }
+    s.push_str("\nWORKLOADS:\n");
     for name in workload_names() {
         s.push_str("    ");
         s.push_str(&name);
@@ -107,51 +96,6 @@ pub fn help_text() -> String {
 pub(crate) fn usage_error(message: &str) -> ! {
     eprintln!("{message}; try `branch-lab help`");
     std::process::exit(2);
-}
-
-/// Reads the numeric variable `name`: a whole number, surrounding
-/// blanks allowed. Unset or empty is `None`.
-///
-/// # Errors
-///
-/// A usage message naming the variable when its value does not parse.
-pub(crate) fn env_u64(name: &str) -> Result<Option<u64>, String> {
-    match std::env::var(name) {
-        Ok(v) if v.is_empty() => Ok(None),
-        Ok(v) => v
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("invalid value \"{v}\" for {name}: a whole number")),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(v)) => {
-            Err(format!("invalid value {v:?} for {name}: a whole number"))
-        }
-    }
-}
-
-/// Checks the numeric environment variables once, at start-up of `run`,
-/// `all`, `sweep` and `serve`, with the parsers their readers use: the
-/// memory budget ([`parse_budget`]), the all-runner's per-study timeout
-/// and its retry delay. A malformed value is a usage error that names
-/// the variable, never a silent default: an unparsed budget would
-/// otherwise leave the trace store and its memo unbounded.
-///
-/// # Errors
-///
-/// A usage message naming the first malformed variable.
-pub(crate) fn check_numeric_env() -> Result<(), String> {
-    let budget = std::env::var_os("BRANCH_LAB_MEM_BUDGET").filter(|v| !v.is_empty());
-    if let Some(v) = budget {
-        if v.to_str().and_then(parse_budget).is_none() {
-            return Err(format!(
-                "invalid value {v:?} for BRANCH_LAB_MEM_BUDGET: bytes with optional K/M/G suffix"
-            ));
-        }
-    }
-    env_u64("BRANCH_LAB_CHILD_TIMEOUT_SECS")?;
-    env_u64("BRANCH_LAB_RETRY_DELAY_MS")?;
-    Ok(())
 }
 
 /// Writes `manifest` to the `BRANCH_LAB_METRICS` sink, if one is set.
@@ -170,11 +114,7 @@ fn save_manifest(manifest: &Manifest) {
 pub fn run_study(name: &str, args: Vec<String>) {
     let reg = registry::registry();
     let Some(study) = reg.get(name) else {
-        eprintln!(
-            "unknown study '{name}'; available: {}",
-            reg.names().join(", ")
-        );
-        std::process::exit(2);
+        usage_error(&format!("unknown study '{name}'; available: {}", reg.names().join(", ")));
     };
     let cli = Cli::parse_from(args).unwrap_or_else(|e| usage_error(&e));
     let (report, manifest) = crate::run_recorded(study, &cli.ctx());
@@ -377,14 +317,13 @@ pub fn main() {
     }
     let cmd = args.remove(0);
     if matches!(cmd.as_str(), "run" | "all" | "sweep" | "serve") {
-        check_numeric_env().unwrap_or_else(|e| usage_error(&e));
+        env::check().unwrap_or_else(|e| usage_error(&e));
     }
     match cmd.as_str() {
         "list" => cmd_list(),
         "run" => {
             if args.first().is_none_or(|a| a.starts_with('-')) {
-                eprintln!("usage: branch-lab run <study> [flags]; see `branch-lab list`");
-                std::process::exit(2);
+                usage_error("usage: branch-lab run <study> [flags]");
             }
             let name = args.remove(0);
             run_study(&name, args);
@@ -393,9 +332,6 @@ pub fn main() {
         "sweep" => cmd_sweep(args),
         "serve" => crate::serve::run_from(args),
         "help" | "--help" | "-h" => print!("{}", help_text()),
-        other => {
-            eprintln!("unknown command '{other}'; try `branch-lab help`");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command '{other}'")),
     }
 }

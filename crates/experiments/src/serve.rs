@@ -17,6 +17,8 @@
 //! * dispatch: a miss fills its cache slot with one direct attempt
 //!   ([`bp_core::exec::attempt`]) under the request's deadline and
 //!   cooperative cancellation;
+//! * options: flags only ([`ServeOptions::resolve`]; `--workers` takes
+//!   the count grammar of [`bp_metrics::env`]);
 //! * byte-identity: a served body is [`bp_core::Report::render`] output,
 //!   which is exactly what the equivalent CLI invocation prints, and its
 //!   manifest is the CLI's ([`crate::run_recorded`],
@@ -59,18 +61,13 @@ use bp_core::serve::http::{Request, Response};
 use bp_core::serve::{Handler, Server};
 use bp_core::{Report, SamplingConfig, StudyCtx, StudyKind, StudyRegistry};
 use bp_metrics::json::{self, Value};
-use bp_metrics::{Counter, Manifest};
+use bp_metrics::{env, Counter, Manifest};
 use bp_predictors::PredictorSpec;
-use bp_workloads::{find_workload, parse_budget, suite_digest, workload_names};
+use bp_workloads::{find_workload, suite_digest, workload_names};
 
 use crate::{cli, flag_value, registry, Cli};
 
-/// Default listen address when neither `--addr` nor
-/// `BRANCH_LAB_SERVE_ADDR` is set.
-pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
-
-/// Server configuration, resolved from `BRANCH_LAB_SERVE_*` environment
-/// variables with command-line flags taking precedence.
+/// Server configuration, resolved from the command-line flags.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Listen address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
@@ -87,43 +84,33 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Resolves options from the environment, then applies `args`
-    /// (flags win over environment variables).
+    /// Resolves options from `args`, defaulting the flags they omit.
     ///
     /// # Errors
     ///
     /// A usage message for an unknown flag, a flag without its value, or
-    /// a value (flag or variable) that does not parse.
+    /// a value that does not parse (`--workers` is a count of at least 1).
     pub fn resolve(args: Vec<String>) -> Result<ServeOptions, String> {
-        let env = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
-        let budget = |v: &str, what: &str| {
-            parse_budget(v).ok_or_else(|| {
-                format!("invalid value \"{v}\" for {what}: bytes with optional K/M/G suffix")
-            })
-        };
         let mut opts = ServeOptions {
-            addr: env("BRANCH_LAB_SERVE_ADDR").unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-            workers: match env("BRANCH_LAB_SERVE_WORKERS") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| format!("invalid value \"{v}\" for BRANCH_LAB_SERVE_WORKERS"))?,
-                None => default_workers(),
-            },
-            cache_dir: env("BRANCH_LAB_SERVE_CACHE_DIR").map(PathBuf::from),
-            cache_budget: env("BRANCH_LAB_SERVE_CACHE_BUDGET")
-                .map(|v| budget(&v, "BRANCH_LAB_SERVE_CACHE_BUDGET"))
-                .transpose()?,
+            addr: "127.0.0.1:7878".to_string(),
+            workers: default_workers(),
+            cache_dir: None,
+            cache_budget: None,
             deadline: None,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--addr" => opts.addr = flag_value(&mut args, "--addr")?,
-                "--workers" => opts.workers = flag_value(&mut args, "--workers")?,
+                "--workers" => {
+                    opts.workers =
+                        parsed_flag(&mut args, "--workers", env::parse_count, env::COUNT)?;
+                }
                 "--cache-dir" => opts.cache_dir = Some(flag_value(&mut args, "--cache-dir")?),
                 "--cache-budget" => {
-                    let v: String = flag_value(&mut args, "--cache-budget")?;
-                    opts.cache_budget = Some(budget(&v, "--cache-budget")?);
+                    let bytes =
+                        parsed_flag(&mut args, "--cache-budget", env::parse_budget, env::BYTES)?;
+                    opts.cache_budget = Some(bytes);
                 }
                 "--deadline-secs" => {
                     let secs: u64 = flag_value(&mut args, "--deadline-secs")?;
@@ -143,6 +130,18 @@ impl ServeOptions {
         }
         Ok(opts)
     }
+}
+
+/// Takes the value after `flag` from `args` and parses it with one of
+/// the environment table's parsers, whose grammar a refusal names.
+fn parsed_flag<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    parse: fn(&str) -> Option<T>,
+    grammar: &str,
+) -> Result<T, String> {
+    let v: String = flag_value(args, flag)?;
+    parse(&v).ok_or_else(|| format!("invalid value \"{v}\" for {flag}: {grammar}"))
 }
 
 fn default_workers() -> usize {
@@ -665,6 +664,7 @@ mod tests {
             &["--bogus"][..],
             &["--workers"],
             &["--workers", "x"],
+            &["--workers", "0"],
             &["--cache-budget", "lots"],
             &["--deadline-secs", "-1"],
         ] {

@@ -9,8 +9,7 @@
 //! its stdout to be byte-identical to the legacy golden fixtures under
 //! `tests/golden/` (recorded from the standalone binaries).
 
-use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -105,15 +104,15 @@ fn cli_output_matches_the_legacy_golden_fixtures() {
 }
 
 #[test]
-fn manifest_records_the_engine_thread_count_under_a_bad_override() {
-    // An unparsable override warns and falls back to the machine width;
-    // the run manifest must record the width the engine actually used.
+fn manifest_records_the_engine_thread_count_under_an_override() {
+    // The engine reads `BRANCH_LAB_THREADS` once; the run manifest must
+    // record the width the engine actually used.
     let sink = std::env::temp_dir()
         .join(format!("branch-lab-cli-threads-{}", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
         .args(["run", "table1", "--quick"])
         .env("BRANCH_LAB_TRACE_DIR", trace_dir())
-        .env("BRANCH_LAB_THREADS", "banana")
+        .env("BRANCH_LAB_THREADS", "3")
         .env("BRANCH_LAB_METRICS", &sink)
         .output()
         .expect("spawn branch-lab");
@@ -124,12 +123,33 @@ fn manifest_records_the_engine_thread_count_under_a_bad_override() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("BRANCH_LAB_THREADS=\"banana\""));
     let manifest = bp_metrics::json::parse(&manifest.expect("manifest written to the sink"))
         .expect("manifest is JSON");
     let threads = manifest.as_obj().and_then(|m| m.get("threads")).and_then(Value::as_u64);
-    let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    assert_eq!(threads, Some(available as u64));
+    assert_eq!(threads, Some(3));
+}
+
+#[test]
+fn all_defaults_its_trace_dir_to_out_traces() {
+    // With `BRANCH_LAB_TRACE_DIR` unset, `all` persists its traces and its
+    // checkpoint under `out/traces` in its working directory.
+    let cwd = std::env::temp_dir().join(format!("branch-lab-cli-all-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
+        .args(["all", "--quick", "--len", "20000"])
+        .current_dir(&cwd)
+        .env_remove("BRANCH_LAB_TRACE_DIR")
+        .env_remove("BRANCH_LAB_METRICS")
+        .output()
+        .expect("spawn branch-lab");
+    let traces = cwd.join("out/traces");
+    let files: Vec<String> = std::fs::read_dir(&traces)
+        .map(|dir| dir.map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect())
+        .unwrap_or_default();
+    std::fs::remove_dir_all(&cwd).ok();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(files.iter().any(|f| f.ends_with(".bptr")), "{files:?}");
+    assert!(files.iter().any(|f| f == "all.checkpoint"), "{files:?}");
 }
 
 /// Runs `branch-lab run <study> <args>` with a metrics sink, requires
@@ -210,12 +230,24 @@ fn usage_errors_exit_2_without_a_panic() {
 
 #[test]
 fn a_malformed_numeric_variable_exits_2_and_names_itself() {
-    // Each is checked at start-up, before any study or server runs, with
-    // the parser its reader uses; none falls back to a silent default.
+    // Each variable is checked at start-up, before any study or server
+    // runs, with the parser its reader uses; none falls back to a silent
+    // default. A name the table does not list (a removed flag alias, a
+    // typo) is refused the same way.
+    let sweep = ["sweep", "--workload", "streaming", "--predictors", "gshare"];
+    let all = ["all", "--quick", "--len", "40000"];
+    let fig3 = ["run", "fig3", "--quick"];
     for (var, value, args) in [
-        ("BRANCH_LAB_MEM_BUDGET", "600MB", &["sweep", "--workload", "streaming", "--predictors", "gshare"][..]),
-        ("BRANCH_LAB_CHILD_TIMEOUT_SECS", "1s", &["all", "--quick", "--len", "40000"]),
-        ("BRANCH_LAB_RETRY_DELAY_MS", "fast", &["run", "fig3", "--quick"]),
+        ("BRANCH_LAB_MEM_BUDGET", "600MB", &sweep[..]),
+        ("BRANCH_LAB_CHILD_TIMEOUT_SECS", "1s", &all),
+        ("BRANCH_LAB_RETRY_DELAY_MS", "fast", &fig3),
+        ("BRANCH_LAB_THREADS", "banana", &fig3),
+        ("BRANCH_LAB_THREADS", "0", &sweep),
+        ("BRANCH_LAB_CHAOS_SEED", "seven", &all),
+        ("BRANCH_LAB_FAULTS", "engine.task:explode", &fig3),
+        ("BRANCH_LAB_KEEP_GOING", "1", &all),
+        ("BRANCH_LAB_SERVE_ADDR", "127.0.0.1:0", &sweep),
+        ("BRANCH_LAB_THREAD", "4", &fig3),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_branch-lab"))
             .args(args)
@@ -226,6 +258,7 @@ fn a_malformed_numeric_variable_exits_2_and_names_itself() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
         assert!(stderr.contains(var) && stderr.contains(value), "{var}={value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{var}={value}: {stderr}");
         assert!(out.stdout.is_empty(), "{var}={value}: {}", String::from_utf8_lossy(&out.stdout));
     }
 }
@@ -368,7 +401,29 @@ fn help_is_the_single_flag_surface() {
     ] {
         assert!(stdout.contains(needle), "help is missing {needle}");
     }
-    for gone in ["--sampled ", "BRANCH_LAB_SAMPLE"] {
+    for var in bp_metrics::env::TABLE {
+        assert!(stdout.contains(var.doc()[0]), "help is missing {}", var.doc()[0]);
+    }
+    for gone in [
+        "--sampled ",
+        "BRANCH_LAB_SAMPLE",
+        "BRANCH_LAB_SERVE_",
+        "BRANCH_LAB_KEEP_GOING",
+        "stderr",
+    ] {
         assert!(!stdout.contains(gone), "help still documents {gone}");
     }
+}
+
+#[test]
+fn readme_documents_exactly_the_environment_table() {
+    let readme = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md");
+    let documented: BTreeSet<&str> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .filter(|name| name.starts_with("BRANCH_LAB_"))
+        .collect();
+    let table: BTreeSet<&str> = bp_metrics::env::TABLE.iter().map(|var| var.doc()[0]).collect();
+    assert_eq!(documented, table, "README's environment table and `bp_metrics::env::TABLE` differ");
 }

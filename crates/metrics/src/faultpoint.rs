@@ -9,8 +9,9 @@
 //! # Activation
 //!
 //! Faults are described by the `BRANCH_LAB_FAULTS` environment variable,
-//! read once per process. The syntax is a comma-separated list of
-//! `site:action[@schedule]` entries:
+//! read once per process, at the first fault site reached; a value that
+//! does not parse is refused whole (see [`crate::env`]). The syntax is a
+//! comma-separated list of `site:action[@schedule]` entries:
 //!
 //! ```text
 //! BRANCH_LAB_FAULTS=trace_store.save:fail@2,engine.task:panic@5..8,all.child.fig3:fail@25%
@@ -52,6 +53,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+
+use crate::env;
 
 /// What an armed fault does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,35 +148,21 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: OnceLock<Mutex<Option<Plan>>> = OnceLock::new();
 
 /// The chaos seed from the environment (`BRANCH_LAB_CHAOS_SEED`, default
-/// 0) — mixed into probability schedules and retry-backoff jitter so a
-/// whole chaos run replays from one number.
+/// 0; panics if it is malformed) — mixed into probability schedules and
+/// retry-backoff jitter so a whole chaos run replays from one number.
 #[must_use]
 pub fn env_seed() -> u64 {
-    std::env::var("BRANCH_LAB_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
+    env::CHAOS_SEED.get().unwrap_or(0)
 }
 
 fn plan_cell() -> &'static Mutex<Option<Plan>> {
     PLAN.get_or_init(|| {
-        let plan = std::env::var("BRANCH_LAB_FAULTS")
-            .ok()
-            .filter(|s| !s.trim().is_empty())
-            .and_then(|raw| match parse(&raw) {
-                Ok(specs) => Some(Plan {
-                    specs,
-                    seed: env_seed(),
-                    hits: Mutex::new(HashMap::new()),
-                }),
-                Err(err) => {
-                    eprintln!("branch-lab: ignoring BRANCH_LAB_FAULTS ({err})");
-                    None
-                }
-            });
-        if plan.is_some() {
-            ACTIVE.store(true, Ordering::Release);
-        }
+        let plan = env::FAULTS.get().filter(|specs| !specs.is_empty()).map(|specs| Plan {
+            specs,
+            seed: env_seed(),
+            hits: Mutex::new(HashMap::new()),
+        });
+        ACTIVE.store(plan.is_some(), Ordering::Release);
         Mutex::new(plan)
     })
 }
@@ -245,18 +234,6 @@ pub fn parse(raw: &str) -> Result<Vec<FaultSpec>, String> {
     Ok(specs)
 }
 
-/// True when a fault plan is installed (i.e. `BRANCH_LAB_FAULTS` parsed
-/// to at least one spec, or a test installed a plan).
-#[must_use]
-pub fn active() -> bool {
-    if !ACTIVE.load(Ordering::Acquire) {
-        // Force the one-time env read so `active()` is accurate even
-        // before any site was hit.
-        let _ = plan_cell();
-    }
-    ACTIVE.load(Ordering::Acquire)
-}
-
 /// Registers one arrival at `site` and returns the action of a fault
 /// that fires now, if any. The no-plan fast path is a single atomic
 /// load.
@@ -300,9 +277,9 @@ pub fn panic_point(site: &str) {
 }
 
 /// Installs (or clears, with `None`) a fault plan programmatically,
-/// bypassing the environment; the chaos seed comes from the environment
-/// (see [`install_for_tests_with_seed`] for an explicit one). Returns the
-/// previous plan's specs.
+/// bypassing the environment: `seed` is the chaos seed of its probability
+/// schedules, so a test's schedule does not depend on the environment.
+/// Returns the previous plan's specs.
 ///
 /// Intended for tests: fault state is process-global, so tests that use
 /// this must serialize themselves (e.g. behind a shared `Mutex`).
@@ -311,17 +288,7 @@ pub fn panic_point(site: &str) {
 ///
 /// Panics if `spec` does not parse — a test asking for a malformed plan
 /// is a bug in the test.
-pub fn install_for_tests(spec: Option<&str>) -> Vec<FaultSpec> {
-    install_for_tests_with_seed(spec, env_seed())
-}
-
-/// [`install_for_tests`] with an explicit chaos seed for probability
-/// schedules, so seeded-schedule tests are environment-independent.
-///
-/// # Panics
-///
-/// Panics if `spec` does not parse.
-pub fn install_for_tests_with_seed(spec: Option<&str>, seed: u64) -> Vec<FaultSpec> {
+pub fn install_for_tests(spec: Option<&str>, seed: u64) -> Vec<FaultSpec> {
     let cell = plan_cell();
     let mut guard = cell.lock().unwrap_or_else(PoisonError::into_inner);
     let old = guard.take().map(|p| p.specs).unwrap_or_default();
@@ -403,37 +370,37 @@ mod tests {
     #[test]
     fn counted_faults_fire_exactly_on_the_nth_hit() {
         let _g = lock();
-        install_for_tests(Some("s.a:fail@3"));
+        install_for_tests(Some("s.a:fail@3"), 0);
         assert_eq!(hit("s.a"), None);
         assert_eq!(hit("s.a"), None);
         assert_eq!(hit("s.a"), Some(Action::Fail));
         assert_eq!(hit("s.a"), None, "fires only on the exact hit");
         assert_eq!(hit("s.other"), None, "unarmed sites never fire");
-        install_for_tests(None);
+        install_for_tests(None, 0);
     }
 
     #[test]
     fn range_faults_fire_across_their_window() {
         let _g = lock();
-        install_for_tests(Some("s.r:fail@2..3"));
+        install_for_tests(Some("s.r:fail@2..3"), 0);
         assert_eq!(hit("s.r"), None);
         assert_eq!(hit("s.r"), Some(Action::Fail));
         assert_eq!(hit("s.r"), Some(Action::Fail));
         assert_eq!(hit("s.r"), None, "past the window");
-        install_for_tests(Some("s.o:fail@3.."));
+        install_for_tests(Some("s.o:fail@3.."), 0);
         assert_eq!(hit("s.o"), None);
         assert_eq!(hit("s.o"), None);
         for _ in 0..5 {
             assert_eq!(hit("s.o"), Some(Action::Fail), "open-ended tail");
         }
-        install_for_tests(None);
+        install_for_tests(None, 0);
     }
 
     #[test]
     fn probability_faults_are_seed_deterministic() {
         let _g = lock();
         let draw = |seed: u64| -> Vec<bool> {
-            install_for_tests_with_seed(Some("s.p:fail@40%"), seed);
+            install_for_tests(Some("s.p:fail@40%"), seed);
             (0..64).map(|_| hit("s.p").is_some()).collect()
         };
         let a = draw(7);
@@ -443,29 +410,29 @@ mod tests {
         assert_ne!(a, c, "different seed draws a different schedule");
         let fired = a.iter().filter(|&&f| f).count();
         assert!((10..=40).contains(&fired), "~40% of 64 arrivals, got {fired}");
-        install_for_tests(None);
+        install_for_tests(None, 0);
     }
 
     #[test]
     fn uncounted_faults_fire_every_hit_and_sites_are_independent() {
         let _g = lock();
-        install_for_tests(Some("s.b:panic"));
+        install_for_tests(Some("s.b:panic"), 0);
         for _ in 0..3 {
             assert_eq!(hit("s.b"), Some(Action::Panic));
         }
         assert_eq!(hit("s.c"), None);
-        install_for_tests(None);
+        install_for_tests(None, 0);
         assert_eq!(hit("s.b"), None, "cleared plan disarms everything");
     }
 
     #[test]
     fn panic_point_panics_with_injected_payload() {
         let _g = lock();
-        install_for_tests(Some("s.d:panic@1"));
+        install_for_tests(Some("s.d:panic@1"), 0);
         let err = std::panic::catch_unwind(|| panic_point("s.d")).expect_err("must panic");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("injected fault"), "{msg}");
         panic_point("s.d"); // second hit: disarmed
-        install_for_tests(None);
+        install_for_tests(None, 0);
     }
 }

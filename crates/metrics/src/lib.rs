@@ -3,13 +3,10 @@
 //! Every hot path in branch-lab (TAGE bank lookups, scoreboard flushes,
 //! trace-store hits, study fan-out) can report into a process-wide
 //! registry of named [`Counter`]s and cumulative stage timers. The whole
-//! layer is gated by the `BRANCH_LAB_METRICS` environment variable:
-//!
-//! | Value | Behaviour |
-//! |---|---|
-//! | unset, `""`, `0` | Disabled. Counter handles resolve to no-ops; no allocation, no atomics, no registry traffic. |
-//! | `1` | Enabled. Run manifests are written to `out/metrics/<run>.json`. |
-//! | anything else | Enabled. The value is the manifest output directory. |
+//! layer is gated by the `BRANCH_LAB_METRICS` environment variable: unset
+//! or `0`, counter handles resolve to no-ops (no allocation, no atomics,
+//! no registry traffic); `1` or a directory, counters count and run
+//! manifests are written to `out/metrics/<run>.json` or `<dir>/<run>.json`.
 //!
 //! The design rule that keeps the disabled path cheap: instrumented code
 //! resolves a [`Counter`] handle **once, at construction time** (of a
@@ -27,14 +24,16 @@
 //! (see [`manifest::normalize`]).
 //!
 //! As the base crate, it also holds what crates at every layer share:
-//! cooperative cancellation ([`cancel`]), fault injection
-//! ([`faultpoint`]), the cache files of the trace store and serve
-//! ([`durable`]), and the one FNV-1a hash ([`fnv1a`]).
+//! the table of `BRANCH_LAB_*` variables ([`mod@env`]), cooperative
+//! cancellation ([`cancel`]), fault injection ([`faultpoint`]), the cache
+//! files of the trace store and serve ([`durable`]), and the one FNV-1a
+//! hash ([`fnv1a`]).
 
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod durable;
+pub mod env;
 pub mod faultpoint;
 pub mod json;
 pub mod manifest;
@@ -42,7 +41,7 @@ pub mod manifest;
 pub use manifest::{merge_manifests_with_children, normalize, CounterBaseline, Manifest};
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -62,41 +61,6 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-/// How the metrics layer was configured by `BRANCH_LAB_METRICS`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Counters are no-ops; nothing is written.
-    Disabled,
-    /// Counters are live; manifests are written under `sink` (if any).
-    Enabled {
-        /// Directory that run manifests are written to.
-        sink: Option<PathBuf>,
-    },
-}
-
-impl Mode {
-    /// Parses the raw `BRANCH_LAB_METRICS` value. Pure, for testability:
-    /// `None`/`""`/`"0"` disable, `"1"` enables with the default sink,
-    /// any other value enables with that value as the sink directory.
-    #[must_use]
-    pub fn parse(raw: Option<&str>) -> Mode {
-        match raw {
-            None | Some("" | "0") => Mode::Disabled,
-            Some("1") => Mode::Enabled {
-                sink: Some(PathBuf::from("out/metrics")),
-            },
-            Some(dir) => Mode::Enabled {
-                sink: Some(PathBuf::from(dir)),
-            },
-        }
-    }
-}
-
-fn mode() -> &'static Mode {
-    static MODE: OnceLock<Mode> = OnceLock::new();
-    MODE.get_or_init(|| Mode::parse(std::env::var("BRANCH_LAB_METRICS").ok().as_deref()))
-}
-
 static FORCED: AtomicBool = AtomicBool::new(false);
 
 /// Enables the counter registry for the rest of the process regardless
@@ -111,17 +75,16 @@ pub fn force_enable() {
 /// its handles — never inside a hot loop.
 #[must_use]
 pub fn enabled() -> bool {
-    FORCED.load(Ordering::Relaxed) || matches!(mode(), Mode::Enabled { .. })
+    FORCED.load(Ordering::Relaxed) || sink_dir().is_some()
 }
 
-/// The manifest output directory, if one was configured via the
-/// environment. [`force_enable`] does not set a sink.
+/// The manifest output directory `BRANCH_LAB_METRICS` names, read once
+/// (panics if it is malformed); `None` when metrics are off.
+/// [`force_enable`] does not set a sink.
 #[must_use]
-pub fn sink_dir() -> Option<&'static std::path::Path> {
-    match mode() {
-        Mode::Enabled { sink: Some(dir) } => Some(dir.as_path()),
-        _ => None,
-    }
+pub fn sink_dir() -> Option<&'static Path> {
+    static SINK: OnceLock<Option<PathBuf>> = OnceLock::new();
+    SINK.get_or_init(|| env::METRICS.get().flatten()).as_deref()
 }
 
 type Registry = Mutex<BTreeMap<String, &'static AtomicU64>>;
@@ -269,35 +232,18 @@ pub fn reset() {
     }
 }
 
-/// Number of worker threads the process should use: the
-/// `BRANCH_LAB_THREADS` env var when set to a positive integer, otherwise
-/// the machine's available parallelism. An unparsable override is a
-/// misconfiguration, not a request for a serial run: it logs one warning
-/// to stderr and falls back to the machine width.
-///
-/// The experiment engine sizes itself by this count (re-exported as
-/// `bp_core::thread_count`) and run manifests record it, so the two can
-/// never disagree.
+/// Number of worker threads the process uses: `BRANCH_LAB_THREADS` (read
+/// once; panics if it is malformed), else the machine's available
+/// parallelism. The experiment engine sizes itself by this count and run
+/// manifests record it, so the two can never disagree.
 #[must_use]
 pub fn thread_count() -> usize {
-    let available =
-        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    match std::env::var("BRANCH_LAB_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "branch-lab: BRANCH_LAB_THREADS={v:?} is not a positive integer; \
-                         using available parallelism"
-                    );
-                });
-                available()
-            }
-        },
-        Err(_) => available(),
-    }
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        env::THREADS.get().unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -315,21 +261,10 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(Mode::parse(None), Mode::Disabled);
-        assert_eq!(Mode::parse(Some("")), Mode::Disabled);
-        assert_eq!(Mode::parse(Some("0")), Mode::Disabled);
-        assert_eq!(
-            Mode::parse(Some("1")),
-            Mode::Enabled {
-                sink: Some(PathBuf::from("out/metrics"))
-            }
-        );
-        assert_eq!(
-            Mode::parse(Some("/tmp/m")),
-            Mode::Enabled {
-                sink: Some(PathBuf::from("/tmp/m"))
-            }
-        );
+        let parse = env::METRICS.parse;
+        assert_eq!(parse("0"), Some(None));
+        assert_eq!(parse("1"), Some(Some(PathBuf::from("out/metrics"))));
+        assert_eq!(parse("/tmp/m"), Some(Some(PathBuf::from("/tmp/m"))));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use interp::Interpreter;
 pub use motifs::{Emitter, RareTier, VarGapSpec};
 pub use program::{Block, BlockId, Op, Program, ProgramBuilder, Terminator, CODE_BASE, INST_BYTES};
 pub use spec::{Family, MotifSet, WorkloadSpec};
-pub use store::{parse_budget, DerivedKey, StoreReader, StoreStats, TraceKey, TraceStore};
+pub use store::{DerivedKey, StoreReader, StoreStats, TraceKey, TraceStore};
 pub use suite::{
     find_workload, lcf_suite, specint_suite, suite_digest, workload_names, LCF_TRACE_LEN,
     SPECINT_TRACE_LEN,

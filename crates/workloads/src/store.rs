@@ -16,7 +16,7 @@
 //!
 //! The per-process singleton is [`TraceStore::global`]; workloads reach it
 //! through [`crate::WorkloadSpec::cached_trace`]. Set `BRANCH_LAB_TRACE_DIR`
-//! to enable the on-disk layer for the global store.
+//! (read through [`bp_metrics::env`]) to enable its on-disk layer.
 //!
 //! # Memory governor
 //!
@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bp_metrics::durable::{self, Lru};
-use bp_metrics::Counter;
+use bp_metrics::{env, Counter};
 use bp_trace::{
     BptrReader, ReadTraceError, RetiredInst, SharedReader, Trace, TraceMeta, TraceReader,
 };
@@ -244,23 +244,18 @@ impl TraceStore {
         self
     }
 
-    /// The per-process shared store. Reads `BRANCH_LAB_TRACE_DIR` and
-    /// `BRANCH_LAB_MEM_BUDGET` once, at first use: when set and
-    /// non-empty, the global store persists traces in the former and
-    /// bounds resident trace and memo memory to the latter.
+    /// The per-process shared store. Reads [`env::trace_dir`] and
+    /// `BRANCH_LAB_MEM_BUDGET` once, at first use (panicking on a
+    /// malformed value): when set, the global store persists traces in the
+    /// former and bounds resident trace and memo memory to the latter.
     pub fn global() -> &'static TraceStore {
         static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let mut store = match std::env::var("BRANCH_LAB_TRACE_DIR") {
-                Ok(dir) if !dir.is_empty() => TraceStore::with_cache_dir(dir),
-                _ => TraceStore::new(),
-            };
-            if let Some(budget) =
-                std::env::var("BRANCH_LAB_MEM_BUDGET").ok().as_deref().and_then(parse_budget)
-            {
-                store = store.with_mem_budget(budget);
+            let store = env::trace_dir().map_or_else(TraceStore::new, TraceStore::with_cache_dir);
+            match env::MEM_BUDGET.get() {
+                Some(bytes) => store.with_mem_budget(bytes),
+                None => store,
             }
-            store
         })
     }
 
@@ -641,24 +636,6 @@ fn load_valid(path: &Path, key: &TraceKey) -> DiskRead {
     }
 }
 
-/// Parses a byte budget: a byte count with an optional `K`/`M`/`G`
-/// (case-insensitive, 1024-based) suffix, e.g. `512`, `64K`, `8M`, `1G`.
-/// This is the grammar of `BRANCH_LAB_MEM_BUDGET` and of serve's
-/// `--cache-budget`. Returns `None` for anything unparsable, zero, or
-/// past `u64::MAX` bytes.
-#[must_use]
-pub fn parse_budget(raw: &str) -> Option<u64> {
-    let raw = raw.trim();
-    let (digits, unit) = match raw.chars().last()? {
-        'k' | 'K' => (&raw[..raw.len() - 1], 1u64 << 10),
-        'm' | 'M' => (&raw[..raw.len() - 1], 1 << 20),
-        'g' | 'G' => (&raw[..raw.len() - 1], 1 << 30),
-        _ => (raw, 1),
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    n.checked_mul(unit).filter(|&b| b > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,27 +748,6 @@ mod tests {
         let a = store.program(&s);
         let b = store.program(&s);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn budget_parser_accepts_suffixes_and_rejects_garbage() {
-        assert_eq!(parse_budget("1024"), Some(1024));
-        assert_eq!(parse_budget("4K"), Some(4 << 10));
-        assert_eq!(parse_budget(" 16m "), Some(16 << 20));
-        assert_eq!(parse_budget("2G"), Some(2 << 30));
-        assert_eq!(parse_budget("0"), None);
-        assert_eq!(parse_budget(""), None);
-        assert_eq!(parse_budget("lots"), None);
-        assert_eq!(parse_budget("-5M"), None);
-        // The largest budget that fits, and the first that does not.
-        assert_eq!(parse_budget("17179869183G"), Some(17_179_869_183 << 30));
-        assert_eq!(parse_budget("17179869184G"), None);
-        // Past u64::MAX by a little more than one unit: these must not
-        // wrap around to 1 GiB, 1 MiB and 1 KiB.
-        assert_eq!(parse_budget("17179869185G"), None);
-        assert_eq!(parse_budget("18014398509481985M"), None);
-        assert_eq!(parse_budget("18014398509481985K"), None);
-        assert_eq!(parse_budget("18446744073709551615"), Some(u64::MAX));
     }
 
     #[test]

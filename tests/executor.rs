@@ -239,9 +239,9 @@ fn interrupted_then_resumed_fleet_matches_a_clean_run_byte_for_byte() {
     // attempts (injected before its body, like a crashed child), then
     // the fault clears and `--resume` finishes the fleet.
     let chaos_dir = scratch_dir("chaos");
-    faultpoint::install_for_tests(Some("test.child.beta:fail"));
+    faultpoint::install_for_tests(Some("test.child.beta:fail"), 0);
     let interrupted = run_fleet(&chaos_dir, 4, false);
-    faultpoint::install_for_tests(None);
+    faultpoint::install_for_tests(None, 0);
     assert!(
         interrupted.contains("failed: injected fault: child failure"),
         "interrupted merge must record the failure: {interrupted}"

@@ -220,7 +220,7 @@ fn injected_engine_task_panic_is_isolated_and_reported() {
     let _g = gate();
     // Fire on the 4th arrival at engine.task. With 1 thread, arrival
     // order is input order, so item index 3 fails.
-    faultpoint::install_for_tests(Some("engine.task:panic@4"));
+    faultpoint::install_for_tests(Some("engine.task:panic@4"), 0);
     let items: Vec<u32> = (0..8).collect();
     let ran = AtomicU32::new(0);
     let out = catch_unwind(AssertUnwindSafe(|| {
@@ -229,7 +229,7 @@ fn injected_engine_task_panic_is_isolated_and_reported() {
             x + 100
         })
     }));
-    faultpoint::install_for_tests(None);
+    faultpoint::install_for_tests(None, 0);
     let payload = out.expect_err("the injected panic fails the map");
     let message = payload.downcast_ref::<String>().expect("the fault's own message");
     assert!(message.contains("injected fault"), "{message}");
@@ -241,7 +241,7 @@ fn injected_transient_panic_is_absorbed_by_retry() {
     let _g = gate();
     // One attempt of the task panics inside its engine map; the
     // executor's retry runs the whole task again, as `all` does.
-    faultpoint::install_for_tests(Some("engine.task:panic@2"));
+    faultpoint::install_for_tests(Some("engine.task:panic@2"), 0);
     let items: Vec<u32> = (0..4).collect();
     let mut out = Vec::new();
     let tasks = vec![Task::new("study", |_: &CancelToken| {
@@ -250,7 +250,7 @@ fn injected_transient_panic_is_absorbed_by_retry() {
     })];
     let opts = ExecOptions { retries: 1, ..ExecOptions::default() };
     let reports = exec::run(tasks, &opts);
-    faultpoint::install_for_tests(None);
+    faultpoint::install_for_tests(None, 0);
     assert_eq!(reports[0].outcome, Outcome::Ok, "one retry absorbs a one-shot fault");
     assert_eq!(reports[0].attempts, 2);
     assert_eq!(out, items);
@@ -261,10 +261,10 @@ fn injected_save_failure_degrades_to_memory_only_operation() {
     let _g = gate();
     let dir = scratch_dir("savefail");
     let spec = &specint_suite()[0];
-    faultpoint::install_for_tests(Some("trace_store.save:fail"));
+    faultpoint::install_for_tests(Some("trace_store.save:fail"), 0);
     let store = TraceStore::with_cache_dir(&dir);
     let t = store.get(spec, 0, 8_000);
-    faultpoint::install_for_tests(None);
+    faultpoint::install_for_tests(None, 0);
     assert_eq!(t.len(), 8_000);
     assert_eq!(store.stats().generated, 1);
     let files: Vec<_> = std::fs::read_dir(&dir)
@@ -289,10 +289,10 @@ fn injected_load_failure_quarantines_and_regenerates() {
 
     // The file on disk is fine; the injected fault simulates an
     // unreadable/corrupt cache entry at load time.
-    faultpoint::install_for_tests(Some("trace_store.load:fail@1"));
+    faultpoint::install_for_tests(Some("trace_store.load:fail@1"), 0);
     let store = TraceStore::with_cache_dir(&dir);
     let t = store.get(spec, 0, 8_000);
-    faultpoint::install_for_tests(None);
+    faultpoint::install_for_tests(None, 0);
     assert_eq!(store.stats().corrupt, 1);
     assert_eq!(store.stats().generated, 1);
     assert_eq!(t.insts(), good.insts());
