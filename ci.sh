@@ -42,10 +42,14 @@ echo "== differential (release) =="
 # (including ragged lane groups and the u64 cycle fallback), and the
 # single-pass grid equals per-config invocations at any thread count.
 # The lane-structured TAGE-SC-L kernel is checked against the naive
-# reference here too, in the auto-vectorized release build.
+# reference here too, in the auto-vectorized release build. All of
+# bp-pipeline's tests run in release: the lane replay kernel the
+# release build selects at run time (the AVX2 copy on a CPU that has
+# it) must match scalar `simulate`, the portable copy, and the scalar
+# `pipeline.*` counter totals.
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo test --release -q --test differential --test grid_parity --test bit_identity
-cargo test --release -q -p bp-pipeline --test lane_properties
+cargo test --release -q -p bp-pipeline
 
 echo "== sampled replay =="
 # The sampled-replay gates: streamed-vs-materialized feature parity, the

@@ -4,10 +4,13 @@
 //! simulations through one pass over a prepared trace. All per-lane state
 //! is held in [`LaneVec`] values — thin `[C; K]` wrappers whose
 //! operations are written as straight-line per-lane loops that LLVM
-//! reliably auto-vectorizes (`max`/`add`/`select` over 4–16 integer
-//! lanes compile to packed vector instructions on any SIMD ISA the
-//! target offers, with scalar fallback elsewhere; no intrinsics, no
-//! `unsafe`).
+//! reliably auto-vectorizes (`max`/`add`/compare over 4–16 integer
+//! lanes compile to packed vector instructions, with scalar fallback
+//! where the target has no SIMD). There are no intrinsics here and no
+//! `unsafe`: the instruction set is whatever the calling function is
+//! compiled for. On x86-64 that is the baseline SSE2 target, except
+//! inside the AVX2 copy of the replay loop that `SweepReplay` selects
+//! at run time (see `crates/pipeline/src/sweep.rs`).
 //!
 //! The module is public so the replay loop's primitives can be property
 //! tested against per-lane scalar loops (see
@@ -83,6 +86,7 @@ pub struct LaneVec<C, const K: usize>(pub [C; K]);
 
 impl<C: CycleWord, const K: usize> Default for LaneVec<C, K> {
     fn default() -> Self {
+        let () = Self::FITS_MASK;
         LaneVec([C::default(); K])
     }
 }
@@ -92,14 +96,6 @@ impl<C: CycleWord, const K: usize> LaneVec<C, K> {
     /// Compile-time guard: masks are `u32`, so at most [`MAX_LANES`]
     /// lanes.
     const FITS_MASK: () = assert!(K <= MAX_LANES, "LaneVec is limited to MAX_LANES lanes");
-
-    /// All lanes set to `v`.
-    #[inline(always)]
-    #[must_use]
-    pub fn splat(v: C) -> Self {
-        let () = Self::FITS_MASK;
-        LaneVec([v; K])
-    }
 
     /// Lane-wise maximum.
     #[inline(always)]
@@ -151,29 +147,16 @@ impl<C: CycleWord, const K: usize> LaneVec<C, K> {
         out
     }
 
-    /// Lane select: lanes whose mask bit is set come from `a`, the rest
-    /// from `b`.
+    /// Adds 1 to every lane where `a > b` — the lane-wise lift of the
+    /// scalar loop's `count += u64::from(a > b)`, kept in the word width
+    /// so the compare result feeds the add without leaving the vector.
+    /// The caller bounds the count below the word's range (as with
+    /// [`CycleWord::add`]).
     #[inline(always)]
-    #[must_use]
-    pub fn select(mask: u32, a: Self, b: Self) -> Self {
-        let mut out = b;
+    pub fn count_gt(&mut self, a: Self, b: Self) {
         for k in 0..K {
-            if mask & (1 << k) != 0 {
-                out.0[k] = a.0[k];
-            }
+            self.0[k] = self.0[k].add(C::narrow(u64::from(a.0[k] > b.0[k])));
         }
-        out
-    }
-
-    /// Bit mask of lanes where `self > rhs`.
-    #[inline(always)]
-    #[must_use]
-    pub fn gt_mask(self, rhs: Self) -> u32 {
-        let mut m = 0u32;
-        for k in 0..K {
-            m |= u32::from(self.0[k] > rhs.0[k]) << k;
-        }
-        m
     }
 
     /// Widens every lane to `u64` (lossless).
@@ -199,13 +182,14 @@ impl<const K: usize> LaneVec<u64, K> {
         }
     }
 
-    /// Adds `delta`'s lanes into the masked lanes only.
+    /// Adds `delta`'s lanes into the masked lanes only: each lane adds
+    /// its delta ANDed with all-ones or zero from its mask bit, so no
+    /// lane takes a branch.
     #[inline(always)]
     pub fn add_masked(&mut self, mask: u32, delta: LaneVec<u64, K>) {
         for k in 0..K {
-            if mask & (1 << k) != 0 {
-                self.0[k] += delta.0[k];
-            }
+            let keep = 0u64.wrapping_sub(u64::from((mask >> k) & 1));
+            self.0[k] += delta.0[k] & keep;
         }
     }
 

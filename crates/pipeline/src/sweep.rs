@@ -31,6 +31,9 @@
 //!   is `u32` whenever a prepare-time bound proves no timestamp can
 //!   overflow it (true for any realistically-sized trace), halving
 //!   lane-state memory traffic; `u64` remains as the exact fallback.
+//!   The loop is compiled twice from one source: for the build's
+//!   baseline target, and as an AVX2 copy that replay picks at run time
+//!   on a CPU that has AVX2 (`SweepReplay::replay_chunk`).
 //!
 //! Lane counts that are not powers of two decompose into *chunked lane
 //! groups*: 27 streams replay as 16 + 8 + 2 + 1 lanes, each chunk with
@@ -42,9 +45,9 @@
 //! [`simulate`](crate::simulate) call, and the `bp-metrics` pipeline
 //! counters advance exactly as if each lane had been its own scalar run
 //! (one `pipeline.sim_runs` per lane, summed cycle/flush/bubble totals).
-//! The in-crate sweep tests, `tests/lane_properties.rs` in this crate,
-//! `tests/differential.rs` at the workspace root, and the unchanged
-//! golden fixtures lock this in.
+//! The in-crate sweep tests, `tests/lane_properties.rs` and
+//! `tests/lane_counters.rs` in this crate, `tests/differential.rs` at
+//! the workspace root, and the unchanged golden fixtures lock this in.
 
 use bp_trace::{InstClass, ReadTraceError, RetiredInst, Trace, TraceReader, NUM_REGS};
 
@@ -473,7 +476,7 @@ impl SweepReplay {
     #[must_use]
     pub fn simulate(&self, mispredicted: &[bool], config: &PipelineConfig) -> SimStats {
         let mut out = [SimStats::default()];
-        self.replay_chunk(&[mispredicted], config, &mut out);
+        self.replay_chunk(&[mispredicted], config, bp_metrics::enabled(), &mut out);
         out[0]
     }
 
@@ -495,12 +498,14 @@ impl SweepReplay {
     #[must_use]
     pub fn simulate_many(&self, flag_streams: &[&[bool]], config: &PipelineConfig) -> Vec<SimStats> {
         let mut out = vec![SimStats::default(); flag_streams.len()];
+        let metrics = bp_metrics::enabled();
         let mut done = 0;
         while done < flag_streams.len() {
             let take = lane_chunk(flag_streams.len() - done);
             self.replay_chunk(
                 &flag_streams[done..done + take],
                 config,
+                metrics,
                 &mut out[done..done + take],
             );
             done += take;
@@ -525,18 +530,70 @@ impl SweepReplay {
     }
 
     /// Replays one lane chunk through its monomorphized loop and writes
-    /// one [`SimStats`] per stream of `flags` into `out`.
+    /// one [`SimStats`] per stream of `flags` into `out`, with the
+    /// `METRICS` instantiation when `metrics` is set.
+    ///
+    /// The kernel is chosen here, at run time: the AVX2 copy of the loop
+    /// where the running CPU has AVX2, the portable copy otherwise. The
+    /// build targets baseline x86-64, whose SSE2 has no unsigned 32-bit
+    /// lane `max` or compare, so the portable copy spends an emulation
+    /// sequence on each; AVX2 has both as single instructions. Choosing
+    /// at run time keeps one binary that still runs without AVX2.
+    fn replay_chunk(
+        &self,
+        flags: &[&[bool]],
+        config: &PipelineConfig,
+        metrics: bool,
+        out: &mut [SimStats],
+    ) {
+        assert!(
+            config.cache == self.cache && config.mul_latency == self.mul_latency,
+            "SweepReplay prepared under a different cache/mul-latency configuration"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `replay_chunk_avx2` requires only the AVX2 target
+            // feature, and `is_x86_feature_detected!("avx2")` just
+            // confirmed the running CPU has it.
+            unsafe { self.replay_chunk_avx2(flags, config, metrics, out) };
+            return;
+        }
+        self.replay_chunk_portable(flags, config, metrics, out);
+    }
+
+    /// [`Self::replay_chunk_portable`], compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn replay_chunk_avx2(
+        &self,
+        flags: &[&[bool]],
+        config: &PipelineConfig,
+        metrics: bool,
+        out: &mut [SimStats],
+    ) {
+        self.replay_chunk_portable(flags, config, metrics, out);
+    }
+
+    /// The portable kernel: dispatches the chunk to its
+    /// `ChunkCursor<K, METRICS, C>` instantiation.
     ///
     /// Lane word width is chosen per call: when [`Self::cycle_bound`]
     /// fits in 32 bits — every realistically-sized trace — lanes run on
     /// `u32` timestamps, halving lane-state memory traffic and doubling
     /// SIMD density; otherwise the `u64` path keeps the result exact.
-    fn replay_chunk(&self, flags: &[&[bool]], config: &PipelineConfig, out: &mut [SimStats]) {
-        assert!(
-            config.cache == self.cache && config.mul_latency == self.mul_latency,
-            "SweepReplay prepared under a different cache/mul-latency configuration"
-        );
-        let metrics = bp_metrics::enabled();
+    ///
+    /// This function and every `ChunkCursor` method it reaches are
+    /// `#[inline(always)]`, so the whole loop is compiled into each
+    /// caller: once for the baseline target in `replay_chunk`, and once
+    /// more inside the AVX2 kernel, from this one source.
+    #[inline(always)]
+    fn replay_chunk_portable(
+        &self,
+        flags: &[&[bool]],
+        config: &PipelineConfig,
+        metrics: bool,
+        out: &mut [SimStats],
+    ) {
         let narrow = self.cycle_bound(config) < u64::from(u32::MAX);
         macro_rules! dispatch {
             ($($k:literal),*) => {
@@ -587,8 +644,11 @@ fn lane_chunk(left: usize) -> usize {
 /// `C` is the timestamp word (`u32` or `u64`); the caller guarantees via
 /// `SweepReplay::cycle_bound` that no timestamp can overflow it, so the
 /// lane arithmetic below is exact in either width. Counters that
-/// accumulate across the whole trace (mispredictions, bubbles, stalls)
-/// stay `u64` regardless.
+/// accumulate across the whole trace stay `u64`, except the ROB-stall
+/// count, which moves by at most one per record and so fits `C` too.
+///
+/// Every method is `#[inline(always)]`: the loop must be compiled inside
+/// whichever kernel copy calls it (see `SweepReplay::replay_chunk`).
 struct ChunkCursor<'a, const K: usize, const METRICS: bool, C: CycleWord> {
     replay: &'a SweepReplay,
     /// One K-bit mask per conditional branch, transposed from the flag
@@ -607,20 +667,28 @@ struct ChunkCursor<'a, const K: usize, const METRICS: bool, C: CycleWord> {
     reg_ready: [LaneVec<C, K>; REG_SLOTS],
     /// Per-lane ready cycle of every forwarded store, by store ordinal.
     store_done: Vec<LaneVec<C, K>>,
+    /// Window-entry cycles, read `fetch_lag` records back.
     fetch_ring: LaneRing<K, C>,
+    fetch_lag: usize,
     /// ROB occupancy and retire bandwidth both constrain on the same
-    /// retirement sequence, just `rob_size` vs `retire_width` entries
-    /// back — one shared ring with two lagged cursors records it once.
-    retire_ring: LaggedRing<K, C>,
+    /// retirement sequence, just `rob_lag` vs `bw_lag` entries back — one
+    /// ring records it once and answers both.
+    retire_ring: LaneRing<K, C>,
+    rob_lag: usize,
+    bw_lag: usize,
     fetch_base: LaneVec<C, K>,
     last_retire: LaneVec<C, K>,
     refetch_bubbles: LaneVec<u64, K>,
-    rob_stalls: LaneVec<u64, K>,
+    /// Records whose window entry waited on a ROB slot. In `C` because
+    /// the count cannot exceed the record count, which the narrow path's
+    /// `cycle_bound` keeps below 2^31; widened once, in `finish`.
+    rob_stalls: LaneVec<C, K>,
     mispredictions: LaneVec<u64, K>,
     cond_branches: u64,
 }
 
 impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, METRICS, C> {
+    #[inline(always)]
     fn new(replay: &'a SweepReplay, flags: &[&[bool]], config: &PipelineConfig) -> Self {
         assert_eq!(flags.len(), K, "chunk size matches K");
         let mut masks = vec![0u32; replay.cond_branches];
@@ -633,6 +701,11 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
                 *m |= u32::from(f) << k;
             }
         }
+        // A zero-sized resource still holds one entry, as in the scalar
+        // loop's rings.
+        let fetch_lag = (config.fetch_width as usize).max(1);
+        let rob_lag = (config.rob_size as usize).max(1);
+        let bw_lag = (config.retire_width as usize).max(1);
         ChunkCursor {
             replay,
             masks,
@@ -641,8 +714,11 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
             penalty: C::narrow(u64::from(config.mispredict_penalty)),
             reg_ready: [LaneVec::default(); REG_SLOTS],
             store_done: vec![LaneVec::default(); replay.store_slots.max(1)],
-            fetch_ring: LaneRing::new(config.fetch_width as usize),
-            retire_ring: LaggedRing::new(config.rob_size as usize, config.retire_width as usize),
+            fetch_ring: LaneRing::new(fetch_lag),
+            fetch_lag,
+            retire_ring: LaneRing::new(rob_lag.max(bw_lag)),
+            rob_lag,
+            bw_lag,
             fetch_base: LaneVec::default(),
             last_retire: LaneVec::default(),
             refetch_bubbles: LaneVec::default(),
@@ -657,6 +733,7 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
     /// this is one `advance(usize::MAX)`; under a scope the chunk
     /// advances in [`CANCEL_SLICE`] steps with a cancellation checkpoint
     /// before each slice.
+    #[inline(always)]
     fn run(mut self, out: &mut [SimStats]) {
         if bp_metrics::cancel::active() {
             loop {
@@ -673,27 +750,35 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
 
     /// Replays up to `n` further prepared instructions; returns `true`
     /// while instructions remain.
+    #[inline(always)]
     fn advance(&mut self, n: usize) -> bool {
         let end = self.pos.saturating_add(n).min(self.replay.insts.len());
         // Hot lane vectors live in locals across the slice so the
-        // compiler keeps them in registers; ring/scoreboard state is
-        // memory-resident either way.
+        // compiler keeps them in registers; ring buffers and scoreboard
+        // state are memory-resident either way.
         let mut fetch_base = self.fetch_base;
         let mut last_retire = self.last_retire;
+        let mut rob_stalls = self.rob_stalls;
         let mut flag_idx = self.flag_idx;
         let mut cond_branches = self.cond_branches;
         let penalty = self.penalty;
+        let (fetch_lag, rob_lag, bw_lag) = (self.fetch_lag, self.rob_lag, self.bw_lag);
+        // So do the rings' write counters and buffer bounds (`RingView`):
+        // a store into a ring's heap buffer could otherwise alias them,
+        // forcing a reload per record.
+        let mut fetch_ring = self.fetch_ring.view();
+        let mut retire_ring = self.retire_ring.view();
 
         for inst in &self.replay.insts[self.pos..end] {
             // Enter the window: front-end bandwidth, redirect stall, ROB.
-            let fetch_old = self.fetch_ring.oldest();
-            let rob_free = self.retire_ring.oldest_rob();
+            let fetch_old = fetch_ring.back(fetch_lag);
+            let rob_free = retire_ring.back(rob_lag);
             let bw_enter = fetch_base.max(fetch_old.add_scalar(C::ONE));
             if METRICS {
-                self.rob_stalls.add_mask_bits(rob_free.gt_mask(bw_enter));
+                rob_stalls.count_gt(rob_free, bw_enter);
             }
             let enter = bw_enter.max(rob_free);
-            self.fetch_ring.record(enter);
+            fetch_ring.record(enter);
 
             // Dataflow: sources ready + latency (sentinel slots make the
             // reads unconditional).
@@ -728,14 +813,18 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
             }
 
             // In-order retirement with bandwidth.
-            let bw_old = self.retire_ring.oldest_bw();
+            let bw_old = retire_ring.back(bw_lag);
             let retire = done.max(last_retire).max(bw_old.add_scalar(C::ONE));
-            self.retire_ring.record(retire);
+            retire_ring.record(retire);
             last_retire = retire;
         }
 
+        let (fetch_write, retire_write) = (fetch_ring.write, retire_ring.write);
+        self.fetch_ring.write = fetch_write;
+        self.retire_ring.write = retire_write;
         self.fetch_base = fetch_base;
         self.last_retire = last_retire;
+        self.rob_stalls = rob_stalls;
         self.flag_idx = flag_idx;
         self.cond_branches = cond_branches;
         self.pos = end;
@@ -745,6 +834,7 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
     /// Writes the final per-lane [`SimStats`] (and `bp-metrics` pipeline
     /// counters) once the chunk has been advanced to the end of the
     /// trace. `out` must hold exactly this chunk's lane count.
+    #[inline(always)]
     fn finish(self, out: &mut [SimStats]) {
         assert_eq!(out.len(), K, "output slice matches lane count");
         assert_eq!(self.pos, self.replay.insts.len(), "chunk fully advanced");
@@ -778,7 +868,7 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
             counters.cycles.add(out.iter().map(|s| s.cycles).sum());
             counters.flushes.add(self.mispredictions.lane_sum());
             counters.refetch_bubbles.add(self.refetch_bubbles.lane_sum());
-            counters.rob_stalls.add(self.rob_stalls.lane_sum());
+            counters.rob_stalls.add(self.rob_stalls.widen().lane_sum());
         }
     }
 }
@@ -787,99 +877,70 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
 /// block, so a cancelled study stops within one block of work.
 const CANCEL_SLICE: usize = 16 * 1024;
 
-/// A per-lane timestamp ring read at two different lags.
+/// A ring of per-lane timestamps read at fixed lags — the lane-vector
+/// form of the scalar loop's `CycleRing`.
 ///
-/// Records one sequence (retirement timestamps) and answers "the value
-/// `rob` steps ago" and "the value `bw` steps ago" from the same buffer —
-/// the retire sequence is written once per instruction instead of once
-/// per constraint. Slots start at 0, matching a `LaneRing`'s behaviour
-/// for not-yet-seen history.
-struct LaggedRing<const K: usize, C: CycleWord> {
-    buf: Vec<LaneVec<C, K>>,
-    /// Next slot to write: the value `len` steps back.
-    write: usize,
-    /// Slot holding the value `rob` steps back.
-    rob_cursor: usize,
-    /// Slot holding the value `bw` steps back.
-    bw_cursor: usize,
-}
-
-impl<const K: usize, C: CycleWord> LaggedRing<K, C> {
-    fn new(rob: usize, bw: usize) -> Self {
-        let rob = rob.max(1);
-        let bw = bw.max(1);
-        let len = rob.max(bw);
-        LaggedRing {
-            buf: vec![LaneVec::default(); len],
-            write: 0,
-            rob_cursor: (len - rob) % len,
-            bw_cursor: (len - bw) % len,
-        }
-    }
-
-    /// The retirement timestamp `rob` records ago (0 before that).
-    #[inline]
-    fn oldest_rob(&self) -> LaneVec<C, K> {
-        self.buf[self.rob_cursor]
-    }
-
-    /// The retirement timestamp `bw` records ago (0 before that).
-    #[inline]
-    fn oldest_bw(&self) -> LaneVec<C, K> {
-        self.buf[self.bw_cursor]
-    }
-
-    /// Records the current retirement timestamps and advances all
-    /// cursors.
-    #[inline]
-    fn record(&mut self, cycles: LaneVec<C, K>) {
-        self.buf[self.write] = cycles;
-        let len = self.buf.len();
-        self.write += 1;
-        if self.write == len {
-            self.write = 0;
-        }
-        self.rob_cursor += 1;
-        if self.rob_cursor == len {
-            self.rob_cursor = 0;
-        }
-        self.bw_cursor += 1;
-        if self.bw_cursor == len {
-            self.bw_cursor = 0;
-        }
-    }
-}
-
-/// A fixed-size ring of per-lane cycle timestamps with a shared cursor —
-/// the lane-vector form of the scalar loop's `CycleRing`.
+/// One buffer answers "the value `lag` records ago" for every lag up to
+/// the capacity it was built with, so the retire sequence is written once
+/// for both the ROB and the retire-bandwidth constraint. The buffer is a
+/// power of two long: a read is `(write - lag) & mask` and a record is
+/// one store and one increment, with no cursor to wrap. A slot never
+/// written reads 0, and while fewer than `lag` records exist the read
+/// lands on such a slot (`write - lag` wraps to at least `write`, modulo
+/// a length of at least `lag`), matching the scalar rings' zeroed
+/// history. The loop reads and records through a [`RingView`].
 struct LaneRing<const K: usize, C: CycleWord> {
     buf: Vec<LaneVec<C, K>>,
-    cursor: usize,
+    mask: usize,
+    /// Records made so far (its low bits are the next slot to write).
+    write: usize,
 }
 
 impl<const K: usize, C: CycleWord> LaneRing<K, C> {
-    fn new(len: usize) -> Self {
+    /// A ring answering lags up to `max_lag` (at least 1).
+    #[inline(always)]
+    fn new(max_lag: usize) -> Self {
+        let len = max_lag.max(1).next_power_of_two();
         LaneRing {
-            buf: vec![LaneVec::default(); len.max(1)],
-            cursor: 0,
+            buf: vec![LaneVec::default(); len],
+            mask: len - 1,
+            write: 0,
         }
     }
 
-    /// Timestamps `len` positions ago: the slot the next `record`
-    /// overwrites.
-    #[inline]
-    fn oldest(&self) -> LaneVec<C, K> {
-        self.buf[self.cursor]
+    /// The ring for one `advance` slice; the caller stores the view's
+    /// `write` back when the slice ends.
+    #[inline(always)]
+    fn view(&mut self) -> RingView<'_, K, C> {
+        RingView {
+            buf: &mut self.buf[..=self.mask],
+            mask: self.mask,
+            write: self.write,
+        }
+    }
+}
+
+/// A [`LaneRing`] held in locals for one `advance` slice: the buffer as
+/// a slice exactly `mask + 1` long, so a masked index needs no bounds
+/// check, and the write counter in a register.
+struct RingView<'r, const K: usize, C: CycleWord> {
+    buf: &'r mut [LaneVec<C, K>],
+    mask: usize,
+    write: usize,
+}
+
+impl<const K: usize, C: CycleWord> RingView<'_, K, C> {
+    /// The timestamps recorded `lag` records ago (0 before that).
+    #[inline(always)]
+    fn back(&self, lag: usize) -> LaneVec<C, K> {
+        self.buf[self.write.wrapping_sub(lag) & self.mask]
     }
 
-    /// Records the current event's per-lane timestamps and advances.
-    #[inline]
+    /// Records the current timestamps.
+    #[inline(always)]
     fn record(&mut self, cycles: LaneVec<C, K>) {
-        self.buf[self.cursor] = cycles;
-        self.cursor += 1;
-        if self.cursor == self.buf.len() {
-            self.cursor = 0;
-        }
+        self.buf[self.write & self.mask] = cycles;
+        self.write = self.write.wrapping_add(1);
     }
 }
 
@@ -1014,6 +1075,51 @@ mod tests {
         let sweep = SweepReplay::new(&t, &c);
         assert!(sweep.cycle_bound(&c) >= u64::from(u32::MAX));
         assert_eq!(sweep.simulate(&flags, &c), simulate(&t, &flags, &c));
+    }
+
+    #[test]
+    fn avx2_and_portable_kernels_agree() {
+        // `replay_chunk` runs the AVX2 copy of the loop on a CPU with
+        // AVX2; `replay_chunk_portable` called here runs the copy built
+        // for the baseline target. Every chunk width, both word widths
+        // and both metrics instantiations must give the same answer.
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!(
+                "no AVX2 on this CPU: skipped the AVX2 half; \
+                 checking the portable kernel against scalar simulate"
+            );
+        }
+        let (t, branches) = mixed_trace(6_000);
+        let streams: Vec<Vec<bool>> = (0..16)
+            .map(|i| flag_stream(branches, 71 + i, (i * 11) % 70))
+            .collect();
+        let refs: Vec<&[bool]> = streams.iter().map(Vec::as_slice).collect();
+        let mut wide = cfg().scaled(4);
+        wide.mispredict_penalty = u32::MAX / 2;
+        for (c, narrow) in [(cfg().scaled(4), true), (wide, false)] {
+            let sweep = SweepReplay::new(&t, &c);
+            assert_eq!(sweep.cycle_bound(&c) < u64::from(u32::MAX), narrow);
+            for k in [1, 2, 4, 8, 16] {
+                for metrics in [false, true] {
+                    let mut portable = vec![SimStats::default(); k];
+                    sweep.replay_chunk_portable(&refs[..k], &c, metrics, &mut portable);
+                    let label = format!("{k} lanes, narrow {narrow}, metrics {metrics}");
+                    if avx2 {
+                        let mut dispatched = vec![SimStats::default(); k];
+                        sweep.replay_chunk(&refs[..k], &c, metrics, &mut dispatched);
+                        assert_eq!(dispatched, portable, "{label}");
+                    } else {
+                        for (f, got) in refs[..k].iter().zip(&portable) {
+                            assert_eq!(*got, simulate(&t, f, &c), "{label}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

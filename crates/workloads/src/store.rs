@@ -10,7 +10,10 @@
 //! at most once per machine and generator. A file is named
 //! `{name}-{digest:016x}-i{input}-l{len}.bptr`, where the digest covers
 //! the workload spec and the generator version, so a changed spec or
-//! generator never reads an older build's file. Files are written with
+//! generator never reads an older build's file. Once a generated trace
+//! is saved, the files its workload, input and length have under any
+//! other digest, or under the older digest-free name, are deleted: nothing
+//! reads them again. Files are written with
 //! [`bp_metrics::durable::write_atomic`] and damaged ones are moved aside
 //! with [`bp_metrics::durable::quarantine`], as serve's result cache does.
 //!
@@ -79,22 +82,65 @@ impl TraceKey {
         TraceKey { name: spec.name.clone(), input, len }
     }
 
-    /// File name used by the on-disk layer for the trace of `spec`, with
-    /// path-hostile characters mapped to `_`. It carries the spec's
-    /// generator digest, so a file is only ever read back by the spec and
-    /// generator that wrote it.
-    fn file_name(&self, spec: &WorkloadSpec) -> String {
-        let sanitized: String = self
-            .name
+    /// The workload name with path-hostile characters mapped to `_`.
+    fn sanitized_name(&self) -> String {
+        self.name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
-            .collect();
+            .collect()
+    }
+
+    /// The `-i{input}-l{len}.bptr` tail every file name of this key ends
+    /// with.
+    fn file_suffix(&self) -> String {
+        format!("-i{}-l{}.bptr", self.input, self.len)
+    }
+
+    /// File name used by the on-disk layer for the trace of `spec`. It
+    /// carries the spec's generator digest, so a file is only ever read
+    /// back by the spec and generator that wrote it.
+    fn file_name(&self, spec: &WorkloadSpec) -> String {
         format!(
-            "{sanitized}-{:016x}-i{}-l{}.bptr",
+            "{}-{:016x}{}",
+            self.sanitized_name(),
             spec.generator_digest(),
-            self.input,
-            self.len
+            self.file_suffix()
         )
+    }
+
+    /// Whether `file` is a name the store wrote this key's trace under
+    /// before: the pre-digest `{name}-i{input}-l{len}.bptr`, or
+    /// `{name}-{digest}-i{input}-l{len}.bptr` with any 16-hex digest
+    /// (the current one included; the caller skips the current file).
+    fn is_own_file(&self, file: &str) -> bool {
+        let Some(digest) = file
+            .strip_prefix(self.sanitized_name().as_str())
+            .and_then(|rest| rest.strip_suffix(self.file_suffix().as_str()))
+        else {
+            return false;
+        };
+        digest.is_empty()
+            || digest.strip_prefix('-').is_some_and(|hex| {
+                hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+            })
+    }
+}
+
+/// Deletes the files `dir` holds for `key` under names an older build,
+/// spec or generator wrote (see [`TraceKey::is_own_file`]), keeping
+/// `current`. Nothing reads them again: the store only opens the current
+/// name. Best-effort, like the save: a file that cannot be listed or
+/// removed stays.
+fn prune_superseded(dir: &Path, key: &TraceKey, current: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let own = entry.file_name().to_str().is_some_and(|name| key.is_own_file(name));
+        if own && path != current {
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }
 
@@ -449,8 +495,8 @@ impl TraceStore {
             // tests exercise exactly that degradation.
             let persist_ok = !bp_metrics::faultpoint::should_fail("trace_store.save")
                 && std::fs::create_dir_all(dir).is_ok();
-            if persist_ok {
-                let _ = durable::write_atomic(path, |w| trace.write_to(w));
+            if persist_ok && durable::write_atomic(path, |w| trace.write_to(w)).is_ok() {
+                prune_superseded(dir, key, path);
             }
         }
         trace

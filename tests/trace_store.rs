@@ -80,9 +80,10 @@ fn a_changed_spec_never_reads_the_old_specs_file() {
     assert_eq!((stats.generated, stats.disk_loads), (1, 0), "{stats:?}");
     assert_eq!(got.insts(), want.insts());
 
-    // Both specs' files now sit side by side, and a fresh store streams
-    // the changed spec's own file.
-    assert_eq!(std::fs::read_dir(&dir).expect("read dir").count(), 2);
+    // Saving the changed spec's trace deleted the old spec's file, which
+    // nothing reads again; a fresh store streams the changed spec's own
+    // file.
+    assert_eq!(std::fs::read_dir(&dir).expect("read dir").count(), 1);
     let mut reader = TraceStore::with_cache_dir(&dir).stream(&changed, 0, 20_000);
     assert!(matches!(reader, StoreReader::Disk(_)));
     let mut streamed = Vec::new();
@@ -90,6 +91,51 @@ fn a_changed_spec_never_reads_the_old_specs_file() {
         streamed.extend_from_slice(chunk);
     }
     assert_eq!(streamed, want.insts());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The file names in `dir`, sorted.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("UTF-8 name"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn saving_a_trace_deletes_its_superseded_files_and_nothing_else() {
+    let dir = scratch_dir("prune");
+    let spec = find_workload("game").expect("game is in the suite");
+    // The names older builds wrote this trace under: before file names
+    // carried a digest, and under another spec or generator's digest.
+    let stale = ["game-i0-l20000.bptr", "game-0123456789abcdef-i0-l20000.bptr"];
+    // Files of other traces, and a quarantined file, which must stay.
+    let unrelated = [
+        "game-0123456789abcdef-i0-l30000.bptr",
+        "game-0123456789abcdef-i1-l20000.bptr",
+        "game-i0-l20000.bptr.corrupt-1",
+        "rdbms-0123456789abcdef-i0-l20000.bptr",
+    ];
+    for name in stale.iter().chain(&unrelated) {
+        std::fs::write(dir.join(name), b"not read").expect("plant file");
+    }
+
+    let store = TraceStore::with_cache_dir(&dir);
+    let got = store.get(&spec, 0, 20_000);
+    assert_eq!(store.stats().generated, 1, "the planted files are never read");
+    assert_eq!(got.insts(), spec.trace(0, 20_000).insts());
+
+    let left = file_names(&dir);
+    let current: Vec<&String> = left.iter().filter(|n| !unrelated.contains(&n.as_str())).collect();
+    assert_eq!(current.len(), 1, "exactly the current file besides the unrelated ones: {left:?}");
+    let digest = current[0]
+        .strip_prefix("game-")
+        .and_then(|rest| rest.strip_suffix("-i0-l20000.bptr"))
+        .expect("the current file is named {name}-{digest}-i{input}-l{len}.bptr");
+    assert!(digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit()), "{digest}");
+    assert_eq!(left.len(), unrelated.len() + 1, "{left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
