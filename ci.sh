@@ -278,6 +278,33 @@ env BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
 cmp "$SERVE_OUT/sweep2.txt" "$SERVE_OUT/sweep-cli.txt" \
     || { echo "serve leg: served sweep differs from CLI stdout"; exit 1; }
 
+# Mixed-config lane chunks: 3 predictors × 5 scales is 15 cells, one
+# 16-lane chunk (one padding lane) whose lanes run five different
+# pipeline configs. It must miss, answer 200, and match cell by cell
+# five single-scale CLI sweeps, whose chunks each hold one config.
+MIXED='"workload": "streaming", "predictors": ["gshare", "tage-sc-l-8kb", "bimodal"], "len": 30000'
+smoke --post /sweep --body "{$MIXED, \"scales\": [1, 2, 4, 16, 32]}" \
+    > "$SERVE_OUT/mixed.txt" 2> "$SERVE_OUT/mixed.err"
+grep -q "status=200 cache=miss" "$SERVE_OUT/mixed.err" \
+    || { echo "serve leg: the mixed-scale sweep must miss and answer 200"; exit 1; }
+table_cells() { # <file> <column>: the table's header and rows as predictor, accuracy, that column
+    awk -v c="$2" 'NF && !/^==/ && !/^-+$/ { print $1, $2, $c }' "$1"
+}
+COL=2
+for SCALE in 1 2 4 16 32; do
+    COL=$((COL + 1))
+    env BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
+        target/release/branch-lab sweep --workload streaming \
+        --predictors gshare,tage-sc-l-8kb,bimodal --scales "$SCALE" --len 30000 \
+        > "$SERVE_OUT/mixed-$SCALE.txt"
+    table_cells "$SERVE_OUT/mixed.txt" "$COL" > "$SERVE_OUT/mixed-cells.txt"
+    table_cells "$SERVE_OUT/mixed-$SCALE.txt" 3 > "$SERVE_OUT/single-cells.txt"
+    [ "$(wc -l < "$SERVE_OUT/single-cells.txt")" -eq 4 ] \
+        || { echo "serve leg: the ${SCALE}x sweep has no three-row table"; exit 1; }
+    cmp "$SERVE_OUT/mixed-cells.txt" "$SERVE_OUT/single-cells.txt" \
+        || { echo "serve leg: mixed-scale sweep differs from the ${SCALE}x sweep"; exit 1; }
+done
+
 # Chaos: kill -9, corrupt the fig3 entry on disk as a torn write would,
 # restart on the same cache directory.
 kill -9 "$SERVE_PID" 2> /dev/null || true

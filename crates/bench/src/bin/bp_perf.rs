@@ -218,11 +218,13 @@ fn run_suite(opts: &Options) -> PerfReport {
     // the study actually runs: six TAGE-SC-L storage points plus the
     // 8KB-baseline and perfect lanes, replayed at every pipeline scale.
     // The first entry is the production path (one lockstep predictor
-    // pass, one prepared `SweepReplay` stepping all eight lanes); the
+    // pass, one prepared `SweepReplay` replaying all 48 (lane, scale)
+    // cells as three 16-lane chunks of two scales each); the
     // second keeps the per-config shape it replaced (one predictor pass
     // and one scalar replay per lane), so the single-pass speedup is
     // itself baseline-gated. Both count the same logical records, so
     // their rec/s ratio is the speedup.
+    let scaled: Vec<PipelineConfig> = PipelineConfig::SCALES.map(|s| cfg.scaled(s)).into();
     let sweep_sims =
         (TageSclConfig::STORAGE_POINTS_KB.len() as u64 + 2) * PipelineConfig::SCALES.len() as u64;
     measurements.push(perf::measure(
@@ -241,13 +243,12 @@ fn run_suite(opts: &Options) -> PerfReport {
             lanes.push(&perfect);
             lanes.extend(per_storage.iter().map(Vec::as_slice));
             let sweep = SweepReplay::new(&lcf_trace, &cfg);
-            let mut cycles = 0u64;
-            for scale in PipelineConfig::SCALES {
-                for stats in sweep.simulate_many(&lanes, &cfg.scaled(scale)) {
-                    cycles += stats.cycles;
-                }
-            }
-            cycles
+            sweep
+                .simulate_many(&lanes, &scaled)
+                .iter()
+                .flatten()
+                .map(|s| s.cycles)
+                .sum::<u64>()
         },
     ));
     measurements.push(perf::measure(
@@ -282,8 +283,8 @@ fn run_suite(opts: &Options) -> PerfReport {
     // The heterogeneous grid's inner loop: sixteen mixed predictor specs
     // (TAGE-SC-L storage points, ablations, classical baselines, bounds)
     // trained as lanes in one lockstep walk, then one prepared trace
-    // replayed as a 16-wide lane chunk at every pipeline scale — 96
-    // simulations from two passes over the trace. The per-config twin
+    // replayed as one 16-lane chunk per pipeline scale — 96 simulations
+    // from two passes over the trace. The per-config twin
     // keeps the shape this replaced (one solo training walk per spec,
     // one scalar replay per cell) so the grid speedup is baseline-gated.
     let grid_specs = PredictorSpec::hetero_grid();
@@ -300,13 +301,12 @@ fn run_suite(opts: &Options) -> PerfReport {
                 .expect("in-memory reader cannot fail");
             let lanes: Vec<&[bool]> = per_spec.iter().map(Vec::as_slice).collect();
             let sweep = SweepReplay::new(&lcf_trace, &cfg);
-            let mut cycles = 0u64;
-            for scale in PipelineConfig::SCALES {
-                for stats in sweep.simulate_many(&lanes, &cfg.scaled(scale)) {
-                    cycles += stats.cycles;
-                }
-            }
-            cycles
+            sweep
+                .simulate_many(&lanes, &scaled)
+                .iter()
+                .flatten()
+                .map(|s| s.cycles)
+                .sum::<u64>()
         },
     ));
     measurements.push(perf::measure(

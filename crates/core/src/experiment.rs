@@ -137,21 +137,27 @@ pub fn scaling_study_with(
         "Perfect H2Ps",
         "Perfect BP",
     ];
-    // Per workload: log(ipc ratio) for every (series, scale) cell. The
-    // four series replay in lockstep through one prepared trace.
+    let configs: Vec<PipelineConfig> = scales.iter().map(|&s| base_cfg.scaled(s)).collect();
+    let one = scales
+        .iter()
+        .position(|&s| s == 1)
+        .expect("the scales include 1x");
+    // Per workload: log(ipc ratio) for every (series, scale) cell. Every
+    // cell replays in lockstep through one prepared trace; the baseline
+    // is the TAGE-SC-L 8KB cell at 1x.
     let contribs: Vec<Vec<Vec<f64>>> = engine.map(specs, |_, spec| {
         let st = streams_for(store, spec, config, &base_cfg);
-        let sweep = &st.sweep;
-        let base_ipc = sweep.simulate(&st.tage8, &base_cfg).ipc();
         let lanes: [&[bool]; 4] = [&st.tage8, &st.tage64, &st.perfect_h2p, &st.perfect];
-        let mut contrib = vec![vec![0.0f64; scales.len()]; labels.len()];
-        for (si, &scale) in scales.iter().enumerate() {
-            let cfg = base_cfg.scaled(scale);
-            for (li, stats) in sweep.simulate_many(&lanes, &cfg).iter().enumerate() {
-                contrib[li][si] = (stats.ipc() / base_ipc).ln();
-            }
-        }
-        contrib
+        let stats = st.sweep.simulate_many(&lanes, &configs);
+        let base_ipc = stats[one][0].ipc();
+        (0..labels.len())
+            .map(|li| {
+                stats
+                    .iter()
+                    .map(|per_scale| (per_scale[li].ipc() / base_ipc).ln())
+                    .collect()
+            })
+            .collect()
     });
     // Serial reduction in workload order keeps the floating-point sum
     // identical to the serial implementation.
@@ -232,6 +238,7 @@ pub fn storage_scaling_study_with(
     let scales = PipelineConfig::SCALES.to_vec();
     let storages = TageSclConfig::STORAGE_POINTS_KB.to_vec();
     let base_cfg = PipelineConfig::skylake();
+    let configs: Vec<PipelineConfig> = scales.iter().map(|&s| base_cfg.scaled(s)).collect();
     let rows: Vec<StorageScalingRow> = engine.map(specs, |_, spec| {
         // All storage points train through one pass over the branch
         // stream — this is the sweep the single-pass engine exists for.
@@ -246,20 +253,19 @@ pub fn storage_scaling_study_with(
         lanes.push(&perfect);
         lanes.extend(flags_per_storage.iter().map(|f| f.as_slice()));
         let sweep = memo::replay(store, spec, config.trace_len, &base_cfg);
-        let mut gap_closed = Vec::with_capacity(scales.len());
-        for &scale in &scales {
-            let cfg = base_cfg.scaled(scale);
-            let stats = sweep.simulate_many(&lanes, &cfg);
-            let ipc8 = stats[0].ipc();
-            let ipc_perfect = stats[1].ipc();
-            let gap = (ipc_perfect - ipc8).max(1e-9);
-            gap_closed.push(
+        let gap_closed = sweep
+            .simulate_many(&lanes, &configs)
+            .iter()
+            .map(|stats| {
+                let ipc8 = stats[0].ipc();
+                let ipc_perfect = stats[1].ipc();
+                let gap = (ipc_perfect - ipc8).max(1e-9);
                 stats[2..]
                     .iter()
                     .map(|s| ((s.ipc() - ipc8) / gap).max(0.0))
-                    .collect(),
-            );
-        }
+                    .collect()
+            })
+            .collect();
         StorageScalingRow {
             name: spec.name.clone(),
             gap_closed,
@@ -331,24 +337,21 @@ pub fn hetero_grid_study_with(
     let scales = PipelineConfig::SCALES.to_vec();
     let grid_specs = PredictorSpec::hetero_grid();
     let base_cfg = PipelineConfig::skylake();
+    let configs: Vec<PipelineConfig> = scales.iter().map(|&s| base_cfg.scaled(s)).collect();
     let rows: Vec<HeteroGridRow> = engine.map(workloads, |_, spec| {
         let flags = memo::flags(store, spec, config.trace_len, &grid_specs);
         let lanes: Vec<&[bool]> = flags.iter().map(|f| f.as_slice()).collect();
         let sweep = memo::replay(store, spec, config.trace_len, &base_cfg);
         let insts = sweep.len().max(1) as f64;
-        let mut ipc = Vec::with_capacity(scales.len());
-        let mut mpki = Vec::new();
-        for &scale in &scales {
-            let cfg = base_cfg.scaled(scale);
-            let stats = sweep.simulate_many(&lanes, &cfg);
-            if mpki.is_empty() {
-                mpki = stats
-                    .iter()
-                    .map(|s| s.mispredictions as f64 * 1000.0 / insts)
-                    .collect();
-            }
-            ipc.push(stats.iter().map(bp_pipeline::SimStats::ipc).collect());
-        }
+        let stats = sweep.simulate_many(&lanes, &configs);
+        let mpki = stats[0]
+            .iter()
+            .map(|s| s.mispredictions as f64 * 1000.0 / insts)
+            .collect();
+        let ipc = stats
+            .iter()
+            .map(|per_scale| per_scale.iter().map(bp_pipeline::SimStats::ipc).collect())
+            .collect();
         HeteroGridRow {
             name: spec.name.clone(),
             ipc,
@@ -446,7 +449,10 @@ pub fn rare_oracle_study_with(
 
         // All four IPC points come from one lockstep replay.
         let sweep = memo::replay(store, spec, config.trace_len, &cfg);
-        let stats = sweep.simulate_many(&[&flags8, &perfect, &after_1000, &after_100], &cfg);
+        let stats = &sweep.simulate_many(
+            &[&flags8, &perfect, &after_1000, &after_100],
+            std::slice::from_ref(&cfg),
+        )[0];
         let ipc8 = stats[0].ipc();
         let ipc_perfect = stats[1].ipc();
         let opportunity = (ipc_perfect - ipc8).max(1e-9);

@@ -73,7 +73,7 @@ pub fn help_text() -> String {
          \x20   --addr HOST:PORT       listen address (default 127.0.0.1:7878; :0 = any free port)\n\
          \x20   --workers N            worker threads, at least 1 (default: cores, 2 to 8)\n\
          \x20   --cache-dir DIR        persist results to disk under DIR (default memory-only)\n\
-         \x20   --cache-budget BYTES   per-tier cache budget, e.g. 64M (default unbounded)\n\
+         \x20   --cache-budget BYTES   per-tier cache budget, e.g. 64M (default 1G)\n\
          \x20   --deadline-secs N      default per-request execution deadline (0 = none)\n\
          \n\
          ENVIRONMENT (a malformed value or an unknown BRANCH_LAB_* name exits with\n\
@@ -274,16 +274,12 @@ pub fn sweep_report(
     let mut header = vec!["predictor".to_owned(), "accuracy".to_owned()];
     header.extend(scales.iter().map(|s| format!("ipc@{s}x")));
     let mut table = Table::new(header.iter().map(String::as_str).collect());
-    let mut ipc: Vec<Vec<f64>> = Vec::new();
-    for &scale in scales {
-        ipc.push(
-            sweep
-                .simulate_many(&lanes, &base.scaled(scale))
-                .iter()
-                .map(bp_pipeline::SimStats::ipc)
-                .collect(),
-        );
-    }
+    let configs: Vec<PipelineConfig> = scales.iter().map(|&s| base.scaled(s)).collect();
+    let ipc: Vec<Vec<f64>> = sweep
+        .simulate_many(&lanes, &configs)
+        .iter()
+        .map(|per_scale| per_scale.iter().map(bp_pipeline::SimStats::ipc).collect())
+        .collect();
     for (pi, pred) in specs.iter().enumerate() {
         let mispredicts = flags[pi].iter().filter(|&&f| f).count();
         let total = flags[pi].len().max(1);

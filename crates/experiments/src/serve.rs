@@ -67,6 +67,11 @@ use bp_workloads::{find_workload, suite_digest, workload_names};
 
 use crate::{cli, flag_value, registry, Cli};
 
+/// The result cache's per-tier byte budget when `--cache-budget` is not
+/// given: 1 GiB. A served key holds about 8 KiB, so without a bound a
+/// long-running server grows by every distinct key it answers.
+pub const DEFAULT_CACHE_BUDGET: u64 = 1 << 30;
+
 /// Server configuration, resolved from the command-line flags.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -76,8 +81,9 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Disk tier directory for the result cache; `None` = memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Per-tier resident-byte budget; `None` = unbounded.
-    pub cache_budget: Option<u64>,
+    /// Per-tier resident-byte budget, [`DEFAULT_CACHE_BUDGET`] unless
+    /// `--cache-budget` says otherwise.
+    pub cache_budget: u64,
     /// Default per-request execution deadline; a request's
     /// `deadline_secs` field overrides it. `None` = no deadline.
     pub deadline: Option<Duration>,
@@ -95,7 +101,7 @@ impl ServeOptions {
             addr: "127.0.0.1:7878".to_string(),
             workers: default_workers(),
             cache_dir: None,
-            cache_budget: None,
+            cache_budget: DEFAULT_CACHE_BUDGET,
             deadline: None,
         };
         let mut args = args.into_iter();
@@ -108,9 +114,8 @@ impl ServeOptions {
                 }
                 "--cache-dir" => opts.cache_dir = Some(flag_value(&mut args, "--cache-dir")?),
                 "--cache-budget" => {
-                    let bytes =
+                    opts.cache_budget =
                         parsed_flag(&mut args, "--cache-budget", env::parse_budget, env::BYTES)?;
-                    opts.cache_budget = Some(bytes);
                 }
                 "--deadline-secs" => {
                     let secs: u64 = flag_value(&mut args, "--deadline-secs")?;
@@ -589,7 +594,7 @@ pub fn run_from(args: Vec<String>) {
     let service = Arc::new(StudyService::new(
         registry::registry(),
         opts.cache_dir.clone(),
-        opts.cache_budget,
+        Some(opts.cache_budget),
         opts.deadline,
     ));
     let server = match Server::bind(&opts.addr, opts.workers, service) {
@@ -659,7 +664,13 @@ mod tests {
             |args: &[&str]| ServeOptions::resolve(args.iter().map(|a| (*a).to_owned()).collect());
         let opts =
             resolve(&["--workers", "3", "--cache-budget", "64M", "--deadline-secs", "0"]).unwrap();
-        assert_eq!((opts.workers, opts.cache_budget, opts.deadline), (3, Some(64 << 20), None));
+        assert_eq!((opts.workers, opts.cache_budget, opts.deadline), (3, 64 << 20, None));
+        // Without the flag, each tier is bounded at 1 GiB, not unbounded.
+        assert_eq!(resolve(&[]).unwrap().cache_budget, 1 << 30);
+        assert_eq!(
+            resolve(&["--cache-budget", "1G"]).unwrap().cache_budget,
+            DEFAULT_CACHE_BUDGET
+        );
         for bad in [
             &["--bogus"][..],
             &["--workers"],

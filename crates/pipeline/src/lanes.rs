@@ -1,7 +1,8 @@
 //! Explicit fixed-width SIMD lane vectors for lockstep replay.
 //!
-//! [`SweepReplay`](crate::SweepReplay) steps up to 16 independent
-//! simulations through one pass over a prepared trace. All per-lane state
+//! [`SweepReplay`](crate::SweepReplay) steps 4, 8 or 16 independent
+//! simulations, each with its own flag stream and pipeline capacity,
+//! through one pass over a prepared trace. All per-lane state
 //! is held in [`LaneVec`] values — thin `[C; K]` wrappers whose
 //! operations are written as straight-line per-lane loops that LLVM
 //! reliably auto-vectorizes (`max`/`add`/compare over 4–16 integer
@@ -23,6 +24,8 @@
 //! single integer test skips the masked path when no lane is affected —
 //! the common case for well-trained predictors. `K` may not exceed
 //! [`MAX_LANES`].
+
+use std::ops::Range;
 
 /// Maximum lanes per [`LaneVec`]: masks are `u32` bit sets.
 pub const MAX_LANES: usize = 32;
@@ -46,12 +49,21 @@ pub trait CycleWord: Copy + Default + Ord + std::fmt::Debug {
     /// Saturating subtraction, mirroring the scalar loop's
     /// `saturating_sub`.
     fn sub_sat(self, rhs: Self) -> Self;
+    /// Every bit set.
+    const ALL_ONES: Self;
+    /// Whether the top bit is set: the bit a vector blend reads.
+    fn top_bit(self) -> bool;
 }
 
 macro_rules! impl_cycle_word {
-    ($($ty:ty),*) => {$(
+    ($($ty:ty: $signed:ty),*) => {$(
         impl CycleWord for $ty {
             const ONE: Self = 1;
+            const ALL_ONES: Self = <$ty>::MAX;
+            #[inline(always)]
+            fn top_bit(self) -> bool {
+                (self as $signed) < 0
+            }
             #[inline(always)]
             fn narrow(v: u64) -> Self {
                 v as Self
@@ -72,7 +84,7 @@ macro_rules! impl_cycle_word {
     )*};
 }
 
-impl_cycle_word!(u32, u64);
+impl_cycle_word!(u32: i32, u64: i64);
 
 /// `K` per-lane words stepped in lockstep.
 ///
@@ -120,6 +132,18 @@ impl<C: CycleWord, const K: usize> LaneVec<C, K> {
         out
     }
 
+    /// Lane-wise addition (exact; the caller guarantees no overflow, as
+    /// with [`CycleWord::add`]).
+    #[inline(always)]
+    #[must_use]
+    pub fn add_lanes(self, rhs: Self) -> Self {
+        let mut out = self;
+        for k in 0..K {
+            out.0[k] = out.0[k].add(rhs.0[k]);
+        }
+        out
+    }
+
     /// Lane-wise saturating subtraction (`max(self - rhs, 0)` per lane).
     #[inline(always)]
     #[must_use]
@@ -147,15 +171,49 @@ impl<C: CycleWord, const K: usize> LaneVec<C, K> {
         out
     }
 
-    /// Adds 1 to every lane where `a > b` — the lane-wise lift of the
-    /// scalar loop's `count += u64::from(a > b)`, kept in the word width
-    /// so the compare result feeds the add without leaving the vector.
-    /// The caller bounds the count below the word's range (as with
+    /// The lanes in `lanes` take `rhs`'s values; all other lanes keep
+    /// their own. With a constant range this is one register move per
+    /// vector register the range covers.
+    #[inline(always)]
+    #[must_use]
+    pub fn splice(self, lanes: Range<usize>, rhs: Self) -> Self {
+        let mut out = self;
+        for k in lanes {
+            out.0[k] = rhs.0[k];
+        }
+        out
+    }
+
+    /// The lanes in `lanes` whose `sel` word has its top bit set take
+    /// `rhs`, all other lanes keep their value: one vector blend per
+    /// register the range covers, which reads exactly that bit. This is
+    /// how one ring read serves lanes at different lags: a further lag's
+    /// row is blended in under a select vector holding
+    /// [`CycleWord::ALL_ONES`] in the lanes that read at that lag.
+    #[inline(always)]
+    #[must_use]
+    pub fn blend(self, lanes: Range<usize>, sel: Self, rhs: Self) -> Self {
+        let mut out = self;
+        for k in lanes {
+            out.0[k] = if sel.0[k].top_bit() {
+                rhs.0[k]
+            } else {
+                out.0[k]
+            };
+        }
+        out
+    }
+
+    /// Adds 1 to every lane where `a == b` — the lane-wise lift of
+    /// `count += u64::from(a == b)`, kept in the word width so the
+    /// compare result feeds the add without leaving the vector. Equality
+    /// is one AVX2 instruction, where unsigned `>` takes three. The
+    /// caller bounds the count below the word's range (as with
     /// [`CycleWord::add`]).
     #[inline(always)]
-    pub fn count_gt(&mut self, a: Self, b: Self) {
+    pub fn count_eq(&mut self, a: Self, b: Self) {
         for k in 0..K {
-            self.0[k] = self.0[k].add(C::narrow(u64::from(a.0[k] > b.0[k])));
+            self.0[k] = self.0[k].add(C::narrow(u64::from(a.0[k] == b.0[k])));
         }
     }
 
@@ -191,12 +249,5 @@ impl<const K: usize> LaneVec<u64, K> {
             let keep = 0u64.wrapping_sub(u64::from((mask >> k) & 1));
             self.0[k] += delta.0[k] & keep;
         }
-    }
-
-    /// Sum of all lanes.
-    #[inline(always)]
-    #[must_use]
-    pub fn lane_sum(&self) -> u64 {
-        self.0.iter().sum()
     }
 }

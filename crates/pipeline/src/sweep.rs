@@ -23,11 +23,13 @@
 //!   whole-stream range `(0, u64::MAX)` of the warmed range preparer that
 //!   sampled replay uses for its segments.
 //! * **Replay** ([`SweepReplay::simulate_many`]): iterate the prepared
-//!   records once while stepping up to 16 misprediction-flag lanes in
-//!   lockstep. All per-lane state (register scoreboard, rings, store
-//!   ready cycles) is stored as [`LaneVec`](crate::lanes::LaneVec) lane
-//!   vectors, so the inner loop is straight-line `max`/`add` lane
-//!   arithmetic that the compiler auto-vectorizes. The timestamp word `C`
+//!   records once while stepping up to 16 lanes in lockstep, each lane
+//!   one (pipeline config, misprediction stream) cell of the sweep with
+//!   its own fetch width, ROB size, retire width and refill penalty. All
+//!   per-lane state (register scoreboard, rings, store ready cycles) is
+//!   stored as [`LaneVec`](crate::lanes::LaneVec) lane vectors, so the
+//!   inner loop is straight-line `max`/`add` lane arithmetic that the
+//!   compiler auto-vectorizes. The timestamp word `C`
 //!   is `u32` whenever a prepare-time bound proves no timestamp can
 //!   overflow it (true for any realistically-sized trace), halving
 //!   lane-state memory traffic; `u64` remains as the exact fallback.
@@ -35,16 +37,29 @@
 //!   baseline target, and as an AVX2 copy that replay picks at run time
 //!   on a CPU that has AVX2 (`SweepReplay::replay_chunk`).
 //!
-//! Lane counts that are not powers of two decompose into *chunked lane
-//! groups*: 27 streams replay as 16 + 8 + 2 + 1 lanes, each chunk with
-//! its own freshly transposed mask stream, so a ragged tail never runs
-//! against a stale mask (`lane_chunks` is unit-tested for every count).
+//! A sweep's cells are laid out config-major (every stream at the first
+//! config, then every stream at the next) and replayed 16 at a time; a
+//! ragged tail pads to 4, 8 or 16 lanes, whichever is narrowest, so 4
+//! predictors × 3 scales is one padded 16-lane pass and 27 cells are
+//! 16 + 11 padded to 16. The loop costs about the same per record at 4
+//! and 8 lanes, and 1 and 2 lanes cost more than 4, so there are no 1-
+//! or 2-lane chunks: a single stream is a padded 4-lane chunk. Padding
+//! lanes get no mispredictions and count nowhere. Lanes of different
+//! configs read each ring at their own lag: a read takes one ring row
+//! per 256-bit segment of the chunk at its first lane's lag and, only
+//! where a segment mixes configs, one more row per further lag, blended
+//! in under the lanes at that lag; each ring is sized for the chunk's
+//! largest lag. Every
+//! chunk transposes its own flag streams into a fresh mask vector, so a
+//! ragged tail never runs against a stale mask
+//! (`lane_chunks_pad_to_4_8_or_16` is unit-tested for every count).
 //!
 //! Replay is **bit-identical** to the scalar loop: every lane performs the
 //! same integer arithmetic in the same order as one
-//! [`simulate`](crate::simulate) call, and the `bp-metrics` pipeline
-//! counters advance exactly as if each lane had been its own scalar run
-//! (one `pipeline.sim_runs` per lane, summed cycle/flush/bubble totals).
+//! [`simulate`](crate::simulate) call at its cell's config, and the
+//! `bp-metrics` pipeline counters advance exactly as if each cell had
+//! been its own scalar run (one `pipeline.sim_runs` per cell, summed
+//! cycle/flush/bubble totals, nothing for padding lanes).
 //! The in-crate sweep tests, `tests/lane_properties.rs` and
 //! `tests/lane_counters.rs` in this crate, `tests/differential.rs` at
 //! the workspace root, and the unchanged golden fixtures lock this in.
@@ -114,10 +129,14 @@ struct PreparedInst {
 /// let naive = misprediction_flags(&mut AlwaysTaken, &trace);
 ///
 /// let sweep = SweepReplay::new(&trace, &cfg);
-/// let stats = sweep.simulate_many(&[&tage, &naive], &cfg.scaled(8));
-/// // Bit-identical to two scalar replays of the same streams.
-/// assert_eq!(stats[0], simulate(&trace, &tage, &cfg.scaled(8)));
-/// assert_eq!(stats[1], simulate(&trace, &naive, &cfg.scaled(8)));
+/// let scales = [cfg.scaled(1), cfg.scaled(8)];
+/// // Four cells, two predictors at two scales: one padded 4-lane pass.
+/// let stats = sweep.simulate_many(&[&tage, &naive], &scales);
+/// // `stats[scale][stream]`, bit-identical to four scalar replays.
+/// assert_eq!(stats[0][0], simulate(&trace, &tage, &cfg));
+/// assert_eq!(stats[0][1], simulate(&trace, &naive, &cfg));
+/// assert_eq!(stats[1][0], simulate(&trace, &tage, &cfg.scaled(8)));
+/// assert_eq!(stats[1][1], simulate(&trace, &naive, &cfg.scaled(8)));
 /// ```
 pub struct SweepReplay {
     insts: Vec<PreparedInst>,
@@ -472,45 +491,70 @@ impl SweepReplay {
     }
 
     /// Replays one misprediction stream — bit-identical to
-    /// [`simulate`](crate::simulate) on the source trace.
+    /// [`simulate`](crate::simulate) on the source trace. It runs as a
+    /// 4-lane chunk with three padding lanes, the narrowest the kernel
+    /// has.
     #[must_use]
     pub fn simulate(&self, mispredicted: &[bool], config: &PipelineConfig) -> SimStats {
         let mut out = [SimStats::default()];
-        self.replay_chunk(&[mispredicted], config, bp_metrics::enabled(), &mut out);
+        self.replay_chunk(&[(mispredicted, config)], bp_metrics::enabled(), &mut out);
         out[0]
     }
 
-    /// Replays every stream in `flag_streams` through one pass over the
-    /// prepared trace, returning one [`SimStats`] per stream in order.
+    /// Replays every (config, stream) cell of a sweep: returns
+    /// `stats[c][s]`, the replay of `flag_streams[s]` under `configs[c]`.
     ///
-    /// Streams are stepped in lockstep, up to 16 lanes at a time (ragged
-    /// counts decompose into 16/8/4/2/1-lane chunks, each with its own
-    /// mask stream); each lane's result (and its contribution to the
-    /// `bp-metrics` pipeline counters) is identical to a scalar
-    /// [`simulate`](crate::simulate) call with the same flags.
+    /// The cells are laid out config-major and replayed 16 at a time,
+    /// each lane with its own flag stream and its own pipeline capacity
+    /// (fetch, ROB and retire widths, refill penalty); a ragged tail is
+    /// padded to a 4-, 8- or 16-lane chunk. So a grid of predictors ×
+    /// scales costs one pass per 16 cells, not one pass per scale. Each
+    /// cell's result (and its contribution to the `bp-metrics` pipeline
+    /// counters) is identical to a scalar [`simulate`](crate::simulate)
+    /// call with the same flags and config; padding lanes count nowhere.
     ///
     /// # Panics
     ///
     /// Panics if any stream has fewer entries than the trace has
-    /// conditional branches, or if `config` differs from the preparation
+    /// conditional branches, or if a config differs from the preparation
     /// configuration in cache hierarchy or multiply latency (pipeline
     /// *capacity* — widths, ROB, penalty — may vary freely).
     #[must_use]
-    pub fn simulate_many(&self, flag_streams: &[&[bool]], config: &PipelineConfig) -> Vec<SimStats> {
-        let mut out = vec![SimStats::default(); flag_streams.len()];
+    pub fn simulate_many(
+        &self,
+        flag_streams: &[&[bool]],
+        configs: &[PipelineConfig],
+    ) -> Vec<Vec<SimStats>> {
         let metrics = bp_metrics::enabled();
-        let mut done = 0;
-        while done < flag_streams.len() {
-            let take = lane_chunk(flag_streams.len() - done);
-            self.replay_chunk(
-                &flag_streams[done..done + take],
-                config,
-                metrics,
-                &mut out[done..done + take],
-            );
-            done += take;
+        self.replay_cells(flag_streams, configs, |cells, out| {
+            self.replay_chunk(cells, metrics, out);
+        })
+    }
+
+    /// Lays the (config, stream) cells out config-major, hands them to
+    /// `replay` in chunks of at most [`MAX_CHUNK_LANES`], and regroups
+    /// the results per config.
+    fn replay_cells<'a>(
+        &self,
+        flag_streams: &[&'a [bool]],
+        configs: &'a [PipelineConfig],
+        mut replay: impl FnMut(&[Cell<'a>], &mut [SimStats]),
+    ) -> Vec<Vec<SimStats>> {
+        let cells: Vec<Cell<'a>> = configs
+            .iter()
+            .flat_map(|config| flag_streams.iter().map(move |&flags| (flags, config)))
+            .collect();
+        let mut flat = vec![SimStats::default(); cells.len()];
+        for (chunk, out) in cells
+            .chunks(MAX_CHUNK_LANES)
+            .zip(flat.chunks_mut(MAX_CHUNK_LANES))
+        {
+            replay(chunk, out);
         }
-        out
+        let n = flag_streams.len();
+        (0..configs.len())
+            .map(|c| flat[c * n..(c + 1) * n].to_vec())
+            .collect()
     }
 
     /// Upper bound on every timestamp the replay loop can produce under
@@ -529,9 +573,9 @@ impl SweepReplay {
             + self.cond_branches as u64 * u64::from(config.mispredict_penalty)
     }
 
-    /// Replays one lane chunk through its monomorphized loop and writes
-    /// one [`SimStats`] per stream of `flags` into `out`, with the
-    /// `METRICS` instantiation when `metrics` is set.
+    /// Replays one chunk of at most [`MAX_CHUNK_LANES`] cells through
+    /// its monomorphized loop and writes one [`SimStats`] per cell into
+    /// `out`, with the `METRICS` instantiation when `metrics` is set.
     ///
     /// The kernel is chosen here, at run time: the AVX2 copy of the loop
     /// where the running CPU has AVX2, the portable copy otherwise. The
@@ -539,107 +583,165 @@ impl SweepReplay {
     /// lane `max` or compare, so the portable copy spends an emulation
     /// sequence on each; AVX2 has both as single instructions. Choosing
     /// at run time keeps one binary that still runs without AVX2.
-    fn replay_chunk(
-        &self,
-        flags: &[&[bool]],
-        config: &PipelineConfig,
-        metrics: bool,
-        out: &mut [SimStats],
-    ) {
-        assert!(
-            config.cache == self.cache && config.mul_latency == self.mul_latency,
-            "SweepReplay prepared under a different cache/mul-latency configuration"
-        );
+    fn replay_chunk(&self, cells: &[Cell<'_>], metrics: bool, out: &mut [SimStats]) {
+        for (_, config) in cells {
+            assert!(
+                config.cache == self.cache && config.mul_latency == self.mul_latency,
+                "SweepReplay prepared under a different cache/mul-latency configuration"
+            );
+        }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: `replay_chunk_avx2` requires only the AVX2 target
             // feature, and `is_x86_feature_detected!("avx2")` just
             // confirmed the running CPU has it.
-            unsafe { self.replay_chunk_avx2(flags, config, metrics, out) };
+            unsafe { self.replay_chunk_avx2(cells, metrics, out) };
             return;
         }
-        self.replay_chunk_portable(flags, config, metrics, out);
+        self.replay_chunk_portable(cells, metrics, out);
     }
 
     /// [`Self::replay_chunk_portable`], compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn replay_chunk_avx2(
-        &self,
-        flags: &[&[bool]],
-        config: &PipelineConfig,
-        metrics: bool,
-        out: &mut [SimStats],
-    ) {
-        self.replay_chunk_portable(flags, config, metrics, out);
+    fn replay_chunk_avx2(&self, cells: &[Cell<'_>], metrics: bool, out: &mut [SimStats]) {
+        self.replay_chunk_portable(cells, metrics, out);
     }
 
     /// The portable kernel: dispatches the chunk to its
-    /// `ChunkCursor<K, METRICS, C>` instantiation.
+    /// `ChunkCursor<K, METRICS, C>` instantiation, `K` the chunk's
+    /// [`lane_width`].
     ///
-    /// Lane word width is chosen per call: when [`Self::cycle_bound`]
-    /// fits in 32 bits — every realistically-sized trace — lanes run on
-    /// `u32` timestamps, halving lane-state memory traffic and doubling
-    /// SIMD density; otherwise the `u64` path keeps the result exact.
+    /// Lane word width is chosen per chunk: when [`Self::cycle_bound`]
+    /// fits in 32 bits under every cell's config — every realistically
+    /// sized trace — lanes run on `u32` timestamps, halving lane-state
+    /// memory traffic and doubling SIMD density; otherwise the `u64`
+    /// path keeps the result exact.
     ///
     /// This function and every `ChunkCursor` method it reaches are
     /// `#[inline(always)]`, so the whole loop is compiled into each
     /// caller: once for the baseline target in `replay_chunk`, and once
     /// more inside the AVX2 kernel, from this one source.
     #[inline(always)]
-    fn replay_chunk_portable(
-        &self,
-        flags: &[&[bool]],
-        config: &PipelineConfig,
-        metrics: bool,
-        out: &mut [SimStats],
-    ) {
-        let narrow = self.cycle_bound(config) < u64::from(u32::MAX);
+    fn replay_chunk_portable(&self, cells: &[Cell<'_>], metrics: bool, out: &mut [SimStats]) {
+        let narrow = cells
+            .iter()
+            .all(|(_, config)| self.cycle_bound(config) < u64::from(u32::MAX));
         macro_rules! dispatch {
             ($($k:literal),*) => {
-                match (flags.len(), metrics, narrow) {
+                match (lane_width(cells.len()), metrics, narrow) {
                     $(
                         ($k, false, true) => {
-                            ChunkCursor::<$k, false, u32>::new(self, flags, config).run(out)
+                            ChunkCursor::<$k, false, u32>::new(self, cells).run(out)
                         }
                         ($k, true, true) => {
-                            ChunkCursor::<$k, true, u32>::new(self, flags, config).run(out)
+                            ChunkCursor::<$k, true, u32>::new(self, cells).run(out)
                         }
                         ($k, false, false) => {
-                            ChunkCursor::<$k, false, u64>::new(self, flags, config).run(out)
+                            ChunkCursor::<$k, false, u64>::new(self, cells).run(out)
                         }
                         ($k, true, false) => {
-                            ChunkCursor::<$k, true, u64>::new(self, flags, config).run(out)
+                            ChunkCursor::<$k, true, u64>::new(self, cells).run(out)
                         }
                     )*
                     (k, ..) => unreachable!("unsupported lane count {k}"),
                 }
             };
         }
-        dispatch!(1, 2, 4, 8, 16);
+        dispatch!(4, 8, 16);
     }
 }
 
-/// The largest supported lane-chunk size ≤ `left`.
+/// One replay cell: a misprediction flag stream and the pipeline config
+/// to replay it under.
+type Cell<'a> = (&'a [bool], &'a PipelineConfig);
+
+/// The widest lane chunk: `simulate_many` replays its cells 16 at a time.
+const MAX_CHUNK_LANES: usize = 16;
+
+/// The lane count a chunk of `cells` cells (1 to 16) replays at: the
+/// narrowest of 4, 8 and 16 that holds them all.
 ///
-/// `simulate_many` decomposes any stream count into chunks of these
-/// sizes; because every chunk transposes its own flag streams into a
-/// fresh mask vector, a ragged tail (say 3 streams after a 16-lane
-/// chunk) can never replay against a previous chunk's mask.
-fn lane_chunk(left: usize) -> usize {
-    debug_assert!(left > 0);
-    match left {
-        16.. => 16,
-        8.. => 8,
-        4.. => 4,
-        2.. => 2,
-        _ => 1,
+/// The lanes past `cells` are padding. The loop costs more per record
+/// than per lane: 1- and 2-lane passes took longer than a 4-lane one,
+/// an 8-lane pass takes about what a 4-lane one does, and a 16-lane
+/// pass less than an 8-lane and a 4-lane pass together, so padding the
+/// tail is cheaper than splitting it. Every chunk transposes its own
+/// flag streams into a fresh mask vector, and padding lanes get no mask
+/// bits, so a ragged tail never replays against another chunk's flags.
+fn lane_width(cells: usize) -> usize {
+    debug_assert!((1..=MAX_CHUNK_LANES).contains(&cells));
+    match cells {
+        0..=4 => 4,
+        5..=8 => 8,
+        _ => 16,
+    }
+}
+
+/// The ring lags of one config in a chunk: how many records back each
+/// lane reads the fetch ring (fetch width), the retire ring for a free
+/// ROB slot (ROB size) and for retire bandwidth (retire width). A
+/// zero-sized resource still holds one entry, as in the scalar loop's
+/// rings.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Lags {
+    fetch: usize,
+    rob: usize,
+    bw: usize,
+}
+
+impl Lags {
+    fn of(config: &PipelineConfig) -> Self {
+        let lag = |width: u32| (width as usize).max(1);
+        Lags {
+            fetch: lag(config.fetch_width),
+            rob: lag(config.rob_size),
+            bw: lag(config.retire_width),
+        }
+    }
+}
+
+/// The lanes of a segment that read at other [`Lags`] than its first
+/// lane, as the select vector their ring rows are blended in under.
+#[derive(Clone, Copy)]
+struct LaneGroup<C, const K: usize> {
+    lags: Lags,
+    sel: LaneVec<C, K>,
+}
+
+/// One segment of a chunk's lanes (see `ChunkCursor::SEGMENT`): the
+/// lags of its first lane, read for the whole segment, and the groups
+/// of its lanes at other lags, each blended in. A segment of one config
+/// has no groups, so its reads are single rows.
+struct Segment<C, const K: usize> {
+    lags: Lags,
+    groups: Vec<LaneGroup<C, K>>,
+}
+
+impl<C: CycleWord, const K: usize> Segment<C, K> {
+    /// The segment of lanes `lo..lo + lags.len()`, whose lags these are.
+    fn new(lo: usize, lags: &[Lags]) -> Self {
+        let mut groups: Vec<LaneGroup<C, K>> = Vec::new();
+        for (k, &lane) in (lo..).zip(lags).filter(|&(_, &lane)| lane != lags[0]) {
+            if let Some(group) = groups.iter_mut().find(|g| g.lags == lane) {
+                group.sel.0[k] = C::ALL_ONES;
+                continue;
+            }
+            let mut sel = LaneVec::default();
+            sel.0[k] = C::ALL_ONES;
+            groups.push(LaneGroup { lags: lane, sel });
+        }
+        Segment {
+            lags: lags[0],
+            groups,
+        }
     }
 }
 
 /// The per-chunk lockstep replay state: the scalar `simulate_impl`
 /// arithmetic, with every cycle variable widened to a
-/// [`LaneVec<C, K>`] lane vector.
+/// [`LaneVec<C, K>`] lane vector and every pipeline parameter read per
+/// lane.
 ///
 /// `C` is the timestamp word (`u32` or `u64`); the caller guarantees via
 /// `SweepReplay::cycle_bound` that no timestamp can overflow it, so the
@@ -651,48 +753,74 @@ fn lane_chunk(left: usize) -> usize {
 /// whichever kernel copy calls it (see `SweepReplay::replay_chunk`).
 struct ChunkCursor<'a, const K: usize, const METRICS: bool, C: CycleWord> {
     replay: &'a SweepReplay,
+    /// Lanes that carry cells; the rest are padding, whose results and
+    /// counters `finish` drops.
+    cells: usize,
     /// One K-bit mask per conditional branch, transposed from the flag
     /// streams at construction: the hot loop tests a single word, and
     /// skips the lane update outright when no lane mispredicts — by far
     /// the common case for the well-trained predictors these sweeps
-    /// compare.
+    /// compare. Padding lanes never mispredict.
     masks: Vec<u32>,
     /// Next prepared-instruction index.
     pos: usize,
     flag_idx: usize,
-    penalty: C,
+    /// Per-lane front-end refill penalty.
+    penalty: LaneVec<C, K>,
     /// Per-lane ready cycles per register slot (+ sentinels). A
     /// power-of-two-sized array: `& (REG_SLOTS - 1)` indexing compiles to
     /// an unchecked access.
     reg_ready: [LaneVec<C, K>; REG_SLOTS],
     /// Per-lane ready cycle of every forwarded store, by store ordinal.
     store_done: Vec<LaneVec<C, K>>,
-    /// Window-entry cycles, read `fetch_lag` records back.
+    /// Window-entry cycles, read each lane's fetch width back.
     fetch_ring: LaneRing<K, C>,
-    fetch_lag: usize,
     /// ROB occupancy and retire bandwidth both constrain on the same
-    /// retirement sequence, just `rob_lag` vs `bw_lag` entries back — one
-    /// ring records it once and answers both.
+    /// retirement sequence, just each lane's ROB size vs retire width
+    /// entries back — one ring records it once and answers both.
     retire_ring: LaneRing<K, C>,
-    rob_lag: usize,
-    bw_lag: usize,
+    /// The lags of each `SEGMENT`-lane segment, in lane order.
+    segments: Vec<Segment<C, K>>,
+    /// The lags every lane reads at when the chunk holds one config:
+    /// then each ring read is one whole row, as in a single-config pass.
+    uniform: Option<Lags>,
     fetch_base: LaneVec<C, K>,
     last_retire: LaneVec<C, K>,
     refetch_bubbles: LaneVec<u64, K>,
-    /// Records whose window entry waited on a ROB slot. In `C` because
-    /// the count cannot exceed the record count, which the narrow path's
-    /// `cycle_bound` keeps below 2^31; widened once, in `finish`.
-    rob_stalls: LaneVec<C, K>,
+    /// Records whose window entry did *not* wait on a ROB slot: a record
+    /// stalls exactly when `rob_free > bw_enter`, that is when its entry
+    /// cycle differs from `bw_enter`, and counting equality is cheaper
+    /// than counting unsigned `>`; `finish` reports the stalls as the
+    /// records less this count. In `C` because the count cannot exceed
+    /// the record count, which the narrow path's `cycle_bound` keeps
+    /// below 2^31; widened once, in `finish`.
+    unstalled: LaneVec<C, K>,
     mispredictions: LaneVec<u64, K>,
     cond_branches: u64,
 }
 
 impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, METRICS, C> {
+    /// Lanes per segment: as many as fill one 256-bit register (8 `u32`
+    /// or 4 `u64` lanes), or all `K` if fewer. Each ring read takes one
+    /// row per segment and, only for a segment whose lanes mix configs,
+    /// one more row per further lag, blended in over that segment's
+    /// lanes alone. Config-major cells at a multiple of 8 streams never
+    /// mix configs inside a segment; at 4 streams a `u32` segment holds
+    /// two.
+    const SEGMENT: usize = {
+        let fill = 32 / std::mem::size_of::<C>();
+        if K < fill {
+            K
+        } else {
+            fill
+        }
+    };
+
     #[inline(always)]
-    fn new(replay: &'a SweepReplay, flags: &[&[bool]], config: &PipelineConfig) -> Self {
-        assert_eq!(flags.len(), K, "chunk size matches K");
+    fn new(replay: &'a SweepReplay, cells: &[Cell<'_>]) -> Self {
+        assert!((1..=K).contains(&cells.len()), "a chunk holds 1 to K cells");
         let mut masks = vec![0u32; replay.cond_branches];
-        for (k, lane_flags) in flags.iter().enumerate() {
+        for (k, (lane_flags, _)) in cells.iter().enumerate() {
             assert!(
                 lane_flags.len() >= replay.cond_branches,
                 "need one misprediction flag per conditional branch"
@@ -701,34 +829,43 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
                 *m |= u32::from(f) << k;
             }
         }
-        // A zero-sized resource still holds one entry, as in the scalar
-        // loop's rings.
-        let fetch_lag = (config.fetch_width as usize).max(1);
-        let rob_lag = (config.rob_size as usize).max(1);
-        let bw_lag = (config.retire_width as usize).max(1);
+        // Padding lanes run the last cell's config, so they add no lags
+        // of their own.
+        let config = |k: usize| cells[k.min(cells.len() - 1)].1;
+        let lags: [Lags; K] = std::array::from_fn(|k| Lags::of(config(k)));
+        let segments = (0..K)
+            .step_by(Self::SEGMENT)
+            .map(|lo| Segment::new(lo, &lags[lo..lo + Self::SEGMENT]))
+            .collect();
+        let uniform = lags.iter().all(|&l| l == lags[0]).then_some(lags[0]);
+        // Each ring holds the chunk's largest lag.
+        let fetch_len = lags.iter().map(|l| l.fetch).max().unwrap_or(1);
+        let retire_len = lags.iter().map(|l| l.rob.max(l.bw)).max().unwrap_or(1);
         ChunkCursor {
             replay,
+            cells: cells.len(),
             masks,
             pos: 0,
             flag_idx: 0,
-            penalty: C::narrow(u64::from(config.mispredict_penalty)),
+            penalty: LaneVec(std::array::from_fn(|k| {
+                C::narrow(u64::from(config(k).mispredict_penalty))
+            })),
             reg_ready: [LaneVec::default(); REG_SLOTS],
             store_done: vec![LaneVec::default(); replay.store_slots.max(1)],
-            fetch_ring: LaneRing::new(fetch_lag),
-            fetch_lag,
-            retire_ring: LaneRing::new(rob_lag.max(bw_lag)),
-            rob_lag,
-            bw_lag,
+            fetch_ring: LaneRing::new(fetch_len),
+            retire_ring: LaneRing::new(retire_len),
+            uniform,
+            segments,
             fetch_base: LaneVec::default(),
             last_retire: LaneVec::default(),
             refetch_bubbles: LaneVec::default(),
-            rob_stalls: LaneVec::default(),
+            unstalled: LaneVec::default(),
             mispredictions: LaneVec::default(),
             cond_branches: 0,
         }
     }
 
-    /// Replays the whole prepared trace and writes the per-lane results
+    /// Replays the whole prepared trace and writes the per-cell results
     /// into `out`. Without a cancellation scope (every production run)
     /// this is one `advance(usize::MAX)`; under a scope the chunk
     /// advances in [`CANCEL_SLICE`] steps with a cancellation checkpoint
@@ -758,11 +895,12 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
         // state are memory-resident either way.
         let mut fetch_base = self.fetch_base;
         let mut last_retire = self.last_retire;
-        let mut rob_stalls = self.rob_stalls;
+        let mut unstalled = self.unstalled;
         let mut flag_idx = self.flag_idx;
         let mut cond_branches = self.cond_branches;
         let penalty = self.penalty;
-        let (fetch_lag, rob_lag, bw_lag) = (self.fetch_lag, self.rob_lag, self.bw_lag);
+        let segments = &self.segments[..K / Self::SEGMENT];
+        let uniform = self.uniform;
         // So do the rings' write counters and buffer bounds (`RingView`):
         // a store into a ring's heap buffer could otherwise alias them,
         // forcing a reload per record.
@@ -770,14 +908,31 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
         let mut retire_ring = self.retire_ring.view();
 
         for inst in &self.replay.insts[self.pos..end] {
+            // The ring rows this record reads, each lane at its own lags:
+            // all were recorded by earlier records, so they are read up
+            // front — whole rows when the chunk holds one config, else
+            // segment by segment (at most 4: 16 `u64` lanes).
+            let [fetch_old, rob_free, bw_old] = match uniform {
+                Some(lags) => [
+                    fetch_ring.back(lags.fetch),
+                    retire_ring.back(lags.rob),
+                    retire_ring.back(lags.bw),
+                ],
+                None => {
+                    let rows = [LaneVec::default(); 3];
+                    let rows = Self::segment_rows::<0>(segments, &fetch_ring, &retire_ring, rows);
+                    let rows = Self::segment_rows::<1>(segments, &fetch_ring, &retire_ring, rows);
+                    let rows = Self::segment_rows::<2>(segments, &fetch_ring, &retire_ring, rows);
+                    Self::segment_rows::<3>(segments, &fetch_ring, &retire_ring, rows)
+                }
+            };
+
             // Enter the window: front-end bandwidth, redirect stall, ROB.
-            let fetch_old = fetch_ring.back(fetch_lag);
-            let rob_free = retire_ring.back(rob_lag);
             let bw_enter = fetch_base.max(fetch_old.add_scalar(C::ONE));
-            if METRICS {
-                rob_stalls.count_gt(rob_free, bw_enter);
-            }
             let enter = bw_enter.max(rob_free);
+            if METRICS {
+                unstalled.count_eq(enter, bw_enter);
+            }
             fetch_ring.record(enter);
 
             // Dataflow: sources ready + latency (sentinel slots make the
@@ -802,7 +957,7 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
                 let mask = self.masks[flag_idx];
                 if mask != 0 {
                     self.mispredictions.add_mask_bits(mask);
-                    let redirect = done.add_scalar(penalty);
+                    let redirect = done.add_lanes(penalty);
                     if METRICS {
                         let bubbles = redirect.sub_sat(enter.add_scalar(C::ONE)).widen();
                         self.refetch_bubbles.add_masked(mask, bubbles);
@@ -813,7 +968,6 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
             }
 
             // In-order retirement with bandwidth.
-            let bw_old = retire_ring.back(bw_lag);
             let retire = done.max(last_retire).max(bw_old.add_scalar(C::ONE));
             retire_ring.record(retire);
             last_retire = retire;
@@ -824,19 +978,50 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
         self.retire_ring.write = retire_write;
         self.fetch_base = fetch_base;
         self.last_retire = last_retire;
-        self.rob_stalls = rob_stalls;
+        self.unstalled = unstalled;
         self.flag_idx = flag_idx;
         self.cond_branches = cond_branches;
         self.pos = end;
         self.pos < self.replay.insts.len()
     }
 
-    /// Writes the final per-lane [`SimStats`] (and `bp-metrics` pipeline
+    /// Reads segment `S`'s lanes of this record's three ring rows into
+    /// `rows` (fetch, ROB, retire bandwidth): one row each at the
+    /// segment's lags, then one more per group of its lanes at other
+    /// lags, blended in over the segment's lanes. `S` is a constant so
+    /// the lane ranges are too, and every row stays in registers; a
+    /// segment past the chunk's `K / SEGMENT` reads nothing.
+    #[inline(always)]
+    fn segment_rows<const S: usize>(
+        segments: &[Segment<C, K>],
+        fetch_ring: &RingView<'_, K, C>,
+        retire_ring: &RingView<'_, K, C>,
+        rows: [LaneVec<C, K>; 3],
+    ) -> [LaneVec<C, K>; 3] {
+        if (S + 1) * Self::SEGMENT > K {
+            return rows;
+        }
+        let seg = &segments[S];
+        let lanes = S * Self::SEGMENT..(S + 1) * Self::SEGMENT;
+        let [mut fetch_old, mut rob_free, mut bw_old] = rows;
+        fetch_old = fetch_old.splice(lanes.clone(), fetch_ring.back(seg.lags.fetch));
+        rob_free = rob_free.splice(lanes.clone(), retire_ring.back(seg.lags.rob));
+        bw_old = bw_old.splice(lanes.clone(), retire_ring.back(seg.lags.bw));
+        for g in &seg.groups {
+            fetch_old = fetch_old.blend(lanes.clone(), g.sel, fetch_ring.back(g.lags.fetch));
+            rob_free = rob_free.blend(lanes.clone(), g.sel, retire_ring.back(g.lags.rob));
+            bw_old = bw_old.blend(lanes.clone(), g.sel, retire_ring.back(g.lags.bw));
+        }
+        [fetch_old, rob_free, bw_old]
+    }
+
+    /// Writes the final per-cell [`SimStats`] (and `bp-metrics` pipeline
     /// counters) once the chunk has been advanced to the end of the
-    /// trace. `out` must hold exactly this chunk's lane count.
+    /// trace. `out` must hold exactly this chunk's cell count; padding
+    /// lanes are dropped.
     #[inline(always)]
     fn finish(self, out: &mut [SimStats]) {
-        assert_eq!(out.len(), K, "output slice matches lane count");
+        assert_eq!(out.len(), self.cells, "output slice matches cell count");
         assert_eq!(self.pos, self.replay.insts.len(), "chunk fully advanced");
         let n = self.replay.insts.len() as u64;
         for s in out.iter_mut() {
@@ -860,15 +1045,21 @@ impl<'a, const K: usize, const METRICS: bool, C: CycleWord> ChunkCursor<'a, K, M
         }
 
         if METRICS {
-            // Each lane counts as one logical simulation, so a sweep's
+            // Each cell counts as one logical simulation, so a sweep's
             // manifest matches the per-config replays it replaced.
+            let cells = self.cells;
             let counters = PipeCounters::get();
-            counters.sim_runs.add(K as u64);
-            counters.instructions.add(n * K as u64);
+            counters.sim_runs.add(cells as u64);
+            counters.instructions.add(n * cells as u64);
             counters.cycles.add(out.iter().map(|s| s.cycles).sum());
-            counters.flushes.add(self.mispredictions.lane_sum());
-            counters.refetch_bubbles.add(self.refetch_bubbles.lane_sum());
-            counters.rob_stalls.add(self.rob_stalls.widen().lane_sum());
+            counters
+                .flushes
+                .add(self.mispredictions.0[..cells].iter().sum());
+            counters
+                .refetch_bubbles
+                .add(self.refetch_bubbles.0[..cells].iter().sum());
+            let unstalled: u64 = self.unstalled.widen().0[..cells].iter().sum();
+            counters.rob_stalls.add(n * cells as u64 - unstalled);
         }
     }
 }
@@ -1029,12 +1220,12 @@ mod tests {
             .map(|i| flag_stream(branches, 11 + i, i * 9))
             .collect();
         let refs: Vec<&[bool]> = streams.iter().map(Vec::as_slice).collect();
-        for scale in [1, 4, 32] {
-            let c = cfg().scaled(scale);
-            let sweep = SweepReplay::new(&t, &cfg());
-            let many = sweep.simulate_many(&refs, &c);
-            for (f, got) in refs.iter().zip(&many) {
-                assert_eq!(*got, simulate(&t, f, &c), "scale {scale}");
+        let configs: Vec<PipelineConfig> = [1, 4, 32].map(|s| cfg().scaled(s)).into();
+        let sweep = SweepReplay::new(&t, &cfg());
+        let many = sweep.simulate_many(&refs, &configs);
+        for (c, per_config) in configs.iter().zip(&many) {
+            for (f, got) in refs.iter().zip(per_config) {
+                assert_eq!(*got, simulate(&t, f, c), "scale {}", c.scale);
             }
         }
     }
@@ -1049,8 +1240,8 @@ mod tests {
             .collect();
         let refs: Vec<&[bool]> = streams.iter().map(Vec::as_slice).collect();
         let sweep = SweepReplay::new(&t, &cfg());
-        let many = sweep.simulate_many(&refs, &cfg());
-        for (f, got) in refs.iter().zip(&many) {
+        let many = sweep.simulate_many(&refs, &[cfg()]);
+        for (f, got) in refs.iter().zip(&many[0]) {
             assert_eq!(*got, simulate(&t, f, &cfg()));
         }
     }
@@ -1081,8 +1272,11 @@ mod tests {
     fn avx2_and_portable_kernels_agree() {
         // `replay_chunk` runs the AVX2 copy of the loop on a CPU with
         // AVX2; `replay_chunk_portable` called here runs the copy built
-        // for the baseline target. Every chunk width, both word widths
-        // and both metrics instantiations must give the same answer.
+        // for the baseline target. Over 1..=36 streams × 1..=6 mixed
+        // configs — full, padded and mixed-scale chunks of every width,
+        // `u32` and `u64` words (the third config's penalty forces the
+        // `u64` fallback on any chunk holding it), metrics on and off —
+        // every cell of both copies must equal scalar `simulate`.
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
@@ -1093,29 +1287,44 @@ mod tests {
                  checking the portable kernel against scalar simulate"
             );
         }
-        let (t, branches) = mixed_trace(6_000);
-        let streams: Vec<Vec<bool>> = (0..16)
+        let (t, branches) = mixed_trace(600);
+        let streams: Vec<Vec<bool>> = (0..36)
             .map(|i| flag_stream(branches, 71 + i, (i * 11) % 70))
             .collect();
         let refs: Vec<&[bool]> = streams.iter().map(Vec::as_slice).collect();
-        let mut wide = cfg().scaled(4);
+        let mut wide = cfg().scaled(2);
         wide.mispredict_penalty = u32::MAX / 2;
-        for (c, narrow) in [(cfg().scaled(4), true), (wide, false)] {
-            let sweep = SweepReplay::new(&t, &c);
-            assert_eq!(sweep.cycle_bound(&c) < u64::from(u32::MAX), narrow);
-            for k in [1, 2, 4, 8, 16] {
+        let configs = [
+            cfg(),
+            cfg().scaled(8),
+            wide,
+            cfg().scaled(32),
+            cfg().scaled(4),
+            cfg().scaled(16),
+        ];
+        let sweep = SweepReplay::new(&t, &cfg());
+        assert!(sweep.cycle_bound(&configs[1]) < u64::from(u32::MAX));
+        assert!(sweep.cycle_bound(&configs[2]) >= u64::from(u32::MAX));
+        let scalar: Vec<Vec<SimStats>> = configs
+            .iter()
+            .map(|c| refs.iter().map(|f| simulate(&t, f, c)).collect())
+            .collect();
+        for m in 1..=configs.len() {
+            for n in 1..=refs.len() {
                 for metrics in [false, true] {
-                    let mut portable = vec![SimStats::default(); k];
-                    sweep.replay_chunk_portable(&refs[..k], &c, metrics, &mut portable);
-                    let label = format!("{k} lanes, narrow {narrow}, metrics {metrics}");
+                    let label = format!("{n} streams × {m} configs, metrics {metrics}");
+                    let want: Vec<Vec<SimStats>> =
+                        scalar[..m].iter().map(|per| per[..n].to_vec()).collect();
+                    let portable = sweep.replay_cells(&refs[..n], &configs[..m], |cells, out| {
+                        sweep.replay_chunk_portable(cells, metrics, out);
+                    });
+                    assert_eq!(portable, want, "portable, {label}");
                     if avx2 {
-                        let mut dispatched = vec![SimStats::default(); k];
-                        sweep.replay_chunk(&refs[..k], &c, metrics, &mut dispatched);
-                        assert_eq!(dispatched, portable, "{label}");
-                    } else {
-                        for (f, got) in refs[..k].iter().zip(&portable) {
-                            assert_eq!(*got, simulate(&t, f, &c), "{label}");
-                        }
+                        let dispatched =
+                            sweep.replay_cells(&refs[..n], &configs[..m], |cells, out| {
+                                sweep.replay_chunk(cells, metrics, out);
+                            });
+                        assert_eq!(dispatched, want, "AVX2, {label}");
                     }
                 }
             }
@@ -1148,46 +1357,60 @@ mod tests {
         let t = Trace::new(TraceMeta::new("empty", 0));
         let sweep = SweepReplay::new(&t, &cfg());
         assert!(sweep.is_empty());
-        let stats = sweep.simulate_many(&[&[], &[]], &cfg());
-        assert_eq!(stats[0], simulate(&t, &[], &cfg()));
-        assert_eq!(stats[1], simulate(&t, &[], &cfg()));
+        let stats = sweep.simulate_many(&[&[], &[]], &[cfg(), cfg().scaled(4)]);
+        assert_eq!(stats[0], [simulate(&t, &[], &cfg()); 2]);
+        assert_eq!(stats[1], [simulate(&t, &[], &cfg().scaled(4)); 2]);
+        assert_eq!(sweep.simulate_many(&[], &[cfg()]), [Vec::new()]);
+        assert!(sweep.simulate_many(&[&[]], &[]).is_empty());
     }
 
     #[test]
     fn lane_count_is_transparent() {
-        // 1, 2, 4, 8, 16 and ragged counts must all agree.
+        // A 16-lane chunk and a ragged tail of three, padded to four,
+        // must agree with single-stream replays.
         let (t, branches) = mixed_trace(8_000);
         let streams: Vec<Vec<bool>> = (0..19)
             .map(|i| flag_stream(branches, 31 + i, (i * 7) % 60))
             .collect();
         let refs: Vec<&[bool]> = streams.iter().map(Vec::as_slice).collect();
         let sweep = SweepReplay::new(&t, &cfg());
-        let all = sweep.simulate_many(&refs, &cfg());
+        let all = &sweep.simulate_many(&refs, &[cfg()])[0];
         for (i, f) in refs.iter().enumerate() {
             assert_eq!(all[i], sweep.simulate(f, &cfg()), "lane {i}");
         }
     }
 
     #[test]
-    fn lane_chunks_cover_every_count() {
-        // The chunk decomposition must tile any stream count exactly —
-        // no chunk larger than the remainder (which would read another
-        // chunk's mask) and no lanes left behind.
+    fn lane_chunks_pad_to_4_8_or_16() {
+        // Cells replay in 16-lane chunks; only the last chunk may be
+        // short, and it pads to the narrowest of 4, 8 and 16 lanes that
+        // holds it — never more than a chunk, never a lane left behind.
         for n in 1..=64usize {
-            let mut left = n;
-            let mut chunks = Vec::new();
-            while left > 0 {
-                let take = lane_chunk(left);
-                assert!(take <= left, "chunk {take} exceeds remainder {left}");
+            let cells: Vec<usize> = (0..n).collect();
+            let chunks: Vec<&[usize]> = cells.chunks(MAX_CHUNK_LANES).collect();
+            for (i, chunk) in chunks.iter().enumerate() {
+                let width = lane_width(chunk.len());
+                assert!(matches!(width, 4 | 8 | 16), "{n} cells: width {width}");
                 assert!(
-                    matches!(take, 1 | 2 | 4 | 8 | 16),
-                    "chunk {take} has no monomorphization"
+                    width >= chunk.len(),
+                    "{n} cells: {width} lanes hold {}",
+                    chunk.len()
                 );
-                chunks.push(take);
-                left -= take;
+                if i + 1 < chunks.len() {
+                    assert_eq!(chunk.len(), 16, "{n} cells: only the tail is short");
+                } else {
+                    assert!(
+                        width == 4 || chunk.len() > width / 2,
+                        "{n} cells: tail over-padded"
+                    );
+                }
             }
-            assert_eq!(chunks.iter().sum::<usize>(), n);
+            assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), n);
         }
+        assert_eq!(
+            [1, 3, 4, 5, 8, 9, 12, 16].map(lane_width),
+            [4, 4, 4, 8, 8, 16, 16, 16]
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The `bp-metrics` pipeline counters under lane replay.
 //!
-//! A [`SweepReplay::simulate_many`] lane must move every `pipeline.*`
+//! A [`SweepReplay::simulate_many`] cell must move every `pipeline.*`
 //! counter exactly as one scalar [`simulate`] call with the same flags
-//! would: each lane is one logical simulation in a run manifest. The
-//! counters are process-global, so this file holds a single test and no
-//! sibling test can move them mid-measurement.
+//! and config would: each cell is one logical simulation in a run
+//! manifest, and a padding lane is none. The counters are
+//! process-global, so this file holds a single test and no sibling test
+//! can move them mid-measurement.
 
 use bp_pipeline::{simulate, PipelineConfig, SweepReplay};
 use bp_workloads::lcf_suite;
@@ -58,29 +59,49 @@ fn lane_replay_moves_every_counter_as_scalar_replay_does() {
     // u64 fallback, forced as `u64_fallback_matches_scalar` forces it.
     let mut wide = PipelineConfig::skylake();
     wide.mispredict_penalty = u32::MAX / 2;
-    let configs = [
-        ("narrow 1x", PipelineConfig::skylake()),
-        ("narrow 8x", PipelineConfig::skylake().scaled(8)),
-        ("u64 fallback", wide),
-    ];
-    for (label, config) in &configs {
-        let sweep = SweepReplay::new(&trace, config);
+    let labels = ["narrow 1x", "narrow 8x", "u64 fallback"];
+    let configs = [PipelineConfig::skylake(), PipelineConfig::skylake().scaled(8), wide];
+    // Each config alone (1 and 3 streams pad to 4 lanes, 4 and 16 fill
+    // their chunk), then mixed-scale chunks: 2 configs × 3 streams is
+    // one 8-lane chunk with two padding lanes, all three configs × 5
+    // streams one 16-lane chunk with one, and × 6 a full 16-lane chunk
+    // plus a 4-lane tail padded from two cells.
+    let mut runs: Vec<(String, &[PipelineConfig], usize)> = Vec::new();
+    for (i, label) in labels.iter().enumerate() {
         for lanes in [1, 3, 4, 16] {
-            let refs: Vec<&[bool]> = streams[..lanes].iter().map(Vec::as_slice).collect();
-            let mut many = Vec::new();
-            let lane = counter_deltas(|| many = sweep.simulate_many(&refs, config));
-            let mut solo = Vec::new();
-            let scalar = counter_deltas(|| {
-                solo = refs.iter().map(|f| simulate(&trace, f, config)).collect();
-            });
-            assert_eq!(many, solo, "{label}, {lanes} lanes: results");
-            for (i, name) in COUNTERS.iter().enumerate() {
-                assert_eq!(lane[i], scalar[i], "{label}, {lanes} lanes: {name}");
-            }
-            assert_eq!(lane[0], lanes as u64, "{label}: one sim_run per lane");
-            for i in [3, 4, 5] {
-                assert!(lane[i] > 0, "{label}, {lanes} lanes: {} never moved", COUNTERS[i]);
-            }
+            runs.push((format!("{label}, {lanes} lanes"), &configs[i..=i], lanes));
+        }
+    }
+    runs.push(("narrow 1x + 8x, 3 lanes each".to_owned(), &configs[..2], 3));
+    runs.push(("all three, 5 lanes each".to_owned(), &configs[..], 5));
+    runs.push(("all three, 6 lanes each".to_owned(), &configs[..], 6));
+    for (label, configs, lanes) in runs {
+        let sweep = SweepReplay::new(&trace, &configs[0]);
+        let refs: Vec<&[bool]> = streams[..lanes].iter().map(Vec::as_slice).collect();
+        let mut many = Vec::new();
+        let lane = counter_deltas(|| many = sweep.simulate_many(&refs, configs));
+        let mut solo = Vec::new();
+        let scalar = counter_deltas(|| {
+            solo = configs
+                .iter()
+                .map(|c| {
+                    refs.iter()
+                        .map(|f| simulate(&trace, f, c))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+        });
+        assert_eq!(many, solo, "{label}: results");
+        for (i, name) in COUNTERS.iter().enumerate() {
+            assert_eq!(lane[i], scalar[i], "{label}: {name}");
+        }
+        let cells = (configs.len() * lanes) as u64;
+        assert_eq!(
+            lane[0], cells,
+            "{label}: one sim_run per cell, none per padding lane"
+        );
+        for i in [3, 4, 5] {
+            assert!(lane[i] > 0, "{label}: {} never moved", COUNTERS[i]);
         }
     }
 }

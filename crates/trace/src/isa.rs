@@ -72,17 +72,6 @@ impl Cond {
             Cond::Ge => (a as i64) >= (b as i64),
         }
     }
-
-    /// Returns the condition that evaluates to the opposite outcome.
-    #[must_use]
-    pub fn negated(self) -> Self {
-        match self {
-            Cond::Eq => Cond::Ne,
-            Cond::Ne => Cond::Eq,
-            Cond::Lt => Cond::Ge,
-            Cond::Ge => Cond::Lt,
-        }
-    }
 }
 
 impl fmt::Display for Cond {
@@ -202,17 +191,6 @@ mod tests {
         assert!(Cond::Ne.eval(3, 4));
         assert!(Cond::Lt.eval(u64::MAX, 0)); // -1 < 0 signed
         assert!(Cond::Ge.eval(0, u64::MAX)); // 0 >= -1 signed
-    }
-
-    #[test]
-    fn cond_negation_is_involutive_and_opposite() {
-        let cases = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge];
-        for c in cases {
-            assert_eq!(c.negated().negated(), c);
-            for (a, b) in [(0u64, 0u64), (1, 2), (u64::MAX, 5)] {
-                assert_ne!(c.eval(a, b), c.negated().eval(a, b));
-            }
-        }
     }
 
     #[test]

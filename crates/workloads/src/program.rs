@@ -352,12 +352,6 @@ impl Program {
             .count()
     }
 
-    /// Total number of static instructions (including terminators).
-    #[must_use]
-    pub fn static_inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len() + 1).sum()
-    }
-
     /// Ground-truth annotations attached by generators: `(terminator IP,
     /// label)` pairs, e.g. the planted variable-gap H2P branch sites.
     pub fn annotated_ips(&self) -> impl Iterator<Item = (u64, &str)> + '_ {
@@ -520,7 +514,8 @@ mod tests {
         assert_eq!(p.block_addr(BlockId(0)), CODE_BASE);
         assert_eq!(p.term_addr(BlockId(0)), CODE_BASE + 2 * INST_BYTES);
         assert_eq!(p.block_addr(BlockId(1)), CODE_BASE + 3 * INST_BYTES);
-        assert_eq!(p.static_inst_count(), 4);
+        // Four static instructions: block 1's terminator is in slot 3.
+        assert_eq!(p.term_addr(BlockId(1)), CODE_BASE + 3 * INST_BYTES);
     }
 
     #[test]

@@ -137,8 +137,9 @@ fn stateful_specs_produce_live_digests() {
     }
 }
 
-/// Replays `lanes` through the hetero lane path and the scalar reference
-/// at each scale, asserting exact [`SimStats`] equality.
+/// Replays `lanes` at every scale through the hetero lane path, one
+/// `simulate_many` call over all (scale, lane) cells, and through the
+/// scalar reference, asserting exact [`SimStats`] equality per cell.
 fn assert_lanes_match_scalar(
     wl: &WorkloadSpec,
     input: u32,
@@ -148,13 +149,13 @@ fn assert_lanes_match_scalar(
 ) {
     let trace = wl.trace(input, TRACE_LEN);
     let sweep = SweepReplay::prepare(trace.reader(), base).expect("in-memory prepare");
-    for &scale in scales {
-        let cfg = base.scaled(scale);
-        let many = sweep.simulate_many(lanes, &cfg);
+    let configs: Vec<PipelineConfig> = scales.iter().map(|&s| base.scaled(s)).collect();
+    let many = sweep.simulate_many(lanes, &configs);
+    for ((&scale, cfg), per_scale) in scales.iter().zip(&configs).zip(&many) {
         for (k, lane) in lanes.iter().enumerate() {
             assert_eq!(
-                many[k],
-                simulate(&trace, lane, &cfg),
+                per_scale[k],
+                simulate(&trace, lane, cfg),
                 "{}/{input}: lane {k}/{} diverged from scalar at {scale}x",
                 wl.name,
                 lanes.len()
@@ -172,14 +173,16 @@ fn hetero_lane_replay_matches_scalar_simulate() {
         let flags = sweep_flags(&mut predictors, trace.reader(), None)
             .expect("in-memory reader cannot fail");
 
-        // The full 16-spec group (one 16-wide chunk), then a ragged 19
-        // (16 + 2 + 1 chunks) built by repeating three streams.
+        // The full 16-spec group (one 16-lane chunk per scale), then a
+        // ragged 19 at two scales (38 cells: two 16-lane chunks, the
+        // second mixing both scales, and six cells padded to 8 lanes)
+        // built by repeating three streams.
         let full: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
         let mut ragged = full.clone();
         ragged.extend([&full[0], &full[7], &full[15]]);
         let base = PipelineConfig::skylake();
         assert_lanes_match_scalar(&wl, input, &full, &base, &[1, 8, 32]);
-        assert_lanes_match_scalar(&wl, input, &ragged, &base, &[4]);
+        assert_lanes_match_scalar(&wl, input, &ragged, &base, &[4, 2]);
     }
 }
 
@@ -235,12 +238,11 @@ fn streamed_prepare_and_sweep_match_in_memory() {
     let disk_sweep =
         SweepReplay::prepare(store.stream(wl, 0, TRACE_LEN), &base).expect("streamed prepare");
     let lanes: Vec<&[bool]> = mem_flags.iter().map(Vec::as_slice).collect();
-    for scale in [1, 16] {
-        assert_eq!(
-            mem_sweep.simulate_many(&lanes, &base.scaled(scale)),
-            disk_sweep.simulate_many(&lanes, &base.scaled(scale)),
-            "streamed prepare diverged at {scale}x"
-        );
-    }
+    let configs = [base.scaled(1), base.scaled(16)];
+    assert_eq!(
+        mem_sweep.simulate_many(&lanes, &configs),
+        disk_sweep.simulate_many(&lanes, &configs),
+        "streamed prepare diverged"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

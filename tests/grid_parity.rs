@@ -78,7 +78,7 @@ fn grid_cells_match_per_config_invocations_exactly() {
                 spec.label()
             );
             for (si, &scale) in study.scales.iter().enumerate() {
-                let solo = sweep.simulate_many(&[flags.as_slice()], &base.scaled(scale))[0];
+                let solo = sweep.simulate(&flags, &base.scaled(scale));
                 assert_eq!(
                     study.rows[w].ipc[si][i].to_bits(),
                     solo.ipc().to_bits(),
