@@ -204,6 +204,13 @@ echo "== serve =="
 # after a kill -9 plus on-disk corruption — quarantine the damaged entry
 # (never serve it) while intact entries survive the restart, and survive
 # a 64 MiB request line without growing its peak RSS.
+#
+# The serve integration tests run in release too, so a test whose
+# timing only holds in a debug build (a study outlasting its deadline,
+# say) fails here instead of passing tier-1 alone.
+BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
+    cargo test --release -q --test serve
+
 SERVE_OUT=target/ci-serve
 rm -rf "$SERVE_OUT" && mkdir -p "$SERVE_OUT/cache"
 

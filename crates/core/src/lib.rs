@@ -46,7 +46,7 @@ pub use experiment::{
 };
 pub use parallel::Engine;
 pub use report::{f3, pct, Report, ReportItem, Table};
-pub use study::{FnStudy, Study, StudyCtx, StudyInfo, StudyKind, StudyRegistry};
+pub use study::{Study, StudyCtx, StudyKind, StudyRegistry};
 
 /// Deterministic fault injection (re-export of [`bp_metrics::faultpoint`]).
 ///

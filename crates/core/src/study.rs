@@ -1,16 +1,16 @@
 //! The study registry: every paper table, figure, ablation and
-//! supplementary study as a named, runnable unit.
+//! supplementary study as one row of a table.
 //!
-//! Each experiment (Table I, Fig. 7, the ablations, the calibration
-//! table, …) implements [`Study`]: a static [`StudyInfo`] describing it
-//! plus a `run` that computes a [`Report`]. A [`StudyRegistry`] holds
-//! them in a fixed order and is the single source of truth the
-//! `branch-lab` CLI dispatches from — `branch-lab list` prints it,
-//! `branch-lab run <name>` looks it up, and the `all` runner derives its
-//! child list from it instead of hand-maintaining one.
+//! A [`Study`] is a plain row: a name, a title, a [`StudyKind`] and the
+//! function that computes its [`Report`] from a [`StudyCtx`]. A
+//! [`StudyRegistry`] holds the rows in a fixed order and is the single
+//! source of truth the `branch-lab` CLI and serve dispatch from —
+//! `branch-lab list` prints it, `branch-lab run <name>` and `POST /run`
+//! look a row up, and the `all` runner derives its child list from it
+//! instead of hand-maintaining one.
 //!
-//! The registry lives in `bp-core` so any layer can consume it; the
-//! studies themselves are registered by `bp-experiments`, which owns the
+//! The registry lives in `bp-core` so any layer can consume it; the rows
+//! themselves are listed by `bp-experiments`, which owns the
 //! figure/table computations.
 
 use std::collections::BTreeMap;
@@ -28,17 +28,6 @@ pub enum StudyKind {
     /// from `all` sweeps (supplementary context such as the predictor
     /// survey or the calibration table).
     Standalone,
-}
-
-/// Static description of a study.
-#[derive(Clone, Copy, Debug)]
-pub struct StudyInfo {
-    /// Registry key and binary name, e.g. `"fig7"`.
-    pub name: &'static str,
-    /// One-line description shown by `branch-lab list`.
-    pub title: &'static str,
-    /// Invocation class.
-    pub kind: StudyKind,
 }
 
 /// The one description of a study run: everything a study may consult,
@@ -85,102 +74,72 @@ impl StudyCtx {
     }
 }
 
-/// A named, runnable experiment.
-pub trait Study {
-    /// Static metadata (name, title, kind).
-    fn info(&self) -> StudyInfo;
-    /// Runs the full computation and returns the printable output.
-    fn run(&self, ctx: &StudyCtx) -> Report;
+/// A named, runnable experiment: one row of the study table.
+#[derive(Clone, Copy, Debug)]
+pub struct Study {
+    /// Registry key, e.g. `"fig7"`.
+    pub name: &'static str,
+    /// One-line description shown by `branch-lab list`.
+    pub title: &'static str,
+    /// Invocation class.
+    pub kind: StudyKind,
+    /// Computes the printable output from the study's whole input.
+    pub run: fn(&StudyCtx) -> Report,
 }
 
-/// A [`Study`] built from a closure — the common case.
-pub struct FnStudy {
-    info: StudyInfo,
-    run: Box<dyn Fn(&StudyCtx) -> Report + Send + Sync>,
-}
-
-impl FnStudy {
-    /// Wraps `run` with the given metadata.
-    pub fn new(
-        info: StudyInfo,
-        run: impl Fn(&StudyCtx) -> Report + Send + Sync + 'static,
-    ) -> Self {
-        FnStudy {
-            info,
-            run: Box::new(run),
-        }
-    }
-}
-
-impl Study for FnStudy {
-    fn info(&self) -> StudyInfo {
-        self.info
-    }
-
-    fn run(&self, ctx: &StudyCtx) -> Report {
-        (self.run)(ctx)
-    }
-}
-
-/// An ordered collection of uniquely named studies.
+/// The study table: uniquely named rows in presentation order.
 ///
-/// Registration order is presentation order: `branch-lab list` prints it
-/// and the `all` runner executes [`StudyKind::Report`] studies in it.
-#[derive(Default)]
+/// `branch-lab list` prints the rows in order and the `all` runner
+/// executes the [`StudyKind::Report`] rows in it.
 pub struct StudyRegistry {
-    studies: Vec<Box<dyn Study + Send + Sync>>,
+    studies: Vec<Study>,
 }
 
 impl StudyRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        StudyRegistry::default()
-    }
-
-    /// Adds a study at the end of the presentation order.
+    /// The table of `studies`, in the given order.
     ///
     /// # Panics
     ///
-    /// Panics if a study with the same name is already registered.
-    pub fn register(&mut self, study: Box<dyn Study + Send + Sync>) {
-        let name = study.info().name;
-        assert!(
-            self.get(name).is_none(),
-            "duplicate study registration: {name}"
-        );
-        self.studies.push(study);
+    /// Panics if two rows share a name.
+    #[must_use]
+    pub fn new(studies: Vec<Study>) -> Self {
+        for (i, study) in studies.iter().enumerate() {
+            let name = study.name;
+            assert!(
+                studies[..i].iter().all(|s| s.name != name),
+                "duplicate study registration: {name}"
+            );
+        }
+        StudyRegistry { studies }
     }
 
     /// Looks a study up by name.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with the names the table holds.
+    pub fn get(&self, name: &str) -> Result<Study, String> {
+        self.studies.iter().copied().find(|s| s.name == name).ok_or_else(|| {
+            format!("unknown study '{name}'; available: {}", self.names().join(", "))
+        })
+    }
+
+    /// All studies, in presentation order.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<&(dyn Study + Send + Sync)> {
-        self.studies
-            .iter()
-            .find(|s| s.info().name == name)
-            .map(Box::as_ref)
+    pub fn studies(&self) -> &[Study] {
+        &self.studies
     }
 
-    /// All studies, in registration order.
-    pub fn studies(&self) -> impl Iterator<Item = &(dyn Study + Send + Sync)> {
-        self.studies.iter().map(Box::as_ref)
-    }
-
-    /// Names of all studies, in registration order.
+    /// Names of all studies, in presentation order.
     #[must_use]
     pub fn names(&self) -> Vec<&'static str> {
-        self.studies.iter().map(|s| s.info().name).collect()
+        self.studies.iter().map(|s| s.name).collect()
     }
 
-    /// Names of the [`StudyKind::Report`] studies, in registration order
-    /// — the `all` runner's child list.
-    #[must_use]
-    pub fn report_names(&self) -> Vec<&'static str> {
-        self.studies
-            .iter()
-            .filter(|s| s.info().kind == StudyKind::Report)
-            .map(|s| s.info().name)
-            .collect()
+    /// The [`StudyKind::Report`] studies, in presentation order — the
+    /// `all` runner's children.
+    pub fn reports(&self) -> impl Iterator<Item = Study> + '_ {
+        self.studies.iter().copied().filter(|s| s.kind == StudyKind::Report)
     }
 }
 
@@ -188,35 +147,36 @@ impl StudyRegistry {
 mod tests {
     use super::*;
 
-    fn stub(name: &'static str, kind: StudyKind) -> Box<FnStudy> {
-        Box::new(FnStudy::new(
-            StudyInfo {
-                name,
-                title: "stub",
-                kind,
-            },
-            |_| {
+    fn stub(name: &'static str, kind: StudyKind) -> Study {
+        Study {
+            name,
+            title: "stub",
+            kind,
+            run: |_| {
                 let mut r = Report::new();
                 r.note("ran");
                 r
             },
-        ))
+        }
     }
 
     #[test]
     fn registry_preserves_order_and_filters_kinds() {
-        let mut reg = StudyRegistry::new();
-        reg.register(stub("b", StudyKind::Report));
-        reg.register(stub("s", StudyKind::Standalone));
-        reg.register(stub("c", StudyKind::Report));
+        let reg = StudyRegistry::new(vec![
+            stub("b", StudyKind::Report),
+            stub("s", StudyKind::Standalone),
+            stub("c", StudyKind::Report),
+        ]);
         assert_eq!(reg.names(), vec!["b", "s", "c"]);
-        assert_eq!(reg.report_names(), vec!["b", "c"]);
+        let reports: Vec<&str> = reg.reports().map(|s| s.name).collect();
+        assert_eq!(reports, vec!["b", "c"]);
         let ctx = StudyCtx {
             dataset: DatasetConfig::quick(),
             sampling: SamplingConfig::default(),
         };
-        assert_eq!(reg.get("s").unwrap().run(&ctx).render(), "ran\n");
-        assert!(reg.get("zzz").is_none());
+        assert_eq!((reg.get("s").unwrap().run)(&ctx).render(), "ran\n");
+        let err = reg.get("zzz").unwrap_err();
+        assert!(err.contains("unknown study 'zzz'; available: b, s, c"), "{err}");
     }
 
     #[test]
@@ -252,8 +212,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate study")]
     fn duplicate_names_panic() {
-        let mut reg = StudyRegistry::new();
-        reg.register(stub("x", StudyKind::Report));
-        reg.register(stub("x", StudyKind::Standalone));
+        let _ = StudyRegistry::new(vec![
+            stub("x", StudyKind::Report),
+            stub("x", StudyKind::Standalone),
+        ]);
     }
 }

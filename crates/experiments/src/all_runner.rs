@@ -2,8 +2,8 @@
 //! all`).
 //!
 //! The child list is derived from the study registry
-//! ([`crate::registry::registry`], [`bp_core::StudyRegistry::report_names`])
-//! — registering a study is all it takes to join the sweep.
+//! ([`crate::registry::registry`], [`bp_core::StudyRegistry::reports`])
+//! — adding a report row is all it takes to join the sweep.
 //!
 //! The studies run **in-process** as tasks of the fault-tolerant
 //! executor ([`bp_core::exec`]), which supplies panic isolation,
@@ -117,12 +117,10 @@ pub fn run_from(args: Vec<String>) {
     let reg = registry();
     let ctx = opts.cli.ctx();
     let tasks: Vec<Task<'_>> = reg
-        .report_names()
-        .into_iter()
-        .map(|bin| {
-            let (cli, reg, ctx) = (&opts.cli, &reg, &ctx);
-            Task::new(bin, move |_| {
-                let study = reg.get(bin).expect("report_names came from this registry");
+        .reports()
+        .map(|study| {
+            let (cli, ctx) = (&opts.cli, &ctx);
+            Task::new(study.name, move |_| {
                 let (report, manifest) = crate::run_recorded(study, ctx);
                 cli.emit_report(&report);
                 if let Some(sink) = bp_metrics::sink_dir() {

@@ -12,7 +12,8 @@
 //! stderr in the form
 //! `serve_smoke: status=200 cache=miss key=0123456789abcdef`. With
 //! `--concurrent K` the same request is fired from K threads at once and
-//! the bodies are asserted identical — the singleflight check. Exit is
+//! the bodies are asserted identical — the request-coalescing check
+//! (one execution per key, the rest `join` or `hit`). Exit is
 //! nonzero if any response status differs from `--expect` (default 200).
 //!
 //! Connection attempts retry (`--retries`, default 40 × 50 ms) so the

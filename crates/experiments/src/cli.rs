@@ -9,7 +9,10 @@
 //! * `branch-lab sweep --workload W --predictors a,b,c` — ad-hoc
 //!   single-pass predictor sweep on one workload.
 //!
-//! `run` and `all` parse the study flags through [`crate::Cli`]; every
+//! `run` and `all` parse the study flags through [`crate::Cli`] and
+//! `sweep` its flags through [`SweepArgs`]; serve's `/run` and `/sweep`
+//! turn a request body into those flags and parse it with the same two
+//! parsers, so a body means what its flags mean ([`crate::serve`]). Every
 //! subcommand reads flag values through one helper, and a usage error
 //! (an unknown flag, a malformed value, a bare argument, a `--csv`
 //! directory that cannot be created) prints its message and exits with
@@ -112,10 +115,7 @@ fn save_manifest(manifest: &Manifest) {
 /// Looks `name` up in the registry and runs it with the flags `args`:
 /// `--csv` is honoured, and the run's manifest goes to the metrics sink.
 pub fn run_study(name: &str, args: Vec<String>) {
-    let reg = registry::registry();
-    let Some(study) = reg.get(name) else {
-        usage_error(&format!("unknown study '{name}'; available: {}", reg.names().join(", ")));
-    };
+    let study = registry::registry().get(name).unwrap_or_else(|e| usage_error(&e));
     let cli = Cli::parse_from(args).unwrap_or_else(|e| usage_error(&e));
     let (report, manifest) = crate::run_recorded(study, &cli.ctx());
     cli.emit_report(&report);
@@ -124,41 +124,48 @@ pub fn run_study(name: &str, args: Vec<String>) {
 
 fn cmd_list() {
     let reg = registry::registry();
-    let width = reg
-        .studies()
-        .map(|s| s.info().name.len())
-        .max()
-        .unwrap_or(0);
+    let width = reg.studies().iter().map(|s| s.name.len()).max().unwrap_or(0);
     for study in reg.studies() {
-        let info = study.info();
-        let kind = match info.kind {
+        let kind = match study.kind {
             StudyKind::Report => "report",
             StudyKind::Standalone => "extra ",
         };
-        println!("{:width$}  {kind}  {}", info.name, info.title);
+        println!("{:width$}  {kind}  {}", study.name, study.title);
     }
 }
 
-/// The options of `branch-lab sweep`, resolved.
-struct SweepArgs {
-    spec: WorkloadSpec,
-    specs: Vec<PredictorSpec>,
-    scales: Vec<u32>,
-    len: usize,
+/// The options of `branch-lab sweep`, and of a serve `/sweep` body.
+#[derive(Debug, PartialEq)]
+pub struct SweepArgs {
+    /// `--workload`: the name [`SweepArgs::spec`] looks up.
+    pub workload: String,
+    /// `--predictors`: one lane per predictor, in row order.
+    pub specs: Vec<PredictorSpec>,
+    /// `--scales`: pipeline scale factors, in column order (default 1).
+    pub scales: Vec<u32>,
+    /// `--len`: instructions to trace (default 200,000).
+    pub len: usize,
 }
 
 impl SweepArgs {
     /// Parses the `sweep` flags; `--help` prints the help text and exits.
-    fn parse_from(args: Vec<String>) -> Result<SweepArgs, String> {
-        let (mut workload, mut predictors) = (None, None);
+    ///
+    /// # Errors
+    ///
+    /// A usage message for an unknown flag or bare argument, a flag
+    /// without its value, a missing `--workload` or `--predictors`, an
+    /// unknown predictor, a scale outside 1–64 or a `--len` below 10.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<SweepArgs, String> {
+        let (mut workload, mut specs) = (None, None);
         let mut scales = vec![1];
         let mut len = 200_000;
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--workload" => workload = Some(flag_value::<String>(&mut args, "--workload")?),
+                "--workload" => workload = Some(flag_value(&mut args, "--workload")?),
                 "--predictors" => {
-                    predictors = Some(flag_value::<String>(&mut args, "--predictors")?);
+                    let list: String = flag_value(&mut args, "--predictors")?;
+                    specs = Some(PredictorSpec::parse_list(&list)?);
                 }
                 "--scales" => {
                     scales = flag_value::<String>(&mut args, "--scales")?
@@ -180,21 +187,29 @@ impl SweepArgs {
             }
         }
         let workload = workload.ok_or("sweep requires --workload NAME")?;
-        let predictors = predictors.ok_or("sweep requires --predictors A,B,..")?;
-        let spec = find_workload(&workload).ok_or_else(|| {
+        let specs = specs.ok_or("sweep requires --predictors A,B,..")?;
+        Ok(SweepArgs { workload, specs, scales, len })
+    }
+
+    /// The workload `--workload` names.
+    ///
+    /// # Errors
+    ///
+    /// An unknown workload, with the names the suite holds.
+    pub fn spec(&self) -> Result<WorkloadSpec, String> {
+        find_workload(&self.workload).ok_or_else(|| {
             format!(
-                "unknown workload '{workload}'; available: {}",
+                "unknown workload '{}'; available: {}",
+                self.workload,
                 workload_names().join(", ")
             )
-        })?;
-        let specs = PredictorSpec::parse_list(&predictors)?;
-        Ok(SweepArgs { spec, specs, scales, len })
+        })
     }
 }
 
 /// Parses one pipeline scale factor: an integer from 1 to 64, the range
 /// [`PipelineConfig::scaled`] accepts.
-pub(crate) fn parse_scale(s: &str) -> Result<u32, String> {
+fn parse_scale(s: &str) -> Result<u32, String> {
     s.parse()
         .ok()
         .filter(|factor| (1..=64).contains(factor))
@@ -202,9 +217,9 @@ pub(crate) fn parse_scale(s: &str) -> Result<u32, String> {
 }
 
 fn cmd_sweep(args: Vec<String>) {
-    let SweepArgs { spec, specs, scales, len } =
-        SweepArgs::parse_from(args).unwrap_or_else(|e| usage_error(&e));
-    let (report, manifest) = sweep_recorded(&spec, &specs, &scales, len);
+    let args = SweepArgs::parse_from(args).unwrap_or_else(|e| usage_error(&e));
+    let spec = args.spec().unwrap_or_else(|e| usage_error(&e));
+    let (report, manifest) = sweep_recorded(&spec, &args.specs, &args.scales, args.len);
     print!("{}", report.render());
     save_manifest(&manifest);
 }

@@ -1,10 +1,12 @@
 //! Study implementations and the `branch-lab` CLI.
 //!
-//! Every table and figure of the paper is a [`bp_core::Study`] registered
-//! in [`registry::registry`]; the `branch-lab` binary dispatches to them
-//! (`branch-lab list` / `run <study>` / `all` / `sweep`). All argument
-//! parsing lives in [`Cli`]; run `branch-lab --help` for the single help
-//! surface that documents the flags and environment variables once.
+//! Every table and figure of the paper is a [`bp_core::Study`] row of
+//! [`registry::registry`]; the `branch-lab` binary dispatches to them
+//! (`branch-lab list` / `run <study>` / `all` / `sweep`). The study flags
+//! are parsed by [`Cli`] and the sweep flags by [`cli::SweepArgs`], for
+//! the CLI and for serve's request bodies alike; run `branch-lab --help`
+//! for the single help surface that documents the flags and environment
+//! variables once.
 
 #![warn(missing_docs)]
 
@@ -21,7 +23,7 @@ pub mod serve;
 pub mod studies;
 
 /// Parsed command-line options shared by every study invocation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Cli {
     /// Override for instructions per trace.
     pub len: Option<usize>,
@@ -140,10 +142,10 @@ impl Cli {
 /// [`StudyCtx::describe`]. `branch-lab run`, `all` and serve's `/run`
 /// all record a study through here. A study that panics records nothing.
 #[must_use]
-pub fn run_recorded(study: &dyn Study, ctx: &StudyCtx) -> (Report, Manifest) {
+pub fn run_recorded(study: Study, ctx: &StudyCtx) -> (Report, Manifest) {
     let baseline = CounterBaseline::take();
-    let report = study.run(ctx);
-    (report, baseline.capture_delta(study.info().name, ctx.describe()))
+    let report = (study.run)(ctx);
+    (report, baseline.capture_delta(study.name, ctx.describe()))
 }
 
 /// Takes the value after `flag` from `args` and parses it.

@@ -6,7 +6,15 @@
 //! supplies the request semantics, because only the experiments crate
 //! knows the study registry:
 //!
-//! * the JSON request schema mirroring the `run` / `sweep` CLI flags;
+//! * the request grammar, which is the CLI's: a `/run` or `/sweep` body
+//!   is a JSON object whose fields, bar the serve-only `study` and
+//!   `deadline_secs`, are the `branch-lab run` / `sweep` flags they name
+//!   (`sample_interval` is `--sample-interval`; `true` is the bare
+//!   switch, `false` or `null` no flag, a list one comma-joined value),
+//!   parsed by [`Cli::parse_from`] / [`cli::SweepArgs::parse_from`], so a
+//!   body is accepted, refused and keyed exactly as its flags are. A
+//!   field outside the route's list is a `400` naming it, which keeps
+//!   `--csv` and `--help` out of reach;
 //! * cache-key derivation ([`study_key`] / [`sweep_key`]) from exactly
 //!   the inputs a result is a pure function of — for a study, the name
 //!   and its [`StudyCtx::describe`] entries (dataset shape and sampling
@@ -59,13 +67,14 @@ use bp_core::exec;
 use bp_core::serve::cache::{CacheEntry, CacheKey, ResultCache, Source};
 use bp_core::serve::http::{Request, Response};
 use bp_core::serve::{Handler, Server};
-use bp_core::{Report, SamplingConfig, StudyCtx, StudyKind, StudyRegistry};
+use bp_core::{Report, StudyCtx, StudyKind, StudyRegistry};
 use bp_metrics::json::{self, Value};
 use bp_metrics::{env, Counter, Manifest};
 use bp_predictors::PredictorSpec;
-use bp_workloads::{find_workload, suite_digest, workload_names};
+use bp_workloads::{suite_digest, workload_names};
 
-use crate::{cli, flag_value, registry, Cli};
+use crate::cli::{self, SweepArgs};
+use crate::{flag_value, registry, Cli};
 
 /// The result cache's per-tier byte budget when `--cache-budget` is not
 /// given: 1 GiB. A served key holds about 8 KiB, so without a bound a
@@ -212,168 +221,134 @@ pub fn sweep_key(workload: &str, labels: &[String], scales: &[u32], len: usize) 
         .finish()
 }
 
-/// A parsed `POST /run` body.
-#[derive(Debug)]
-struct RunRequest {
-    study: String,
-    cli: Cli,
+/// The fields a `POST /run` body may carry: the serve-only `study` and
+/// `deadline_secs`, then the `branch-lab run` flags. Listing them keeps
+/// `--csv` and `--help` out of reach of a request.
+const RUN_FIELDS: [&str; 7] =
+    ["study", "deadline_secs", "len", "quick", "sample_interval", "sample_warmup", "sample_phases"];
+
+/// The fields a `POST /sweep` body may carry: the serve-only
+/// `deadline_secs`, then the `branch-lab sweep` flags.
+const SWEEP_FIELDS: [&str; 5] = ["deadline_secs", "workload", "predictors", "scales", "len"];
+
+/// A request body: its serve-only fields, and every other field as the
+/// flag it mirrors.
+struct Body {
+    study: Option<String>,
     deadline: Option<Duration>,
+    args: Vec<String>,
 }
 
-/// A parsed `POST /sweep` body.
-#[derive(Debug)]
-struct SweepRequest {
-    workload: String,
-    specs: Vec<PredictorSpec>,
-    scales: Vec<u32>,
-    len: usize,
-    deadline: Option<Duration>,
-}
-
-/// Rejects unknown fields so schema typos fail loudly instead of
-/// silently running the default configuration (and caching it).
-fn check_fields(obj: &BTreeMap<String, Value>, allowed: &[&str]) -> Result<(), String> {
-    for name in obj.keys() {
-        if !allowed.contains(&name.as_str()) {
-            return Err(format!(
-                "unknown field \"{name}\"; supported: {}",
-                allowed.join(", ")
-            ));
+impl Body {
+    /// Parses `body`, a JSON object whose fields `allowed` lists; an
+    /// unknown field is refused, never silently defaulted (and cached).
+    /// Each field but `study` and `deadline_secs` becomes its flag
+    /// (`sample_interval` is `--sample-interval`): `true` the bare switch,
+    /// `false` or `null` no flag, a list one comma-joined value, a string
+    /// or number the value. A value may not begin with `-`, so no value
+    /// reads as a flag.
+    fn parse(body: &[u8], allowed: &[&str]) -> Result<Body, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+        let value = json::parse(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
+        let Value::Obj(fields) = value else {
+            return Err("body must be a JSON object".to_owned());
+        };
+        let mut parsed = Body { study: None, deadline: None, args: Vec::new() };
+        for (name, value) in fields {
+            if !allowed.contains(&name.as_str()) {
+                return Err(format!(
+                    "unknown field \"{name}\"; supported: {}",
+                    allowed.join(", ")
+                ));
+            }
+            let flag = || format!("--{}", name.replace('_', "-"));
+            match (name.as_str(), value) {
+                (_, Value::Null) => {}
+                ("study", Value::Str(study)) => parsed.study = Some(study),
+                ("study", _) => return Err("field \"study\" must be a string".to_owned()),
+                ("deadline_secs", secs) => {
+                    let secs = secs.as_u64().ok_or(
+                        "field \"deadline_secs\" must be a non-negative integer",
+                    )?;
+                    parsed.deadline = (secs > 0).then(|| Duration::from_secs(secs));
+                }
+                (_, Value::Bool(false)) => {}
+                (_, Value::Bool(true)) => parsed.args.push(flag()),
+                (_, value) => {
+                    let text = match value {
+                        Value::Arr(items) => items
+                            .into_iter()
+                            .map(scalar)
+                            .collect::<Option<Vec<_>>>()
+                            .map(|items| items.join(",")),
+                        value => scalar(value),
+                    }
+                    .ok_or_else(|| {
+                        format!("field \"{name}\" must be a string, number, boolean or list")
+                    })?;
+                    if text.starts_with('-') {
+                        return Err(format!("field \"{name}\" may not begin with '-'"));
+                    }
+                    parsed.args.extend([flag(), text]);
+                }
+            }
         }
-    }
-    Ok(())
-}
-
-fn field_u64(obj: &BTreeMap<String, Value>, name: &str) -> Result<Option<u64>, String> {
-    match obj.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field \"{name}\" must be a non-negative integer")),
+        Ok(parsed)
     }
 }
 
-fn field_bool(obj: &BTreeMap<String, Value>, name: &str) -> Result<bool, String> {
-    match obj.get(name) {
-        None | Some(Value::Null) => Ok(false),
-        Some(Value::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("field \"{name}\" must be a boolean")),
+/// The text of a string or number.
+fn scalar(value: Value) -> Option<String> {
+    match value {
+        Value::Str(text) | Value::Num(text) => Some(text),
+        _ => None,
     }
 }
 
-fn field_str(obj: &BTreeMap<String, Value>, name: &str) -> Result<Option<String>, String> {
-    match obj.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_owned()))
-            .ok_or_else(|| format!("field \"{name}\" must be a string")),
-    }
-}
-
-/// A list field accepting either a JSON array of strings or one
-/// comma-separated string — both CLI habits appear in the wild.
-fn field_list(obj: &BTreeMap<String, Value>, name: &str) -> Result<Vec<String>, String> {
-    match obj.get(name) {
-        None | Some(Value::Null) => Ok(Vec::new()),
-        Some(Value::Str(s)) => Ok(s
-            .split(',')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(str::to_owned)
-            .collect()),
-        Some(Value::Arr(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => Ok(s.clone()),
-                Value::Num(n) => Ok(n.clone()),
-                _ => Err(format!("field \"{name}\" must contain strings")),
-            })
-            .collect(),
-        Some(_) => Err(format!("field \"{name}\" must be an array or comma-separated string")),
-    }
-}
-
-fn parse_body(body: &[u8]) -> Result<BTreeMap<String, Value>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let value = json::parse(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
-    value
-        .as_obj()
-        .cloned()
-        .ok_or_else(|| "body must be a JSON object".to_string())
-}
-
-fn parse_deadline(obj: &BTreeMap<String, Value>) -> Result<Option<Duration>, String> {
-    Ok(field_u64(obj, "deadline_secs")?
-        .filter(|&s| s > 0)
-        .map(Duration::from_secs))
+/// A `POST /run` body, parsed by `branch-lab run`'s flag parser.
+#[derive(Debug)]
+pub struct RunRequest {
+    /// The `study` field: the name to look up.
+    pub study: String,
+    /// The study flags the other fields mirror.
+    pub cli: Cli,
+    /// The `deadline_secs` field; `None` defers to the server default.
+    pub deadline: Option<Duration>,
 }
 
 impl RunRequest {
-    fn parse(body: &[u8]) -> Result<RunRequest, String> {
-        let obj = parse_body(body)?;
-        check_fields(
-            &obj,
-            &[
-                "study",
-                "len",
-                "quick",
-                "deadline_secs",
-                "sample_interval",
-                "sample_warmup",
-                "sample_phases",
-            ],
-        )?;
-        let study = field_str(&obj, "study")?.ok_or("missing required field \"study\"")?;
-        let len = field_u64(&obj, "len")?;
-        if let Some(len) = len {
-            if len < 10 {
-                return Err("field \"len\" must be at least 10".to_string());
-            }
-        }
-        let mut sampling = SamplingConfig {
-            interval_len: field_u64(&obj, "sample_interval")?.map(|n| n as usize),
-            warmup: field_u64(&obj, "sample_warmup")?.map(|n| n as usize),
-            ..SamplingConfig::default()
-        };
-        if let Some(p) = field_u64(&obj, "sample_phases")? {
-            sampling.max_phases = p as usize;
-        }
-        let cli = Cli {
-            len: len.map(|n| n as usize),
-            quick: field_bool(&obj, "quick")?,
-            csv: None,
-            sampling,
-        };
-        Ok(RunRequest { study, cli, deadline: parse_deadline(&obj)? })
+    /// Parses a `/run` body.
+    ///
+    /// # Errors
+    ///
+    /// A malformed body, an unknown field, a missing `study`, or a
+    /// refusal of [`Cli::parse_from`].
+    pub fn parse(body: &[u8]) -> Result<RunRequest, String> {
+        let Body { study, deadline, args } = Body::parse(body, &RUN_FIELDS)?;
+        let study = study.ok_or("missing required field \"study\"")?;
+        Ok(RunRequest { study, cli: Cli::parse_from(args)?, deadline })
     }
 }
 
+/// A `POST /sweep` body, parsed by `branch-lab sweep`'s flag parser.
+#[derive(Debug)]
+pub struct SweepRequest {
+    /// The sweep flags the fields mirror.
+    pub args: SweepArgs,
+    /// The `deadline_secs` field; `None` defers to the server default.
+    pub deadline: Option<Duration>,
+}
+
 impl SweepRequest {
-    fn parse(body: &[u8]) -> Result<SweepRequest, String> {
-        let obj = parse_body(body)?;
-        check_fields(&obj, &["workload", "predictors", "scales", "len", "deadline_secs"])?;
-        let workload = field_str(&obj, "workload")?.ok_or("missing required field \"workload\"")?;
-        let predictors = field_list(&obj, "predictors")?;
-        if predictors.is_empty() {
-            return Err("field \"predictors\" must name at least one predictor".to_string());
-        }
-        let specs = predictors
-            .iter()
-            .map(|p| PredictorSpec::parse(p).map_err(|e| e.to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let scales_raw = field_list(&obj, "scales")?;
-        let scales = if scales_raw.is_empty() {
-            vec![1]
-        } else {
-            scales_raw.iter().map(|s| cli::parse_scale(s)).collect::<Result<Vec<u32>, _>>()?
-        };
-        let len = field_u64(&obj, "len")?.map_or(200_000, |n| n as usize);
-        if len < 10 {
-            return Err("field \"len\" must be at least 10".to_string());
-        }
-        Ok(SweepRequest { workload, specs, scales, len, deadline: parse_deadline(&obj)? })
+    /// Parses a `/sweep` body.
+    ///
+    /// # Errors
+    ///
+    /// A malformed body, an unknown field, or a refusal of
+    /// [`SweepArgs::parse_from`].
+    pub fn parse(body: &[u8]) -> Result<SweepRequest, String> {
+        let Body { deadline, args, .. } = Body::parse(body, &SWEEP_FIELDS)?;
+        Ok(SweepRequest { args: SweepArgs::parse_from(args)?, deadline })
     }
 }
 
@@ -453,48 +428,32 @@ impl StudyService {
     }
 
     fn run_endpoint(&self, req: &Request) -> Response {
-        let parsed = match RunRequest::parse(&req.body) {
-            Ok(p) => p,
+        let RunRequest { study, cli, deadline } = match RunRequest::parse(&req.body) {
+            Ok(parsed) => parsed,
             Err(e) => return Response::error(400, &e),
         };
-        let Some(study) = self.registry.get(&parsed.study) else {
-            return Response::error(
-                404,
-                &format!(
-                    "unknown study \"{}\"; available: {}",
-                    parsed.study,
-                    self.registry.names().join(", ")
-                ),
-            );
+        let study = match self.registry.get(&study) {
+            Ok(study) => study,
+            Err(e) => return Response::error(404, &e),
         };
-        let info = study.info();
-        let ctx = parsed.cli.ctx();
-        let key = study_key(info.name, &ctx);
-        self.dispatch(key, info.name, parsed.deadline, move || {
-            crate::run_recorded(study, &ctx)
-        })
+        let ctx = cli.ctx();
+        let key = study_key(study.name, &ctx);
+        self.dispatch(key, study.name, deadline, move || crate::run_recorded(study, &ctx))
     }
 
     fn sweep_endpoint(&self, req: &Request) -> Response {
-        let parsed = match SweepRequest::parse(&req.body) {
-            Ok(p) => p,
+        let SweepRequest { args, deadline } = match SweepRequest::parse(&req.body) {
+            Ok(parsed) => parsed,
             Err(e) => return Response::error(400, &e),
         };
-        let Some(spec) = find_workload(&parsed.workload) else {
-            return Response::error(
-                404,
-                &format!(
-                    "unknown workload \"{}\"; available: {}",
-                    parsed.workload,
-                    workload_names().join(", ")
-                ),
-            );
+        let spec = match args.spec() {
+            Ok(spec) => spec,
+            Err(e) => return Response::error(404, &e),
         };
-        let labels: Vec<String> = parsed.specs.iter().map(PredictorSpec::label).collect();
-        let key = sweep_key(&spec.name, &labels, &parsed.scales, parsed.len);
-        let SweepRequest { specs, scales, len, deadline, .. } = parsed;
+        let labels: Vec<String> = args.specs.iter().map(PredictorSpec::label).collect();
+        let key = sweep_key(&spec.name, &labels, &args.scales, args.len);
         self.dispatch(key, "sweep", deadline, move || {
-            cli::sweep_recorded(&spec, &specs, &scales, len)
+            cli::sweep_recorded(&spec, &args.specs, &args.scales, args.len)
         })
     }
 
@@ -523,21 +482,16 @@ impl StudyService {
         let list: Vec<Value> = self
             .registry
             .studies()
+            .iter()
             .map(|s| {
-                let info = s.info();
+                let kind = match s.kind {
+                    StudyKind::Report => "report",
+                    StudyKind::Standalone => "standalone",
+                };
                 let mut obj = BTreeMap::new();
-                obj.insert("name".to_owned(), Value::Str(info.name.to_owned()));
-                obj.insert(
-                    "kind".to_owned(),
-                    Value::Str(
-                        match info.kind {
-                            StudyKind::Report => "report",
-                            StudyKind::Standalone => "standalone",
-                        }
-                        .to_owned(),
-                    ),
-                );
-                obj.insert("title".to_owned(), Value::Str(info.title.to_owned()));
+                obj.insert("name".to_owned(), Value::Str(s.name.to_owned()));
+                obj.insert("kind".to_owned(), Value::Str(kind.to_owned()));
+                obj.insert("title".to_owned(), Value::Str(s.title.to_owned()));
                 Value::Obj(obj)
             })
             .collect();
@@ -619,6 +573,8 @@ pub fn run_from(args: Vec<String>) {
 
 #[cfg(test)]
 mod tests {
+    use bp_core::SamplingConfig;
+
     use super::*;
 
     #[test]
@@ -639,11 +595,13 @@ mod tests {
         let a = SweepRequest::parse(
             b"{\"workload\": \"w\", \"predictors\": \"gshare, bimodal\", \"scales\": \"1,4\"}",
         )
-        .unwrap();
+        .unwrap()
+        .args;
         let b = SweepRequest::parse(
             b"{\"workload\": \"w\", \"predictors\": [\"gshare\", \"bimodal\"], \"scales\": [1, 4]}",
         )
-        .unwrap();
+        .unwrap()
+        .args;
         assert_eq!(a.specs.len(), 2);
         assert_eq!(a.scales, vec![1, 4]);
         assert_eq!(b.scales, a.scales);

@@ -2,7 +2,7 @@
 //!
 //! The registry test pins the study list and its order: the `all`
 //! runner's child sequence, the checkpoint format, and ci.sh's
-//! summary-table expectations all depend on `report_names()` matching
+//! summary-table expectations all depend on the report rows matching
 //! the legacy hand-maintained BINS array exactly.
 //!
 //! The parity tests run the `branch-lab` CLI as a subprocess and require
@@ -18,7 +18,7 @@ use bp_experiments::registry::registry;
 use bp_experiments::{studies, Cli};
 use bp_metrics::json::Value;
 
-/// The legacy `all.rs` BINS array, verbatim. `report_names()` must keep
+/// The legacy `all.rs` BINS array, verbatim. The report rows must keep
 /// producing exactly this list: it is the `all` child sequence, the
 /// checkpoint vocabulary, and what ci.sh's fault-injection leg greps.
 const LEGACY_BINS: [&str; 16] = [
@@ -34,7 +34,8 @@ const GOLDEN: [&str; 10] = [
 
 #[test]
 fn report_names_match_the_legacy_all_list() {
-    assert_eq!(registry().report_names(), LEGACY_BINS);
+    let reports: Vec<&str> = registry().reports().map(|s| s.name).collect();
+    assert_eq!(reports, LEGACY_BINS);
 }
 
 #[test]
@@ -51,13 +52,10 @@ fn registry_covers_every_study_binary() {
         ]
     );
     for standalone in ["baselines", "grid", "sampled", "calibrate"] {
-        assert_eq!(
-            reg.get(standalone).unwrap().info().kind,
-            StudyKind::Standalone
-        );
+        assert_eq!(reg.get(standalone).unwrap().kind, StudyKind::Standalone);
     }
     for study in reg.studies() {
-        assert!(!study.info().title.is_empty(), "{}", study.info().name);
+        assert!(!study.title.is_empty(), "{}", study.name);
     }
 }
 
@@ -331,7 +329,7 @@ fn list_prints_every_study() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     for study in registry().studies() {
-        assert!(stdout.contains(study.info().name));
+        assert!(stdout.contains(study.name));
     }
 }
 

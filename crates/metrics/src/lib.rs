@@ -13,8 +13,8 @@
 //! predictor, a simulation, a store). When metrics are disabled the
 //! handle holds `None` and every `add` is a branch on an immediate —
 //! there is no name lookup, no atomic, and no lock anywhere near a hot
-//! loop. Measured replay overhead of the disabled path is well under 2%
-//! (`cargo bench -p bp-bench --bench metrics_overhead`).
+//! loop. `ci.sh`'s perf gate runs `bp-perf` with metrics unset, so every
+//! entry it times replays on the disabled path.
 //!
 //! Because predictions never depend on a counter value, study outputs
 //! are bitwise identical with metrics on or off; manifests go to files,

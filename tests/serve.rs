@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use bp_core::serve::cache::CacheKey;
 use bp_core::serve::Server;
-use bp_core::{DatasetConfig, SamplingConfig, StudyCtx};
+use bp_core::{DatasetConfig, SamplingConfig, Study, StudyCtx, StudyKind, StudyRegistry};
 use bp_experiments::cli::{describe_sweep, sweep_report};
 use bp_experiments::serve::{study_key, sweep_key, StudyService};
 use bp_experiments::{registry, studies, Cli};
@@ -68,7 +68,14 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
 }
 
 fn serve(cache_dir: Option<PathBuf>) -> (Server, std::net::SocketAddr) {
-    let service = Arc::new(StudyService::new(registry::registry(), cache_dir, None, None));
+    serve_table(registry::registry(), cache_dir)
+}
+
+fn serve_table(
+    studies: StudyRegistry,
+    cache_dir: Option<PathBuf>,
+) -> (Server, std::net::SocketAddr) {
+    let service = Arc::new(StudyService::new(studies, cache_dir, None, None));
     let server = Server::bind("127.0.0.1:0", 4, service).expect("bind ephemeral port");
     let addr = server.local_addr();
     (server, addr)
@@ -170,7 +177,7 @@ fn served_study_is_byte_identical_to_direct_render_and_caches() {
     // The served body is exactly Report::render() of the same study on
     // the same dataset — which is exactly the CLI's stdout.
     let cli = Cli { quick: true, len: Some(20_000), ..Cli::default() };
-    let expected = registry::registry().get("fig3").unwrap().run(&cli.ctx()).render();
+    let expected = (registry::registry().get("fig3").unwrap().run)(&cli.ctx()).render();
     assert_eq!(miss.body, expected.as_bytes(), "served body != CLI render");
 
     // A repeat request hits the cache, same key, same bytes.
@@ -224,10 +231,22 @@ fn deadline_expired(addr: std::net::SocketAddr) -> u64 {
 fn an_expired_deadline_is_a_504_and_is_never_cached() {
     // Counter handles are taken when the service is built.
     bp_metrics::force_enable();
-    let (server, addr) = serve(None);
-    // A full-length fig7 takes well over a second even in release.
-    let body = r#"{"study": "fig7", "len": 1000000, "deadline_secs": 1}"#;
-    let key = study_key("fig7", &Cli { len: Some(1_000_000), ..Cli::default() }.ctx());
+    // The study table plus one row that polls its cancellation
+    // checkpoint until the request's deadline stops it, however fast
+    // the build.
+    let mut studies = registry::registry().studies().to_vec();
+    studies.push(Study {
+        name: "wait",
+        title: "waits at a cancellation checkpoint until it is stopped",
+        kind: StudyKind::Standalone,
+        run: |_| loop {
+            bp_core::cancel::checkpoint("test.wait");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        },
+    });
+    let (server, addr) = serve_table(StudyRegistry::new(studies), None);
+    let body = r#"{"study": "wait", "deadline_secs": 1}"#;
+    let key = study_key("wait", &Cli::default().ctx());
     for _ in 0..2 {
         let before = deadline_expired(addr);
         let reply = request(addr, "POST", "/run", body);
@@ -264,7 +283,7 @@ fn sampling_geometry_is_part_of_the_served_key() {
     assert_eq!(default.cache, "miss");
     assert_ne!(default.key, coarse.key);
     let cli = Cli { quick: true, len: Some(20_000), ..Cli::default() };
-    let expected = registry::registry().get("sampled").unwrap().run(&cli.ctx()).render();
+    let expected = (registry::registry().get("sampled").unwrap().run)(&cli.ctx()).render();
     assert_eq!(default.body, expected.as_bytes(), "served body != CLI render");
     assert_ne!(default.body, coarse.body);
 
