@@ -27,12 +27,15 @@ BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo test --release -q --test golden --test metrics_manifest -- --include-ignored
 
 echo "== decode robustness =="
-# Every file in the checked-in corpus of damaged BPTR traces (v3 files,
-# hostile headers, and frozen files of the retired v1/v2 formats) must
-# decode to a structured error — never a panic or a hostile-length-sized
-# allocation — and the 100M-branch scale run must
-# round-trip at ≤ 1 byte/inst with peak RSS independent of trace length.
-cargo test --release -q -p bp-trace --test decode_robustness
+# All of bp-trace's tests, in release: every file in the checked-in
+# corpus of damaged BPTR traces (v4 files, hostile headers, and frozen
+# files of the retired v1/v2/v3 formats) must decode to a structured
+# error — never a panic or a hostile-length-sized allocation — as must
+# every single-byte flip in the blocks of a small v4 trace, and hostile
+# field values must round-trip across block boundaries. The
+# 100M-branch scale run must round-trip at ≤ 1 byte/inst with peak RSS
+# independent of trace length.
+cargo test --release -q -p bp-trace
 cargo test --release -q --test streaming_scale -- --include-ignored
 
 echo "== differential (release) =="
@@ -377,9 +380,10 @@ cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
 echo "== perf baseline =="
 # Gate replay throughput against the checked-in BENCH_*.json (newest by
 # filename, at the repo root); since 2026-08-08 the baseline also pins
-# the v3 trace codec (`trace/encode-v3`, `trace/decode-v3`). The 50%
-# threshold is a cliff detector for accidental slowdowns, not a
-# micro-benchmark gate — CI machines vary.
+# the trace codec. Its entries keep the names the baselines key on,
+# `trace/encode-v3` and `trace/decode-v3`, and time the current BPTR
+# codec (v4). The 50% threshold is a cliff detector for accidental
+# slowdowns, not a micro-benchmark gate — CI machines vary.
 # Refresh workflow: EXPERIMENTS.md "Replay throughput & the perf baseline".
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo run --release -q -p bp-bench --bin bp-perf -- \

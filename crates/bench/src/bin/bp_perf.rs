@@ -6,8 +6,10 @@
 //!
 //! * `predictor/tage-sc-l-{8,64}kb` — predictor-only replay
 //!   (predict+update per conditional branch, no pipeline);
-//! * `trace/{encode,decode}-v3` — BPTR v3 codec throughput on the pinned
-//!   SPECint-like trace (streaming block writer, block-wise reader);
+//! * `trace/{encode,decode}-v3` — throughput of the current BPTR codec
+//!   (v4) on the pinned SPECint-like trace (streaming block writer,
+//!   block-wise reader); the names stay as the `BENCH_*.json` baselines
+//!   key them;
 //! * `pipeline/scoreboard` — scoreboard-only replay over a precomputed
 //!   misprediction stream;
 //! * `end_to_end/tage-sc-l-8kb[-lcf]` — the full study loop
@@ -156,12 +158,13 @@ fn run_suite(opts: &Options) -> PerfReport {
             },
         ));
     }
-    // v3 codec throughput: encode the pinned trace to memory, then
-    // stream-decode it back block-by-block through the same
+    // Codec throughput, in whatever BPTR version the crate writes (the
+    // `-v3` names are the baselines' keys): encode the pinned trace to
+    // memory, then stream-decode it back block-by-block through the same
     // `TraceReader` path every disk-backed study drains. These pin the
     // decode cost model in PERFORMANCE.md.
-    let mut v3_bytes = Vec::new();
-    spec_trace.write_to(&mut v3_bytes).expect("v3 encode");
+    let mut encoded = Vec::new();
+    spec_trace.write_to(&mut encoded).expect("encode");
     measurements.push(perf::measure(
         "trace/encode-v3",
         spec_trace.len() as u64,
@@ -169,8 +172,8 @@ fn run_suite(opts: &Options) -> PerfReport {
         warmup,
         samples,
         || {
-            let mut out = Vec::with_capacity(v3_bytes.len());
-            spec_trace.write_to(&mut out).expect("v3 encode");
+            let mut out = Vec::with_capacity(encoded.len());
+            spec_trace.write_to(&mut out).expect("encode");
             out.len() as u64
         },
     ));
@@ -181,9 +184,9 @@ fn run_suite(opts: &Options) -> PerfReport {
         warmup,
         samples,
         || {
-            let mut reader = BptrReader::new(v3_bytes.as_slice()).expect("v3 header");
+            let mut reader = BptrReader::new(encoded.as_slice()).expect("header");
             let mut n = 0u64;
-            while let Some(chunk) = reader.next_chunk().expect("v3 decode") {
+            while let Some(chunk) = reader.next_chunk().expect("decode") {
                 n += chunk.len() as u64;
             }
             n

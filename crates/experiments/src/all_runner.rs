@@ -60,7 +60,7 @@ use bp_core::Table;
 use bp_metrics::env;
 
 use crate::registry::registry;
-use crate::{cli, flag_value, Cli};
+use crate::{cli, first_use, flag_value, Cli};
 
 /// How many extra attempts a failing study gets.
 const RETRIES: u32 = 1;
@@ -76,9 +76,10 @@ struct Options {
 impl Options {
     fn parse_from(args: Vec<String>) -> Result<Options, String> {
         let (mut keep_going, mut resume, mut timeout) = (false, false, None);
-        let mut forwarded = Vec::new();
+        let (mut forwarded, mut seen) = (Vec::new(), 0);
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            first_use(&mut seen, &["--keep-going", "--resume", "--timeout-secs"], &a)?;
             match a.as_str() {
                 "--keep-going" => keep_going = true,
                 "--resume" => resume = true,

@@ -28,7 +28,7 @@ use bp_pipeline::PipelineConfig;
 use bp_predictors::PredictorSpec;
 use bp_workloads::{find_workload, workload_names, TraceStore, WorkloadSpec};
 
-use crate::{all_runner, flag_value, len_value, registry, Cli};
+use crate::{all_runner, first_use, flag_value, len_value, registry, Cli};
 
 /// The single help surface of the `branch-lab` CLI.
 #[must_use]
@@ -153,14 +153,17 @@ impl SweepArgs {
     /// # Errors
     ///
     /// A usage message for an unknown flag or bare argument, a flag
-    /// without its value, a missing `--workload` or `--predictors`, an
+    /// given twice or without its value, a missing `--workload` or
+    /// `--predictors`, an
     /// unknown predictor, a scale outside 1–64 or a `--len` below 10.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<SweepArgs, String> {
         let (mut workload, mut specs) = (None, None);
         let mut scales = vec![1];
         let mut len = 200_000;
+        let mut seen = 0;
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            first_use(&mut seen, &["--workload", "--predictors", "--scales", "--len"], &a)?;
             match a.as_str() {
                 "--workload" => workload = Some(flag_value(&mut args, "--workload")?),
                 "--predictors" => {

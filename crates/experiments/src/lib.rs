@@ -46,12 +46,16 @@ impl Cli {
     /// # Errors
     ///
     /// A usage message for an unknown flag or bare argument, a flag
-    /// without its value, a value that does not parse, a `--len` below
-    /// 10, or a `--csv` directory that cannot be created.
+    /// given twice or without its value, a value that does not parse, a
+    /// `--len` below 10, or a `--csv` directory that cannot be created.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        const FLAGS: [&str; 6] =
+            ["--len", "--quick", "--csv", "--sample-interval", "--sample-warmup", "--sample-phases"];
         let mut cli = Cli::default();
+        let mut seen = 0;
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            first_use(&mut seen, &FLAGS, &a)?;
             match a.as_str() {
                 "--len" => cli.len = Some(len_value(&mut args)?),
                 "--quick" => cli.quick = true,
@@ -155,6 +159,19 @@ pub(crate) fn flag_value<T: std::str::FromStr>(
 ) -> Result<T, String> {
     let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse().map_err(|_| format!("invalid value \"{v}\" for {flag}"))
+}
+
+/// Records `arg` as given when it is one of `flags`, refusing it if it
+/// was given before: which of two values should count would be a guess.
+/// `seen` has bit i set once `flags[i]` was met; other arguments pass.
+pub(crate) fn first_use(seen: &mut u32, flags: &[&str], arg: &str) -> Result<(), String> {
+    if let Some(i) = flags.iter().position(|f| *f == arg) {
+        if *seen >> i & 1 != 0 {
+            return Err(format!("{arg} is given more than once"));
+        }
+        *seen |= 1 << i;
+    }
+    Ok(())
 }
 
 /// Takes a `--len` value from `args`: an instruction count of at least 10.

@@ -130,6 +130,22 @@ const CASES: &[(&[&str], &str, u16)] = &[
         r#"{"workload": "streaming", "predictors": ["gshare", "nonesuch"]}"#,
         400,
     ),
+    // A flag or field given twice is refused, whichever value is valid.
+    (
+        &["sweep", "--workload", "streaming", "--predictors", "gshare", "--len", "5", "--len", "1000"],
+        r#"{"workload": "streaming", "predictors": "gshare", "len": 5, "len": 1000}"#,
+        400,
+    ),
+    (
+        &["sweep", "--workload", "streaming", "--predictors", "gshare", "--len", "1000", "--len", "2000"],
+        r#"{"workload": "streaming", "predictors": "gshare", "len": 1000, "len": 2000}"#,
+        400,
+    ),
+    (
+        &["run", "fig3", "--quick", "--quick"],
+        r#"{"study": "fig3", "quick": true, "quick": true}"#,
+        400,
+    ),
     (&["sweep", "--workload", "streaming"], r#"{"workload": "streaming"}"#, 400),
     (
         &["sweep", "--workload", "nowhere", "--predictors", "gshare"],

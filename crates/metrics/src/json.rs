@@ -6,8 +6,11 @@
 //! metrics layer needs: full JSON parsing (for validation and
 //! normalization) and a canonical serializer — two-space indent, object
 //! keys in sorted order, numbers preserved verbatim — so that two
-//! semantically equal documents always render byte-identically.
+//! semantically equal documents always render byte-identically. An
+//! object that names a member twice is a parse error, never read as
+//! one of its values.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -280,12 +283,22 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            // A repeated name would silently keep one of its values.
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(slot) => {
+                    let msg = format!("duplicate object name {:?}", slot.key());
+                    return Err(JsonError { pos: at, msg });
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -415,6 +428,15 @@ mod tests {
     fn sorts_object_keys() {
         let value = parse("{\"b\": 1, \"a\": 2}").unwrap();
         assert_eq!(value.to_json(), "{\n  \"a\": 2,\n  \"b\": 1\n}");
+    }
+
+    #[test]
+    fn rejects_a_repeated_object_name() {
+        let err = parse("{\"len\": 5, \"a\": {\"len\": 1}, \"len\": 1000}").unwrap_err();
+        assert_eq!(err.pos, 28);
+        assert!(err.msg.contains("duplicate object name \"len\""), "{err}");
+        // The same name in different objects is fine.
+        assert!(parse("{\"a\": {\"n\": 1}, \"b\": {\"n\": 2}}").is_ok());
     }
 
     #[test]

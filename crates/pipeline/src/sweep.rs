@@ -1337,7 +1337,7 @@ mod tests {
         // to preparing from the materialized trace: the cache model, the
         // forwarding links, and the compaction all see the same records
         // in the same order, just delivered in chunks.
-        let (t, branches) = mixed_trace(70_000); // several v3 blocks
+        let (t, branches) = mixed_trace(70_000); // several codec blocks
         let mut bytes = Vec::new();
         t.write_to(&mut bytes).expect("serialize");
         let reader = bp_trace::BptrReader::new(bytes.as_slice()).expect("open");

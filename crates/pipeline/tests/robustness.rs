@@ -1,4 +1,4 @@
-//! Robustness of the streaming replay path: a BPTR v3 stream truncated
+//! Robustness of the streaming replay path: a BPTR stream truncated
 //! *mid-block* — after earlier blocks already decoded and fed the
 //! consumer — must surface a structured [`ReadTraceError`] from
 //! [`SweepReplay::prepare`] and [`sweep_flags`], never a panic
@@ -10,7 +10,7 @@ use bp_pipeline::{PipelineConfig, SweepReplay};
 use bp_predictors::{sweep_flags, DirectionPredictor, PredictorSpec};
 use bp_trace::{BptrReader, ReadTraceError, RetiredInst, Trace, TraceMeta, TraceReader, BLOCK_RECORDS};
 
-/// A trace spanning more than one v3 block, so a tail truncation still
+/// A trace spanning more than one codec block, so a tail truncation still
 /// leaves at least one fully decodable block in front of the tear.
 fn multi_block_trace() -> Trace {
     let mut t = Trace::new(TraceMeta::new("robustness", 0));

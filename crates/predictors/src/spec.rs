@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn observed_sweep_checkpoints_match_solo_replay() {
-        // Whatever the reader's chunking — one in-memory chunk, v3 codec
+        // Whatever the reader's chunking — one in-memory chunk, BPTR codec
         // blocks, or 7 records at a time — the sweep must produce the
         // same flags and checkpoint at the same branch counts, and after
         // the observer reports n branches consumed each lockstep
@@ -523,8 +523,8 @@ mod tests {
         let expected = sweep(&mut t.reader());
         let at: Vec<usize> = expected.1.iter().map(|(n, _)| *n).collect();
         assert_eq!(at, [16_384, 32_768, 49_152, 65_536, 70_000]);
-        let v3 = sweep(&mut bp_trace::BptrReader::new(bytes.as_slice()).unwrap());
-        assert!(v3 == expected, "v3 reader diverged");
+        let blocks = sweep(&mut bp_trace::BptrReader::new(bytes.as_slice()).unwrap());
+        assert!(blocks == expected, "BPTR reader diverged");
         let mut seven = ChunkedReader {
             trace: &t,
             at: 0,

@@ -1,14 +1,17 @@
-//! Decode-ahead for `BPTR` v3: blocks framed on the reading thread are
+//! Decode-ahead for `BPTR` v4: blocks framed on the reading thread are
 //! checksum-verified and decoded on one helper thread while the consumer
 //! works on the chunk before them.
 //!
-//! v3 blocks are framed independently, so block k+1 can be verified and
+//! Blocks are framed independently, so block k+1 can be verified and
 //! decoded while the consumer trains on, prepares or copies block k. The
 //! reading thread keeps everything that touches untrusted lengths or the
 //! byte stream: it reads each frame, checks its caps, sizes the block's
-//! buffers and reads its payload and trailer (`crate::reader`). What it
-//! hands over is a [`Block`] whose buffers are already allocated; the
-//! helper only fills them.
+//! payload and record buffers and reads its payload and trailer
+//! (`crate::reader`). What it hands over is a [`Block`] whose payload and
+//! records are already sized. The decoding thread, the helper included,
+//! fills them and grows only the block's template scratch: one entry per
+//! dictionary entry, so at most the frame's record cap, and only after
+//! the checksum passed. The scratch is recycled with the block.
 //!
 //! The threading contract:
 //!
@@ -43,15 +46,15 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 
-use crate::codec_v3::decode_block;
+use crate::codec_v3::{check_digest, decode_block};
 use crate::record::RetiredInst;
-use crate::serialize::{fnv1a, ReadTraceError, FNV_OFFSET};
+use crate::serialize::ReadTraceError;
 
 /// Framed blocks kept in flight beyond the chunk the consumer holds,
 /// when a helper thread decodes ahead.
 const WINDOW: u64 = 2;
 
-/// One framed v3 block with its buffers: filled by the reading thread,
+/// One framed block with its buffers: filled by the reading thread,
 /// verified and decoded by whichever thread claims it.
 #[derive(Default)]
 pub(crate) struct Block {
@@ -59,12 +62,15 @@ pub(crate) struct Block {
     pub(crate) frame: [u8; 8],
     /// Records the frame declares (already checked against the caps).
     pub(crate) n_records: usize,
-    /// The FNV-1a trailer read after the payload.
+    /// The checksum trailer read after the payload.
     pub(crate) trailer: u64,
     /// The encoded payload.
     pub(crate) payload: Vec<u8>,
     /// Decoded records; the reading thread reserves their capacity.
     pub(crate) records: Vec<RetiredInst>,
+    /// Decode scratch: one record template per dictionary entry, grown
+    /// on the decoding thread (at most `n_records` entries).
+    templates: Vec<RetiredInst>,
 }
 
 impl Block {
@@ -73,24 +79,8 @@ impl Block {
     fn decode(&mut self) -> Result<(), ReadTraceError> {
         check_digest(self.trailer, &self.frame, &self.payload)?;
         self.records.clear();
-        decode_block(&self.payload, self.n_records, &mut self.records)
+        decode_block(&self.payload, self.n_records, &mut self.templates, &mut self.records)
     }
-}
-
-/// Checks a block's stored FNV-1a trailer against the digest of
-/// `frame ++ payload`.
-pub(crate) fn check_digest(
-    stored: u64,
-    frame: &[u8; 8],
-    payload: &[u8],
-) -> Result<(), ReadTraceError> {
-    let mut computed = FNV_OFFSET;
-    fnv1a(&mut computed, frame);
-    fnv1a(&mut computed, payload);
-    if stored != computed {
-        return Err(ReadTraceError::ChecksumMismatch { stored, computed });
-    }
-    Ok(())
 }
 
 /// Blocks between framing and delivery, shared with the helper.
@@ -174,7 +164,7 @@ fn parallel_host() -> bool {
     *PARALLEL.get_or_init(|| thread::available_parallelism().is_ok_and(|n| n.get() > 1))
 }
 
-/// The v3 decode pipeline of one reader: the window of framed blocks,
+/// The decode pipeline of one reader: the window of framed blocks,
 /// the optional helper, and the block the consumer holds.
 pub(crate) struct Ahead {
     shared: Arc<Shared>,

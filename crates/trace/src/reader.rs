@@ -1,12 +1,12 @@
 //! Streaming trace consumption: the [`TraceReader`] trait and the
-//! `BPTR` v3 block decoder.
+//! `BPTR` v4 block decoder.
 //!
 //! Replaying a paper-scale trace (§V-B works with multi-billion
 //! instruction streams) must not require materializing it: everything
 //! downstream — `SweepReplay::prepare`, `sweep_flags`, profile
 //! collection — consumes traces chunk-by-chunk through [`TraceReader`].
 //! The in-memory [`Trace`] is just one implementation (a single-chunk
-//! reader over its slice); [`BptrReader`] decodes v3 files with peak
+//! reader over its slice); [`BptrReader`] decodes v4 files with peak
 //! memory bounded by a few blocks, independent of trace length.
 //!
 //! Chunk boundaries carry no meaning: a reader may split the stream
@@ -16,10 +16,10 @@
 use std::io::{self, Read};
 use std::sync::Arc;
 
-use crate::ahead::{check_digest, Ahead, Block};
-use crate::codec_v3::{BLOCK_RECORDS, COUNT_UNKNOWN, MAX_BLOCK_PAYLOAD};
+use crate::ahead::{Ahead, Block};
+use crate::codec_v3::{check_digest, BLOCK_RECORDS, COUNT_UNKNOWN, MAX_BLOCK_PAYLOAD};
 use crate::record::RetiredInst;
-use crate::serialize::{ReadTraceError, MAGIC, VERSION_V3};
+use crate::serialize::{ReadTraceError, MAGIC, VERSION};
 use crate::trace::{Trace, TraceMeta};
 
 /// A source of retired-instruction records, delivered in arbitrary-size
@@ -136,14 +136,14 @@ impl Trace {
     }
 }
 
-/// Streaming decoder for `BPTR` v3, the only supported version.
+/// Streaming decoder for `BPTR` v4, the only supported version.
 ///
 /// The header is parsed in [`BptrReader::new`]; records then stream out
 /// one codec block per chunk, so peak memory is independent of trace
-/// length. Integrity is verified incrementally (per-block FNV-1a
-/// trailers) and the stream must end exactly where the format says it
-/// does: leftover bytes are `Corrupt("trailing bytes")`, a missing end
-/// is an I/O error.
+/// length. Integrity is verified incrementally (per-block four-lane
+/// FNV-1a trailers) and the stream must end exactly where the format
+/// says it does: leftover bytes are `Corrupt("trailing bytes")`, a
+/// missing end is an I/O error.
 ///
 /// Blocks decode ahead: while the consumer works on one block, up to two
 /// more are verified and decoded on a helper thread the reader owns (one
@@ -186,7 +186,7 @@ impl<R: Read> BptrReader<R> {
     /// # Errors
     ///
     /// Returns [`ReadTraceError`] on I/O failure, bad magic, any version
-    /// other than 3 (`UnsupportedVersion`), or malformed metadata.
+    /// other than 4 (`UnsupportedVersion`), or malformed metadata.
     pub fn new(mut inner: R) -> Result<Self, ReadTraceError> {
         let mut magic = [0u8; 4];
         inner.read_exact(&mut magic)?;
@@ -196,7 +196,7 @@ impl<R: Read> BptrReader<R> {
         let mut b2 = [0u8; 2];
         inner.read_exact(&mut b2)?;
         let version = u16::from_le_bytes(b2);
-        if version != VERSION_V3 {
+        if version != VERSION {
             return Err(ReadTraceError::UnsupportedVersion(version));
         }
         inner.read_exact(&mut b2)?;
@@ -450,8 +450,8 @@ mod tests {
         assert!(matches!(err, ReadTraceError::Corrupt("block payload length")), "{err:?}");
     }
 
-    /// v3 bytes of `t`, and the offset of each block's payload.
-    fn v3_blocks(t: &Trace) -> (Vec<u8>, Vec<usize>) {
+    /// The encoded bytes of `t`, and the offset of each block's payload.
+    fn file_blocks(t: &Trace) -> (Vec<u8>, Vec<usize>) {
         let mut bytes = Vec::new();
         t.write_to(&mut bytes).unwrap();
         let mut payloads = Vec::new();
@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn both_decode_paths_yield_the_same_chunks() {
         let t = branchy(3 * BLOCK_RECORDS as u64 + 1234);
-        let (bytes, _) = v3_blocks(&t);
+        let (bytes, _) = file_blocks(&t);
         for helper in [false, true] {
             let mut r = BptrReader::new(bytes.as_slice()).unwrap();
             r.ahead = Some(Ahead::with_helper(helper));
@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn verified_end_frees_every_buffer_and_joins_the_helper() {
         let t = branchy(4 * BLOCK_RECORDS as u64 + 17);
-        let (bytes, _) = v3_blocks(&t);
+        let (bytes, _) = file_blocks(&t);
         let mut r = with_helper(&bytes);
         r.next_chunk().unwrap().unwrap();
         let ahead = r.ahead.as_ref().unwrap();
@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn first_error_frees_every_buffer_and_joins_the_helper() {
         let t = branchy(4 * BLOCK_RECORDS as u64);
-        let (mut bytes, payloads) = v3_blocks(&t);
+        let (mut bytes, payloads) = file_blocks(&t);
         bytes[payloads[2] + 9] ^= 0x10;
         let mut r = with_helper(&bytes);
         r.next_chunk().unwrap().unwrap();
@@ -561,7 +561,7 @@ mod tests {
     #[test]
     fn helper_panic_is_reraised_on_the_consumer() {
         let t = branchy(6 * BLOCK_RECORDS as u64);
-        let (bytes, _) = v3_blocks(&t);
+        let (bytes, _) = file_blocks(&t);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let mut r = with_helper(&bytes);
@@ -593,7 +593,7 @@ mod tests {
     fn non_utf8_name_is_structured() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&3u16.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&2u16.to_le_bytes());
         bytes.extend_from_slice(&[0xFF, 0xFE]);
         bytes.extend_from_slice(&0u32.to_le_bytes());

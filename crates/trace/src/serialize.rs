@@ -8,12 +8,12 @@
 //!
 //! The header (little-endian) is magic `BPTR`, version u16, metadata
 //! (name length u16 + UTF-8 bytes, input u32), and a record count u64.
-//! Version 3 is the only one read or written: bit-packed,
-//! delta-compressed blocks, each carrying its own FNV-1a trailer so
-//! corruption is detected at (and localized to) the block holding it;
-//! see [`crate::codec_v3`] for the layout. Any other version, including
-//! the retired fixed-layout v1/v2, is
-//! [`ReadTraceError::UnsupportedVersion`].
+//! Version 4 is the only one read or written: bit-packed,
+//! delta-compressed blocks, each carrying its own four-lane FNV-1a
+//! trailer so corruption is detected at (and localized to) the block
+//! holding it; see [`crate::codec_v3`] for the layout. Any other
+//! version, including the retired fixed-layout v1/v2 and the v3 block
+//! codec, is [`ReadTraceError::UnsupportedVersion`].
 //!
 //! Files decode through the streaming block reader
 //! ([`crate::reader::BptrReader`]); [`Trace::read_from`] simply drains it
@@ -38,8 +38,8 @@ use crate::reader::{BptrReader, TraceReader};
 use crate::trace::{Trace, TraceMeta};
 
 pub(crate) const MAGIC: &[u8; 4] = b"BPTR";
-/// The one format version read and written: the v3 block codec.
-pub(crate) const VERSION_V3: u16 = 3;
+/// The one format version read and written: the v4 block codec.
+pub(crate) const VERSION: u16 = 4;
 pub(crate) const NO_REG: u8 = 0xFF;
 
 /// Initial record-capacity clamp for decoding: headers are untrusted, so
@@ -54,9 +54,10 @@ pub(crate) const DECODE_CAP_CLAMP: usize = 1 << 16;
 const _: () = assert!(NUM_REGS < NO_REG as usize, "register encoding collides with NO_REG");
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a 64 over a byte stream.
+/// Incremental FNV-1a 64 over a byte stream (one chain; the block
+/// trailers interleave four, see `codec_v3::block_digest`).
 pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
@@ -236,7 +237,7 @@ pub(crate) fn write_header<W: Write>(
     count: u64,
 ) -> Result<(), WriteTraceError> {
     writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION_V3.to_le_bytes())?;
+    writer.write_all(&VERSION.to_le_bytes())?;
     let name = meta.name.as_bytes();
     let name_len =
         u16::try_from(name.len()).map_err(|_| WriteTraceError::NameTooLong(name.len()))?;
@@ -248,8 +249,8 @@ pub(crate) fn write_header<W: Write>(
 }
 
 impl Trace {
-    /// Serializes the trace to `writer` in the `BPTR` v3 format
-    /// (bit-packed delta-compressed blocks, each with its own FNV-1a
+    /// Serializes the trace to `writer` in the `BPTR` v4 format
+    /// (bit-packed delta-compressed blocks, each with its own checksum
     /// trailer; DESIGN.md documents the layout).
     ///
     /// A `&mut` reference can be passed for `writer` (e.g. `&mut file`).
@@ -404,9 +405,9 @@ mod tests {
     fn wrong_version_is_rejected() {
         let mut clean = Vec::new();
         sample().write_to(&mut clean).unwrap();
-        // v1 and v2 are retired like any unknown version: the header is
-        // rejected before a single record is read.
-        for version in [0u16, 1, 2, 4, 99] {
+        // v1, v2 and v3 are retired like any unknown version: the header
+        // is rejected before a single record is read.
+        for version in [0u16, 1, 2, 3, 5, 99] {
             let mut bytes = clean.clone();
             bytes[4..6].copy_from_slice(&version.to_le_bytes());
             let err = Trace::read_from(bytes.as_slice()).unwrap_err();
@@ -523,7 +524,7 @@ mod tests {
         // a multi-GB Vec::with_capacity.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V3.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&2u16.to_le_bytes());
         bytes.extend_from_slice(b"hi");
         bytes.extend_from_slice(&0u32.to_le_bytes());
@@ -548,7 +549,7 @@ mod tests {
                 // The only byte a flip may go unnoticed in is the header
                 // count sentinel interplay — which still must decode to
                 // the same records or fail. Metadata bytes are not
-                // checksummed in v3 (each block guards itself), so a
+                // checksummed (each block guards itself), so a
                 // name/input flip yields different metadata but
                 // identical records.
                 assert_eq!(back.insts(), t.insts(), "undetected payload flip at byte {pos}");

@@ -625,7 +625,7 @@ enum DiskRead {
     Valid(Trace),
     /// No cache file (the ordinary cold-cache case).
     Missing,
-    /// A file exists but is torn, corrupt, in a version other than v3, or
+    /// A file exists but is torn, corrupt, in a version other than v4, or
     /// carries the wrong identity; it must be quarantined and the trace
     /// regenerated.
     Corrupt(String),

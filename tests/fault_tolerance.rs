@@ -117,28 +117,30 @@ fn bit_flipped_cache_file_is_caught_by_the_checksum() {
 #[test]
 fn retired_format_version_is_quarantined_and_regenerated() {
     let _g = gate();
-    let dir = scratch_dir("oldversion");
-    let spec = &lcf_suite()[2];
-    let good = TraceStore::with_cache_dir(&dir).get(spec, 0, 12_000);
+    // Patch the version field to 2 or 3, as a cache written by an older
+    // build would read. The store reads v4 only, so each file takes the
+    // same path as any other it cannot read.
+    for version in [2u16, 3] {
+        let dir = scratch_dir("oldversion");
+        let spec = &lcf_suite()[2];
+        let good = TraceStore::with_cache_dir(&dir).get(spec, 0, 12_000);
 
-    // Patch the version field to 2, as a cache written before v3 would
-    // read. The store reads v3 only, so this file takes the same path as
-    // any other it cannot read.
-    let path = cache_file(&dir);
-    let mut bytes = std::fs::read(&path).expect("read cache file");
-    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("rewrite");
+        let path = cache_file(&dir);
+        let mut bytes = std::fs::read(&path).expect("read cache file");
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
 
-    let store = TraceStore::with_cache_dir(&dir);
-    let regenerated = store.get(spec, 0, 12_000);
-    let stats = store.stats();
-    assert_eq!(stats.corrupt, 1, "{stats:?}");
-    assert_eq!(stats.disk_loads, 0, "{stats:?}");
-    assert_eq!(stats.generated, 1, "{stats:?}");
-    assert_eq!(regenerated.insts(), good.insts());
-    assert_eq!(regenerated.insts(), spec.trace(0, 12_000).insts());
-    assert_eq!(quarantined_files(&dir).len(), 1, "old file kept");
-    let _ = std::fs::remove_dir_all(&dir);
+        let store = TraceStore::with_cache_dir(&dir);
+        let regenerated = store.get(spec, 0, 12_000);
+        let stats = store.stats();
+        assert_eq!(stats.corrupt, 1, "v{version}: {stats:?}");
+        assert_eq!(stats.disk_loads, 0, "v{version}: {stats:?}");
+        assert_eq!(stats.generated, 1, "v{version}: {stats:?}");
+        assert_eq!(regenerated.insts(), good.insts());
+        assert_eq!(regenerated.insts(), spec.trace(0, 12_000).insts());
+        assert_eq!(quarantined_files(&dir).len(), 1, "v{version}: old file kept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
